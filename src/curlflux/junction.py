@@ -388,19 +388,18 @@ def closed_form_flux_response(model, omegas):
     """
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
-    a_eg = model.m[np.ix_(idx, idx)]
+    (a00, a01), (a10, a11) = model.m[np.ix_(idx, idx)]
     c1, c2 = _ne_coefficients(model)
     j = model.flux_j
     d2 = model.params.dipole ** 2
-    out = np.empty(np.asarray(omegas).size)
-    eye = np.eye(2)
-    for i, w in enumerate(np.asarray(omegas, dtype=float)):
-        gp = -np.linalg.inv(a_eg + 1j * w * eye)
-        gm = -np.linalg.inv(a_eg - 1j * w * eye)
-        g_plus = c1 * (gp[0, 0] + gp[1, 0]) + c2 * (gp[1, 1] + gp[0, 1])
-        g_minus = c1 * (gm[0, 0] + gm[1, 0]) + c2 * (gm[1, 1] + gm[0, 1])
-        out[i] = d2 * j * (g_plus - np.conj(g_minus)).real
-    return out
+    shift = 1j * np.asarray(omegas, dtype=float).reshape(-1)
+
+    def g(s):
+        # c1 * (col 0 sum) + c2 * (col 1 sum) of -(a_eg + s)^-1, by adj/det
+        b00, b11 = a00 + s, a11 + s
+        return -(c1 * (b11 - a10) + c2 * (b00 - a01)) / (b00 * b11 - a01 * a10)
+
+    return d2 * j * (g(shift) - np.conj(g(-shift))).real
 
 
 def transmission(params, omegas, strict_paper_rates=True, epsilon=None):

@@ -12,7 +12,6 @@ regardless of time-scale separation.
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import expm
 
 __all__ = [
     "NonDecayingCoherenceError",
@@ -161,8 +160,12 @@ def propagate(m, rho0, t):
     """Evolve a Liouville vector: exp(M t) vec(rho0).
 
     Uses the dense scaling-and-squaring matrix exponential, which is
-    well-behaved for the non-normal generators that arise here.
+    well-behaved for the non-normal generators that arise here.  scipy is
+    imported here, its only user, so that importing the package (and
+    every CLI command, none of which propagates) does not load it.
     """
+    from scipy.linalg import expm
+
     if t < 0:
         raise ValueError("propagation time must be non-negative")
     m = np.asarray(m, dtype=complex)

@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curlflux
 from curlflux.cli import main
 from curlflux.flux import reconstruct_flux
 
@@ -222,3 +227,16 @@ def test_strict_paper_rates_flag_changes_spectrum(tmp_path):
     assert main(["spectrum", "--config", str(cfg), "--out", str(out2),
                  "--strict-paper-rates", "false"]) == 0
     assert read(out1 / "pt_run.csv") != read(out2 / "pt_run.csv")
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy serves only reduction.propagate, which no command calls, so a
+    # cold CLI call must not pay for importing it
+    src = str(Path(curlflux.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys, curlflux.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

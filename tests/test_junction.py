@@ -4,6 +4,7 @@ from scipy.linalg import expm
 
 from curlflux.junction import (
     JunctionParams,
+    _ne_coefficients,
     analytic_propagator_ge,
     build_junction,
     closed_form_flux_response,
@@ -419,3 +420,26 @@ def test_closed_form_flux_response_uses_one_sided_flux():
     assert np.array_equal(t_ne, closed_form_flux_response(model, FIG_GRID))
     assert np.abs(t_ne).max() == 0.0
     assert np.abs(spectrum.r_ne_term.imag).max() > 1e-3
+
+
+def test_closed_form_flux_response_matches_per_frequency_inverses():
+    # reference: the 2x2 resolvent inverted one frequency at a time
+    pairs = list(index_pairs(3))
+    idx = [pairs.index((1, 0)), pairs.index((2, 0))]
+    for strict in (True, False):
+        for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (2.0, 0.0)):
+            model = build_junction(reference_params(mu_1, mu_2), strict)
+            a_eg = model.m[np.ix_(idx, idx)]
+            c1, c2 = _ne_coefficients(model)
+            expected = []
+            for w in FIG_GRID:
+                gp = -np.linalg.inv(a_eg + 1j * w * np.eye(2))
+                gm = -np.linalg.inv(a_eg - 1j * w * np.eye(2))
+                g_plus = c1 * (gp[0, 0] + gp[1, 0]) + c2 * (gp[1, 1] + gp[0, 1])
+                g_minus = c1 * (gm[0, 0] + gm[1, 0]) + c2 * (gm[1, 1] + gm[0, 1])
+                expected.append(
+                    model.params.dipole ** 2 * model.flux_j * (g_plus - np.conj(g_minus)).real
+                )
+            expected = np.array(expected)
+            got = closed_form_flux_response(model, FIG_GRID)
+            assert np.abs(got - expected).max() <= 1e-13 * np.abs(expected).max()

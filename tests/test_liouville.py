@@ -15,6 +15,7 @@ from curlflux.liouville import (
     trace_vector,
     vectorize,
 )
+from curlflux.junction import JunctionParams, build_junction
 from curlflux.reduction import propagate
 
 from helpers import random_density_matrix, random_hermitian, random_lindblad_model
@@ -104,6 +105,67 @@ def test_two_level_decay_structure():
     # coherence slots (g,e) and (e,g): decay gamma/2, frequencies +-omega
     assert m[2, 2] == pytest.approx(1j * omega - gamma / 2)
     assert m[3, 3] == pytest.approx(-1j * omega - gamma / 2)
+
+
+def per_channel_liouvillian(h, channels):
+    """Oracle: each jump as L(J) @ R(J^dag) - (L(J^dag J) + R(J^dag J)) / 2."""
+    m = -1j * commutator_superop(h)
+    for ch in channels:
+        for jump, rate in ((ch.raising, ch.rate_up), (ch.raising.conj().T, ch.rate_down)):
+            jd = jump.conj().T
+            anti = jd @ jump
+            m = m + rate * (
+                left_mult(jump) @ right_mult(jd)
+                - 0.5 * (left_mult(anti) + right_mult(anti))
+            )
+    return m
+
+
+def assert_matches_per_channel_oracle(h, channels):
+    m = build_liouvillian(h, channels)
+    oracle = per_channel_liouvillian(h, channels)
+    assert m.shape == oracle.shape
+    assert np.abs(m - oracle).max() <= 1e-14 * np.abs(oracle).max()
+
+
+def random_complex(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def test_builder_matches_per_channel_oracle_dense_complex_jumps():
+    rng = np.random.default_rng(8)
+    for dim in (2, 3, 5, 8):
+        h = random_hermitian(rng, dim)
+        channels = [
+            DissipationChannel(random_complex(rng, dim), *rng.uniform(0.01, 1.0, size=2))
+            for _ in range(3)
+        ]
+        assert_matches_per_channel_oracle(h, channels)
+
+
+def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
+    rng = np.random.default_rng(9)
+    h = random_hermitian(rng, 4)
+    channels = [
+        DissipationChannel(random_complex(rng, 4), 0.0, 0.3),
+        DissipationChannel(random_complex(rng, 4), 0.2, 0.7),
+    ]
+    assert_matches_per_channel_oracle(h, channels)
+    assert_matches_per_channel_oracle(h, [])
+    assert np.array_equal(build_liouvillian(h, []), -1j * commutator_superop(h))
+
+
+def test_builder_matches_per_channel_oracle_on_junction():
+    for strict in (True, False):
+        for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
+            model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2), strict)
+            assert_matches_per_channel_oracle(model.h_eff, model.channels)
+
+
+def test_builder_rejects_mismatched_channel_dimension():
+    channel = DissipationChannel(np.zeros((3, 3)), 0.1, 0.1)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        build_liouvillian(np.eye(2), [channel])
 
 
 def test_builder_rejects_non_hermitian_hamiltonian():

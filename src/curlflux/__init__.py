@@ -39,7 +39,9 @@ from .liouville import (
     vectorize,
 )
 from .reduction import (
+    Analysis,
     SteadyState,
+    analyze,
     coherence_map,
     effective_rate_matrix,
     memory_kernel,

@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    curlflux spectrum  --config run.yaml [--out DIR] [--threads N]
+    curlflux spectrum  --config run.yaml [--out DIR]
     curlflux flux      --config run.yaml [--out DIR]
     curlflux fdr-check --config run.yaml [--out DIR]
     curlflux validate  --config run.yaml
@@ -12,6 +12,8 @@ omega,re_full,im_full,im_eq,im_ne; `flux` writes a JSON flux report;
 `fdr-check` writes per-frequency residuals of the equilibrium
 fluctuation-dissipation comparison (and refuses driven models);
 `validate` runs the model invariant suite and reports each check.
+Every command works on the :func:`~curlflux.reduction.analyze` result of
+the configured model.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -19,32 +21,21 @@ Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, build_generic_model, junction_sweep_points, load_config
-from .flux import (
-    curl_flux,
-    is_detailed_balanced,
-    reconstruct_flux,
-    render_flux_report,
-    split_operators,
-)
-from .junction import build_junction, transmission
-from .liouville import partition, trace_vector
-from .reduction import (
-    NonUniqueSteadyStateError,
-    coherence_map,
-    effective_rate_matrix,
-    rate_steady_state,
-    steady_state,
-)
+from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
+from .junction import JUNCTION_LABELS, build_junction, dipole_operator, transmission
+from .liouville import trace_vector
+from .reduction import NonUniqueSteadyStateError, analyze, steady_state
 from .response import (
     NotDetailedBalancedError,
+    Probe,
     ResolventSingularError,
     check_equilibrium_fdr,
+    linear_response_freq,
     spectrum_to_csv,
 )
 
@@ -81,79 +72,65 @@ def _bool_flag(value):
     raise argparse.ArgumentTypeError("expected true/false, got %r" % value)
 
 
+def _model(config, strict):
+    """(analysis, probe coupling) of the configured model.
+
+    The junction is probed through its transition dipole; a generic model
+    couples every channel's level pair with a unit dipole.
+    """
+    if config.model_type == "junction":
+        return (build_junction(config.junction, strict_paper_rates=strict),
+                dipole_operator(config.junction))
+    v = sum((ch.raising + ch.raising.conj().T for ch in config.generic.channels),
+            np.zeros((config.generic.basis.dim,) * 2, dtype=complex))
+    if not np.any(v):
+        raise ValueError("generic model has no channels to define a probe")
+    return analyze(build_generic_model(config.generic)), v
+
+
+def _labels(config):
+    return config.generic.basis.labels if config.generic else JUNCTION_LABELS
+
+
 def cmd_spectrum(config, args):
     if config.model_type == "junction":
-        points = junction_sweep_points(config)
-
-        def run_point(item):
-            tag, params = item
-            spectrum, t_ne, model = transmission(
+        # the split spectrum, one CSV per bias point
+        for tag, params in junction_sweep_points(config):
+            spectrum, _, _ = transmission(
                 params, config.omega_grid,
                 strict_paper_rates=args.strict_paper_rates,
                 epsilon=config.epsilon,
             )
-            return tag, spectrum_to_csv(spectrum)
-
-        if args.threads > 1:
-            with ThreadPoolExecutor(max_workers=args.threads) as pool:
-                results = list(pool.map(run_point, points))
-        else:
-            results = [run_point(item) for item in points]
-        for tag, text in results:
             _write(
                 _out_path(config, args.out, "%s_%s.csv" % (config.prefix, tag)),
-                text,
+                spectrum_to_csv(spectrum),
             )
-    else:
-        from .response import Probe, linear_response_freq
-
-        m = build_generic_model(config.generic)
-        rho = steady_state(m).vector
-        # default probe: couple every adjacent level pair with unit dipole
-        d = config.generic.basis.dim
-        v = np.zeros((d, d), dtype=complex)
-        for ch in config.generic.channels:
-            v += ch.raising + ch.raising.conj().T
-        if not np.any(v):
-            raise ValueError("generic model has no channels to define a probe")
-        spec = linear_response_freq(Probe(v, v), m, rho, config.omega_grid,
-                                    epsilon=config.epsilon)
-        _write(
-            _out_path(config, args.out, "%s_spectrum.csv" % config.prefix),
-            spectrum_to_csv(spec),
-        )
-
-
-def _flux_pipeline(config, strict):
-    if config.model_type == "junction":
-        model = build_junction(config.junction, strict_paper_rates=strict)
-        labels = list(model.basis.labels)
-        ratio = None
-        coh = model.coherence_e1e2
-        if abs(coh.imag) > 0:
-            ratio = model.flux_j / coh.imag
-        extra = {
-            "loop_flux_j": model.flux_j,
-            "im_coherence_e1e2": coh.imag,
-            "flux_coherence_ratio": ratio,
-        }
-        return model.l_matrix, model.populations, model.flux, model.split, labels, extra
-    m = build_generic_model(config.generic)
-    blocks = partition(m)
-    l_matrix = effective_rate_matrix(blocks)
-    pops = rate_steady_state(l_matrix).vector
-    decomp = curl_flux(l_matrix, pops)
-    split = split_operators(l_matrix, pops, decomp)
-    return l_matrix, pops, decomp, split, list(config.generic.basis.labels), {}
+        return
+    analysis, v = _model(config, args.strict_paper_rates)
+    spec = linear_response_freq(Probe(v, v), analysis.m, analysis.rho_ss.vector,
+                                config.omega_grid, epsilon=config.epsilon)
+    _write(
+        _out_path(config, args.out, "%s_spectrum.csv" % config.prefix),
+        spectrum_to_csv(spec),
+    )
 
 
 def cmd_flux(config, args):
-    l_matrix, pops, decomp, split, labels, extra = _flux_pipeline(
-        config, args.strict_paper_rates
-    )
-    balanced, violation = is_detailed_balanced(l_matrix, pops)
-    extra["populations"] = list(map(float, pops))
-    report = render_flux_report(decomp, split, labels=labels, extra=extra)
+    model, _ = _model(config, args.strict_paper_rates)
+    pops = model.populations
+    balanced, violation = is_detailed_balanced(model.l_matrix, pops)
+    extra = {"populations": list(map(float, pops))}
+    if config.model_type == "junction":
+        coh = model.coherence_e1e2
+        # Im rho_e1e2 at rounding level (detailed balance) has no ratio
+        at_rounding = abs(coh.imag) <= 1e-12 * np.abs(model.rho_ss.vector).max()
+        extra.update(
+            loop_flux_j=model.flux_j,
+            im_coherence_e1e2=coh.imag,
+            flux_coherence_ratio=None if at_rounding else model.flux_j / coh.imag,
+        )
+    report = render_flux_report(model.flux, model.split, labels=_labels(config),
+                                extra=extra)
     _write(_out_path(config, args.out, "%s_flux.json" % config.prefix), report)
     print("detailed balance: %s (max violation %.6e)" % (balanced, violation))
 
@@ -164,20 +141,8 @@ def cmd_fdr_check(config, args):
             "fdr-check requires a thermal model: equal electrode "
             "temperatures (junction) or model.generic.temperature"
         )
-    if config.model_type == "junction":
-        model = build_junction(config.junction,
-                               strict_paper_rates=args.strict_paper_rates)
-        m = model.m
-        from .junction import dipole_operator
-
-        coupling = dipole_operator(config.junction)
-    else:
-        m = build_generic_model(config.generic)
-        d = config.generic.basis.dim
-        coupling = np.zeros((d, d), dtype=complex)
-        for ch in config.generic.channels:
-            coupling += ch.raising + ch.raising.conj().T
-    report = check_equilibrium_fdr(coupling, m, config.temperature,
+    analysis, coupling = _model(config, args.strict_paper_rates)
+    report = check_equilibrium_fdr(coupling, analysis.m, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
     lines = ["omega,lhs,re_rhs,im_rhs,residual"]
@@ -196,27 +161,18 @@ def _check(name, ok, detail=""):
 
 
 def cmd_validate(config, args):
-    """Invariant suite over the configured model."""
+    """Invariant suite over the configured model.
+
+    The steady state checked here is the full generator's null vector,
+    an independent reference for the analysis's K and L.
+    """
     ok = True
-    if config.model_type == "junction":
-        model = build_junction(config.junction,
-                               strict_paper_rates=args.strict_paper_rates)
-        m, blocks = model.m, model.blocks
-        l_matrix, pops = model.l_matrix, model.populations
-        rho = model.rho_ss
-        k_map, decomp, split = model.k_map, model.flux, model.split
-        labels = model.basis.labels
-    else:
-        m = build_generic_model(config.generic)
-        blocks = partition(m)
-        l_matrix = effective_rate_matrix(blocks)
-        k_map = coherence_map(blocks)
-        rho = steady_state(m)
-        pops = rho.vector[:blocks.dim].real
-        decomp = curl_flux(l_matrix, pops)
-        split = split_operators(l_matrix, pops, decomp)
-        labels = config.generic.basis.labels
-    d = blocks.dim
+    analysis, _ = _model(config, args.strict_paper_rates)
+    m, l_matrix, k_map = analysis.m, analysis.l_matrix, analysis.k_map
+    decomp, split = analysis.flux, analysis.split
+    d = analysis.blocks.dim
+    rho = steady_state(m)
+    pops = rho.vector[:d].real
     one = trace_vector(d)
     ok &= _check("trace preservation <<1|M = 0",
                  np.abs(one @ m).max() < 1e-12,
@@ -249,7 +205,7 @@ def cmd_validate(config, args):
           % ("detailed balance", "yes" if balanced else "no", violation))
     if not ok:
         raise ValueError("validation failed")
-    print("all checks passed for model with states %s" % (tuple(labels),))
+    print("all checks passed for model with states %s" % (tuple(_labels(config)),))
 
 
 def build_parser():
@@ -271,8 +227,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="YAML run file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads for sweep points")
         p.add_argument("--strict-paper-rates", type=_bool_flag, default=True,
                        metavar="BOOL",
                        help="keep the crossed coherence decay pairing "

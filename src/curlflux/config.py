@@ -7,8 +7,8 @@ A run file has four sections::
       junction:            # type: junction
         mu_1: 1.0
         mu_2: 0.5
-        # omega_1, omega_2, omega_g, delta, gamma, t_1, t_2, dipole,
-        # coulomb_u are optional and default to the reference values
+        # omega_1, omega_2, omega_g, delta, gamma, t_1, t_2, dipole
+        # are optional and default to the reference values
       generic:             # type: generic
         levels: {a: 0.0, b: 1.0}
         channels:
@@ -141,7 +141,7 @@ def load_config(path):
             )
         allowed = {
             "mu_1", "mu_2", "omega_1", "omega_2", "omega_g", "delta",
-            "gamma", "t_1", "t_2", "dipole", "coulomb_u",
+            "gamma", "t_1", "t_2", "dipole",
         }
         _check_keys(sect, allowed, "model.junction")
         kwargs = {k: _float(v, "model.junction.%s" % k) for k, v in sect.items()}

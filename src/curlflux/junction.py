@@ -24,21 +24,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flux import FluxDecomposition, SplitOperators, curl_flux, split_operators
 from .liouville import (
     DissipationChannel,
     HilbertBasis,
-    SuperoperatorBlocks,
     build_liouvillian,
     index_pairs,
-    partition,
 )
-from .reduction import (
-    SteadyState,
-    coherence_map,
-    effective_rate_matrix,
-    steady_state,
-)
+from .reduction import Analysis, analyze
 from .response import Probe, response_split
 
 __all__ = [
@@ -63,12 +55,7 @@ JUNCTION_LABELS = ("g", "e1", "e2")
 
 @dataclass(frozen=True)
 class JunctionParams:
-    """Physical parameters of the junction (hbar = k_B = 1).
-
-    `coulomb_u` is the blockade energy of the two-electron state; it is
-    accepted for completeness but plays no role once the model is
-    restricted to the single-electron manifold.
-    """
+    """Physical parameters of the junction (hbar = k_B = 1)."""
 
     mu_1: float
     mu_2: float
@@ -80,7 +67,6 @@ class JunctionParams:
     t_1: float = 0.3
     t_2: float = 0.3
     dipole: float = 1.0
-    coulomb_u: float = 0.0
 
     def __post_init__(self):
         if self.gamma <= 0:
@@ -116,23 +102,15 @@ class JunctionDerived:
     theta: float
 
 
-@dataclass(frozen=True)
-class JunctionModel:
-    """Everything derived from one parameter set."""
+@dataclass(frozen=True, kw_only=True)
+class JunctionModel(Analysis):
+    """The analysis of one parameter set, with the junction's own data."""
 
     params: JunctionParams
     derived: JunctionDerived
     basis: HilbertBasis
     h_eff: np.ndarray
     channels: tuple
-    m: np.ndarray
-    blocks: SuperoperatorBlocks
-    k_map: np.ndarray
-    l_matrix: np.ndarray
-    rho_ss: SteadyState
-    populations: np.ndarray
-    flux: FluxDecomposition
-    split: SplitOperators
     strict_paper_rates: bool = True
 
     @property
@@ -296,8 +274,7 @@ def dipole_operator(params):
 
 
 def build_junction(params, strict_paper_rates=True):
-    """Construct the full model: generator, blocks, reduced quantities,
-    steady state and flux decomposition.
+    """Construct the generator and :func:`analyze` it.
 
     With `strict_paper_rates = False` the decay constants of the
     ground-excited coherence pairs are swapped (counterfactual variant
@@ -326,27 +303,13 @@ def build_junction(params, strict_paper_rates=True):
         swap = 0.5 * params.gamma * (f1 - f2)
         for i, sgn in ((ge1, -1.0), (ge2, 1.0), (e1g, -1.0), (e2g, 1.0)):
             m[i, i] += sgn * swap
-    blocks = partition(m)
-    k_map = coherence_map(blocks)
-    l_matrix = effective_rate_matrix(blocks)
-    rho_ss = steady_state(m)
-    populations = rho_ss.vector[:3].real
-    decomposition = curl_flux(l_matrix, populations)
-    split = split_operators(l_matrix, populations, decomposition)
     return JunctionModel(
+        **vars(analyze(m)),
         params=params,
         derived=hybridized_parameters(params, strict_paper_rates),
         basis=basis,
         h_eff=h_eff,
         channels=channels,
-        m=m,
-        blocks=blocks,
-        k_map=k_map,
-        l_matrix=l_matrix,
-        rho_ss=rho_ss,
-        populations=populations,
-        flux=decomposition,
-        split=split,
         strict_paper_rates=strict_paper_rates,
     )
 

@@ -7,16 +7,26 @@ relax instantly to their stationary value K rho_p with
 K = -M_c^{-1} M_cp.  The adiabatic route yields the effective population
 rate matrix L = M_p - M_pc M_c^{-1} M_cp, which is exact at stationarity
 regardless of time-scale separation.
+
+`analyze` chains the whole reduction for one generator: K and L, the
+steady state, and on demand the curl flux and the split operators.
 """
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from .flux import curl_flux, split_operators
+from .liouville import SuperoperatorBlocks, devectorize, partition, vectorize
+
 __all__ = [
+    "Analysis",
     "NonDecayingCoherenceError",
     "NonUniqueSteadyStateError",
     "SteadyState",
+    "analyze",
     "coherence_map",
     "effective_rate_matrix",
     "memory_kernel",
@@ -51,6 +61,14 @@ def _check_coherence_block(m_c, tol=1e-12):
         )
 
 
+def _eliminate(blocks):
+    """(K, L) from one coherence-block check and one solve M_c X = M_cp:
+    K = -X and L = M_p - M_pc X."""
+    _check_coherence_block(blocks.m_c)
+    x = np.linalg.solve(blocks.m_c, blocks.m_cp)
+    return -x, blocks.m_p - blocks.m_pc @ x
+
+
 def coherence_map(blocks):
     """Map K from populations to stationary coherences, K = -M_c^{-1} M_cp.
 
@@ -59,8 +77,7 @@ def coherence_map(blocks):
     NonDecayingCoherenceError
         If the coherence block has an eigenvalue of (near-)zero magnitude.
     """
-    _check_coherence_block(blocks.m_c)
-    return -np.linalg.solve(blocks.m_c, blocks.m_cp)
+    return _eliminate(blocks)[0]
 
 
 def effective_rate_matrix(blocks):
@@ -69,8 +86,7 @@ def effective_rate_matrix(blocks):
     The result is returned complex; for physical generators the imaginary
     parts vanish to rounding and every column sums to zero.
     """
-    _check_coherence_block(blocks.m_c)
-    return blocks.m_p - blocks.m_pc @ np.linalg.solve(blocks.m_c, blocks.m_cp)
+    return _eliminate(blocks)[1]
 
 
 def memory_kernel(blocks, s):
@@ -130,8 +146,6 @@ def steady_state(m):
         raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
     v = v / tr
     # null vectors of a physical generator are Hermitian up to rounding
-    from .liouville import devectorize, vectorize
-
     rho = devectorize(v)
     rho = 0.5 * (rho + rho.conj().T)
     v = vectorize(rho)
@@ -154,6 +168,64 @@ def rate_steady_state(l_matrix):
     p = v.real
     residual = float(np.linalg.norm(l_matrix @ p))
     return SteadyState(vector=p, residual=residual)
+
+
+@dataclass(frozen=True)
+class Analysis:
+    """Everything the reduction derives from one generator.
+
+    `flux` and `split` are computed on first use: they need strictly
+    positive populations, which the response spectra do not.
+    """
+
+    m: np.ndarray
+    blocks: SuperoperatorBlocks
+    k_map: np.ndarray
+    l_matrix: np.ndarray
+    rho_ss: SteadyState
+    populations: np.ndarray
+
+    @cached_property
+    def flux(self):
+        """FluxDecomposition of the stationary currents."""
+        return curl_flux(self.l_matrix, self.populations)
+
+    @cached_property
+    def split(self):
+        """SplitOperators s_d and v_ss."""
+        return split_operators(self.l_matrix, self.populations, self.flux)
+
+
+def analyze(m):
+    """Reduce a generator and decompose its steady state.
+
+    The populations p are the stationary vector of L (with the
+    eigen-gap uniqueness check of :func:`rate_steady_state`) and the
+    steady state is rho_ss = [p; K p], hermitized.  This is exact: with
+    M_c non-singular, M [p; K p] = [L p; 0], so the null spaces of M and
+    L correspond one to one.
+
+    Raises
+    ------
+    NonDecayingCoherenceError
+        If the coherence block is singular.
+    NonUniqueSteadyStateError
+        If L has no isolated zero eigenvalue.
+    """
+    m = np.asarray(m, dtype=complex)
+    blocks = partition(m)
+    k_map, l_matrix = _eliminate(blocks)
+    p = rate_steady_state(l_matrix).vector
+    rho = devectorize(np.concatenate([p, k_map @ p]))
+    v = vectorize(0.5 * (rho + rho.conj().T))
+    return Analysis(
+        m=m,
+        blocks=blocks,
+        k_map=k_map,
+        l_matrix=l_matrix,
+        rho_ss=SteadyState(vector=v, residual=float(np.linalg.norm(m @ v))),
+        populations=p,
+    )
 
 
 def propagate(m, rho0, t):

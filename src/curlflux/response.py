@@ -25,17 +25,8 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import (
-    commutator_superop,
-    left_mult,
-    partition,
-    trace_vector,
-)
-from .reduction import (
-    effective_rate_matrix,
-    rate_steady_state,
-    steady_state,
-)
+from .liouville import commutator_superop, left_mult, trace_vector
+from .reduction import analyze
 
 __all__ = [
     "Probe",
@@ -296,18 +287,18 @@ def check_equilibrium_fdr(coupling, m, temperature, omegas, db_tol=1e-9,
     NotDetailedBalancedError
         With the measured violation, if the generator carries flux.
     """
-    m = np.asarray(m, dtype=complex)
-    blocks = partition(m)
-    l_matrix = effective_rate_matrix(blocks)
-    pops = rate_steady_state(l_matrix).vector
-    balanced, violation = is_detailed_balanced(l_matrix, pops, tol=db_tol)
+    analysis = analyze(m)
+    m = analysis.m
+    balanced, violation = is_detailed_balanced(
+        analysis.l_matrix, analysis.populations, tol=db_tol
+    )
     if not balanced:
         raise NotDetailedBalancedError(
             "generator is not detailed balanced (max violation %.3e); "
             "the equilibrium fluctuation-dissipation relation does not "
             "apply" % violation
         )
-    rho_ss = steady_state(m).vector
+    rho_ss = analysis.rho_ss.vector
     probe = Probe(observable=coupling, coupling=coupling)
     omegas = np.asarray(omegas, dtype=float)
     keep = omegas != 0.0

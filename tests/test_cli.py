@@ -49,15 +49,6 @@ def test_spectrum_reruns_are_byte_identical(tmp_path):
         assert read(p) == read(out2 / p.name)
 
 
-def test_spectrum_threads_do_not_change_output(tmp_path):
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["spectrum", "--config", bundled("fig2b.yaml"), "--out", str(out1)]) == 0
-    assert main(["spectrum", "--config", bundled("fig2b.yaml"), "--out", str(out2),
-                 "--threads", "4"]) == 0
-    for p in sorted(out1.iterdir()):
-        assert read(p) == read(out2 / p.name)
-
-
 def test_empty_grid_is_a_config_error(tmp_path):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(
@@ -68,12 +59,15 @@ def test_empty_grid_is_a_config_error(tmp_path):
 
 
 def test_unknown_field_is_a_config_error(tmp_path):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text(
-        "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5, typo: 1}\n"
-        "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
-    )
-    assert main(["spectrum", "--config", str(cfg)]) == 2
+    # coulomb_u was an inert junction field; a run file setting it now fails
+    for field in ("typo", "coulomb_u"):
+        cfg = tmp_path / ("%s.yaml" % field)
+        cfg.write_text(
+            "model:\n  type: junction\n"
+            "  junction: {mu_1: 1.0, mu_2: 0.5, %s: 1}\n"
+            "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n" % field
+        )
+        assert main(["spectrum", "--config", str(cfg)]) == 2
 
 
 def test_per_electrode_gamma_is_rejected(tmp_path, capsys):
@@ -119,6 +113,7 @@ def test_flux_report_balanced_junction(tmp_path, capsys):
     data = json.loads(read(out / "junction_balanced_flux.json"))
     assert data["detailed_balance"] is True
     assert data["loop_flux_j"] == 0.0
+    assert data["flux_coherence_ratio"] is None
     assert data["loops"] == []
     assert "detailed balance: True" in capsys.readouterr().out
 
@@ -138,6 +133,24 @@ def test_fdr_check_refuses_driven_junction(tmp_path, capsys):
                  "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert "not detailed balanced" in err and "violation" in err
+
+
+def test_unpopulated_level_fails_only_the_flux_commands(tmp_path, capsys):
+    # no uphill rate leaves e empty: the response needs no curl flux
+    cfg = tmp_path / "cold.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n    temperature: 0.3\n"
+        "    levels: {g: 0.0, e: 1.0}\n"
+        "    channels:\n"
+        "      - {upper: e, lower: g, rate_up: 0.0, rate_down: 0.02}\n"
+        "sweep:\n  omega: {values: [0.5, 1.0]}\n"
+        "output: {directory: out, prefix: cold}\n"
+    )
+    for command in ("spectrum", "fdr-check"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    for command in ("flux", "validate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+    assert "strictly positive" in capsys.readouterr().err
 
 
 def test_fdr_check_skips_zero_frequency(tmp_path):

@@ -90,12 +90,6 @@ def test_params_enforce_level_ordering_and_single_gamma():
         JunctionParams(mu_1=1.0, mu_2=1.0, gamma=0.0)
 
 
-def test_coulomb_blockade_parameter_is_inert():
-    a = build_junction(reference_params(1.2, 0.8))
-    b = build_junction(reference_params(1.2, 0.8, coulomb_u=5.0))
-    assert np.array_equal(a.m, b.m)
-
-
 def test_blocks_match_closed_forms_reference_point():
     model = build_junction(reference_params(1.0, 0.5))
     m_p, m_pc, m_cp, m_c, k, l = printed_blocks(model.params)

@@ -2,11 +2,20 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+import curlflux.reduction as reduction
 from curlflux.junction import JunctionParams, build_junction
-from curlflux.liouville import partition, vectorize
+from curlflux.liouville import (
+    DissipationChannel,
+    build_liouvillian,
+    devectorize,
+    partition,
+    vectorize,
+)
 from curlflux.reduction import (
+    Analysis,
     NonDecayingCoherenceError,
     NonUniqueSteadyStateError,
+    analyze,
     coherence_map,
     effective_rate_matrix,
     memory_kernel,
@@ -42,8 +51,6 @@ def test_coherence_map_vanishes_without_coupling():
 
 def test_non_decaying_coherence_raises():
     # degenerate levels without dissipation: the coherence block is zero
-    from curlflux.liouville import build_liouvillian
-
     m = build_liouvillian(np.eye(2, dtype=complex), [])
     with pytest.raises(NonDecayingCoherenceError, match="singular"):
         coherence_map(partition(m))
@@ -176,3 +183,70 @@ def test_steady_state_properties_random_models():
         # and the reduced rate matrix annihilates the stationary populations
         l = effective_rate_matrix(blocks)
         assert np.abs(l @ ss.vector[:d]).max() < 1e-10
+
+
+def _assert_matches_full_null_vector(m):
+    ref = steady_state(m).vector
+    rho = analyze(m).rho_ss
+    assert np.abs(rho.vector - ref).max() <= 1e-12 * np.abs(ref).max()
+    assert rho.residual <= 1e-10
+
+
+@pytest.mark.parametrize("strict", [True, False])
+@pytest.mark.parametrize("mu", [(1.0, 1.0), (1.06, 0.94), (1.0, 0.5)])
+def test_analyze_steady_state_matches_full_generator_junction(mu, strict):
+    model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
+    _assert_matches_full_null_vector(model.m)
+
+
+@pytest.mark.parametrize("dim", [3, 5, 8])
+def test_analyze_steady_state_matches_full_generator_random(dim):
+    _, _, m = random_lindblad_model(np.random.default_rng(20 + dim), dim=dim)
+    _assert_matches_full_null_vector(m)
+    analysis = analyze(m)
+    rho = devectorize(analysis.rho_ss.vector)
+    # K p alone is Hermitian only to rounding on these models
+    assert np.array_equal(rho, rho.conj().T)
+    assert np.array_equal(np.diag(rho), analysis.populations)
+
+
+def test_analyze_refuses_disconnected_generator():
+    # two separate two-level pairs: every coherence decays, L has two zeros
+    h = np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex)
+    channels = []
+    for lower, upper in ((0, 1), (2, 3)):
+        raising = np.zeros((4, 4), dtype=complex)
+        raising[upper, lower] = 1.0
+        channels.append(DissipationChannel(raising, 0.01, 0.02, h[upper, upper].real))
+    with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
+        analyze(build_liouvillian(h, channels))
+
+
+def test_analyze_refuses_non_decaying_coherence():
+    with pytest.raises(NonDecayingCoherenceError, match="singular"):
+        analyze(build_liouvillian(np.eye(2, dtype=complex), []))
+
+
+def test_analyze_checks_and_solves_the_coherence_block_once(monkeypatch):
+    calls = {"check": 0, "solve": 0}
+    check, solve = reduction._check_coherence_block, np.linalg.solve
+
+    def counted_check(m_c):
+        calls["check"] += 1
+        return check(m_c)
+
+    def counted_solve(a, b):
+        calls["solve"] += 1
+        return solve(a, b)
+
+    monkeypatch.setattr(reduction, "_check_coherence_block", counted_check)
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    _, _, m = random_lindblad_model(np.random.default_rng(30), dim=4)
+    analyze(m)
+    assert calls == {"check": 1, "solve": 1}
+
+
+def test_junction_model_is_an_analysis():
+    model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
+    assert isinstance(model, Analysis)
+    assert np.array_equal(model.populations, model.rho_ss.vector[:3].real)

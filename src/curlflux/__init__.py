@@ -54,9 +54,9 @@ from .response import (
     ResponseSpectrum,
     check_equilibrium_fdr,
     fluctuation_spectrum,
-    green_function,
     linear_response_freq,
     linear_response_time,
+    resolvent,
     response_split,
     spectrum_to_csv,
 )

@@ -27,7 +27,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, build_generic_model, junction_sweep_points, load_config
 from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
-from .junction import JUNCTION_LABELS, build_junction, dipole_operator, transmission
+from .junction import JUNCTION_LABELS, build_junction, dipole_operator
 from .liouville import trace_vector
 from .reduction import NonUniqueSteadyStateError, analyze, steady_state
 from .response import (
@@ -36,6 +36,7 @@ from .response import (
     ResolventSingularError,
     check_equilibrium_fdr,
     linear_response_freq,
+    response_split,
     spectrum_to_csv,
 )
 
@@ -96,10 +97,10 @@ def cmd_spectrum(config, args):
     if config.model_type == "junction":
         # the split spectrum, one CSV per bias point
         for tag, params in junction_sweep_points(config):
-            spectrum, _, _ = transmission(
-                params, config.omega_grid,
-                strict_paper_rates=args.strict_paper_rates,
-                epsilon=config.epsilon,
+            v = dipole_operator(params)
+            spectrum = response_split(
+                Probe(v, v), build_junction(params, args.strict_paper_rates),
+                config.omega_grid, epsilon=config.epsilon,
             )
             _write(
                 _out_path(config, args.out, "%s_%s.csv" % (config.prefix, tag)),
@@ -142,7 +143,7 @@ def cmd_fdr_check(config, args):
             "temperatures (junction) or model.generic.temperature"
         )
     analysis, coupling = _model(config, args.strict_paper_rates)
-    report = check_equilibrium_fdr(coupling, analysis.m, config.temperature,
+    report = check_equilibrium_fdr(coupling, analysis, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
     lines = ["omega,lhs,re_rhs,im_rhs,residual"]

@@ -379,11 +379,7 @@ def transmission(params, omegas, strict_paper_rates=True, epsilon=None):
         closed-form flux transmission T_ne(w), and the model.
     """
     model = build_junction(params, strict_paper_rates)
-    probe = Probe(observable=dipole_operator(params),
-                  coupling=dipole_operator(params))
-    spectrum = response_split(
-        probe, model.blocks, model.l_matrix, model.rho_ss.vector,
-        model.split, model.k_map, omegas, epsilon=epsilon,
-    )
+    v = dipole_operator(params)
+    spectrum = response_split(Probe(v, v), model, omegas, epsilon=epsilon)
     t_ne = closed_form_flux_response(model, omegas)
     return spectrum, t_ne, model

@@ -16,6 +16,10 @@ populations with W = I + K, the response splits exactly into
 whose sum reproduces R(w) identically; the second term vanishes at
 detailed balance.  Fluctuations use the regression rule
 <V(t)V(0)> = <<1| V_L exp(M t) V_L |rho_ss>>.
+
+Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
+one resolvent, and :func:`resolvent` evaluates them on the whole grid
+from a single eigendecomposition of M.
 """
 
 import warnings
@@ -26,7 +30,6 @@ import numpy as np
 
 from .flux import is_detailed_balanced
 from .liouville import commutator_superop, left_mult, trace_vector
-from .reduction import analyze
 
 __all__ = [
     "Probe",
@@ -34,8 +37,7 @@ __all__ = [
     "ResolventSingularError",
     "NotDetailedBalancedError",
     "FdrReport",
-    "green_function",
-    "green_apply",
+    "resolvent",
     "linear_response_time",
     "linear_response_freq",
     "response_split",
@@ -43,6 +45,13 @@ __all__ = [
     "check_equilibrium_fdr",
     "spectrum_to_csv",
 ]
+
+
+#: cond(V) of the eigenvector basis above which :func:`resolvent` solves
+#: per frequency.  The modal sum is off by up to 7e-16 * cond(V) of each
+#: column's maximum (measured on near-defective generators), so 1e3 keeps
+#: it within 1e-12.  Bundled and random ladder/junction models stay below 200.
+EIGEN_COND_MAX = 1e3
 
 
 class ResolventSingularError(np.linalg.LinAlgError):
@@ -85,53 +94,73 @@ class ResponseSpectrum:
     r_ne_term: Optional[np.ndarray] = None
 
 
-def _resolvent_matrix(m, omega, epsilon):
-    shift = 1j * omega if epsilon is None else 1j * omega - epsilon
-    return m + shift * np.eye(m.shape[0])
+def _singular(omega, eigenvalue):
+    return ResolventSingularError(
+        "resolvent singular at omega = %g: generator eigenvalue %s "
+        "is undamped at this frequency" % (omega, eigenvalue)
+    )
 
 
-def green_function(m, omega, epsilon=None):
-    """Frequency-domain propagator G(w) = -(M + i w)^{-1}.
+def resolvent(m, omegas, left, right, epsilon=None):
+    """Matrix elements left . G(w) . right of G(w) = -(M + i w)^{-1} on a grid.
 
     Parameters
     ----------
     m : (n, n) array_like
-        Generator; the integral representation converges on the subspace
-        where M has strictly negative real-part eigenvalues.
-    omega : float
+    omegas : array_like of float, n_w points
+    left : (n,) or (k_left, n) array_like
+    right : (n,) or (n, k_right) array_like
     epsilon : float, optional
         Regularization for directions that do not decay: uses
-        -(M + (i w - epsilon))^{-1}, i.e. an exp(-epsilon t) convergence
-        factor.
+        -(M + i w - epsilon)^{-1}, an exp(-epsilon t) convergence factor.
+
+    Returns
+    -------
+    (n_w, k_left, k_right) complex ndarray
+        From one eigendecomposition M = V diag(lam) V^{-1}: with A = left V
+        and B = V^{-1} right, -sum_k A_k B_k / (lam_k + i w - epsilon).
+        A grid point is on the pole of mode k when |lam_k + i w - epsilon|
+        <= 1e-13 max(1, max|lam|); a mode the pair does not excite
+        (|A_k B_k| at most 1e-12 of the pair's largest weight) contributes
+        0 there, as the stationary mode does under any commutator source
+        (<<1|V_- rho>> = 0).  When cond(V) > EIGEN_COND_MAX (near an
+        exceptional point) M + i w - epsilon is solved per frequency.
 
     Raises
     ------
     ResolventSingularError
-        If M + i w is numerically singular and no epsilon is supplied;
-        the message names the offending eigenvalue.
+        On the pole of a mode the pair excites; the message names the
+        frequency and the eigenvalue.
     """
     m = np.asarray(m, dtype=complex)
-    a = _resolvent_matrix(m, omega, epsilon)
-    if epsilon is None and 1.0 / np.linalg.cond(a) < 1e-13:
-        evals = np.linalg.eigvals(m)
-        bad = evals[np.argmin(np.abs(evals + 1j * omega))]
-        raise ResolventSingularError(
-            "resolvent singular at omega = %g: generator eigenvalue %s "
-            "is undamped at this frequency" % (omega, bad)
-        )
-    return -np.linalg.inv(a)
-
-
-def green_apply(m, omega, vectors, epsilon=None):
-    """Apply G(w) to one or more column vectors without forming G."""
-    m = np.asarray(m, dtype=complex)
-    a = _resolvent_matrix(m, omega, epsilon)
-    try:
-        return np.linalg.solve(a, -np.asarray(vectors, dtype=complex))
-    except np.linalg.LinAlgError as exc:
-        raise ResolventSingularError(
-            "resolvent singular at omega = %g" % omega
-        ) from exc
+    omegas = np.asarray(omegas, dtype=float).reshape(-1)
+    shifts = 1j * omegas - (0.0 if epsilon is None else epsilon)
+    left = np.atleast_2d(np.asarray(left, dtype=complex))
+    right = np.asarray(right, dtype=complex).reshape(m.shape[0], -1)
+    evals, vecs = np.linalg.eig(m)
+    if np.linalg.cond(vecs) > EIGEN_COND_MAX:
+        out = np.empty((omegas.size, left.shape[0], right.shape[1]), dtype=complex)
+        for i, shift in enumerate(shifts):
+            try:
+                out[i] = left @ np.linalg.solve(m + shift * np.eye(m.shape[0]), -right)
+            except np.linalg.LinAlgError:
+                nearest = evals[np.argmin(np.abs(evals + shift))]
+                raise _singular(omegas[i], nearest) from None
+        return out
+    # weight[k, (i, j)] = (left V)[i, k] (V^-1 right)[k, j]
+    a, b = left @ vecs, np.linalg.solve(vecs, right)
+    weight = (a.T[:, :, None] * b[:, None, :]).reshape(evals.size, -1)
+    poles = evals + shifts[:, None]
+    on_pole = np.abs(poles) <= 1e-13 * max(1.0, np.abs(evals).max())
+    excited = np.abs(weight) > 1e-12 * np.abs(weight).max(axis=0)
+    hits = np.argwhere(on_pole & excited.any(axis=1))
+    if hits.size:
+        i, k = hits[0]
+        raise _singular(omegas[i], evals[k])
+    # 1 / (lam_k + i w - epsilon) in place (the grid array is the largest)
+    np.divide(1.0, poles, out=poles, where=~on_pole)
+    poles[on_pole] = 0.0
+    return -(poles @ weight).reshape(omegas.size, left.shape[0], right.shape[1])
 
 
 def linear_response_time(probe, m, rho_ss, t, stationary_tol=1e-8):
@@ -167,36 +196,22 @@ def linear_response_freq(probe, m, rho_ss, omegas, epsilon=None):
     d = int(round(np.sqrt(m.shape[0])))
     one_obs = trace_vector(d) @ left_mult(probe.observable)
     kicked = commutator_superop(probe.coupling) @ np.asarray(rho_ss, dtype=complex)
-    r_full = np.empty(omegas.size, dtype=complex)
-    for i, w in enumerate(omegas):
-        r_full[i] = -1j * (one_obs @ green_apply(m, w, kicked, epsilon))
+    r_full = -1j * resolvent(m, omegas, one_obs, kicked, epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
-def population_lift(k_map):
-    """Matrix W = I + K embedding population vectors into Liouville space."""
-    d = k_map.shape[1]
-    return np.vstack([np.eye(d), k_map])
-
-
-def response_split(probe, blocks, l_matrix, rho_ss, splitops, k_map, omegas,
-                   epsilon=None, stationary_tol=1e-8):
+def response_split(probe, analysis, omegas, epsilon=None):
     """Full response together with its equilibrium/nonequilibrium split.
 
     Parameters
     ----------
     probe : Probe
-    blocks : SuperoperatorBlocks
-        Partition of the generator; reassembled internally.
-    l_matrix : (d, d) array_like
-        Effective population rate matrix, used to validate that the
-        supplied state is stationary.
-    rho_ss : (d**2,) array_like
-        Stationary Liouville vector of the full generator.
-    splitops : SplitOperators
-    k_map : ((d**2-d), d) array_like
-        Stationary coherence map.
+    analysis : Analysis
+        The :func:`~curlflux.reduction.analyze` result of the generator:
+        its steady state, coherence map K and split operators.
     omegas : array_like of float
+    epsilon : float, optional
+        As in :func:`resolvent`.
 
     Returns
     -------
@@ -204,41 +219,25 @@ def response_split(probe, blocks, l_matrix, rho_ss, splitops, k_map, omegas,
         r_full, r_eq_term and r_ne_term, with
         r_eq_term + r_ne_term == r_full up to rounding.
     """
-    from .liouville import assemble
-
-    m = assemble(blocks)
-    d = blocks.dim
-    rho_ss = np.asarray(rho_ss, dtype=complex)
-    pops = rho_ss[:d].real
-    resid = np.abs(np.asarray(l_matrix) @ pops).max()
-    if resid > stationary_tol:
-        raise ValueError(
-            "state is not stationary for the supplied rate matrix "
-            "(||L p||_inf = %.3e)" % resid
-        )
-    w_lift = population_lift(np.asarray(k_map, dtype=complex))
-    v_minus = commutator_superop(probe.coupling)
-    one_obs = trace_vector(d) @ left_mult(probe.observable)
-    sources = np.column_stack([
-        v_minus @ rho_ss,
-        v_minus @ (w_lift @ (splitops.s_d * pops)),
-        v_minus @ (w_lift @ (splitops.v_ss * pops)),
+    d = analysis.blocks.dim
+    pops = analysis.populations
+    # W = I + K lifts population vectors into Liouville space
+    lift = np.vstack([np.eye(d), analysis.k_map])
+    sources = commutator_superop(probe.coupling) @ np.column_stack([
+        analysis.rho_ss.vector,
+        lift @ (analysis.split.s_d * pops),
+        lift @ (analysis.split.v_ss * pops),
     ])
+    one_obs = trace_vector(d) @ left_mult(probe.observable)
     omegas = np.asarray(omegas, dtype=float)
-    r_full = np.empty(omegas.size, dtype=complex)
-    r_eq = np.empty(omegas.size, dtype=complex)
-    r_ne = np.empty(omegas.size, dtype=complex)
-    for i, w in enumerate(omegas):
-        props = green_apply(m, w, sources, epsilon)
-        r_full[i] = -1j * (one_obs @ props[:, 0])
-        r_eq[i] = 1j * (one_obs @ props[:, 1])
-        r_ne[i] = 1j * (one_obs @ props[:, 2])
-    return ResponseSpectrum(omega=omegas, r_full=r_full,
-                            r_eq_term=r_eq, r_ne_term=r_ne)
+    r = resolvent(analysis.m, omegas, one_obs, sources, epsilon)[:, 0, :]
+    return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
+                            r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
 
-def fluctuation_spectrum(coupling, m, rho_ss, omega, epsilon=None):
-    """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt.
+def fluctuation_spectrum(coupling, m, rho_ss, omegas, epsilon=None):
+    """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt,
+    as a complex array over the grid `omegas`.
 
     The two-time correlator is evaluated by the regression rule, so
     S(w) = <<1| V_L G(w) V_L |rho_ss>>.  A static component of V along
@@ -249,7 +248,7 @@ def fluctuation_spectrum(coupling, m, rho_ss, omega, epsilon=None):
     d = int(round(np.sqrt(m.shape[0])))
     v_l = left_mult(np.asarray(coupling, dtype=complex))
     seeded = v_l @ np.asarray(rho_ss, dtype=complex)
-    return complex(trace_vector(d) @ (v_l @ green_apply(m, omega, seeded, epsilon)))
+    return resolvent(m, omegas, trace_vector(d) @ v_l, seeded, epsilon)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -263,15 +262,16 @@ class FdrReport:
     max_residual: float
 
 
-def check_equilibrium_fdr(coupling, m, temperature, omegas, db_tol=1e-9,
+def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
                           epsilon=None):
     """Test coth(w/2T) Im R(w) = S(w) + S(-w) for a thermal generator.
 
-    Both sides are evaluated independently through the resolvent, with
-    the probe observable equal to the coupling.  The generator must be
-    detailed balanced (checked through its effective rate matrix);
-    driven models are refused.  Grid points at w = 0 are skipped with a
-    warning (coth pole).
+    The probe observable equals the coupling V, so R(w) and S(+-w) share
+    the row <<1| V_L and come from one :func:`resolvent` call with the
+    sources V_- rho_ss and V_L rho_ss on the grid [w; -w].  The model
+    (an :class:`~curlflux.reduction.Analysis`) must be detailed balanced
+    (checked through its effective rate matrix); driven models are
+    refused.  Grid points at w = 0 are skipped with a warning (coth pole).
 
     For a Markovian generator the relation is exact only in the
     weak-damping limit: the Lorentzian-broadened correlators satisfy the
@@ -287,8 +287,6 @@ def check_equilibrium_fdr(coupling, m, temperature, omegas, db_tol=1e-9,
     NotDetailedBalancedError
         With the measured violation, if the generator carries flux.
     """
-    analysis = analyze(m)
-    m = analysis.m
     balanced, violation = is_detailed_balanced(
         analysis.l_matrix, analysis.populations, tol=db_tol
     )
@@ -298,22 +296,20 @@ def check_equilibrium_fdr(coupling, m, temperature, omegas, db_tol=1e-9,
             "the equilibrium fluctuation-dissipation relation does not "
             "apply" % violation
         )
+    v = Probe(observable=coupling, coupling=coupling).coupling
     rho_ss = analysis.rho_ss.vector
-    probe = Probe(observable=coupling, coupling=coupling)
     omegas = np.asarray(omegas, dtype=float)
     keep = omegas != 0.0
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
-    spectrum = linear_response_freq(probe, m, rho_ss, omegas, epsilon)
-    lhs = np.empty(omegas.size)
-    rhs = np.empty(omegas.size, dtype=complex)
-    for i, w in enumerate(omegas):
-        lhs[i] = (1.0 / np.tanh(w / (2.0 * temperature))) * spectrum.r_full[i].imag
-        rhs[i] = (
-            fluctuation_spectrum(coupling, m, rho_ss, w, epsilon)
-            + fluctuation_spectrum(coupling, m, rho_ss, -w, epsilon)
-        )
+    v_l = left_mult(v)
+    sources = np.column_stack([commutator_superop(v) @ rho_ss, v_l @ rho_ss])
+    g = resolvent(analysis.m, np.concatenate([omegas, -omegas]),
+                  trace_vector(analysis.blocks.dim) @ v_l, sources, epsilon)[:, 0, :]
+    n = omegas.size
+    lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
+    rhs = g[:n, 1] + g[n:, 1]
     residual = np.abs(lhs - rhs)
     return FdrReport(
         omega=omegas,

@@ -34,7 +34,7 @@ from curlflux.junction import (
     transmission,
 )
 from curlflux.liouville import partition
-from curlflux.reduction import coherence_map, rate_steady_state, steady_state
+from curlflux.reduction import analyze, coherence_map, rate_steady_state, steady_state
 from curlflux.response import check_equilibrium_fdr
 
 from helpers import random_rate_matrix, thermal_two_level
@@ -195,7 +195,7 @@ def test_criterion_07_equilibrium_coth_fdr_two_level():
     with verdict(7, "equilibrium coth comparison on a thermal two-level system"):
         m, v, _ = thermal_two_level(omega0=1.0, temperature=0.3, gamma=0.02)
         grid = np.linspace(0.5, 1.5, 201)  # excludes omega = 0
-        report = check_equilibrium_fdr(v, m, 0.3, grid)
+        report = check_equilibrium_fdr(v, analyze(m), 0.3, grid)
         assert report.max_residual <= 1e-8, (
             "max residual %.3e: the one-sided spectra keep dispersive "
             "imaginary parts (max |Im rhs| = %.3e) and the Lorentzian "

@@ -7,10 +7,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 import curlflux
+from curlflux import config
 from curlflux.cli import main
 from curlflux.flux import reconstruct_flux
+from curlflux.reduction import steady_state
+from curlflux.response import ResolventSingularError, fluctuation_spectrum
+
+from helpers import thermal_two_level
 
 
 def bundled(name):
@@ -171,6 +177,25 @@ def test_fdr_check_skips_zero_frequency(tmp_path):
     assert lines[1].split(",")[0] == "0.5"
 
 
+def test_spectrum_at_zero_frequency_is_the_static_response(tmp_path):
+    # omega = 0 sits on the stationary mode, which the commutator source
+    # V_- rho does not excite (<<1|V_- rho>> = 0), so R(0) is the static limit
+    text = read(bundled("fdr_twolevel.yaml"))
+    grid = "{min: 0.5, max: 1.5, points: 201}"
+    assert grid in text
+    cfg = tmp_path / "zero.yaml"
+    cfg.write_text(text.replace(grid, "{values: [0.0, 1.0e-9, 0.5]}"))
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read(out / "fdr_twolevel_spectrum.csv").strip().split("\n")[1:]
+    r_0, r_tiny = (complex(*map(float, row.split(",")[1:3])) for row in rows[:2])
+    assert abs(r_0 - r_tiny) <= 1e-9 * abs(r_tiny)
+    # the fluctuation source V_L rho does excite it: still a pole
+    m = thermal_two_level()[0]
+    with pytest.raises(ResolventSingularError, match="eigenvalue"):
+        fluctuation_spectrum(np.eye(2), m, steady_state(m).vector, [0.0])
+
+
 def test_spectrum_split_columns_sum_to_full(tmp_path):
     out = tmp_path / "out"
     assert main(["spectrum", "--config", bundled("fig2a.yaml"),
@@ -253,3 +278,16 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bundled_run_files_parse_the_same_with_both_yaml_loaders():
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    assert config.YAML_LOADER is yaml.CSafeLoader
+    configs = resources.files("curlflux") / "configs"
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".yaml"))
+    assert len(names) == 7
+    for name in names:
+        text = (configs / name).read_text()
+        assert (yaml.load(text, Loader=yaml.CSafeLoader)
+                == yaml.load(text, Loader=yaml.SafeLoader)), name

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from curlflux.flux import curl_flux, split_operators
+from curlflux.flux import is_detailed_balanced
 from curlflux.junction import JunctionParams, build_junction, dipole_operator
 from curlflux.liouville import (
     DissipationChannel,
@@ -9,41 +9,44 @@ from curlflux.liouville import (
     commutator_superop,
     index_pairs,
     left_mult,
-    partition,
     trace_vector,
 )
-from curlflux.reduction import (
-    coherence_map,
-    effective_rate_matrix,
-    steady_state,
-)
+from curlflux.reduction import analyze, steady_state
 from curlflux.response import (
+    EIGEN_COND_MAX,
     NotDetailedBalancedError,
     Probe,
     ResolventSingularError,
     check_equilibrium_fdr,
     fluctuation_spectrum,
-    green_function,
     linear_response_freq,
     linear_response_time,
+    resolvent,
     response_split,
     spectrum_to_csv,
 )
 
-from helpers import thermal_two_level
+from helpers import random_lindblad_model, thermal_two_level
 
 
 def lorentzian_pole(x, gbar):
     return 1.0 / (gbar - 1j * x)
 
 
-def test_green_function_scalar_decay():
-    for omega in (0.0, 0.4, -1.2):
-        g = green_function(np.array([[-0.3]]), omega)
-        assert g[0, 0] == pytest.approx(1.0 / (0.3 - 1j * omega))
+def green(m, omegas, epsilon=None):
+    """Full resolvent matrices G(w): identity rows and columns."""
+    eye = np.eye(np.shape(m)[0])
+    return resolvent(m, omegas, eye, eye, epsilon)
 
 
-def test_green_function_matches_time_quadrature():
+def test_resolvent_scalar_decay():
+    omegas = [0.0, 0.4, -1.2]
+    g = green(np.array([[-0.3]]), omegas)
+    for k, omega in enumerate(omegas):
+        assert g[k, 0, 0] == pytest.approx(1.0 / (0.3 - 1j * omega))
+
+
+def test_resolvent_matches_time_quadrature():
     from scipy.integrate import quad
 
     rng = np.random.default_rng(30)
@@ -57,7 +60,7 @@ def test_green_function_matches_time_quadrature():
 
     omega = 0.7
     horizon = 40.0 / abs(evals.real.max())
-    g = green_function(m, omega)
+    g = green(m, [omega])[0]
     for i in range(4):
         for j in range(4):
             re = quad(lambda t: (propagator_entry(t, i, j) * np.exp(1j * omega * t)).real,
@@ -67,22 +70,111 @@ def test_green_function_matches_time_quadrature():
             assert g[i, j] == pytest.approx(re + 1j * im, abs=1e-6)
 
 
-def test_green_function_singular_names_eigenvalue():
+def test_resolvent_singular_names_eigenvalue():
     h = np.diag([0.0, 1.0]).astype(complex)
     m = build_liouvillian(h, [])
     with pytest.raises(ResolventSingularError, match="eigenvalue"):
-        green_function(m, 1.0)
+        green(m, [1.0])
     # regularization removes the singularity
-    g = green_function(m, 1.0, epsilon=1e-6)
+    g = green(m, [1.0], epsilon=1e-6)
     assert np.all(np.isfinite(g))
 
 
 def test_junction_eg_diagonal_dominated_by_inverse_decay():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     model = build_junction(params)
-    g = green_function(model.m, model.derived.omega_plus)
+    g = green(model.m, [model.derived.omega_plus])[0]
     idx = list(index_pairs(3)).index((1, 0))
     assert g[idx, idx].real == pytest.approx(1.0 / model.derived.gamma_plus, rel=0.05)
+
+
+def solve_per_frequency(m, omegas, left, right):
+    """Reference left . G(w) . right: one dense solve per frequency."""
+    eye = np.eye(m.shape[0])
+    return np.array([left @ np.linalg.solve(m + 1j * w * eye, -right)
+                     for w in omegas])
+
+
+def assert_close_per_column(got, ref, rtol=1e-12):
+    got, ref = np.asarray(got), np.asarray(ref)
+    assert got.shape == ref.shape
+    err = np.abs(got - ref).max(axis=0)
+    assert np.all(err <= rtol * np.abs(ref).max(axis=0)), err
+
+
+def oracle_model(key):
+    """(analysis, probe coupling, grid) of one oracle-test model."""
+    if key[0] == "junction":
+        _, mus, strict = key
+        params = JunctionParams(mu_1=mus[0], mu_2=mus[1])
+        return (build_junction(params, strict), dipole_operator(params),
+                np.linspace(0.85, 1.15, 61))
+    if key[0] == "thermal":
+        m, v, _ = thermal_two_level()
+        return analyze(m), v, np.linspace(-1.5, 1.5, 120)
+    d = key[1]
+    _, channels, m = random_lindblad_model(np.random.default_rng(40 + d), dim=d)
+    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    # the grid avoids omega = 0, where V_L rho excites the stationary mode
+    return analyze(m), v, np.linspace(-3.0, 3.0, 120)
+
+
+ORACLE_MODELS = [("junction", mus, strict)
+                 for mus in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5))
+                 for strict in (True, False)]
+ORACLE_MODELS += [("random", d) for d in (3, 5, 8)] + [("thermal",)]
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS, ids=str)
+def test_spectra_match_per_frequency_solves(key):
+    analysis, v, omegas = oracle_model(key)
+    m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.blocks.dim
+    row = trace_vector(d) @ left_mult(v)
+    v_minus = commutator_superop(v)
+    probe = Probe(v, v)
+
+    full = linear_response_freq(probe, m, rho, omegas)
+    ref = -1j * solve_per_frequency(m, omegas, row, v_minus @ rho)
+    assert_close_per_column(full.r_full, ref)
+
+    pops, split = analysis.populations, analysis.split
+    lift = np.vstack([np.eye(d), analysis.k_map])
+    sources = v_minus @ np.column_stack(
+        [rho, lift @ (split.s_d * pops), lift @ (split.v_ss * pops)])
+    ref = solve_per_frequency(m, omegas, row, sources) * np.array([-1j, 1j, 1j])
+    spectrum = response_split(probe, analysis, omegas)
+    assert_close_per_column(np.column_stack(
+        [spectrum.r_full, spectrum.r_eq_term, spectrum.r_ne_term]), ref)
+
+    v_l = left_mult(v)
+    s_plus = solve_per_frequency(m, omegas, row, v_l @ rho)
+    assert_close_per_column(fluctuation_spectrum(v, m, rho, omegas), s_plus)
+
+    temperature = 0.3
+    if not is_detailed_balanced(analysis.l_matrix, analysis.populations, tol=1e-9)[0]:
+        with pytest.raises(NotDetailedBalancedError):
+            check_equilibrium_fdr(v, analysis, temperature, omegas)
+        return
+    report = check_equilibrium_fdr(v, analysis, temperature, omegas)
+    s_minus = solve_per_frequency(m, -omegas, row, v_l @ rho)
+    lhs = full.r_full.imag / np.tanh(omegas / (2.0 * temperature))
+    assert_close_per_column(report.lhs, lhs)
+    assert_close_per_column(report.rhs, s_plus + s_minus)
+
+
+def test_resolvent_solves_per_frequency_near_an_exceptional_point():
+    # a Jordan block split by 1e-14 behind a random similarity: cond(V) is
+    # about 1e7, and the modal sum would be off by about 1e-9 relative
+    rng = np.random.default_rng(11)
+    jordan = np.diag([-0.2 + 0.5j, -0.2 + 0.5j, -0.1, -0.3 - 0.4j])
+    jordan[0, 1], jordan[1, 0] = 1.0, 1e-14
+    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = s @ jordan @ np.linalg.inv(s)
+    assert np.linalg.cond(np.linalg.eig(m)[1]) > EIGEN_COND_MAX
+    omegas = np.linspace(-1.0, 1.0, 41)
+    got = green(m, omegas)
+    ref = np.array([-np.linalg.inv(m + 1j * w * np.eye(4)) for w in omegas])
+    assert_close_per_column(got, ref)
 
 
 def test_time_response_vanishes_when_probe_commutes_with_steady_state():
@@ -172,17 +264,6 @@ def test_response_reality_structure_on_symmetric_grid():
     assert np.abs(minus.r_full - plus.r_full.conj()).max() < 1e-12
 
 
-def split_pipeline(m):
-    blocks = partition(m)
-    k = coherence_map(blocks)
-    l = effective_rate_matrix(blocks)
-    rho = steady_state(m).vector
-    pops = rho[:blocks.dim].real
-    decomp = curl_flux(l, pops)
-    split = split_operators(l, pops, decomp)
-    return blocks, k, l, rho, split
-
-
 def test_split_collapses_at_detailed_balance_thermal_ladder():
     # diagonal Hamiltonian, thermal rates: flux-free, so the whole
     # response sits in the balanced term
@@ -198,13 +279,12 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
             raising, 0.05 * np.exp(-omega_ij / temperature), 0.05, omega_ij
         ))
     m = build_liouvillian(h, channels)
-    blocks, k, l, rho, split = split_pipeline(m)
     v = np.zeros((3, 3), dtype=complex)
     v[1, 0] = v[0, 1] = 1.0
     v[2, 1] = v[1, 2] = 1.0
     probe = Probe(v, v)
     omegas = np.linspace(0.5, 2.0, 151)
-    spectrum = response_split(probe, blocks, l, rho, split, k, omegas)
+    spectrum = response_split(probe, analyze(m), omegas)
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
     assert np.abs(spectrum.r_eq_term.imag - spectrum.r_full.imag).max() < 1e-12
 
@@ -214,9 +294,7 @@ def test_split_collapses_at_junction_balanced_point():
     model = build_junction(params)
     probe = Probe(dipole_operator(params), dipole_operator(params))
     omegas = np.linspace(0.85, 1.15, 201)
-    spectrum = response_split(probe, model.blocks, model.l_matrix,
-                              model.rho_ss.vector, model.split, model.k_map,
-                              omegas)
+    spectrum = response_split(probe, model, omegas)
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
 
 
@@ -225,23 +303,10 @@ def test_split_exactness_for_driven_junction():
     model = build_junction(params)
     probe = Probe(dipole_operator(params), dipole_operator(params))
     omegas = np.linspace(0.85, 1.15, 301)
-    spectrum = response_split(probe, model.blocks, model.l_matrix,
-                              model.rho_ss.vector, model.split, model.k_map,
-                              omegas)
+    spectrum = response_split(probe, model, omegas)
     gap = np.abs(spectrum.r_full.imag
                  - (spectrum.r_eq_term + spectrum.r_ne_term).imag).max()
     assert gap <= 1e-9 * np.abs(spectrum.r_full.imag).max()
-
-
-def test_split_rejects_non_stationary_state():
-    params = JunctionParams(mu_1=1.3, mu_2=0.7)
-    model = build_junction(params)
-    probe = Probe(dipole_operator(params), dipole_operator(params))
-    bad = model.rho_ss.vector.copy()
-    bad[0], bad[1] = bad[1], bad[0]
-    with pytest.raises(ValueError, match="stationary"):
-        response_split(probe, model.blocks, model.l_matrix, bad,
-                       model.split, model.k_map, [1.0])
 
 
 def test_fluctuation_spectrum_two_level_thermal_weights():
@@ -250,8 +315,8 @@ def test_fluctuation_spectrum_two_level_thermal_weights():
     rho = steady_state(m).vector
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     pg, pe = pops
-    for w in np.linspace(-1.6, 1.6, 23):
-        s = fluctuation_spectrum(v, m, rho, w)
+    omegas = np.linspace(-1.6, 1.6, 23)
+    for w, s in zip(omegas, fluctuation_spectrum(v, m, rho, omegas)):
         expected = pg * lorentzian_pole(w - omega0, gbar) + pe * lorentzian_pole(w + omega0, gbar)
         assert s == pytest.approx(expected, abs=1e-12)
 
@@ -259,7 +324,7 @@ def test_fluctuation_spectrum_two_level_thermal_weights():
 def test_fluctuation_spectrum_zero_coupling():
     m, v, pops = thermal_two_level()
     rho = steady_state(m).vector
-    assert fluctuation_spectrum(np.zeros((2, 2)), m, rho, 0.7) == 0.0
+    assert fluctuation_spectrum(np.zeros((2, 2)), m, rho, [0.7])[0] == 0.0
 
 
 def test_fluctuation_spectrum_static_observable_regularized():
@@ -268,22 +333,23 @@ def test_fluctuation_spectrum_static_observable_regularized():
     m, v, pops = thermal_two_level()
     rho = steady_state(m).vector
     eps = 1e-4
-    for w in (0.3, -0.8):
-        s = fluctuation_spectrum(np.eye(2), m, rho, w, epsilon=eps)
+    omegas = [0.3, -0.8]
+    spectrum = fluctuation_spectrum(np.eye(2), m, rho, omegas, epsilon=eps)
+    for w, s in zip(omegas, spectrum):
         assert s == pytest.approx(1j / (w + 1j * eps), rel=1e-10)
 
 
 def test_fdr_check_refuses_driven_model():
     model = build_junction(JunctionParams(mu_1=1.3, mu_2=0.7))
     with pytest.raises(NotDetailedBalancedError, match="violation"):
-        check_equilibrium_fdr(dipole_operator(model.params), model.m, 0.3,
+        check_equilibrium_fdr(dipole_operator(model.params), model, 0.3,
                               np.linspace(0.9, 1.1, 11))
 
 
 def test_fdr_check_skips_zero_frequency():
     m, v, pops = thermal_two_level()
     with pytest.warns(UserWarning, match="omega = 0"):
-        report = check_equilibrium_fdr(v, m, 0.3, np.array([0.0, 0.5, 1.0]))
+        report = check_equilibrium_fdr(v, analyze(m), 0.3, np.array([0.0, 0.5, 1.0]))
     assert report.omega.size == 2
     assert 0.0 not in report.omega
 
@@ -293,7 +359,7 @@ def test_fdr_residual_shrinks_linearly_with_damping():
     residuals = []
     for gamma in (0.02, 0.002):
         m, v, pops = thermal_two_level(gamma=gamma)
-        report = check_equilibrium_fdr(v, m, 0.3, np.array([0.5, 0.8, 1.3]))
+        report = check_equilibrium_fdr(v, analyze(m), 0.3, np.array([0.5, 0.8, 1.3]))
         residuals.append(np.abs(report.lhs - report.rhs.real).max())
     ratio = residuals[0] / residuals[1]
     assert ratio == pytest.approx(10.0, rel=0.3)

@@ -35,6 +35,7 @@ from .liouville import (
     left_mult,
     partition,
     right_mult,
+    sectors,
     trace_vector,
     vectorize,
 )
@@ -44,8 +45,6 @@ from .reduction import (
     analyze,
     coherence_map,
     effective_rate_matrix,
-    memory_kernel,
-    propagate,
     rate_steady_state,
     steady_state,
 )
@@ -55,7 +54,6 @@ from .response import (
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
-    linear_response_time,
     resolvent,
     response_split,
     spectrum_to_csv,

@@ -180,7 +180,6 @@ def load_config(path):
                 raising,
                 _float(_require(ch, "rate_up", path), path + ".rate_up"),
                 _float(_require(ch, "rate_down", path), path + ".rate_down"),
-                float(energies[upper] - energies[lower]),
             ))
         if "temperature" in sect:
             temperature = _float(sect["temperature"], "model.generic.temperature")

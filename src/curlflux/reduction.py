@@ -1,12 +1,14 @@
 """Coherence elimination and steady states.
 
-Given the block-partitioned generator, the coherences can be removed in
-two ways: exactly, through the frequency-domain memory kernel
-M_pc (s - M_c)^{-1} M_cp, or adiabatically, by assuming the coherences
-relax instantly to their stationary value K rho_p with
-K = -M_c^{-1} M_cp.  The adiabatic route yields the effective population
-rate matrix L = M_p - M_pc M_c^{-1} M_cp, which is exact at stationarity
-regardless of time-scale separation.
+Given the block-partitioned generator, the coherences are removed
+adiabatically: they relax to their stationary value K rho_p with
+K = -M_c^{-1} M_cp, which yields the effective population rate matrix
+L = M_p - M_pc M_c^{-1} M_cp.  L is exact at stationarity regardless of
+time-scale separation.
+
+Only coherences that share a sector (:func:`~curlflux.liouville.sectors`)
+with a population have non-zero rows in K, so only they enter the solve;
+on a diagonal Hamiltonian there are none and K = 0 without a solve.
 
 `analyze` chains the whole reduction for one generator: K and L, the
 steady state, and on demand the curl flux and the split operators.
@@ -19,7 +21,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .flux import curl_flux, split_operators
-from .liouville import SuperoperatorBlocks, devectorize, partition, vectorize
+from .liouville import (
+    SuperoperatorBlocks,
+    assemble,
+    devectorize,
+    partition,
+    sector_blocks,
+    sectors,
+    vectorize,
+)
 
 __all__ = [
     "Analysis",
@@ -29,10 +39,8 @@ __all__ = [
     "analyze",
     "coherence_map",
     "effective_rate_matrix",
-    "memory_kernel",
     "steady_state",
     "rate_steady_state",
-    "propagate",
 ]
 
 
@@ -50,8 +58,9 @@ class SteadyState(NamedTuple):
     residual: float
 
 
-def _check_coherence_block(m_c, tol=1e-12):
-    evals = np.linalg.eigvals(m_c)
+def _check_coherence_block(stacks, tol=1e-12):
+    """Refuse a (near-)singular M_c, given as its stacked invariant blocks."""
+    evals = np.concatenate([np.linalg.eigvals(s).ravel() for s in stacks])
     scale = max(1.0, np.abs(evals).max())
     worst = evals[np.argmin(np.abs(evals))]
     if abs(worst) <= tol * scale:
@@ -61,11 +70,24 @@ def _check_coherence_block(m_c, tol=1e-12):
         )
 
 
-def _eliminate(blocks):
+def _eliminate(blocks, labels):
     """(K, L) from one coherence-block check and one solve M_c X = M_cp:
-    K = -X and L = M_p - M_pc X."""
-    _check_coherence_block(blocks.m_c)
-    x = np.linalg.solve(blocks.m_c, blocks.m_cp)
+    K = -X and L = M_p - M_pc X.
+
+    `labels` are the sectors of the whole generator.  The check takes the
+    eigenvalues of M_c sector by sector, and the solve only the rows of
+    coherences whose sector holds a population: every other row is 0.
+    """
+    d, m_c = blocks.dim, blocks.m_c
+    coh = labels[d:]
+    _check_coherence_block([stack for _, stack in
+                            sector_blocks(m_c, coh, np.arange(coh.size))])
+    # populations come first, so a sector holds one exactly when its
+    # smallest index is below d
+    fed = np.flatnonzero(coh < d)
+    x = np.zeros(blocks.m_cp.shape, dtype=complex)
+    if fed.size:
+        x[fed] = np.linalg.solve(m_c[np.ix_(fed, fed)], blocks.m_cp[fed])
     return -x, blocks.m_p - blocks.m_pc @ x
 
 
@@ -77,7 +99,7 @@ def coherence_map(blocks):
     NonDecayingCoherenceError
         If the coherence block has an eigenvalue of (near-)zero magnitude.
     """
-    return _eliminate(blocks)[0]
+    return _eliminate(blocks, sectors(assemble(blocks)))[0]
 
 
 def effective_rate_matrix(blocks):
@@ -86,18 +108,7 @@ def effective_rate_matrix(blocks):
     The result is returned complex; for physical generators the imaginary
     parts vanish to rounding and every column sums to zero.
     """
-    return _eliminate(blocks)[1]
-
-
-def memory_kernel(blocks, s):
-    """Frequency-domain kernel M_pc (s - M_c)^{-1} M_cp at Laplace point s."""
-    n = blocks.m_c.shape[0]
-    a = s * np.eye(n) - blocks.m_c
-    if 1.0 / np.linalg.cond(a) < 1e-13:
-        raise NonDecayingCoherenceError(
-            "resolvent singular at s = %s (s hits a coherence eigenvalue)" % s
-        )
-    return blocks.m_pc @ np.linalg.solve(a, blocks.m_cp)
+    return _eliminate(blocks, sectors(assemble(blocks)))[1]
 
 
 def _null_vector(m, gap_ratio=1e3):
@@ -174,6 +185,8 @@ def rate_steady_state(l_matrix):
 class Analysis:
     """Everything the reduction derives from one generator.
 
+    `sectors` are the :func:`~curlflux.liouville.sectors` labels of m,
+    found once and shared by the elimination and the response spectra.
     `flux` and `split` are computed on first use: they need strictly
     positive populations, which the response spectra do not.
     """
@@ -184,6 +197,7 @@ class Analysis:
     l_matrix: np.ndarray
     rho_ss: SteadyState
     populations: np.ndarray
+    sectors: np.ndarray
 
     @cached_property
     def flux(self):
@@ -214,7 +228,8 @@ def analyze(m):
     """
     m = np.asarray(m, dtype=complex)
     blocks = partition(m)
-    k_map, l_matrix = _eliminate(blocks)
+    labels = sectors(m)
+    k_map, l_matrix = _eliminate(blocks, labels)
     p = rate_steady_state(l_matrix).vector
     rho = devectorize(np.concatenate([p, k_map @ p]))
     v = vectorize(0.5 * (rho + rho.conj().T))
@@ -225,23 +240,6 @@ def analyze(m):
         l_matrix=l_matrix,
         rho_ss=SteadyState(vector=v, residual=float(np.linalg.norm(m @ v))),
         populations=p,
+        sectors=labels,
     )
 
-
-def propagate(m, rho0, t):
-    """Evolve a Liouville vector: exp(M t) vec(rho0).
-
-    Uses the dense scaling-and-squaring matrix exponential, which is
-    well-behaved for the non-normal generators that arise here.  scipy is
-    imported here, its only user, so that importing the package (and
-    every CLI command, none of which propagates) does not load it.
-    """
-    from scipy.linalg import expm
-
-    if t < 0:
-        raise ValueError("propagation time must be non-negative")
-    m = np.asarray(m, dtype=complex)
-    rho0 = np.asarray(rho0, dtype=complex)
-    if t == 0:
-        return rho0.copy()
-    return expm(m * t) @ rho0

@@ -18,8 +18,14 @@ detailed balance.  Fluctuations use the regression rule
 <V(t)V(0)> = <<1| V_L exp(M t) V_L |rho_ss>>.
 
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
-one resolvent, and :func:`resolvent` evaluates them on the whole grid
-from a single eigendecomposition of M.
+one resolvent.  G(w) is block diagonal over the sectors of M
+(:func:`~curlflux.liouville.sectors`), and :func:`resolvent` evaluates
+it on the whole grid from one eigendecomposition per sector that both
+<<l| and |r>> touch.  On a diagonal Hamiltonian (every generic run file)
+the touched sectors are 1 x 1 coherences, so the cost is O(d**3), not
+the O(d**6) of one dense d**2 x d**2 eigendecomposition: on a 401-point
+grid, 17 ms -> 1.5 ms at d = 16 and 0.18 s -> 3 ms at d = 24 (2 cores,
+BLAS on 1 thread).  A dense Hamiltonian is one sector.
 """
 
 import warnings
@@ -29,7 +35,9 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import commutator_superop, left_mult, trace_vector
+from .liouville import (
+    commutator_superop, left_mult, sector_blocks, sectors, trace_vector,
+)
 
 __all__ = [
     "Probe",
@@ -38,7 +46,6 @@ __all__ = [
     "NotDetailedBalancedError",
     "FdrReport",
     "resolvent",
-    "linear_response_time",
     "linear_response_freq",
     "response_split",
     "fluctuation_spectrum",
@@ -47,10 +54,11 @@ __all__ = [
 ]
 
 
-#: cond(V) of the eigenvector basis above which :func:`resolvent` solves
-#: per frequency.  The modal sum is off by up to 7e-16 * cond(V) of each
-#: column's maximum (measured on near-defective generators), so 1e3 keeps
-#: it within 1e-12.  Bundled and random ladder/junction models stay below 200.
+#: Largest cond(V) over the touched sectors above which :func:`resolvent`
+#: solves per frequency.  The modal sum is off by up to 7e-16 * cond(V) of
+#: each column's maximum (measured on near-defective generators), so 1e3
+#: keeps it within 1e-12.  Bundled and random ladder/junction models stay
+#: below 200 even as one sector, and at 1 to rounding sector by sector.
 EIGEN_COND_MAX = 1e3
 
 
@@ -117,14 +125,19 @@ def resolvent(m, omegas, left, right, epsilon=None):
     Returns
     -------
     (n_w, k_left, k_right) complex ndarray
-        From one eigendecomposition M = V diag(lam) V^{-1}: with A = left V
-        and B = V^{-1} right, -sum_k A_k B_k / (lam_k + i w - epsilon).
-        A grid point is on the pole of mode k when |lam_k + i w - epsilon|
-        <= 1e-13 max(1, max|lam|); a mode the pair does not excite
+        Only the sectors of M that `left` reads (a non-zero column) and
+        `right` feeds (a non-zero row) contribute.  Each is diagonalized,
+        equal sizes in one stacked call, M_s = V_s diag(lam) V_s^{-1}:
+        with A = left V and B = V^{-1} right over their modes,
+        -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid point is on the
+        pole of mode k when
+        |lam_k + i w - epsilon| <= 1e-13 max(1, max|lam|), the maximum
+        taken over every sector of M; a mode the pair does not excite
         (|A_k B_k| at most 1e-12 of the pair's largest weight) contributes
         0 there, as the stationary mode does under any commutator source
-        (<<1|V_- rho>> = 0).  When cond(V) > EIGEN_COND_MAX (near an
-        exceptional point) M + i w - epsilon is solved per frequency.
+        (<<1|V_- rho>> = 0).  When the largest cond(V_s) over the touched
+        sectors exceeds EIGEN_COND_MAX (near an exceptional point),
+        M + i w - epsilon is solved per frequency on the touched sectors.
 
     Raises
     ------
@@ -132,26 +145,50 @@ def resolvent(m, omegas, left, right, epsilon=None):
         On the pole of a mode the pair excites; the message names the
         frequency and the eigenvalue.
     """
+    return _sector_resolvent(m, sectors(m), omegas, left, right, epsilon)
+
+
+def _sector_resolvent(m, labels, omegas, left, right, epsilon):
+    """:func:`resolvent` with the sector labels of m already known."""
     m = np.asarray(m, dtype=complex)
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     shifts = 1j * omegas - (0.0 if epsilon is None else epsilon)
     left = np.atleast_2d(np.asarray(left, dtype=complex))
     right = np.asarray(right, dtype=complex).reshape(m.shape[0], -1)
-    evals, vecs = np.linalg.eig(m)
-    if np.linalg.cond(vecs) > EIGEN_COND_MAX:
-        out = np.empty((omegas.size, left.shape[0], right.shape[1]), dtype=complex)
+    shape = (omegas.size, left.shape[0], right.shape[1])
+    touched = ((np.bincount(labels, (left != 0).any(axis=0)) > 0)
+               & (np.bincount(labels, (right != 0).any(axis=1)) > 0))[labels]
+    if not touched.any():
+        return np.zeros(shape, dtype=complex)
+    scale = 1.0
+    for _, blocks in sector_blocks(m, labels, np.flatnonzero(~touched)):
+        scale = max(scale, np.abs(np.linalg.eigvals(blocks)).max())
+    evals, a, b, cond = [], [], [], 0.0
+    for idx, blocks in sector_blocks(m, labels, np.flatnonzero(touched)):
+        lam, vecs = np.linalg.eig(blocks)
+        cond = max(cond, np.linalg.cond(vecs).max())
+        evals.append(lam.ravel())
+        # A = left V and B = V^-1 right of every sector, flattened over modes
+        a.append((left[:, idx][:, :, None, :] @ vecs).reshape(left.shape[0], -1))
+        b.append(np.linalg.solve(vecs, right[idx]).reshape(-1, right.shape[1]))
+    evals, a, b = np.concatenate(evals), np.hstack(a), np.vstack(b)
+    scale = max(scale, np.abs(evals).max())
+    if cond > EIGEN_COND_MAX:
+        keep = np.flatnonzero(touched)
+        sub, eye = m[np.ix_(keep, keep)], np.eye(keep.size)
+        out = np.empty(shape, dtype=complex)
         for i, shift in enumerate(shifts):
             try:
-                out[i] = left @ np.linalg.solve(m + shift * np.eye(m.shape[0]), -right)
+                out[i] = left[:, keep] @ np.linalg.solve(sub + shift * eye,
+                                                         -right[keep])
             except np.linalg.LinAlgError:
                 nearest = evals[np.argmin(np.abs(evals + shift))]
                 raise _singular(omegas[i], nearest) from None
         return out
-    # weight[k, (i, j)] = (left V)[i, k] (V^-1 right)[k, j]
-    a, b = left @ vecs, np.linalg.solve(vecs, right)
+    # weight[k, (i, j)] = A[i, k] B[k, j]
     weight = (a.T[:, :, None] * b[:, None, :]).reshape(evals.size, -1)
     poles = evals + shifts[:, None]
-    on_pole = np.abs(poles) <= 1e-13 * max(1.0, np.abs(evals).max())
+    on_pole = np.abs(poles) <= 1e-13 * scale
     excited = np.abs(weight) > 1e-12 * np.abs(weight).max(axis=0)
     hits = np.argwhere(on_pole & excited.any(axis=1))
     if hits.size:
@@ -160,27 +197,7 @@ def resolvent(m, omegas, left, right, epsilon=None):
     # 1 / (lam_k + i w - epsilon) in place (the grid array is the largest)
     np.divide(1.0, poles, out=poles, where=~on_pole)
     poles[on_pole] = 0.0
-    return -(poles @ weight).reshape(omegas.size, left.shape[0], right.shape[1])
-
-
-def linear_response_time(probe, m, rho_ss, t, stationary_tol=1e-8):
-    """Time-domain response R(t) = -i <<1| Omega_L exp(M t) V_- |rho_ss>>."""
-    from .reduction import propagate
-
-    if t < 0:
-        raise ValueError("response is causal: t must be non-negative")
-    m = np.asarray(m, dtype=complex)
-    rho_ss = np.asarray(rho_ss, dtype=complex)
-    drift = np.abs(m @ rho_ss).max()
-    if drift > stationary_tol:
-        raise ValueError(
-            "reference state is not stationary (||M rho||_inf = %.3e)" % drift
-        )
-    d = int(round(np.sqrt(m.shape[0])))
-    one = trace_vector(d)
-    kicked = commutator_superop(probe.coupling) @ rho_ss
-    evolved = propagate(m, kicked, t)
-    return -1j * (one @ (left_mult(probe.observable) @ evolved))
+    return -(poles @ weight).reshape(shape)
 
 
 def linear_response_freq(probe, m, rho_ss, omegas, epsilon=None):
@@ -230,7 +247,8 @@ def response_split(probe, analysis, omegas, epsilon=None):
     ])
     one_obs = trace_vector(d) @ left_mult(probe.observable)
     omegas = np.asarray(omegas, dtype=float)
-    r = resolvent(analysis.m, omegas, one_obs, sources, epsilon)[:, 0, :]
+    r = _sector_resolvent(analysis.m, analysis.sectors, omegas, one_obs, sources,
+                          epsilon)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
@@ -305,8 +323,10 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     omegas = omegas[keep]
     v_l = left_mult(v)
     sources = np.column_stack([commutator_superop(v) @ rho_ss, v_l @ rho_ss])
-    g = resolvent(analysis.m, np.concatenate([omegas, -omegas]),
-                  trace_vector(analysis.blocks.dim) @ v_l, sources, epsilon)[:, 0, :]
+    g = _sector_resolvent(analysis.m, analysis.sectors,
+                          np.concatenate([omegas, -omegas]),
+                          trace_vector(analysis.blocks.dim) @ v_l, sources,
+                          epsilon)[:, 0, :]
     n = omegas.size
     lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
     rhs = g[:n, 1] + g[n:, 1]

@@ -268,8 +268,8 @@ def test_strict_paper_rates_flag_changes_spectrum(tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy serves only reduction.propagate, which no command calls, so a
-    # cold CLI call must not pay for importing it
+    # scipy is a test-only dependency, so a cold CLI call must not pay for
+    # importing it
     src = str(Path(curlflux.__file__).resolve().parents[1])
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
@@ -278,6 +278,23 @@ def test_cli_import_does_not_load_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_cli_spectrum_does_not_load_numpy_ma(tmp_path):
+    # np.unique, np.isin and np.intersect1d import numpy.ma on first use,
+    # a cost every cold CLI call would pay; the sector code avoids them
+    src = str(Path(curlflux.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    code = ("import sys; from curlflux.cli import main; "
+            "codes = [main(['spectrum', '--config', path, '--out', sys.argv[1]]) "
+            "for path in sys.argv[2:]]; "
+            "print(codes, 'numpy.ma' in sys.modules)")
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path),
+         bundled("fig2a.yaml"), bundled("flux_fivelevel.yaml")],
+        env=env, check=True, capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[0, 0] False"
 
 
 def test_bundled_run_files_parse_the_same_with_both_yaml_loaders():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from curlflux.liouville import (
     DissipationChannel,
@@ -12,13 +14,18 @@ from curlflux.liouville import (
     left_mult,
     partition,
     right_mult,
+    sector_blocks,
+    sectors,
     trace_vector,
     vectorize,
 )
 from curlflux.junction import JunctionParams, build_junction
-from curlflux.reduction import propagate
-
-from helpers import random_density_matrix, random_hermitian, random_lindblad_model
+from helpers import (
+    propagate,
+    random_density_matrix,
+    random_hermitian,
+    random_lindblad_model,
+)
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -99,7 +106,7 @@ def test_two_level_decay_structure():
     omega, gamma = 1.3, 0.08
     h = np.diag([0.0, omega]).astype(complex)
     raising = np.array([[0, 0], [1, 0]], dtype=complex)
-    m = build_liouvillian(h, [DissipationChannel(raising, 0.0, gamma, omega)])
+    m = build_liouvillian(h, [DissipationChannel(raising, 0.0, gamma)])
     # population block: gain/loss at rate gamma
     assert np.allclose(m[:2, :2], [[0.0, gamma], [0.0, -gamma]])
     # coherence slots (g,e) and (e,g): decay gamma/2, frequencies +-omega
@@ -199,7 +206,7 @@ def test_thermal_rates_admit_gibbs_stationary_state():
             base = rng.uniform(0.02, 0.2)
             omega_ij = energies[j] - energies[i]
             channels.append(DissipationChannel(
-                raising, base * np.exp(-omega_ij / temperature), base, omega_ij
+                raising, base * np.exp(-omega_ij / temperature), base
             ))
     m = build_liouvillian(h, channels)
     gibbs = np.exp(-energies / temperature)
@@ -218,6 +225,46 @@ def test_partition_of_diagonal_superoperator_has_zero_couplings():
     blocks = partition(m)
     assert np.abs(blocks.m_pc).max() == 0.0
     assert np.abs(blocks.m_cp).max() == 0.0
+
+
+@settings(max_examples=150, deadline=None)
+@given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
+       seed=st.integers(0, 2**32 - 1))
+def test_sectors_recover_planted_blocks(sizes, seed):
+    rng = np.random.default_rng(seed)
+    n = sum(sizes)
+    planted = np.repeat(np.arange(len(sizes)), sizes)
+    m = np.zeros((n, n), dtype=complex)
+    # one random directed spanning tree per block, plus random extra
+    # entries inside it; magnitudes down to 1e-300 still connect
+    starts = np.cumsum(sizes) - sizes
+    for start, size in zip(starts, sizes):
+        for k in range(1, size):
+            i, j = start + k, start + rng.integers(k)
+            m[(i, j) if rng.random() < 0.5 else (j, i)] = 1.0
+        block = m[start:start + size, start:start + size]
+        block[rng.random((size, size)) < 0.3] = 1.0
+    hit = m != 0
+    m[hit] = (10.0 ** rng.uniform(-300, 3, hit.sum())
+              * rng.choice([1, -1, 1j, -1j, 1 + 1j], hit.sum()))
+    # signed zeros are zeros: they join nothing
+    m[~hit & (rng.random((n, n)) < 0.3)] = complex(-0.0, -0.0)
+    perm = rng.permutation(n)
+    hidden = m[np.ix_(perm, perm)]
+    labels = sectors(hidden)
+    # each index is labelled with the smallest index of its sector
+    expected = planted[perm]
+    first = np.full(len(sizes), n)
+    np.minimum.at(first, expected, np.arange(n))
+    assert np.array_equal(labels, first[expected])
+    # every index lands in one stacked block of its own sector
+    seen = []
+    for idx, blocks in sector_blocks(hidden, labels, np.arange(n)):
+        assert np.all(labels[idx] == labels[idx[:, :1]])
+        assert np.all(np.diff(idx, axis=1) > 0)
+        assert np.array_equal(blocks, hidden[idx[:, :, None], idx[:, None, :]])
+        seen.extend(idx.ravel())
+    assert sorted(seen) == list(range(n))
 
 
 def test_propagation_preserves_density_matrix_structure():

@@ -18,13 +18,11 @@ from curlflux.reduction import (
     analyze,
     coherence_map,
     effective_rate_matrix,
-    memory_kernel,
-    propagate,
     rate_steady_state,
     steady_state,
 )
 
-from helpers import random_lindblad_model
+from helpers import memory_kernel, propagate, random_ladder_model, random_lindblad_model
 
 
 def random_blocks(rng, d=3):
@@ -217,7 +215,7 @@ def test_analyze_refuses_disconnected_generator():
     for lower, upper in ((0, 1), (2, 3)):
         raising = np.zeros((4, 4), dtype=complex)
         raising[upper, lower] = 1.0
-        channels.append(DissipationChannel(raising, 0.01, 0.02, h[upper, upper].real))
+        channels.append(DissipationChannel(raising, 0.01, 0.02))
     with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
         analyze(build_liouvillian(h, channels))
 
@@ -244,6 +242,36 @@ def test_analyze_checks_and_solves_the_coherence_block_once(monkeypatch):
     _, _, m = random_lindblad_model(np.random.default_rng(30), dim=4)
     analyze(m)
     assert calls == {"check": 1, "solve": 1}
+
+
+def test_elimination_solves_only_coherences_that_share_a_sector_with_populations(
+        monkeypatch):
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    # a ladder's coherences are sectors of their own: K = 0 without a solve
+    _, _, m, _ = random_ladder_model(np.random.default_rng(60), 12)
+    analysis = analyze(m)
+    assert solves == []
+    assert not np.any(analysis.k_map)
+    assert np.array_equal(analysis.l_matrix, analysis.blocks.m_p)
+    # the junction's populations share a sector with rho_e1e2 and rho_e2e1
+    model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
+    assert solves == [(2, 2)]
+    dense = -solve(model.blocks.m_c, model.blocks.m_cp)
+    assert np.abs(model.k_map - dense).max() <= 1e-14 * np.abs(dense).max()
+    # a sector whose only population is the last one still enters the solve
+    m = np.diag(-1.0 - 0.5j * np.arange(9))
+    m[5, 2], m[2, 5] = 0.3, 0.1
+    blocks = partition(m)
+    dense = -solve(blocks.m_c, blocks.m_cp)
+    assert np.abs(coherence_map(blocks) - dense).max() <= 1e-15
+    assert np.abs(dense[2]).max() > 0.1
 
 
 def test_junction_model_is_an_analysis():

@@ -10,6 +10,7 @@ from curlflux.liouville import (
     index_pairs,
     left_mult,
     trace_vector,
+    vectorize,
 )
 from curlflux.reduction import analyze, steady_state
 from curlflux.response import (
@@ -20,13 +21,17 @@ from curlflux.response import (
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
-    linear_response_time,
     resolvent,
     response_split,
     spectrum_to_csv,
 )
 
-from helpers import random_lindblad_model, thermal_two_level
+from helpers import (
+    linear_response_time,
+    random_ladder_model,
+    random_lindblad_model,
+    thermal_two_level,
+)
 
 
 def lorentzian_pole(x, gbar):
@@ -112,6 +117,12 @@ def oracle_model(key):
     if key[0] == "thermal":
         m, v, _ = thermal_two_level()
         return analyze(m), v, np.linspace(-1.5, 1.5, 120)
+    if key[0] == "ladder":
+        d = key[1]
+        _, channels, m, top = random_ladder_model(np.random.default_rng(50 + d), d)
+        v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+        # the dense reference costs one O(d**6) solve per point
+        return analyze(m), v, np.linspace(0.05, top + 0.1, 7 if d > 16 else 60)
     d = key[1]
     _, channels, m = random_lindblad_model(np.random.default_rng(40 + d), dim=d)
     v = sum(ch.raising + ch.raising.conj().T for ch in channels)
@@ -123,6 +134,7 @@ ORACLE_MODELS = [("junction", mus, strict)
                  for mus in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5))
                  for strict in (True, False)]
 ORACLE_MODELS += [("random", d) for d in (3, 5, 8)] + [("thermal",)]
+ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 
 
 @pytest.mark.parametrize("key", ORACLE_MODELS, ids=str)
@@ -175,6 +187,79 @@ def test_resolvent_solves_per_frequency_near_an_exceptional_point():
     got = green(m, omegas)
     ref = np.array([-np.linalg.inv(m + 1j * w * np.eye(4)) for w in omegas])
     assert_close_per_column(got, ref)
+
+
+def test_resolvent_ignores_an_undamped_sector_the_pair_does_not_reach():
+    # levels 2 and 3 carry no channel, so their coherences are undamped
+    # with poles at +-0.9 on the grid, and their populations sit at 0
+    energies = np.array([0.0, 1.0, 1.7, 2.6])
+    raising = np.zeros((4, 4), dtype=complex)
+    raising[1, 0] = 1.0
+    m = build_liouvillian(np.diag(energies), [DissipationChannel(raising, 0.02, 0.05)])
+    v = np.zeros((4, 4), dtype=complex)
+    v[0, 1] = v[1, 0] = 1.0
+    rho = vectorize(np.diag([5.0, 2.0, 0.0, 0.0]) / 7.0)
+    row, source = trace_vector(4) @ left_mult(v), commutator_superop(v) @ rho
+    omegas = np.array([-0.9, 0.0, 0.9, 1.0])
+    got = resolvent(m, omegas, row, source)[:, 0, 0]
+    # the dense route: every mode of M, those the pair does not excite dropped
+    evals, vecs = np.linalg.eig(m)
+    weight = (row @ vecs) * np.linalg.solve(vecs, source)
+    live = np.abs(weight) > 1e-12 * np.abs(weight).max()
+    ref = -(weight[live] / (evals[live] + 1j * omegas[:, None])).sum(axis=1)
+    assert_close_per_column(got, ref)
+    # a pair that does reach the undamped coherence hits its pole
+    hit = np.zeros(16)
+    hit[index_pairs(4).index((2, 3))] = 1.0
+    with pytest.raises(ResolventSingularError, match="eigenvalue"):
+        resolvent(m, omegas, hit, hit)
+
+
+def test_resolvent_pole_tolerance_scales_with_every_sector():
+    # a touched mode 1e-8 from the grid point is a pole only on the scale
+    # of the untouched sector, whose eigenvalue is -1e6
+    m = np.diag([-1e-8 + 0.5j, -1e6])
+    with pytest.raises(ResolventSingularError, match="eigenvalue"):
+        resolvent(m, [-0.5], [1.0, 0.0], [1.0, 0.0])
+    assert np.isfinite(resolvent(m[:1, :1], [-0.5], [1.0], [1.0])).all()
+
+
+def test_resolvent_guard_reads_only_the_touched_sectors(monkeypatch):
+    # a near-exceptional 4x4 block (as above) beside a well-conditioned
+    # 3x3 block, hidden under a permutation
+    rng = np.random.default_rng(11)
+    jordan = np.diag([-0.2 + 0.5j, -0.2 + 0.5j, -0.1, -0.3 - 0.4j])
+    jordan[0, 1], jordan[1, 0] = 1.0, 1e-14
+    s = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    m = np.zeros((7, 7), dtype=complex)
+    m[:4, :4] = s @ jordan @ np.linalg.inv(s)
+    m[4:, 4:] = -np.diag([0.3, 0.5, 0.7]) + 0.1 * rng.normal(size=(3, 3))
+    assert np.linalg.cond(np.linalg.eig(m[:4, :4])[1]) > EIGEN_COND_MAX
+    perm = rng.permutation(7)
+    m = m[np.ix_(perm, perm)]
+    omegas = np.linspace(-1.0, 1.0, 41)
+    ref = np.array([-np.linalg.inv(m + 1j * w * np.eye(7)) for w in omegas])
+    solves = []
+    solve = np.linalg.solve
+
+    def counted_solve(a, b):
+        solves.append(a.shape)
+        return solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", counted_solve)
+    eye, place = np.eye(7), np.argsort(perm)
+    # the near-exceptional block, read and fed: solved per frequency
+    idx = place[:4]
+    got = resolvent(m, omegas, eye[idx], eye[:, idx])
+    assert_close_per_column(got, ref[:, idx][:, :, idx])
+    assert len(solves) > omegas.size
+    # every row read but only the calm block fed: the near-exceptional
+    # block contributes nothing and is never diagonalized
+    idx = place[4:]
+    solves.clear()
+    got = resolvent(m, omegas, eye, eye[:, idx])
+    assert_close_per_column(got, ref[:, :, idx])
+    assert len(solves) < omegas.size
 
 
 def test_time_response_vanishes_when_probe_commutes_with_steady_state():
@@ -276,7 +361,7 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
         raising[i + 1, i] = 1.0
         omega_ij = energies[i + 1] - energies[i]
         channels.append(DissipationChannel(
-            raising, 0.05 * np.exp(-omega_ij / temperature), 0.05, omega_ij
+            raising, 0.05 * np.exp(-omega_ij / temperature), 0.05
         ))
     m = build_liouvillian(h, channels)
     v = np.zeros((3, 3), dtype=complex)

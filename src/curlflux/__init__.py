@@ -19,7 +19,6 @@ from .junction import (
     build_junction,
     fermi_dirac,
     first_order_propagator_ge,
-    flux_magnitude,
     hybridized_parameters,
     transmission,
 )
@@ -27,14 +26,9 @@ from .liouville import (
     DissipationChannel,
     HilbertBasis,
     SuperoperatorBlocks,
-    assemble,
     build_liouvillian,
-    commutator_superop,
     devectorize,
-    inner_product,
-    left_mult,
     partition,
-    right_mult,
     sectors,
     trace_vector,
     vectorize,
@@ -43,8 +37,6 @@ from .reduction import (
     Analysis,
     SteadyState,
     analyze,
-    coherence_map,
-    effective_rate_matrix,
     rate_steady_state,
     steady_state,
 )

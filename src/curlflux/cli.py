@@ -108,8 +108,8 @@ def cmd_spectrum(config, args):
             )
         return
     analysis, v = _model(config, args.strict_paper_rates)
-    spec = linear_response_freq(Probe(v, v), analysis.m, analysis.rho_ss.vector,
-                                config.omega_grid, epsilon=config.epsilon)
+    spec = linear_response_freq(Probe(v, v), analysis, config.omega_grid,
+                                epsilon=config.epsilon)
     _write(
         _out_path(config, args.out, "%s_spectrum.csv" % config.prefix),
         spectrum_to_csv(spec),

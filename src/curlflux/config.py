@@ -81,6 +81,8 @@ def _require(mapping, key, path):
 
 
 def _check_keys(mapping, allowed, path):
+    if not isinstance(mapping, dict):
+        raise ConfigError("'%s' must be a mapping, got %r" % (path, mapping))
     extra = set(mapping) - set(allowed)
     if extra:
         raise ConfigError(
@@ -88,8 +90,17 @@ def _check_keys(mapping, allowed, path):
         )
 
 
+def _list(mapping, key, path):
+    value = mapping.get(key, [])
+    if not isinstance(value, list):
+        raise ConfigError("field '%s.%s' must be a list, got %r" % (path, key, value))
+    return value
+
+
 def _float(value, path):
     try:
+        if isinstance(value, bool):
+            raise TypeError("YAML true/false is not a number")
         out = float(value)
     except (TypeError, ValueError):
         raise ConfigError("field '%s' must be a number, got %r" % (path, value))
@@ -101,12 +112,13 @@ def _float(value, path):
 def _omega_grid(section):
     _check_keys(section, {"min", "max", "points", "values"}, "sweep.omega")
     if "values" in section:
-        grid = np.asarray([_float(v, "sweep.omega.values") for v in section["values"]])
+        grid = np.asarray([_float(v, "sweep.omega.values")
+                           for v in _list(section, "values", "sweep.omega")])
     else:
         lo = _float(_require(section, "min", "sweep.omega"), "sweep.omega.min")
         hi = _float(_require(section, "max", "sweep.omega"), "sweep.omega.max")
         n = _require(section, "points", "sweep.omega")
-        if not isinstance(n, int) or n < 1:
+        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
             raise ConfigError("sweep.omega.points must be a positive integer")
         grid = np.linspace(lo, hi, n)
     if grid.size == 0:
@@ -136,17 +148,17 @@ def load_config(path):
     generic = None
     temperature = None
     if mtype == "junction":
-        sect = dict(_require(model, "junction", "model"))
+        sect = _require(model, "junction", "model")
+        allowed = {
+            "mu_1", "mu_2", "omega_1", "omega_2", "omega_g", "delta",
+            "gamma", "t_1", "t_2", "dipole",
+        }
+        _check_keys(sect, allowed | {"gamma_1", "gamma_2"}, "model.junction")
         if "gamma_1" in sect or "gamma_2" in sect:
             raise ConfigError(
                 "per-electrode exchange rates are not supported; the model "
                 "assumes a common 'gamma' for both electrodes"
             )
-        allowed = {
-            "mu_1", "mu_2", "omega_1", "omega_2", "omega_g", "delta",
-            "gamma", "t_1", "t_2", "dipole",
-        }
-        _check_keys(sect, allowed, "model.junction")
         kwargs = {k: _float(v, "model.junction.%s" % k) for k, v in sect.items()}
         if "mu_1" not in kwargs or "mu_2" not in kwargs:
             raise ConfigError("model.junction requires mu_1 and mu_2")
@@ -167,20 +179,23 @@ def load_config(path):
         basis = HilbertBasis(labels)
         ham = np.diag(np.asarray(energies, dtype=complex))
         channels = []
-        for i, ch in enumerate(sect.get("channels", [])):
+        for i, ch in enumerate(_list(sect, "channels", "model.generic")):
             path = "model.generic.channels[%d]" % i
             _check_keys(ch, {"upper", "lower", "rate_up", "rate_down"}, path)
-            upper = basis.index(_require(ch, "upper", path))
-            lower = basis.index(_require(ch, "lower", path))
+            upper, lower = (_require(ch, key, path) for key in ("upper", "lower"))
+            for label in (upper, lower):
+                if label not in labels:
+                    raise ConfigError("%s: %r names no level" % (path, label))
             if upper == lower:
                 raise ConfigError("%s: upper and lower must differ" % path)
             raising = np.zeros((basis.dim, basis.dim), dtype=complex)
-            raising[upper, lower] = 1.0
-            channels.append(DissipationChannel(
-                raising,
-                _float(_require(ch, "rate_up", path), path + ".rate_up"),
-                _float(_require(ch, "rate_down", path), path + ".rate_down"),
-            ))
+            raising[basis.index(upper), basis.index(lower)] = 1.0
+            rates = [_float(_require(ch, key, path), "%s.%s" % (path, key))
+                     for key in ("rate_up", "rate_down")]
+            try:
+                channels.append(DissipationChannel(raising, *rates))
+            except ValueError as exc:
+                raise ConfigError("%s: %s" % (path, exc))
         if "temperature" in sect:
             temperature = _float(sect["temperature"], "model.generic.temperature")
         generic = GenericModel(basis=basis, hamiltonian=ham,
@@ -203,12 +218,12 @@ def load_config(path):
             raise ConfigError("sweep.bias.mode must be 'symmetric' or 'fixed'")
         if mode == "symmetric":
             center = _float(bias.get("center", 1.0), "sweep.bias.center")
-            for dmu in bias.get("dmu", []):
+            for dmu in _list(bias, "dmu", "sweep.bias"):
                 dmu = _float(dmu, "sweep.bias.dmu")
                 bias_points.append(
                     ("dmu%.4g" % dmu, center + dmu, center - dmu)
                 )
-        for pair in bias.get("extra_pairs", []):
+        for pair in _list(bias, "extra_pairs", "sweep.bias"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError("sweep.bias.extra_pairs entries must be pairs")
             mu1 = _float(pair[0], "sweep.bias.extra_pairs")

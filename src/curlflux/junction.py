@@ -24,12 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import (
-    DissipationChannel,
-    HilbertBasis,
-    build_liouvillian,
-    index_pairs,
-)
+from .liouville import DissipationChannel, build_liouvillian, index_pairs
 from .reduction import Analysis, analyze
 from .response import Probe, response_split
 
@@ -44,7 +39,6 @@ __all__ = [
     "first_order_propagator_ge",
     "hybridized_frequency_propagator",
     "build_junction",
-    "flux_magnitude",
     "closed_form_flux_response",
     "transmission",
     "dipole_operator",
@@ -104,14 +98,12 @@ class JunctionDerived:
 
 @dataclass(frozen=True, kw_only=True)
 class JunctionModel(Analysis):
-    """The analysis of one parameter set, with the junction's own data."""
+    """The analysis of one parameter set, with the junction's own data:
+    its parameters and the generator's inputs, H_eff and the channels."""
 
     params: JunctionParams
-    derived: JunctionDerived
-    basis: HilbertBasis
     h_eff: np.ndarray
     channels: tuple
-    strict_paper_rates: bool = True
 
     @property
     def flux_j(self):
@@ -281,7 +273,6 @@ def build_junction(params, strict_paper_rates=True):
     for sensitivity checks); populations, the excited-state coherence
     sector and hence K, L and the steady state are unaffected.
     """
-    basis = HilbertBasis(JUNCTION_LABELS)
     h_eff = np.diag([params.omega_g, params.omega_1, params.omega_2]).astype(complex)
     h_eff[1, 2] = h_eff[2, 1] = -params.delta
     f1, f2 = _fbars(params)
@@ -304,25 +295,9 @@ def build_junction(params, strict_paper_rates=True):
     return JunctionModel(
         **vars(analyze(m)),
         params=params,
-        derived=hybridized_parameters(params, strict_paper_rates),
-        basis=basis,
         h_eff=h_eff,
         channels=channels,
-        strict_paper_rates=strict_paper_rates,
     )
-
-
-def flux_magnitude(params_or_model):
-    """Loop flux J = t[e1 -> e2] - min(t[e1 -> e2], t[e2 -> e1]).
-
-    Equals the weight of the single loop g -> e1 -> e2 -> g when the
-    bias drives the cycle forward, and zero when the residual cycle runs
-    backwards.
-    """
-    model = params_or_model
-    if isinstance(model, JunctionParams):
-        model = build_junction(model)
-    return model.flux_j
 
 
 def _ne_coefficients(model):

@@ -1,4 +1,4 @@
-"""Liouville-space representation of density matrices and superoperators.
+"""Liouville-space representation of density matrices and the generator.
 
 A density matrix on a d-dimensional Hilbert space becomes a vector of
 length d**2.  This module fixes the index convention used everywhere in
@@ -6,10 +6,11 @@ the package: the d population entries |nn>> come first (in basis-label
 order), followed by the d**2 - d coherence entries |nm>>, n != m, in
 row-major (n, m) order.  The inner product is <<A|B>> = Tr(A^dag B).
 
-Superoperators are dense complex (d**2, d**2) matrices acting on such
-vectors.  A generator in Lindblad form is assembled from a Hermitian
-Hamiltonian plus a list of dissipation channels, each channel acting
-independently (fully secular form: no cross terms between channels).
+The generator is the one dense complex (d**2, d**2) matrix the package
+builds: a Lindblad form assembled from a Hermitian Hamiltonian plus a
+list of dissipation channels, each channel acting independently (fully
+secular form: no cross terms between channels).  Every other
+superoperator is applied as an operator product on d x d matrices.
 
 A generator splits into invariant blocks, its sectors: the connected
 components of its exact non-zero pattern (the weak U(1) symmetry of
@@ -35,13 +36,8 @@ __all__ = [
     "vectorize",
     "devectorize",
     "trace_vector",
-    "inner_product",
-    "left_mult",
-    "right_mult",
-    "commutator_superop",
     "build_liouvillian",
     "partition",
-    "assemble",
     "sectors",
     "sector_blocks",
 ]
@@ -66,14 +62,6 @@ class HilbertBasis:
 
     def index(self, label):
         return self.labels.index(label)
-
-    def pair_index(self, n, m):
-        """Liouville-space index of the |nm>> slot (labels or integers)."""
-        if not isinstance(n, (int, np.integer)):
-            n = self.index(n)
-        if not isinstance(m, (int, np.integer)):
-            m = self.index(m)
-        return index_pairs(self.dim).index((n, m))
 
 
 @dataclass(frozen=True)
@@ -173,38 +161,6 @@ def trace_vector(dim):
     one = np.zeros(dim * dim)
     one[:dim] = 1.0
     return one
-
-
-def inner_product(a, b):
-    """Liouville inner product <<A|B>> = Tr(A^dag B) of two vectors."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ValueError("vectors have mismatched shapes %r, %r" % (a.shape, b.shape))
-    return np.vdot(a, b)
-
-
-def left_mult(op):
-    """Superoperator for rho -> op @ rho."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    p = _permutation(d)
-    s = np.kron(op, np.eye(d))
-    return s[np.ix_(p, p)]
-
-
-def right_mult(op):
-    """Superoperator for rho -> rho @ op."""
-    op = np.asarray(op, dtype=complex)
-    d = op.shape[0]
-    p = _permutation(d)
-    s = np.kron(np.eye(d), op.T)
-    return s[np.ix_(p, p)]
-
-
-def commutator_superop(op):
-    """Superoperator for rho -> op @ rho - rho @ op."""
-    return left_mult(op) - right_mult(op)
 
 
 def _check_hermitian(h, tol=1e-12):
@@ -330,14 +286,3 @@ def sector_blocks(m, labels, indices):
         idx = ordered[starts[sizes == size][:, None] + np.arange(size)]
         yield idx, m[idx[:, :, None], idx[:, None, :]]
 
-
-def assemble(blocks):
-    """Rebuild the full Liouvillian from its four blocks."""
-    d = blocks.dim
-    n = d * d
-    m = np.empty((n, n), dtype=complex)
-    m[:d, :d] = blocks.m_p
-    m[:d, d:] = blocks.m_pc
-    m[d:, :d] = blocks.m_cp
-    m[d:, d:] = blocks.m_c
-    return m

@@ -23,7 +23,6 @@ import numpy as np
 from .flux import curl_flux, split_operators
 from .liouville import (
     SuperoperatorBlocks,
-    assemble,
     devectorize,
     partition,
     sector_blocks,
@@ -37,8 +36,6 @@ __all__ = [
     "NonUniqueSteadyStateError",
     "SteadyState",
     "analyze",
-    "coherence_map",
-    "effective_rate_matrix",
     "steady_state",
     "rate_steady_state",
 ]
@@ -89,26 +86,6 @@ def _eliminate(blocks, labels):
     if fed.size:
         x[fed] = np.linalg.solve(m_c[np.ix_(fed, fed)], blocks.m_cp[fed])
     return -x, blocks.m_p - blocks.m_pc @ x
-
-
-def coherence_map(blocks):
-    """Map K from populations to stationary coherences, K = -M_c^{-1} M_cp.
-
-    Raises
-    ------
-    NonDecayingCoherenceError
-        If the coherence block has an eigenvalue of (near-)zero magnitude.
-    """
-    return _eliminate(blocks, sectors(assemble(blocks)))[0]
-
-
-def effective_rate_matrix(blocks):
-    """Adiabatic population rate matrix L = M_p - M_pc M_c^{-1} M_cp.
-
-    The result is returned complex; for physical generators the imaginary
-    parts vanish to rounding and every column sums to zero.
-    """
-    return _eliminate(blocks, sectors(assemble(blocks)))[1]
 
 
 def _null_vector(m, gap_ratio=1e3):

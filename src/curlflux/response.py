@@ -17,6 +17,12 @@ whose sum reproduces R(w) identically; the second term vanishes at
 detailed balance.  Fluctuations use the regression rule
 <V(t)V(0)> = <<1| V_L exp(M t) V_L |rho_ss>>.
 
+None of these superoperators is built as a d**2 x d**2 matrix: the row
+and the sources are O(d**3) operator products,
+
+    <<1| Omega_L = vectorize(Omega^T)     (<<1| Omega_L |X>> = Tr(Omega X)),
+    V_- |rho>> = vectorize(V rho - rho V),  V_L |rho>> = vectorize(V rho).
+
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
 one resolvent.  G(w) is block diagonal over the sectors of M
 (:func:`~curlflux.liouville.sectors`), and :func:`resolvent` evaluates
@@ -35,9 +41,7 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import (
-    commutator_superop, left_mult, sector_blocks, sectors, trace_vector,
-)
+from .liouville import devectorize, sector_blocks, sectors, vectorize
 
 __all__ = [
     "Probe",
@@ -200,20 +204,43 @@ def _sector_resolvent(m, labels, omegas, left, right, epsilon):
     return -(poles @ weight).reshape(shape)
 
 
-def linear_response_freq(probe, m, rho_ss, omegas, epsilon=None):
+def _row_and_sources(observable, coupling, columns):
+    """<<1| Omega_L, and V_- x and V_L x for every Liouville column x.
+
+    Operator products, as the module docstring states: returns the row
+    vectorize(Omega^T) and two (d**2, k) arrays whose columns are
+    vectorize(V X - X V) and vectorize(V X).  The commutator splits X
+    into its diagonal p and coherences C, [V, X] = V * (p_m - p_n) +
+    [V, C]: near X ~ 1 the products V X and X V nearly cancel, and
+    subtracting them whole would round the small coherence part away.
+    """
+    v = np.asarray(coupling, dtype=complex)
+    xs = [devectorize(x) for x in np.asarray(columns).reshape(v.size, -1).T]
+    kicked = []
+    for x in xs:
+        p = np.diagonal(x)
+        c = x - np.diag(p)
+        kicked.append(vectorize(v * (p - p[:, None]) + (v @ c - c @ v)))
+    return (vectorize(np.asarray(observable).T), np.column_stack(kicked),
+            np.column_stack([vectorize(v @ x) for x in xs]))
+
+
+def linear_response_freq(probe, analysis, omegas, epsilon=None):
     """Frequency-domain response on a grid (full response only).
+
+    `analysis` is the :func:`~curlflux.reduction.analyze` result of the
+    generator; the response is taken about its steady state.
 
     Returns
     -------
     ResponseSpectrum
         With r_eq_term and r_ne_term left as None.
     """
-    m = np.asarray(m, dtype=complex)
     omegas = np.asarray(omegas, dtype=float)
-    d = int(round(np.sqrt(m.shape[0])))
-    one_obs = trace_vector(d) @ left_mult(probe.observable)
-    kicked = commutator_superop(probe.coupling) @ np.asarray(rho_ss, dtype=complex)
-    r_full = -1j * resolvent(m, omegas, one_obs, kicked, epsilon)[:, 0, 0]
+    row, kicked, _ = _row_and_sources(probe.observable, probe.coupling,
+                                      analysis.rho_ss.vector)
+    r_full = -1j * _sector_resolvent(analysis.m, analysis.sectors, omegas, row,
+                                     kicked, epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
@@ -240,33 +267,32 @@ def response_split(probe, analysis, omegas, epsilon=None):
     pops = analysis.populations
     # W = I + K lifts population vectors into Liouville space
     lift = np.vstack([np.eye(d), analysis.k_map])
-    sources = commutator_superop(probe.coupling) @ np.column_stack([
+    states = np.column_stack([
         analysis.rho_ss.vector,
         lift @ (analysis.split.s_d * pops),
         lift @ (analysis.split.v_ss * pops),
     ])
-    one_obs = trace_vector(d) @ left_mult(probe.observable)
+    row, kicked, _ = _row_and_sources(probe.observable, probe.coupling, states)
     omegas = np.asarray(omegas, dtype=float)
-    r = _sector_resolvent(analysis.m, analysis.sectors, omegas, one_obs, sources,
+    r = _sector_resolvent(analysis.m, analysis.sectors, omegas, row, kicked,
                           epsilon)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
 
-def fluctuation_spectrum(coupling, m, rho_ss, omegas, epsilon=None):
+def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
     """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt,
-    as a complex array over the grid `omegas`.
+    as a complex array over the grid `omegas`, in the steady state of
+    `analysis` (an :class:`~curlflux.reduction.Analysis`).
 
     The two-time correlator is evaluated by the regression rule, so
     S(w) = <<1| V_L G(w) V_L |rho_ss>>.  A static component of V along
     the steady state makes S(w) diverge like i/w as w -> 0; supplying
     `epsilon` replaces that pole by i/(w + i epsilon).
     """
-    m = np.asarray(m, dtype=complex)
-    d = int(round(np.sqrt(m.shape[0])))
-    v_l = left_mult(np.asarray(coupling, dtype=complex))
-    seeded = v_l @ np.asarray(rho_ss, dtype=complex)
-    return resolvent(m, omegas, trace_vector(d) @ v_l, seeded, epsilon)[:, 0, 0]
+    row, _, seeded = _row_and_sources(coupling, coupling, analysis.rho_ss.vector)
+    return _sector_resolvent(analysis.m, analysis.sectors, omegas, row, seeded,
+                             epsilon)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -315,18 +341,15 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
             "apply" % violation
         )
     v = Probe(observable=coupling, coupling=coupling).coupling
-    rho_ss = analysis.rho_ss.vector
     omegas = np.asarray(omegas, dtype=float)
     keep = omegas != 0.0
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
-    v_l = left_mult(v)
-    sources = np.column_stack([commutator_superop(v) @ rho_ss, v_l @ rho_ss])
+    row, kicked, seeded = _row_and_sources(v, v, analysis.rho_ss.vector)
     g = _sector_resolvent(analysis.m, analysis.sectors,
-                          np.concatenate([omegas, -omegas]),
-                          trace_vector(analysis.blocks.dim) @ v_l, sources,
-                          epsilon)[:, 0, :]
+                          np.concatenate([omegas, -omegas]), row,
+                          np.hstack([kicked, seeded]), epsilon)[:, 0, :]
     n = omegas.size
     lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
     rhs = g[:n, 1] + g[n:, 1]

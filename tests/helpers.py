@@ -6,11 +6,50 @@ from scipy.linalg import expm
 from curlflux.liouville import (
     DissipationChannel,
     build_liouvillian,
-    commutator_superop,
-    left_mult,
+    index_pairs,
+    sectors,
     trace_vector,
 )
-from curlflux.reduction import NonDecayingCoherenceError
+from curlflux.reduction import NonDecayingCoherenceError, _eliminate
+
+
+def _superoperator(s):
+    """Reorder a row-major (d**2, d**2) superoperator to the package order."""
+    d = int(round(np.sqrt(s.shape[0])))
+    p = np.array([n * d + m for n, m in index_pairs(d)])
+    return s[np.ix_(p, p)]
+
+
+def left_mult(op):
+    """Dense superoperator for rho -> op @ rho."""
+    op = np.asarray(op, dtype=complex)
+    return _superoperator(np.kron(op, np.eye(op.shape[0])))
+
+
+def right_mult(op):
+    """Dense superoperator for rho -> rho @ op."""
+    op = np.asarray(op, dtype=complex)
+    return _superoperator(np.kron(np.eye(op.shape[0]), op.T))
+
+
+def commutator_superop(op):
+    """Dense superoperator for rho -> op @ rho - rho @ op."""
+    return left_mult(op) - right_mult(op)
+
+
+def assemble(blocks):
+    """Rebuild the full Liouvillian from its four blocks."""
+    return np.block([[blocks.m_p, blocks.m_pc], [blocks.m_cp, blocks.m_c]])
+
+
+def coherence_map(blocks):
+    """K = -M_c^{-1} M_cp of the generator with these blocks."""
+    return _eliminate(blocks, sectors(assemble(blocks)))[0]
+
+
+def effective_rate_matrix(blocks):
+    """L = M_p - M_pc M_c^{-1} M_cp of the generator with these blocks."""
+    return _eliminate(blocks, sectors(assemble(blocks)))[1]
 
 
 def random_hermitian(rng, dim, scale=1.0):

@@ -31,13 +31,14 @@ from curlflux.junction import (
     analytic_propagator_ge,
     build_junction,
     ge_generator,
+    hybridized_parameters,
     transmission,
 )
 from curlflux.liouville import partition
-from curlflux.reduction import analyze, coherence_map, rate_steady_state, steady_state
+from curlflux.reduction import analyze, rate_steady_state, steady_state
 from curlflux.response import check_equilibrium_fdr
 
-from helpers import random_rate_matrix, thermal_two_level
+from helpers import coherence_map, random_rate_matrix, thermal_two_level
 
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
 BIASES = (0.0, 0.1, 0.2, 0.3)
@@ -121,7 +122,8 @@ def test_criterion_04_closed_form_block_equality():
                 t_2=rng.uniform(0.1, 0.6),
             )
             model = build_junction(params)
-            f1, f2 = model.derived.fbar_1, model.derived.fbar_2
+            derived = hybridized_parameters(params)
+            f1, f2 = derived.fbar_1, derived.fbar_2
             g, dw = params.gamma, params.omega_e1e2
             width = 0.5 * g * (2.0 - f1 - f2)
             rows = [3, 5]  # (e1,e2) and (e2,e1) slots within the coherences
@@ -157,8 +159,8 @@ def test_criterion_05_analytic_propagator_against_matrix_exponential():
             "hybridized mixing weights and first-order decay rates, so it "
             "is exact only when the two Fermi factors coincide (here "
             "fbar_1 - fbar_2 = %.3f)"
-            % (worst, build_junction(params).derived.fbar_1
-               - build_junction(params).derived.fbar_2)
+            % (worst, hybridized_parameters(params).fbar_1
+               - hybridized_parameters(params).fbar_2)
         )
 
 
@@ -167,27 +169,29 @@ def test_criterion_06_spectral_structure_and_flux_peak_monotonicity():
         step = FIG_GRID[1] - FIG_GRID[0]
         peak_magnitudes = []
         for dmu in BIASES:
-            spectrum, t_ne, model = transmission(junction_at(dmu=dmu), FIG_GRID)
+            params = junction_at(dmu=dmu)
+            spectrum, t_ne, _ = transmission(params, FIG_GRID)
+            derived = hybridized_parameters(params)
             im = spectrum.r_full.imag
             turning = [
                 FIG_GRID[i]
                 for i in range(1, im.size - 1)
                 if (im[i] - im[i - 1]) * (im[i + 1] - im[i]) < 0
             ]
-            for target in (model.derived.omega_plus, model.derived.omega_minus):
+            for target in (derived.omega_plus, derived.omega_minus):
                 nearest = min(abs(x - target) for x in turning)
                 assert nearest <= step, (
                     "no extremum within one grid step of %.5f" % target
                 )
-            near_plus = np.abs(FIG_GRID - model.derived.omega_plus) < 0.02
+            near_plus = np.abs(FIG_GRID - derived.omega_plus) < 0.02
             peak_magnitudes.append(np.abs(t_ne[near_plus]).max())
         assert all(
             b > a for a, b in zip(peak_magnitudes, peak_magnitudes[1:])
         ), "flux-peak magnitudes %r not monotone" % (peak_magnitudes,)
         # reference positions from the hybridization formula
-        assert build_junction(junction_at(dmu=0.3)).derived.omega_plus == \
+        assert hybridized_parameters(junction_at(dmu=0.3)).omega_plus == \
             pytest.approx(1.06083, abs=5e-6)
-        assert build_junction(junction_at(dmu=0.3)).derived.omega_minus == \
+        assert hybridized_parameters(junction_at(dmu=0.3)).omega_minus == \
             pytest.approx(0.93917, abs=5e-6)
 
 

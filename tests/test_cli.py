@@ -10,10 +10,10 @@ import pytest
 import yaml
 
 import curlflux
-from curlflux import config
+from curlflux import config, liouville, reduction, response
 from curlflux.cli import main
 from curlflux.flux import reconstruct_flux
-from curlflux.reduction import steady_state
+from curlflux.reduction import analyze
 from curlflux.response import ResolventSingularError, fluctuation_spectrum
 
 from helpers import thermal_two_level
@@ -85,6 +85,50 @@ def test_per_electrode_gamma_is_rejected(tmp_path, capsys):
     )
     assert main(["spectrum", "--config", str(cfg)]) == 2
     assert "common 'gamma'" in capsys.readouterr().err
+
+
+GENERIC = ("model:\n  type: generic\n  generic:\n    levels: {a: 0.0, b: 1.0}\n"
+           "    channels:\n      - {upper: b, lower: a, rate_up: 0.01, rate_down: 0.02}\n")
+OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
+
+
+@pytest.mark.parametrize("text", [
+    GENERIC.replace("upper: b", "upper: zz") + OMEGA,
+    GENERIC.replace("rate_up: 0.01", "rate_up: -0.1") + OMEGA,
+    "model: 3\n" + OMEGA,
+    GENERIC + OMEGA + "output:\n",
+    GENERIC + OMEGA + "numerics:\n",
+    GENERIC + OMEGA.replace("points: 3", "points: true"),
+    GENERIC.split("    channels:")[0] + "    channels: 3\n" + OMEGA,
+    GENERIC + "sweep:\n  omega: {values: 0.5}\n",
+    GENERIC.replace("rate_up: 0.01", "rate_up: true") + OMEGA,
+], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
+        "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
+        "boolean-rate"])
+def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
+    cfg = tmp_path / "bad.yaml"
+    cfg.write_text(text)
+    assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name, labellings", [("flux_fivelevel.yaml", 1),
+                                               ("fig2a.yaml", 5)])
+def test_spectrum_labels_each_generator_once(tmp_path, monkeypatch, name, labellings):
+    # one sector labelling per analysed generator: a generic run file has
+    # one, the junction sweep one per bias point
+    calls = []
+    real = liouville.sectors
+
+    def counted(m):
+        calls.append(m.shape)
+        return real(m)
+
+    for module in (liouville, reduction, response):
+        if getattr(module, "sectors", None) is real:
+            monkeypatch.setattr(module, "sectors", counted)
+    assert main(["spectrum", "--config", bundled(name), "--out", str(tmp_path)]) == 0
+    assert len(calls) == labellings
 
 
 def test_flux_report_junction(tmp_path):
@@ -191,9 +235,9 @@ def test_spectrum_at_zero_frequency_is_the_static_response(tmp_path):
     r_0, r_tiny = (complex(*map(float, row.split(",")[1:3])) for row in rows[:2])
     assert abs(r_0 - r_tiny) <= 1e-9 * abs(r_tiny)
     # the fluctuation source V_L rho does excite it: still a pole
-    m = thermal_two_level()[0]
+    analysis = analyze(thermal_two_level()[0])
     with pytest.raises(ResolventSingularError, match="eigenvalue"):
-        fluctuation_spectrum(np.eye(2), m, steady_state(m).vector, [0.0])
+        fluctuation_spectrum(np.eye(2), analysis, [0.0])
 
 
 def test_spectrum_split_columns_sum_to_full(tmp_path):

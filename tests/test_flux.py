@@ -13,7 +13,7 @@ from curlflux.flux import (
     render_flux_report,
     split_operators,
 )
-from curlflux.junction import JunctionParams, build_junction
+from curlflux.junction import JUNCTION_LABELS, JunctionParams, build_junction
 from curlflux.reduction import rate_steady_state
 
 from helpers import random_rate_matrix
@@ -212,9 +212,9 @@ def test_flux_axioms_random_property_suite():
 
 def test_flux_report_is_deterministic_json():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8))
-    text1 = render_flux_report(model.flux, model.split, labels=model.basis.labels,
+    text1 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
                                extra={"loop_flux_j": model.flux_j})
-    text2 = render_flux_report(model.flux, model.split, labels=model.basis.labels,
+    text2 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
                                extra={"loop_flux_j": model.flux_j})
     assert text1 == text2
     data = json.loads(text1)

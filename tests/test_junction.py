@@ -10,7 +10,6 @@ from curlflux.junction import (
     closed_form_flux_response,
     fermi_dirac,
     first_order_propagator_ge,
-    flux_magnitude,
     ge_generator,
     hybridized_frequency_propagator,
     hybridized_parameters,
@@ -269,16 +268,11 @@ def test_hybridized_frequency_propagator_matches_exact_resolvent_at_balance():
 
 
 def test_flux_vanishes_in_balanced_and_reverse_regimes():
-    assert flux_magnitude(reference_params(1.06, 0.94)) == 0.0
+    assert build_junction(reference_params(1.06, 0.94)).flux_j == 0.0
     # zero bias leaves a residual reverse loop, so the forward flux is zero
     model = build_junction(reference_params(1.0, 1.0))
     assert model.flux_j == 0.0
     assert model.flux.c[2, 1] > 0.0
-
-
-def test_flux_magnitude_accepts_params_or_model():
-    params = reference_params(1.3, 0.7)
-    assert flux_magnitude(params) == flux_magnitude(build_junction(params))
 
 
 def test_hybridized_frequency_propagator_first_order_off_balance():
@@ -300,7 +294,7 @@ def test_hybridized_frequency_propagator_first_order_off_balance():
 
 def test_flux_monotone_along_bias_ramp():
     values = [
-        flux_magnitude(reference_params(1.0 + dmu, 1.0 - dmu))
+        build_junction(reference_params(1.0 + dmu, 1.0 - dmu)).flux_j
         for dmu in (0.1, 0.15, 0.2, 0.25, 0.3)
     ]
     assert all(b > a for a, b in zip(values, values[1:]))
@@ -354,8 +348,9 @@ def test_transmission_closed_form_matches_generic_split():
 
 
 def test_transmission_flux_peak_prefers_upper_mode_at_strong_bias():
-    spectrum, t_ne, model = transmission(reference_params(1.3, 0.7), FIG_GRID)
-    der = model.derived
+    params = reference_params(1.3, 0.7)
+    spectrum, t_ne, _ = transmission(params, FIG_GRID)
+    der = hybridized_parameters(params)
     near_plus = np.abs(FIG_GRID - der.omega_plus) < 0.02
     near_minus = np.abs(FIG_GRID - der.omega_minus) < 0.02
     assert np.abs(t_ne[near_plus]).max() > np.abs(t_ne[near_minus]).max()
@@ -374,16 +369,16 @@ def test_flux_term_share_of_transmission_grows_with_bias():
 def test_transmission_extrema_at_hybridized_frequencies():
     step = FIG_GRID[1] - FIG_GRID[0]
     for dmu in (0.0, 0.3):
-        spectrum, t_ne, model = transmission(
-            reference_params(1.0 + dmu, 1.0 - dmu), FIG_GRID
-        )
+        params = reference_params(1.0 + dmu, 1.0 - dmu)
+        spectrum, t_ne, _ = transmission(params, FIG_GRID)
+        der = hybridized_parameters(params)
         im = spectrum.r_full.imag
         turning = [
             FIG_GRID[i]
             for i in range(1, im.size - 1)
             if (im[i] - im[i - 1]) * (im[i + 1] - im[i]) < 0
         ]
-        for target in (model.derived.omega_plus, model.derived.omega_minus):
+        for target in (der.omega_plus, der.omega_minus):
             assert min(abs(x - target) for x in turning) <= step
 
 

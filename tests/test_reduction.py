@@ -16,13 +16,18 @@ from curlflux.reduction import (
     NonDecayingCoherenceError,
     NonUniqueSteadyStateError,
     analyze,
-    coherence_map,
-    effective_rate_matrix,
     rate_steady_state,
     steady_state,
 )
 
-from helpers import memory_kernel, propagate, random_ladder_model, random_lindblad_model
+from helpers import (
+    coherence_map,
+    effective_rate_matrix,
+    memory_kernel,
+    propagate,
+    random_ladder_model,
+    random_lindblad_model,
+)
 
 
 def random_blocks(rng, d=3):

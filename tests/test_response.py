@@ -2,19 +2,23 @@ import numpy as np
 import pytest
 
 from curlflux.flux import is_detailed_balanced
-from curlflux.junction import JunctionParams, build_junction, dipole_operator
+from curlflux.junction import (
+    JunctionParams,
+    build_junction,
+    dipole_operator,
+    hybridized_parameters,
+)
 from curlflux.liouville import (
     DissipationChannel,
     build_liouvillian,
-    commutator_superop,
     index_pairs,
-    left_mult,
     trace_vector,
     vectorize,
 )
 from curlflux.reduction import analyze, steady_state
 from curlflux.response import (
     EIGEN_COND_MAX,
+    _row_and_sources,
     NotDetailedBalancedError,
     Probe,
     ResolventSingularError,
@@ -27,6 +31,8 @@ from curlflux.response import (
 )
 
 from helpers import (
+    commutator_superop,
+    left_mult,
     linear_response_time,
     random_ladder_model,
     random_lindblad_model,
@@ -88,9 +94,10 @@ def test_resolvent_singular_names_eigenvalue():
 def test_junction_eg_diagonal_dominated_by_inverse_decay():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     model = build_junction(params)
-    g = green(model.m, [model.derived.omega_plus])[0]
+    derived = hybridized_parameters(params)
+    g = green(model.m, [derived.omega_plus])[0]
     idx = list(index_pairs(3)).index((1, 0))
-    assert g[idx, idx].real == pytest.approx(1.0 / model.derived.gamma_plus, rel=0.05)
+    assert g[idx, idx].real == pytest.approx(1.0 / derived.gamma_plus, rel=0.05)
 
 
 def solve_per_frequency(m, omegas, left, right):
@@ -141,26 +148,34 @@ ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
     m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.blocks.dim
-    row = trace_vector(d) @ left_mult(v)
-    v_minus = commutator_superop(v)
     probe = Probe(v, v)
-
-    full = linear_response_freq(probe, m, rho, omegas)
-    ref = -1j * solve_per_frequency(m, omegas, row, v_minus @ rho)
-    assert_close_per_column(full.r_full, ref)
-
     pops, split = analysis.populations, analysis.split
     lift = np.vstack([np.eye(d), analysis.k_map])
-    sources = v_minus @ np.column_stack(
+    columns = np.column_stack(
         [rho, lift @ (split.s_d * pops), lift @ (split.v_ss * pops)])
+
+    # the row and sources against the dense superoperator oracles: the
+    # row exactly, the sources to the rounding of a sum of 2d products
+    row, sources, seeded = _row_and_sources(v, v, columns)
+    assert np.array_equal(row, trace_vector(d) @ left_mult(v))
+    bound = 2 * d * np.finfo(float).eps * np.abs(v).max() * np.abs(columns).max(axis=0)
+    assert np.all(np.abs(sources - commutator_superop(v) @ columns).max(axis=0) <= bound)
+    assert np.all(np.abs(seeded - left_mult(v) @ columns).max(axis=0) <= bound)
+
+    # the spectra against one dense solve per frequency on those sources
+    # (at the balanced junction R(w) is rounding noise, which only the
+    # same sources reproduce to 1e-12 of itself)
+    full = linear_response_freq(probe, analysis, omegas)
+    ref = -1j * solve_per_frequency(m, omegas, row, sources[:, 0])
+    assert_close_per_column(full.r_full, ref)
+
     ref = solve_per_frequency(m, omegas, row, sources) * np.array([-1j, 1j, 1j])
     spectrum = response_split(probe, analysis, omegas)
     assert_close_per_column(np.column_stack(
         [spectrum.r_full, spectrum.r_eq_term, spectrum.r_ne_term]), ref)
 
-    v_l = left_mult(v)
-    s_plus = solve_per_frequency(m, omegas, row, v_l @ rho)
-    assert_close_per_column(fluctuation_spectrum(v, m, rho, omegas), s_plus)
+    s_plus = solve_per_frequency(m, omegas, row, seeded[:, 0])
+    assert_close_per_column(fluctuation_spectrum(v, analysis, omegas), s_plus)
 
     temperature = 0.3
     if not is_detailed_balanced(analysis.l_matrix, analysis.populations, tol=1e-9)[0]:
@@ -168,7 +183,7 @@ def test_spectra_match_per_frequency_solves(key):
             check_equilibrium_fdr(v, analysis, temperature, omegas)
         return
     report = check_equilibrium_fdr(v, analysis, temperature, omegas)
-    s_minus = solve_per_frequency(m, -omegas, row, v_l @ rho)
+    s_minus = solve_per_frequency(m, -omegas, row, seeded[:, 0])
     lhs = full.r_full.imag / np.tanh(omegas / (2.0 * temperature))
     assert_close_per_column(report.lhs, lhs)
     assert_close_per_column(report.rhs, s_plus + s_minus)
@@ -301,7 +316,7 @@ def test_frequency_response_matches_time_domain_fourier_transform():
     modes = np.exp(np.outer(ts, evals))     # (nt, 9)
     r_t = -1j * (modes * (one_obs * kicked)).sum(axis=1)
     omegas = np.array([0.94, 1.0, 1.06])
-    spectrum = linear_response_freq(probe, model.m, rho, omegas)
+    spectrum = linear_response_freq(probe, model, omegas)
     from scipy.integrate import simpson
 
     for k, w in enumerate(omegas):
@@ -312,11 +327,11 @@ def test_frequency_response_matches_time_domain_fourier_transform():
 def test_two_level_response_matches_analytic_lorentzian():
     omega0, temperature, gamma = 1.0, 0.3, 0.02
     m, v, pops = thermal_two_level(omega0, temperature, gamma)
-    rho = steady_state(m).vector
+    analysis = analyze(m)
     probe = Probe(v, v)
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     omegas = np.linspace(0.5, 1.5, 101)
-    spectrum = linear_response_freq(probe, m, rho, omegas)
+    spectrum = linear_response_freq(probe, analysis, omegas)
     pg, pe = pops
     expected = -1j * (pg - pe) * (
         lorentzian_pole(omegas - omega0, gbar) - lorentzian_pole(omegas + omega0, gbar)
@@ -333,19 +348,19 @@ def test_two_level_response_matches_analytic_lorentzian():
 
 def test_identity_probe_gives_zero_response():
     m, v, pops = thermal_two_level()
-    rho = steady_state(m).vector
+    analysis = analyze(m)
     probe = Probe(np.eye(2), np.eye(2))
-    spectrum = linear_response_freq(probe, m, rho, np.linspace(0.2, 2.0, 50))
+    spectrum = linear_response_freq(probe, analysis, np.linspace(0.2, 2.0, 50))
     assert np.abs(spectrum.r_full).max() < 1e-14
 
 
 def test_response_reality_structure_on_symmetric_grid():
     m, v, pops = thermal_two_level()
-    rho = steady_state(m).vector
+    analysis = analyze(m)
     probe = Probe(v, v)
     omegas = np.linspace(0.3, 1.7, 29)
-    plus = linear_response_freq(probe, m, rho, omegas)
-    minus = linear_response_freq(probe, m, rho, -omegas)
+    plus = linear_response_freq(probe, analysis, omegas)
+    minus = linear_response_freq(probe, analysis, -omegas)
     assert np.abs(minus.r_full - plus.r_full.conj()).max() < 1e-12
 
 
@@ -397,29 +412,29 @@ def test_split_exactness_for_driven_junction():
 def test_fluctuation_spectrum_two_level_thermal_weights():
     omega0, temperature, gamma = 1.0, 0.3, 0.02
     m, v, pops = thermal_two_level(omega0, temperature, gamma)
-    rho = steady_state(m).vector
+    analysis = analyze(m)
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     pg, pe = pops
     omegas = np.linspace(-1.6, 1.6, 23)
-    for w, s in zip(omegas, fluctuation_spectrum(v, m, rho, omegas)):
+    for w, s in zip(omegas, fluctuation_spectrum(v, analysis, omegas)):
         expected = pg * lorentzian_pole(w - omega0, gbar) + pe * lorentzian_pole(w + omega0, gbar)
         assert s == pytest.approx(expected, abs=1e-12)
 
 
 def test_fluctuation_spectrum_zero_coupling():
     m, v, pops = thermal_two_level()
-    rho = steady_state(m).vector
-    assert fluctuation_spectrum(np.zeros((2, 2)), m, rho, [0.7])[0] == 0.0
+    analysis = analyze(m)
+    assert fluctuation_spectrum(np.zeros((2, 2)), analysis, [0.7])[0] == 0.0
 
 
 def test_fluctuation_spectrum_static_observable_regularized():
     # identity coupling projects onto the steady state: the documented
     # epsilon-regularized pole i / (w + i eps)
     m, v, pops = thermal_two_level()
-    rho = steady_state(m).vector
+    analysis = analyze(m)
     eps = 1e-4
     omegas = [0.3, -0.8]
-    spectrum = fluctuation_spectrum(np.eye(2), m, rho, omegas, epsilon=eps)
+    spectrum = fluctuation_spectrum(np.eye(2), analysis, omegas, epsilon=eps)
     for w, s in zip(omegas, spectrum):
         assert s == pytest.approx(1j / (w + 1j * eps), rel=1e-10)
 
@@ -459,8 +474,8 @@ def test_probe_rejects_non_hermitian_operators():
 
 def test_spectrum_csv_format():
     m, v, pops = thermal_two_level()
-    rho = steady_state(m).vector
-    spec = linear_response_freq(Probe(v, v), m, rho, np.array([0.5, 1.0]))
+    analysis = analyze(m)
+    spec = linear_response_freq(Probe(v, v), analysis, np.array([0.5, 1.0]))
     text = spectrum_to_csv(spec)
     lines = text.strip().split("\n")
     assert lines[0] == "omega,re_full,im_full,im_eq,im_ne"

@@ -146,13 +146,12 @@ def cmd_fdr_check(config, args):
     report = check_equilibrium_fdr(coupling, analysis, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
-    lines = ["omega,lhs,re_rhs,im_rhs,residual"]
-    for w, lhs, rhs, res in zip(report.omega, report.lhs, report.rhs,
-                                report.residual):
-        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
-                     % (w, lhs, rhs.real, rhs.imag, res))
+    rows = zip(report.omega.tolist(), report.lhs.tolist(),
+               report.rhs.real.tolist(), report.rhs.imag.tolist(),
+               report.residual.tolist())
     _write(_out_path(config, args.out, "%s_fdr.csv" % config.prefix),
-           "\n".join(lines) + "\n")
+           "omega,lhs,re_rhs,im_rhs,residual\n"
+           + "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows)))
     print("max residual: %.6e" % report.max_residual)
 
 

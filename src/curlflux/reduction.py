@@ -12,6 +12,11 @@ on a diagonal Hamiltonian there are none and K = 0 without a solve.
 
 `analyze` chains the whole reduction for one generator: K and L, the
 steady state, and on demand the curl flux and the split operators.
+:func:`steady_state` finds the null vector of the full generator
+independently of K and L, also sector by sector: the eigenvalues of every
+sector, then one eigendecomposition of the sector that holds the zero
+mode (on a diagonal Hamiltonian the d x d rate block, not the
+d**2 x d**2 generator).
 """
 
 from dataclasses import dataclass
@@ -88,11 +93,10 @@ def _eliminate(blocks, labels):
     return -x, blocks.m_p - blocks.m_pc @ x
 
 
-def _null_vector(m, gap_ratio=1e3):
-    """Eigenvector for the eigenvalue of smallest magnitude, with a
-    uniqueness check: the second-smallest magnitude must exceed the
-    smallest by at least `gap_ratio`."""
-    evals, evecs = np.linalg.eig(m)
+def _isolated_zero(evals, gap_ratio=1e3):
+    """Index of the eigenvalue of smallest magnitude, with a uniqueness
+    check: the second-smallest magnitude must exceed the smallest by at
+    least `gap_ratio`."""
     order = np.argsort(np.abs(evals))
     lam0, lam1 = evals[order[0]], evals[order[1]]
     if not abs(lam1) > gap_ratio * abs(lam0):
@@ -101,11 +105,24 @@ def _null_vector(m, gap_ratio=1e3):
             "%.3e and %.3e are not separated by a factor %g"
             % (abs(lam0), abs(lam1), gap_ratio)
         )
-    return evecs[:, order[0]]
+    return order[0]
+
+
+def _null_vector(m):
+    """Eigenvector of m for its isolated eigenvalue of smallest magnitude."""
+    evals, evecs = np.linalg.eig(m)
+    return evecs[:, _isolated_zero(evals)]
 
 
 def steady_state(m):
     """Stationary density matrix of a full Liouvillian.
+
+    Works sector by sector (:func:`~curlflux.liouville.sectors`, found
+    here from m alone): the union of the sectors' eigenvalues is the
+    spectrum of m and takes the uniqueness check, and the null vector is
+    that of the one sector holding the eigenvalue of smallest magnitude,
+    zero elsewhere.  On a diagonal Hamiltonian that is one d x d
+    eigendecomposition plus d**2 - d scalars instead of one of size d**2.
 
     Parameters
     ----------
@@ -128,7 +145,15 @@ def steady_state(m):
     d = int(round(np.sqrt(n)))
     if d * d != n:
         raise ValueError("expected a (d**2, d**2) generator")
-    v = _null_vector(m)
+    labels = sectors(m)
+    stacks = list(sector_blocks(m, labels, np.arange(n)))
+    evals = np.concatenate([np.linalg.eigvals(s).ravel() for _, s in stacks])
+    # entry k of evals belongs to the sector of index members[k]
+    members = np.concatenate([idx.ravel() for idx, _ in stacks])
+    sector = np.flatnonzero(labels == labels[members[_isolated_zero(evals)]])
+    vals, vecs = np.linalg.eig(m[np.ix_(sector, sector)])
+    v = np.zeros(n, dtype=complex)
+    v[sector] = vecs[:, np.argmin(np.abs(vals))]
     tr = v[:d].sum()
     if abs(tr) < 1e-14:
         raise NonUniqueSteadyStateError("null vector has (near-)zero trace")

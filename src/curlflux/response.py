@@ -370,12 +370,10 @@ def spectrum_to_csv(spectrum):
     are written as 0 when the split was not computed).  Full double
     precision so files are usable as regression goldens.
     """
-    lines = ["omega,re_full,im_full,im_eq,im_ne"]
     zeros = np.zeros(spectrum.omega.size)
     eq = spectrum.r_eq_term.imag if spectrum.r_eq_term is not None else zeros
     ne = spectrum.r_ne_term.imag if spectrum.r_ne_term is not None else zeros
-    for w, rf, ie, in_ in zip(spectrum.omega, spectrum.r_full, eq, ne):
-        lines.append(
-            "%.17g,%.17g,%.17g,%.17g,%.17g" % (w, rf.real, rf.imag, ie, in_)
-        )
-    return "\n".join(lines) + "\n"
+    rows = zip(spectrum.omega.tolist(), spectrum.r_full.real.tolist(),
+               spectrum.r_full.imag.tolist(), eq.tolist(), ne.tolist())
+    return ("omega,re_full,im_full,im_eq,im_ne\n"
+            + "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows)))

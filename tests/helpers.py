@@ -5,12 +5,21 @@ from scipy.linalg import expm
 
 from curlflux.liouville import (
     DissipationChannel,
+    _permutation,
     build_liouvillian,
+    devectorize,
     index_pairs,
     sectors,
     trace_vector,
+    vectorize,
 )
-from curlflux.reduction import NonDecayingCoherenceError, _eliminate
+from curlflux.reduction import (
+    NonDecayingCoherenceError,
+    NonUniqueSteadyStateError,
+    SteadyState,
+    _eliminate,
+    _null_vector,
+)
 
 
 def _superoperator(s):
@@ -50,6 +59,44 @@ def coherence_map(blocks):
 def effective_rate_matrix(blocks):
     """L = M_p - M_pc M_c^{-1} M_cp of the generator with these blocks."""
     return _eliminate(blocks, sectors(assemble(blocks)))[1]
+
+
+def kron_liouvillian(hamiltonian, channels):
+    """The generator as two Kronecker products plus one (d**2, n) @
+    (n, d**2) jump product, permuted to the package order."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    d = h.shape[0]
+    jumps, rates = [], []
+    for ch in channels:
+        for jump, rate in ((ch.raising, ch.rate_up),
+                           (ch.raising.conj().T, ch.rate_down)):
+            if rate != 0.0:
+                jumps.append(jump)
+                rates.append(rate)
+    jumps = np.array(jumps, dtype=complex).reshape(-1, d, d)
+    weighted = np.array(rates)[:, None, None] * jumps
+    h_eff = h - 0.5j * np.tensordot(jumps.conj(), weighted, axes=([0, 1], [0, 1]))
+    jump_sum = weighted.reshape(-1, d * d).T @ jumps.conj().reshape(-1, d * d)
+    jump_sum = jump_sum.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+    a, eye = -1j * h_eff, np.eye(d)
+    m = np.kron(a, eye) + np.kron(eye, a.conj()) + jump_sum
+    p = _permutation(d)
+    return m[np.ix_(p, p)]
+
+
+def dense_steady_state(m):
+    """Normalized, hermitized null vector of the full generator from one
+    dense eigendecomposition, with the library's uniqueness check."""
+    m = np.asarray(m, dtype=complex)
+    d = int(round(np.sqrt(m.shape[0])))
+    v = _null_vector(m)
+    tr = v[:d].sum()
+    if abs(tr) < 1e-14:
+        raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
+    rho = devectorize(v / tr)
+    v = vectorize(0.5 * (rho + rho.conj().T))
+    v = v / v[:d].sum().real
+    return SteadyState(vector=v, residual=float(np.linalg.norm(m @ v)))
 
 
 def random_hermitian(rng, dim, scale=1.0):

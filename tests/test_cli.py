@@ -10,11 +10,11 @@ import pytest
 import yaml
 
 import curlflux
-from curlflux import config, liouville, reduction, response
+from curlflux import cli, config, liouville, reduction, response
 from curlflux.cli import main
 from curlflux.flux import reconstruct_flux
 from curlflux.reduction import analyze
-from curlflux.response import ResolventSingularError, fluctuation_spectrum
+from curlflux.response import FdrReport, ResolventSingularError, fluctuation_spectrum
 
 from helpers import thermal_two_level
 
@@ -178,6 +178,28 @@ def test_fdr_check_thermal_two_level(tmp_path, capsys):
     assert "max residual" in capsys.readouterr().out
 
 
+def test_fdr_csv_bytes_match_per_row_formatter(tmp_path, monkeypatch):
+    omega = np.array([-0.0, 0.5, 1e-300, 2.0 / 3.0])
+    report = FdrReport(
+        omega=omega,
+        lhs=np.array([0.0, -0.0, -1.5e-17, np.pi]),
+        rhs=np.array([-0.0 - 0.0j, 1.0 - 0.0j, 0.1 + 1e17j, -2.5 + np.e * 1j]),
+        residual=np.array([0.0, 1.0, 0.1, 7.0 / 3.0]),
+        max_residual=7.0 / 3.0,
+    )
+    monkeypatch.setattr(cli, "check_equilibrium_fdr", lambda *args, **kw: report)
+    assert main(["fdr-check", "--config", bundled("fdr_twolevel.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    lines = ["omega,lhs,re_rhs,im_rhs,residual"]
+    for w, lhs, rhs, res in zip(report.omega, report.lhs, report.rhs,
+                                report.residual):
+        lines.append("%.17g,%.17g,%.17g,%.17g,%.17g"
+                     % (w, lhs, rhs.real, rhs.imag, res))
+    expected = "\n".join(lines) + "\n"
+    assert "-0," in expected
+    assert (tmp_path / "fdr_twolevel_fdr.csv").read_bytes() == expected.encode()
+
+
 def test_fdr_check_refuses_driven_junction(tmp_path, capsys):
     assert main(["fdr-check", "--config", bundled("junction_equilibrium.yaml"),
                  "--out", str(tmp_path)]) == 3
@@ -268,6 +290,77 @@ def test_bias_sweep_rejected_for_generic_model(tmp_path):
         "  bias: {mode: symmetric, dmu: [0.1]}\n"
     )
     assert main(["spectrum", "--config", str(cfg)]) == 2
+
+
+def test_flux_verdict_is_the_same_on_stdout_and_in_the_report(tmp_path, capsys):
+    # one rate off balance by 3e-12: max |t - t^T| = 3.3e-13, above the
+    # 1e-14 loop clamp and below the 1e-12 balance tolerance
+    cfg = tmp_path / "near.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n"
+        "    levels: {a: 0.0, b: 0.5, c: 1.2}\n"
+        "    channels:\n"
+        "      - {upper: b, lower: a, rate_up: 0.020000000003, rate_down: 0.02}\n"
+        "      - {upper: c, lower: b, rate_up: 0.02, rate_down: 0.02}\n"
+        "      - {upper: c, lower: a, rate_up: 0.02, rate_down: 0.02}\n"
+        "sweep:\n  omega: {values: [0.5]}\n"
+        "output: {directory: out, prefix: near}\n"
+    )
+    assert main(["flux", "--config", str(cfg), "--out", str(tmp_path)]) == 0
+    data = json.loads(read(tmp_path / "near_flux.json"))
+    assert 1e-14 < data["max_violation"] <= 1e-12
+    assert max(max(row) for row in data["curl_flux"]) > 1e-14
+    assert data["detailed_balance"] is True
+    assert "detailed balance: True" in capsys.readouterr().out
+
+
+def ladder_run_file(path, dim, seed=0):
+    """Generic run file of a driven ladder: nearest-neighbour channels
+    plus skips over every other level, rates log-uniform in [0.002, 0.05]."""
+    rng = np.random.default_rng(seed)
+    energies = np.concatenate([[0.0], np.cumsum(rng.uniform(0.2, 0.8, dim - 1))])
+    pairs = ([(k + 1, k) for k in range(dim - 1)]
+             + [(k + 2, k) for k in range(0, dim - 2, 2)])
+    rates = 0.002 * 25.0 ** rng.random((len(pairs), 2))
+    doc = {
+        "model": {"type": "generic", "generic": {
+            "levels": {"s%d" % k: float(e) for k, e in enumerate(energies)},
+            "channels": [{"upper": "s%d" % u, "lower": "s%d" % l,
+                          "rate_up": float(up), "rate_down": float(down)}
+                         for (u, l), (up, down) in zip(pairs, rates)],
+        }},
+        "sweep": {"omega": {"values": [0.5]}},
+        "output": {"directory": "out", "prefix": "ladder"},
+    }
+    path.write_text(yaml.safe_dump(doc))
+    return str(path)
+
+
+def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
+    # no eigendecomposition of a d**2 x d**2 matrix and no Kronecker
+    # product anywhere on the way, only per-sector blocks
+    dim = 16
+    cfg = ladder_run_file(tmp_path / "ladder.yaml", dim)
+    sizes, krons = [], []
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+
+        def watched(a, _real=real):
+            sizes.append(np.shape(a)[-1])
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, watched)
+    real_kron = np.kron
+
+    def watched_kron(a, b):
+        krons.append((np.shape(a), np.shape(b)))
+        return real_kron(a, b)
+
+    monkeypatch.setattr(np, "kron", watched_kron)
+    for command in ("validate", "flux"):
+        assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert sizes and max(sizes) < dim * dim
+    assert krons == []
 
 
 def test_validate_junction_config(capsys):

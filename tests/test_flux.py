@@ -14,9 +14,9 @@ from curlflux.flux import (
     split_operators,
 )
 from curlflux.junction import JUNCTION_LABELS, JunctionParams, build_junction
-from curlflux.reduction import rate_steady_state
+from curlflux.reduction import analyze, rate_steady_state
 
-from helpers import random_rate_matrix
+from helpers import random_ladder_model, random_lindblad_model, random_rate_matrix
 
 
 def stationary_pair(rng, dim):
@@ -146,6 +146,33 @@ def test_split_operators_three_cycle_hand_values():
 def test_split_operators_junction_completeness():
     model = build_junction(JunctionParams(mu_1=1.3, mu_2=0.7))
     assert np.abs(model.split.s_d + model.split.v_ss + 1.0).max() < 1e-12
+
+
+def per_state_split_operators(l, p, c):
+    """s_d and v_ss as one Python sum per state."""
+    d = p.size
+    s_d, v_ss = np.empty(d), np.empty(d)
+    for n in range(d):
+        ks = [k for k in range(d) if k != n]
+        s_d[n] = sum(min(l[n, k] * p[k] / p[n], l[k, n]) for k in ks) / l[n, n]
+        v_ss[n] = sum(c[k, n] for k in ks) / (l[n, n] * p[n])
+    return s_d, v_ss
+
+
+def test_split_operators_equal_per_state_sums_bit_for_bit():
+    rng = np.random.default_rng(25)
+    pairs = [stationary_pair(rng, dim) for dim in (2, 3, 7, 16, 24)]
+    for dim in (3, 12, 24):
+        l = analyze(random_ladder_model(rng, dim)[2]).l_matrix.real
+        pairs.append((l, rate_steady_state(l).vector))
+    for dim in (3, 8):
+        l = analyze(random_lindblad_model(rng, dim)[2]).l_matrix.real
+        pairs.append((l, rate_steady_state(l).vector))
+    for l, p in pairs:
+        decomposition = curl_flux(l, p)
+        got = split_operators(l, p, decomposition)
+        s_d, v_ss = per_state_split_operators(l, p, decomposition.c)
+        assert np.array_equal(got.s_d, s_d) and np.array_equal(got.v_ss, v_ss)
 
 
 def test_split_operators_reject_singular_diagonal():

@@ -19,10 +19,12 @@ from curlflux.junction import JunctionParams, build_junction
 from helpers import (
     assemble,
     commutator_superop,
+    kron_liouvillian,
     left_mult,
     propagate,
     random_density_matrix,
     random_hermitian,
+    random_ladder_model,
     random_lindblad_model,
     right_mult,
 )
@@ -150,6 +152,21 @@ def test_builder_matches_per_channel_oracle_dense_complex_jumps():
         assert_matches_per_channel_oracle(h, channels)
 
 
+def test_builder_matches_per_channel_oracle_mixed_sparsity_jumps():
+    # jumps with 1, 3, 2 and 25 non-zero entries side by side
+    rng = np.random.default_rng(10)
+    h = random_hermitian(rng, 5)
+    channels = []
+    for nnz in (1, 3, 2, 25):
+        raising = np.zeros(25, dtype=complex)
+        raising[rng.choice(25, size=nnz, replace=False)] = (
+            rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
+        channels.append(DissipationChannel(raising.reshape(5, 5),
+                                           *rng.uniform(0.01, 1.0, size=2)))
+    assert_matches_per_channel_oracle(h, channels)
+    assert_matches_per_channel_oracle(h, channels[::-1])
+
+
 def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 4)
@@ -167,6 +184,23 @@ def test_builder_matches_per_channel_oracle_on_junction():
         for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
             model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2), strict)
             assert_matches_per_channel_oracle(model.h_eff, model.channels)
+
+
+def test_builder_equals_kron_form_bit_for_bit():
+    # every jump here has one non-zero entry, so each generator entry gets
+    # at most one jump term and both forms round alike
+    inputs = []
+    for strict in (True, False):
+        for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
+            model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2), strict)
+            inputs.append((model.h_eff, model.channels))
+    for dim in (3, 8, 16, 24):
+        inputs.append(random_ladder_model(np.random.default_rng(dim), dim)[:2])
+    for dim in (3, 5, 8):
+        inputs.append(random_lindblad_model(np.random.default_rng(dim), dim)[:2])
+    for h, channels in inputs:
+        assert np.array_equal(build_liouvillian(h, channels),
+                              kron_liouvillian(h, channels))
 
 
 def test_builder_rejects_mismatched_channel_dimension():

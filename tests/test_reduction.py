@@ -22,6 +22,7 @@ from curlflux.reduction import (
 
 from helpers import (
     coherence_map,
+    dense_steady_state,
     effective_rate_matrix,
     memory_kernel,
     propagate,
@@ -189,7 +190,7 @@ def test_steady_state_properties_random_models():
 
 
 def _assert_matches_full_null_vector(m):
-    ref = steady_state(m).vector
+    ref = dense_steady_state(m).vector
     rho = analyze(m).rho_ss
     assert np.abs(rho.vector - ref).max() <= 1e-12 * np.abs(ref).max()
     assert rho.residual <= 1e-10
@@ -213,7 +214,28 @@ def test_analyze_steady_state_matches_full_generator_random(dim):
     assert np.array_equal(np.diag(rho), analysis.populations)
 
 
-def test_analyze_refuses_disconnected_generator():
+def _steady_state_cases():
+    for strict in (True, False):
+        for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
+            model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
+            yield "junction-%g-%g-%s" % (mu + (strict,)), model.m
+    for dim in (3, 5, 8):
+        yield "lindblad-%d" % dim, random_lindblad_model(
+            np.random.default_rng(30 + dim), dim=dim)[2]
+    for dim in (3, 8, 16, 24):
+        yield "ladder-%d" % dim, random_ladder_model(
+            np.random.default_rng(40 + dim), dim)[2]
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name)
+                               for name, m in _steady_state_cases()])
+def test_sectored_steady_state_matches_dense_oracle(m):
+    got, ref = steady_state(m), dense_steady_state(m)
+    assert np.abs(got.vector - ref.vector).max() <= 1e-12 * np.abs(ref.vector).max()
+    assert got.residual <= 1e-10
+
+
+def _disconnected_rate_graph():
     # two separate two-level pairs: every coherence decays, L has two zeros
     h = np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex)
     channels = []
@@ -221,8 +243,25 @@ def test_analyze_refuses_disconnected_generator():
         raising = np.zeros((4, 4), dtype=complex)
         raising[upper, lower] = 1.0
         channels.append(DissipationChannel(raising, 0.01, 0.02))
+    return build_liouvillian(h, channels)
+
+
+@pytest.mark.parametrize("m", [
+    _disconnected_rate_graph(),
+    # degenerate levels, no channel: every coherence is an undamped sector
+    build_liouvillian(np.eye(2, dtype=complex), []),
+], ids=["disconnected", "undamped-coherence"])
+def test_sectored_steady_state_refuses_like_dense_oracle(m):
+    with pytest.raises(NonUniqueSteadyStateError) as ref:
+        dense_steady_state(m)
+    with pytest.raises(NonUniqueSteadyStateError) as got:
+        steady_state(m)
+    assert str(got.value) == str(ref.value)
+
+
+def test_analyze_refuses_disconnected_generator():
     with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
-        analyze(build_liouvillian(h, channels))
+        analyze(_disconnected_rate_graph())
 
 
 def test_analyze_refuses_non_decaying_coherence():

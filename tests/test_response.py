@@ -22,6 +22,7 @@ from curlflux.response import (
     NotDetailedBalancedError,
     Probe,
     ResolventSingularError,
+    ResponseSpectrum,
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
@@ -470,6 +471,36 @@ def test_probe_rejects_non_hermitian_operators():
         Probe(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
     with pytest.raises(ValueError, match="Hermitian"):
         Probe(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+
+def per_row_spectrum_csv(spectrum):
+    lines = ["omega,re_full,im_full,im_eq,im_ne"]
+    zeros = np.zeros(spectrum.omega.size)
+    eq = spectrum.r_eq_term.imag if spectrum.r_eq_term is not None else zeros
+    ne = spectrum.r_ne_term.imag if spectrum.r_ne_term is not None else zeros
+    for w, rf, ie, in_ in zip(spectrum.omega, spectrum.r_full, eq, ne):
+        lines.append(
+            "%.17g,%.17g,%.17g,%.17g,%.17g" % (w, rf.real, rf.imag, ie, in_)
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_spectrum_csv_bytes_match_per_row_formatter():
+    params = JunctionParams(mu_1=1.0, mu_2=0.5)
+    v = dipole_operator(params)
+    split = response_split(Probe(v, v), build_junction(params),
+                           np.linspace(0.85, 1.15, 301))
+    m, v, _ = thermal_two_level()
+    full = linear_response_freq(Probe(v, v), analyze(m), np.linspace(-2, 2, 101))
+    signed = ResponseSpectrum(
+        omega=np.array([-0.0, 0.0, 1e-300, 2.0 / 3.0]),
+        r_full=np.array([-0.0 - 0.0j, 0.0 - 0.0j, -1e17 + 1.5e-17j, np.pi]),
+        r_eq_term=np.array([0.0 - 0.0j, 1j, -0.0j, np.e * 1j]),
+        r_ne_term=np.array([0.0j, -1j, 0.0j, -np.e * 1j]),
+    )
+    for spectrum in (split, full, signed):
+        assert spectrum_to_csv(spectrum) == per_row_spectrum_csv(spectrum)
+    assert "-0," in spectrum_to_csv(signed)
 
 
 def test_spectrum_csv_format():

@@ -25,10 +25,8 @@ from .junction import (
 from .liouville import (
     DissipationChannel,
     HilbertBasis,
-    SuperoperatorBlocks,
     build_liouvillian,
     devectorize,
-    partition,
     sectors,
     trace_vector,
     vectorize,
@@ -37,7 +35,6 @@ from .reduction import (
     Analysis,
     SteadyState,
     analyze,
-    rate_steady_state,
     steady_state,
 )
 from .response import (

@@ -29,7 +29,7 @@ from .config import ConfigError, build_generic_model, junction_sweep_points, loa
 from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
 from .junction import JUNCTION_LABELS, build_junction, dipole_operator
 from .liouville import trace_vector
-from .reduction import NonUniqueSteadyStateError, analyze, steady_state
+from .reduction import NonUniqueSteadyStateError, analyze
 from .response import (
     NotDetailedBalancedError,
     Probe,
@@ -163,16 +163,15 @@ def _check(name, ok, detail=""):
 def cmd_validate(config, args):
     """Invariant suite over the configured model.
 
-    The steady state checked here is the full generator's null vector,
-    an independent reference for the analysis's K and L.
+    The analysis's steady state is the full generator's null vector,
+    found without K and L, so it is an independent reference for them.
     """
     ok = True
     analysis, _ = _model(config, args.strict_paper_rates)
     m, l_matrix, k_map = analysis.m, analysis.l_matrix, analysis.k_map
     decomp, split = analysis.flux, analysis.split
-    d = analysis.blocks.dim
-    rho = steady_state(m)
-    pops = rho.vector[:d].real
+    rho, pops = analysis.rho_ss, analysis.populations
+    d = pops.size
     one = trace_vector(d)
     ok &= _check("trace preservation <<1|M = 0",
                  np.abs(one @ m).max() < 1e-12,

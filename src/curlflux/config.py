@@ -231,6 +231,13 @@ def load_config(path):
             bias_points.append(("mu%.4g_%.4g" % (mu1, mu2), mu1, mu2))
     if mtype == "junction" and not bias_points:
         bias_points.append(("run", junction.mu_1, junction.mu_2))
+    # points whose tags collide would overwrite each other's output file
+    seen = set()
+    for tag, _, _ in bias_points:
+        if tag in seen:
+            raise ConfigError("sweep.bias: two points share the output tag '%s'"
+                              % tag)
+        seen.add(tag)
 
     output = raw.get("output", {})
     _check_keys(output, {"directory", "prefix"}, "output")
@@ -245,6 +252,8 @@ def load_config(path):
         if epsilon <= 0:
             raise ConfigError("numerics.epsilon must be positive when given")
     db_tol = _float(numerics.get("db_tol", 1e-9), "numerics.db_tol")
+    if db_tol < 0:
+        raise ConfigError("numerics.db_tol must be non-negative")
 
     return RunConfig(
         model_type=mtype,

@@ -34,13 +34,11 @@ import numpy as np
 __all__ = [
     "HilbertBasis",
     "DissipationChannel",
-    "SuperoperatorBlocks",
     "index_pairs",
     "vectorize",
     "devectorize",
     "trace_vector",
     "build_liouvillian",
-    "partition",
     "sectors",
     "sector_blocks",
 ]
@@ -89,24 +87,6 @@ class DissipationChannel:
             raise ValueError("channel rates must be non-negative")
 
 
-@dataclass(frozen=True)
-class SuperoperatorBlocks:
-    """Population/coherence blocks of a Liouvillian.
-
-    m_p is (d, d), m_c is (d**2-d, d**2-d) and m_pc / m_cp are the
-    rectangular coupling blocks, all in the package index convention.
-    """
-
-    m_p: np.ndarray
-    m_pc: np.ndarray
-    m_cp: np.ndarray
-    m_c: np.ndarray
-
-    @property
-    def dim(self):
-        return self.m_p.shape[0]
-
-
 @lru_cache(maxsize=None)
 def index_pairs(dim):
     """Ordered (n, m) pairs: populations first, then row-major coherences."""
@@ -129,15 +109,13 @@ def _positions(dim):
     return pos.reshape(dim, dim)
 
 
-def vectorize(rho, basis=None):
+def vectorize(rho):
     """Flatten a density matrix into a population-first Liouville vector.
 
     Parameters
     ----------
     rho : (d, d) array_like
         Operator to vectorize (need not be a physical density matrix).
-    basis : HilbertBasis, optional
-        If given, the dimension is validated against it.
 
     Returns
     -------
@@ -146,22 +124,15 @@ def vectorize(rho, basis=None):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (rho.shape,))
-    if basis is not None and rho.shape[0] != basis.dim:
-        raise ValueError(
-            "matrix dimension %d does not match basis dimension %d"
-            % (rho.shape[0], basis.dim)
-        )
     return rho.reshape(-1)[_permutation(rho.shape[0])]
 
 
-def devectorize(vec, basis=None):
+def devectorize(vec):
     """Inverse of :func:`vectorize`."""
     vec = np.asarray(vec, dtype=complex)
     d = int(round(np.sqrt(vec.size)))
     if d * d != vec.size:
         raise ValueError("vector length %d is not a perfect square" % vec.size)
-    if basis is not None and d != basis.dim:
-        raise ValueError("vector dimension does not match basis")
     out = np.empty(d * d, dtype=complex)
     out[_permutation(d)] = vec
     return out.reshape(d, d)
@@ -250,24 +221,6 @@ def build_liouvillian(hamiltonian, channels):
     np.add.at(m, (pos[n[i], n[j]], pos[k[i], k[j]]),
               (rates[c] * vals)[i] * vals[j].conj())
     return m
-
-
-def partition(m):
-    """Split a Liouvillian into population/coherence blocks.
-
-    The matrix must use the package ordering (populations first).
-    """
-    m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n or m.shape != (n, n):
-        raise ValueError("expected a (d**2, d**2) matrix, got %r" % (m.shape,))
-    return SuperoperatorBlocks(
-        m_p=m[:d, :d].copy(),
-        m_pc=m[:d, d:].copy(),
-        m_cp=m[d:, :d].copy(),
-        m_c=m[d:, d:].copy(),
-    )
 
 
 def sectors(m):

@@ -1,24 +1,29 @@
-"""Coherence elimination and steady states.
+"""Coherence elimination and the steady state.
 
-Given the block-partitioned generator, the coherences are removed
-adiabatically: they relax to their stationary value K rho_p with
-K = -M_c^{-1} M_cp, which yields the effective population rate matrix
-L = M_p - M_pc M_c^{-1} M_cp.  L is exact at stationarity regardless of
-time-scale separation.
+The generator M is read in place through its population/coherence
+blocks, slices of M in the package order (populations first).  The
+coherences are removed adiabatically: they relax to their stationary
+value K rho_p with K = -M_c^{-1} M_cp, which yields the effective
+population rate matrix L = M_p - M_pc M_c^{-1} M_cp.  L is exact at
+stationarity regardless of time-scale separation.
 
 Only coherences that share a sector (:func:`~curlflux.liouville.sectors`)
 with a population have non-zero rows in K, so only they enter the solve;
 on a diagonal Hamiltonian there are none and K = 0 without a solve.
 
-`analyze` chains the whole reduction for one generator: K and L, the
-steady state, and on demand the curl flux and the split operators.
-:func:`steady_state` finds the null vector of the full generator
-independently of K and L, also sector by sector: the eigenvalues of every
-sector, then one eigendecomposition of the sector that holds the zero
-mode (on a diagonal Hamiltonian the d x d rate block, not the
-d**2 x d**2 generator).
+The steady state is the null vector of the full generator, found sector
+by sector (:func:`steady_state`): one eigendecomposition per sector size
+that holds a population and the eigenvalues of every other sector (on a
+diagonal Hamiltonian the d x d rate block, not the d**2 x d**2
+generator).  It does not depend on K and L, so it checks them.
+
+`analyze` chains the whole reduction for one generator: one sector
+labelling shared by the elimination, the steady state and the response
+spectra; K and L; the steady state; and on demand the curl flux and the
+split operators.
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -26,14 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flux import curl_flux, split_operators
-from .liouville import (
-    SuperoperatorBlocks,
-    devectorize,
-    partition,
-    sector_blocks,
-    sectors,
-    vectorize,
-)
+from .liouville import devectorize, sector_blocks, sectors, vectorize
 
 __all__ = [
     "Analysis",
@@ -42,7 +40,6 @@ __all__ = [
     "SteadyState",
     "analyze",
     "steady_state",
-    "rate_steady_state",
 ]
 
 
@@ -72,25 +69,35 @@ def _check_coherence_block(stacks, tol=1e-12):
         )
 
 
-def _eliminate(blocks, labels):
+def _dim(m):
+    """d of a (d**2, d**2) generator."""
+    n = m.shape[0]
+    d = math.isqrt(n)
+    if d * d != n or m.shape != (n, n):
+        raise ValueError("expected a (d**2, d**2) generator")
+    return d
+
+
+def _eliminate(m, labels):
     """(K, L) from one coherence-block check and one solve M_c X = M_cp:
     K = -X and L = M_p - M_pc X.
 
-    `labels` are the sectors of the whole generator.  The check takes the
-    eigenvalues of M_c sector by sector, and the solve only the rows of
-    coherences whose sector holds a population: every other row is 0.
+    `labels` are the sectors of m, whose blocks are read in place.  The
+    check takes the eigenvalues of M_c sector by sector, and the solve
+    only the rows of coherences whose sector holds a population: every
+    other row is 0.
     """
-    d, m_c = blocks.dim, blocks.m_c
-    coh = labels[d:]
+    d = _dim(m)
     _check_coherence_block([stack for _, stack in
-                            sector_blocks(m_c, coh, np.arange(coh.size))])
+                            sector_blocks(m, labels, np.arange(d, m.shape[0]))])
     # populations come first, so a sector holds one exactly when its
     # smallest index is below d
-    fed = np.flatnonzero(coh < d)
-    x = np.zeros(blocks.m_cp.shape, dtype=complex)
+    fed = np.flatnonzero(labels[d:] < d)
+    x = np.zeros((m.shape[0] - d, d), dtype=complex)
     if fed.size:
-        x[fed] = np.linalg.solve(m_c[np.ix_(fed, fed)], blocks.m_cp[fed])
-    return -x, blocks.m_p - blocks.m_pc @ x
+        rows = fed + d
+        x[fed] = np.linalg.solve(m[np.ix_(rows, rows)], m[rows, :d])
+    return -x, m[:d, :d] - m[:d, d:] @ x
 
 
 def _isolated_zero(evals, gap_ratio=1e3):
@@ -108,21 +115,51 @@ def _isolated_zero(evals, gap_ratio=1e3):
     return order[0]
 
 
-def _null_vector(m):
-    """Eigenvector of m for its isolated eigenvalue of smallest magnitude."""
-    evals, evecs = np.linalg.eig(m)
-    return evecs[:, _isolated_zero(evals)]
+def _steady_state(m, labels):
+    """:func:`steady_state` of m, given its sector labels."""
+    d, n = _dim(m), m.shape[0]
+    groups = []
+    for idx, blocks in sector_blocks(m, labels, np.arange(n)):
+        # a null vector with a trace lies in a sector holding a population,
+        # so only the sizes of such sectors pay for eigenvectors
+        if np.any(idx[:, 0] < d):
+            groups.append((idx, *np.linalg.eig(blocks)))
+        else:
+            groups.append((idx, np.linalg.eigvals(blocks), None))
+    k = _isolated_zero(np.concatenate([lam.ravel() for _, lam, _ in groups]))
+    for idx, lam, vecs in groups:
+        if k < lam.size:
+            break
+        k -= lam.size
+    row, col = divmod(k, lam.shape[1])
+    v = np.zeros(n, dtype=complex)
+    if vecs is not None:
+        v[idx[row]] = vecs[row, :, col]
+    tr = v[:d].sum()
+    if abs(tr) < 1e-14:
+        raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
+    v = v / tr
+    # null vectors of a physical generator are Hermitian up to rounding
+    rho = devectorize(v)
+    rho = 0.5 * (rho + rho.conj().T)
+    v = vectorize(rho)
+    v = v / v[:d].sum().real
+    residual = float(np.linalg.norm(m @ v))
+    return SteadyState(vector=v, residual=residual)
 
 
 def steady_state(m):
     """Stationary density matrix of a full Liouvillian.
 
     Works sector by sector (:func:`~curlflux.liouville.sectors`, found
-    here from m alone): the union of the sectors' eigenvalues is the
-    spectrum of m and takes the uniqueness check, and the null vector is
-    that of the one sector holding the eigenvalue of smallest magnitude,
+    here from m alone) in one pass: each sector size that holds a
+    population takes one batched eigendecomposition, every other size
+    only its eigenvalues.  The union of the eigenvalues is the spectrum
+    of m and takes the uniqueness check, and the null vector is the
+    eigenvector of the eigenvalue of smallest magnitude in its sector,
     zero elsewhere.  On a diagonal Hamiltonian that is one d x d
-    eigendecomposition plus d**2 - d scalars instead of one of size d**2.
+    eigendecomposition plus d**2 - d scalars instead of one of size
+    d**2; on a generator with one sector, one eigendecomposition of m.
 
     Parameters
     ----------
@@ -141,46 +178,8 @@ def steady_state(m):
         If the zero eigenvalue is degenerate or absent.
     """
     m = np.asarray(m, dtype=complex)
-    n = m.shape[0]
-    d = int(round(np.sqrt(n)))
-    if d * d != n:
-        raise ValueError("expected a (d**2, d**2) generator")
-    labels = sectors(m)
-    stacks = list(sector_blocks(m, labels, np.arange(n)))
-    evals = np.concatenate([np.linalg.eigvals(s).ravel() for _, s in stacks])
-    # entry k of evals belongs to the sector of index members[k]
-    members = np.concatenate([idx.ravel() for idx, _ in stacks])
-    sector = np.flatnonzero(labels == labels[members[_isolated_zero(evals)]])
-    vals, vecs = np.linalg.eig(m[np.ix_(sector, sector)])
-    v = np.zeros(n, dtype=complex)
-    v[sector] = vecs[:, np.argmin(np.abs(vals))]
-    tr = v[:d].sum()
-    if abs(tr) < 1e-14:
-        raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
-    v = v / tr
-    # null vectors of a physical generator are Hermitian up to rounding
-    rho = devectorize(v)
-    rho = 0.5 * (rho + rho.conj().T)
-    v = vectorize(rho)
-    v = v / v[:d].sum().real
-    residual = float(np.linalg.norm(m @ v))
-    return SteadyState(vector=v, residual=residual)
-
-
-def rate_steady_state(l_matrix):
-    """Stationary population vector of a rate matrix (columns sum to zero).
-
-    Returns
-    -------
-    SteadyState
-        Real population vector normalized to sum 1, plus ||L p||.
-    """
-    l_matrix = np.asarray(l_matrix, dtype=complex)
-    v = _null_vector(l_matrix)
-    v = v / v.sum()
-    p = v.real
-    residual = float(np.linalg.norm(l_matrix @ p))
-    return SteadyState(vector=p, residual=residual)
+    _dim(m)
+    return _steady_state(m, sectors(m))
 
 
 @dataclass(frozen=True)
@@ -188,13 +187,14 @@ class Analysis:
     """Everything the reduction derives from one generator.
 
     `sectors` are the :func:`~curlflux.liouville.sectors` labels of m,
-    found once and shared by the elimination and the response spectra.
-    `flux` and `split` are computed on first use: they need strictly
-    positive populations, which the response spectra do not.
+    found once and shared by the elimination, the steady state and the
+    response spectra.  `rho_ss` is the null vector of m, and
+    `populations` is its diagonal.  `flux` and `split` are computed on
+    first use: they need strictly positive populations, which the
+    response spectra do not.
     """
 
     m: np.ndarray
-    blocks: SuperoperatorBlocks
     k_map: np.ndarray
     l_matrix: np.ndarray
     rho_ss: SteadyState
@@ -215,33 +215,29 @@ class Analysis:
 def analyze(m):
     """Reduce a generator and decompose its steady state.
 
-    The populations p are the stationary vector of L (with the
-    eigen-gap uniqueness check of :func:`rate_steady_state`) and the
-    steady state is rho_ss = [p; K p], hermitized.  This is exact: with
-    M_c non-singular, M [p; K p] = [L p; 0], so the null spaces of M and
-    L correspond one to one.
+    m is labelled into sectors once.  K and L come from the elimination,
+    and the steady state rho_ss is the null vector of m itself, from the
+    routine behind :func:`steady_state`; the populations are its
+    diagonal.  With M_c non-singular, M [p; K p] = [L p; 0], so the null
+    spaces of M and L correspond one to one and L p = 0.
 
     Raises
     ------
     NonDecayingCoherenceError
         If the coherence block is singular.
     NonUniqueSteadyStateError
-        If L has no isolated zero eigenvalue.
+        If m has no isolated zero eigenvalue.
     """
     m = np.asarray(m, dtype=complex)
-    blocks = partition(m)
+    d = _dim(m)
     labels = sectors(m)
-    k_map, l_matrix = _eliminate(blocks, labels)
-    p = rate_steady_state(l_matrix).vector
-    rho = devectorize(np.concatenate([p, k_map @ p]))
-    v = vectorize(0.5 * (rho + rho.conj().T))
+    k_map, l_matrix = _eliminate(m, labels)
+    rho_ss = _steady_state(m, labels)
     return Analysis(
         m=m,
-        blocks=blocks,
         k_map=k_map,
         l_matrix=l_matrix,
-        rho_ss=SteadyState(vector=v, residual=float(np.linalg.norm(m @ v))),
-        populations=p,
+        rho_ss=rho_ss,
+        populations=rho_ss.vector[:d].real,
         sectors=labels,
     )
-

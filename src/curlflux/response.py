@@ -263,8 +263,8 @@ def response_split(probe, analysis, omegas, epsilon=None):
         r_full, r_eq_term and r_ne_term, with
         r_eq_term + r_ne_term == r_full up to rounding.
     """
-    d = analysis.blocks.dim
     pops = analysis.populations
+    d = pops.size
     # W = I + K lifts population vectors into Liouville space
     lift = np.vstack([np.eye(d), analysis.k_map])
     states = np.column_stack([

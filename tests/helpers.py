@@ -18,7 +18,7 @@ from curlflux.reduction import (
     NonUniqueSteadyStateError,
     SteadyState,
     _eliminate,
-    _null_vector,
+    _isolated_zero,
 )
 
 
@@ -46,19 +46,37 @@ def commutator_superop(op):
     return left_mult(op) - right_mult(op)
 
 
-def assemble(blocks):
-    """Rebuild the full Liouvillian from its four blocks."""
-    return np.block([[blocks.m_p, blocks.m_pc], [blocks.m_cp, blocks.m_c]])
+def generator_blocks(m):
+    """(M_p, M_pc, M_cp, M_c): the population/coherence blocks of a
+    generator in the package order, as views."""
+    d = int(round(np.sqrt(m.shape[0])))
+    return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
-def coherence_map(blocks):
-    """K = -M_c^{-1} M_cp of the generator with these blocks."""
-    return _eliminate(blocks, sectors(assemble(blocks)))[0]
+def coherence_map(m):
+    """K = -M_c^{-1} M_cp of the generator m."""
+    return _eliminate(m, sectors(m))[0]
 
 
-def effective_rate_matrix(blocks):
-    """L = M_p - M_pc M_c^{-1} M_cp of the generator with these blocks."""
-    return _eliminate(blocks, sectors(assemble(blocks)))[1]
+def effective_rate_matrix(m):
+    """L = M_p - M_pc M_c^{-1} M_cp of the generator m."""
+    return _eliminate(m, sectors(m))[1]
+
+
+def null_vector(m):
+    """Eigenvector of m for its isolated eigenvalue of smallest magnitude,
+    from one dense eigendecomposition."""
+    evals, evecs = np.linalg.eig(m)
+    return evecs[:, _isolated_zero(evals)]
+
+
+def rate_steady_state(l_matrix):
+    """Stationary population vector of a rate matrix (columns sum to zero),
+    normalized to sum 1, with ||L p||."""
+    l_matrix = np.asarray(l_matrix, dtype=complex)
+    v = null_vector(l_matrix)
+    p = (v / v.sum()).real
+    return SteadyState(vector=p, residual=float(np.linalg.norm(l_matrix @ p)))
 
 
 def kron_liouvillian(hamiltonian, channels):
@@ -89,7 +107,7 @@ def dense_steady_state(m):
     dense eigendecomposition, with the library's uniqueness check."""
     m = np.asarray(m, dtype=complex)
     d = int(round(np.sqrt(m.shape[0])))
-    v = _null_vector(m)
+    v = null_vector(m)
     tr = v[:d].sum()
     if abs(tr) < 1e-14:
         raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
@@ -208,12 +226,13 @@ def linear_response_time(probe, m, rho_ss, t, stationary_tol=1e-8):
     return -1j * (one @ (left_mult(probe.observable) @ evolved))
 
 
-def memory_kernel(blocks, s):
-    """Frequency-domain kernel M_pc (s - M_c)^{-1} M_cp at Laplace point s."""
-    n = blocks.m_c.shape[0]
-    a = s * np.eye(n) - blocks.m_c
+def memory_kernel(m, s):
+    """Frequency-domain kernel M_pc (s - M_c)^{-1} M_cp of the generator m
+    at Laplace point s."""
+    _, m_pc, m_cp, m_c = generator_blocks(m)
+    a = s * np.eye(m_c.shape[0]) - m_c
     if 1.0 / np.linalg.cond(a) < 1e-13:
         raise NonDecayingCoherenceError(
             "resolvent singular at s = %s (s hits a coherence eigenvalue)" % s
         )
-    return blocks.m_pc @ np.linalg.solve(a, blocks.m_cp)
+    return m_pc @ np.linalg.solve(a, m_cp)

@@ -102,9 +102,13 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC.split("    channels:")[0] + "    channels: 3\n" + OMEGA,
     GENERIC + "sweep:\n  omega: {values: 0.5}\n",
     GENERIC.replace("rate_up: 0.01", "rate_up: true") + OMEGA,
+    GENERIC + "    temperature: 0.3\n" + OMEGA + "numerics: {db_tol: -1.0}\n",
+    "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
+    + "  bias:\n    dmu: [0.12341, 0.12344]\n"
+    "    extra_pairs: [[1.0, 0.5], [1.00001, 0.5]]\n",
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
-        "boolean-rate"])
+        "boolean-rate", "negative-db-tol", "colliding-tags"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -338,15 +342,16 @@ def ladder_run_file(path, dim, seed=0):
 
 def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
     # no eigendecomposition of a d**2 x d**2 matrix and no Kronecker
-    # product anywhere on the way, only per-sector blocks
+    # product anywhere on the way, only per-sector blocks, and one
+    # eigendecomposition per command: the steady state's, of the rate block
     dim = 16
     cfg = ladder_run_file(tmp_path / "ladder.yaml", dim)
-    sizes, krons = [], []
+    calls, krons = [], []
     for name in ("eig", "eigvals"):
         real = getattr(np.linalg, name)
 
-        def watched(a, _real=real):
-            sizes.append(np.shape(a)[-1])
+        def watched(a, _real=real, _name=name):
+            calls.append((_name, np.shape(a)[-1]))
             return _real(a)
 
         monkeypatch.setattr(np.linalg, name, watched)
@@ -358,8 +363,10 @@ def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
 
     monkeypatch.setattr(np, "kron", watched_kron)
     for command in ("validate", "flux"):
+        calls.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
-    assert sizes and max(sizes) < dim * dim
+        assert calls and max(size for _, size in calls) < dim * dim
+        assert [call for call in calls if call[0] == "eig"] == [("eig", dim)]
     assert krons == []
 
 

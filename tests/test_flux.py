@@ -14,9 +14,14 @@ from curlflux.flux import (
     split_operators,
 )
 from curlflux.junction import JUNCTION_LABELS, JunctionParams, build_junction
-from curlflux.reduction import analyze, rate_steady_state
+from curlflux.reduction import analyze
 
-from helpers import random_ladder_model, random_lindblad_model, random_rate_matrix
+from helpers import (
+    random_ladder_model,
+    random_lindblad_model,
+    random_rate_matrix,
+    rate_steady_state,
+)
 
 
 def stationary_pair(rng, dim):

@@ -17,6 +17,8 @@ from curlflux.junction import (
 )
 from curlflux.liouville import index_pairs
 
+from helpers import generator_blocks
+
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
 
 
@@ -92,18 +94,19 @@ def test_params_enforce_level_ordering_and_single_gamma():
 def test_blocks_match_closed_forms_reference_point():
     model = build_junction(reference_params(1.0, 0.5))
     m_p, m_pc, m_cp, m_c, k, l = printed_blocks(model.params)
+    got_p, got_pc, got_cp, got_c = generator_blocks(model.m)
     r12, r21 = excited_coherence_rows()
     rows = [r12, r21]
-    assert np.abs(model.blocks.m_p - m_p).max() < 1e-12
-    assert np.abs(model.blocks.m_pc[:, rows] - m_pc).max() < 1e-12
-    assert np.abs(model.blocks.m_cp[rows, :] - m_cp).max() < 1e-12
-    assert np.abs(model.blocks.m_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
+    assert np.abs(got_p - m_p).max() < 1e-12
+    assert np.abs(got_pc[:, rows] - m_pc).max() < 1e-12
+    assert np.abs(got_cp[rows, :] - m_cp).max() < 1e-12
+    assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
     assert np.abs(model.k_map[rows, :] - k).max() < 1e-12
     assert np.abs(model.l_matrix - l).max() < 1e-12
     # populations talk only to the excited coherence pair
     other = [i for i in range(6) if i not in rows]
-    assert np.abs(model.blocks.m_pc[:, other]).max() == 0.0
-    assert np.abs(model.blocks.m_cp[other, :]).max() == 0.0
+    assert np.abs(got_pc[:, other]).max() == 0.0
+    assert np.abs(got_cp[other, :]).max() == 0.0
     assert np.abs(model.k_map[other, :]).max() == 0.0
 
 
@@ -126,10 +129,11 @@ def test_blocks_match_closed_forms_random_draws():
         )
         model = build_junction(params)
         m_p, m_pc, m_cp, m_c, k, l = printed_blocks(params)
-        assert np.abs(model.blocks.m_p - m_p).max() < 1e-12
-        assert np.abs(model.blocks.m_pc[:, rows] - m_pc).max() < 1e-12
-        assert np.abs(model.blocks.m_cp[rows, :] - m_cp).max() < 1e-12
-        assert np.abs(model.blocks.m_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
+        got_p, got_pc, got_cp, got_c = generator_blocks(model.m)
+        assert np.abs(got_p - m_p).max() < 1e-12
+        assert np.abs(got_pc[:, rows] - m_pc).max() < 1e-12
+        assert np.abs(got_cp[rows, :] - m_cp).max() < 1e-12
+        assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
         assert np.abs(model.k_map[rows, :] - k).max() < 1e-12
         assert np.abs(model.l_matrix - l).max() < 1e-12
 

@@ -9,7 +9,6 @@ from curlflux.liouville import (
     build_liouvillian,
     devectorize,
     index_pairs,
-    partition,
     sector_blocks,
     sectors,
     trace_vector,
@@ -17,7 +16,6 @@ from curlflux.liouville import (
 )
 from curlflux.junction import JunctionParams, build_junction
 from helpers import (
-    assemble,
     commutator_superop,
     kron_liouvillian,
     left_mult,
@@ -43,7 +41,7 @@ def test_vectorize_matrix_unit_hits_single_coherence_slot():
     basis = HilbertBasis(("g", "e1", "e2"))
     rho = np.zeros((3, 3), dtype=complex)
     rho[basis.index("g"), basis.index("e1")] = 1.0
-    v = vectorize(rho, basis)
+    v = vectorize(rho)
     slot = index_pairs(basis.dim).index((basis.index("g"), basis.index("e1")))
     expected = np.zeros(9)
     expected[slot] = 1.0
@@ -55,11 +53,6 @@ def test_vectorize_roundtrip_is_exact():
     for dim in (2, 3, 5):
         rho = random_hermitian(rng, dim)
         assert np.array_equal(devectorize(vectorize(rho)), rho)
-
-
-def test_vectorize_rejects_mismatched_basis():
-    with pytest.raises(ValueError):
-        vectorize(np.eye(2), HilbertBasis(("a", "b", "c")))
 
 
 def test_inner_product_trace_normalization():
@@ -246,19 +239,6 @@ def test_thermal_rates_admit_gibbs_stationary_state():
     gibbs = np.exp(-energies / temperature)
     gibbs /= gibbs.sum()
     assert np.abs(m @ vectorize(np.diag(gibbs))).max() < 1e-10
-
-
-def test_partition_reassembles_exactly():
-    rng = np.random.default_rng(6)
-    m = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
-    assert np.array_equal(assemble(partition(m)), m)
-
-
-def test_partition_of_diagonal_superoperator_has_zero_couplings():
-    m = np.diag(np.arange(9, dtype=complex))
-    blocks = partition(m)
-    assert np.abs(blocks.m_pc).max() == 0.0
-    assert np.abs(blocks.m_cp).max() == 0.0
 
 
 @settings(max_examples=150, deadline=None)

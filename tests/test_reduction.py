@@ -8,7 +8,6 @@ from curlflux.liouville import (
     DissipationChannel,
     build_liouvillian,
     devectorize,
-    partition,
     vectorize,
 )
 from curlflux.reduction import (
@@ -16,7 +15,6 @@ from curlflux.reduction import (
     NonDecayingCoherenceError,
     NonUniqueSteadyStateError,
     analyze,
-    rate_steady_state,
     steady_state,
 )
 
@@ -24,32 +22,32 @@ from helpers import (
     coherence_map,
     dense_steady_state,
     effective_rate_matrix,
+    generator_blocks,
     memory_kernel,
     propagate,
     random_ladder_model,
     random_lindblad_model,
+    rate_steady_state,
 )
 
 
-def random_blocks(rng, d=3):
-    _, _, m = random_lindblad_model(rng, dim=d)
-    return partition(m)
+def random_generator(rng, d=3):
+    return random_lindblad_model(rng, dim=d)[2]
 
 
 def test_coherence_map_defining_residual():
     rng = np.random.default_rng(10)
     for _ in range(10):
-        blocks = random_blocks(rng)
-        k = coherence_map(blocks)
-        assert np.abs(blocks.m_c @ k + blocks.m_cp).max() < 1e-12
+        m = random_generator(rng)
+        _, _, m_cp, m_c = generator_blocks(m)
+        k = coherence_map(m)
+        assert np.abs(m_c @ k + m_cp).max() < 1e-12
 
 
 def test_coherence_map_vanishes_without_coupling():
     rng = np.random.default_rng(11)
-    blocks = random_blocks(rng)
-    from dataclasses import replace
-
-    uncoupled = replace(blocks, m_cp=np.zeros_like(blocks.m_cp))
+    uncoupled = random_generator(rng)
+    uncoupled[3:, :3] = 0.0
     assert np.abs(coherence_map(uncoupled)).max() == 0.0
 
 
@@ -57,48 +55,48 @@ def test_non_decaying_coherence_raises():
     # degenerate levels without dissipation: the coherence block is zero
     m = build_liouvillian(np.eye(2, dtype=complex), [])
     with pytest.raises(NonDecayingCoherenceError, match="singular"):
-        coherence_map(partition(m))
+        coherence_map(m)
 
 
 def test_effective_rate_matrix_columns_sum_to_zero():
     rng = np.random.default_rng(12)
     for _ in range(10):
-        l = effective_rate_matrix(random_blocks(rng))
+        l = effective_rate_matrix(random_generator(rng))
         assert np.abs(l.sum(axis=0)).max() < 1e-12
         assert np.abs(l.imag).max() < 1e-10
 
 
 def test_effective_rate_matrix_reduces_to_population_block_without_hopping():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8, delta=0.0))
-    assert np.abs(model.l_matrix - model.blocks.m_p).max() < 1e-15
+    assert np.abs(model.l_matrix - model.m[:3, :3]).max() < 1e-15
 
 
 def test_memory_kernel_decays_at_large_laplace_argument():
     rng = np.random.default_rng(13)
-    blocks = random_blocks(rng)
-    assert np.linalg.norm(memory_kernel(blocks, 1e8)) < 1e-6
+    m = random_generator(rng)
+    assert np.linalg.norm(memory_kernel(m, 1e8)) < 1e-6
 
 
 def test_memory_kernel_at_zero_matches_rate_correction():
     rng = np.random.default_rng(14)
     for _ in range(5):
-        blocks = random_blocks(rng)
-        l = effective_rate_matrix(blocks)
-        assert np.abs(memory_kernel(blocks, 0.0) + blocks.m_p - l).max() < 1e-12
+        m = random_generator(rng)
+        l = effective_rate_matrix(m)
+        assert np.abs(memory_kernel(m, 0.0) + m[:3, :3] - l).max() < 1e-12
 
 
 def test_memory_kernel_imaginary_axis_profile():
     # sweep along s = i w: kernel magnitude peaks where the coherence
     # frequencies sit, and matches the eigendecomposition evaluation
     model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
-    blocks = model.blocks
-    evals, evecs = np.linalg.eig(blocks.m_c)
+    _, m_pc, m_cp, m_c = generator_blocks(model.m)
+    evals, evecs = np.linalg.eig(m_c)
     vinv = np.linalg.inv(evecs)
     ws = np.linspace(-0.3, 0.3, 241)
     norms = np.empty(ws.size)
     for i, w in enumerate(ws):
-        kernel = memory_kernel(blocks, 1j * w)
-        oracle = blocks.m_pc @ (evecs @ np.diag(1.0 / (1j * w - evals)) @ vinv) @ blocks.m_cp
+        kernel = memory_kernel(model.m, 1j * w)
+        oracle = m_pc @ (evecs @ np.diag(1.0 / (1j * w - evals)) @ vinv) @ m_cp
         assert np.abs(kernel - oracle).max() < 1e-13
         norms[i] = np.linalg.norm(kernel)
     peak = abs(ws[np.argmax(norms)])
@@ -107,10 +105,10 @@ def test_memory_kernel_imaginary_axis_profile():
 
 def test_memory_kernel_singular_laplace_point():
     rng = np.random.default_rng(19)
-    blocks = random_blocks(rng)
-    pole = np.linalg.eigvals(blocks.m_c)[0]
+    m = random_generator(rng)
+    pole = np.linalg.eigvals(generator_blocks(m)[3])[0]
     with pytest.raises(NonDecayingCoherenceError, match="resolvent"):
-        memory_kernel(blocks, pole)
+        memory_kernel(m, pole)
 
 
 def test_two_state_steady_balance():
@@ -180,12 +178,11 @@ def test_steady_state_properties_random_models():
         ss = steady_state(m)
         assert ss.residual < 1e-12
         assert ss.vector[:d].sum().real == pytest.approx(1.0, abs=1e-13)
-        blocks = partition(m)
-        k = coherence_map(blocks)
+        k = coherence_map(m)
         # stationarity makes the coherences an exact image of the populations
         assert np.abs(ss.vector[d:] - k @ ss.vector[:d]).max() < 1e-10
         # and the reduced rate matrix annihilates the stationary populations
-        l = effective_rate_matrix(blocks)
+        l = effective_rate_matrix(m)
         assert np.abs(l @ ss.vector[:d]).max() < 1e-10
 
 
@@ -259,6 +256,24 @@ def test_sectored_steady_state_refuses_like_dense_oracle(m):
     assert str(got.value) == str(ref.value)
 
 
+def test_steady_state_decomposes_a_one_sector_generator_once(monkeypatch):
+    # a dense Hamiltonian joins every index into one sector: its null
+    # vector costs one eigendecomposition and no separate eigenvalue pass
+    _, _, m = random_lindblad_model(np.random.default_rng(50), dim=4)
+    calls = []
+    for name in ("eig", "eigvals"):
+        real = getattr(np.linalg, name)
+
+        def watched(a, _real=real, _name=name):
+            calls.append((_name, np.shape(a)[-1]))
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, name, watched)
+    ss = steady_state(m)
+    assert calls == [("eig", 16)]
+    assert ss.residual <= 1e-12
+
+
 def test_analyze_refuses_disconnected_generator():
     with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
         analyze(_disconnected_rate_graph())
@@ -303,18 +318,19 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
     analysis = analyze(m)
     assert solves == []
     assert not np.any(analysis.k_map)
-    assert np.array_equal(analysis.l_matrix, analysis.blocks.m_p)
+    assert np.array_equal(analysis.l_matrix, analysis.m[:12, :12])
     # the junction's populations share a sector with rho_e1e2 and rho_e2e1
     model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
     assert solves == [(2, 2)]
-    dense = -solve(model.blocks.m_c, model.blocks.m_cp)
+    _, _, m_cp, m_c = generator_blocks(model.m)
+    dense = -solve(m_c, m_cp)
     assert np.abs(model.k_map - dense).max() <= 1e-14 * np.abs(dense).max()
     # a sector whose only population is the last one still enters the solve
     m = np.diag(-1.0 - 0.5j * np.arange(9))
     m[5, 2], m[2, 5] = 0.3, 0.1
-    blocks = partition(m)
-    dense = -solve(blocks.m_c, blocks.m_cp)
-    assert np.abs(coherence_map(blocks) - dense).max() <= 1e-15
+    _, _, m_cp, m_c = generator_blocks(m)
+    dense = -solve(m_c, m_cp)
+    assert np.abs(coherence_map(m) - dense).max() <= 1e-15
     assert np.abs(dense[2]).max() > 0.1
 
 

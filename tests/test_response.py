@@ -148,7 +148,7 @@ ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 @pytest.mark.parametrize("key", ORACLE_MODELS, ids=str)
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
-    m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.blocks.dim
+    m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.populations.size
     probe = Probe(v, v)
     pops, split = analysis.populations, analysis.split
     lift = np.vstack([np.eye(d), analysis.k_map])

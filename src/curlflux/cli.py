@@ -52,16 +52,17 @@ NUMERICAL_ERRORS = (
 )
 
 
-def _write(path, text):
-    os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(text)
+def _write(config, args, suffix, text):
+    """Write text to the file <prefix><suffix> in the output directory,
+    which --out overrides."""
+    path = os.path.join(args.out or config.out_dir, config.prefix + suffix)
+    try:
+        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+        with open(path, "w") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise ConfigError("cannot write %s: %s" % (path, exc)) from None
     print("wrote %s" % path)
-
-
-def _out_path(config, out_override, name):
-    base = out_override if out_override else config.out_dir
-    return os.path.join(base, name)
 
 
 def _bool_flag(value):
@@ -102,18 +103,12 @@ def cmd_spectrum(config, args):
                 Probe(v, v), build_junction(params, args.strict_paper_rates),
                 config.omega_grid, epsilon=config.epsilon,
             )
-            _write(
-                _out_path(config, args.out, "%s_%s.csv" % (config.prefix, tag)),
-                spectrum_to_csv(spectrum),
-            )
+            _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
         return
     analysis, v = _model(config, args.strict_paper_rates)
     spec = linear_response_freq(Probe(v, v), analysis, config.omega_grid,
                                 epsilon=config.epsilon)
-    _write(
-        _out_path(config, args.out, "%s_spectrum.csv" % config.prefix),
-        spectrum_to_csv(spec),
-    )
+    _write(config, args, "_spectrum.csv", spectrum_to_csv(spec))
 
 
 def cmd_flux(config, args):
@@ -132,7 +127,7 @@ def cmd_flux(config, args):
         )
     report = render_flux_report(model.flux, model.split, labels=_labels(config),
                                 extra=extra)
-    _write(_out_path(config, args.out, "%s_flux.json" % config.prefix), report)
+    _write(config, args, "_flux.json", report)
     print("detailed balance: %s (max violation %.6e)" % (balanced, violation))
 
 
@@ -149,8 +144,7 @@ def cmd_fdr_check(config, args):
     rows = zip(report.omega.tolist(), report.lhs.tolist(),
                report.rhs.real.tolist(), report.rhs.imag.tolist(),
                report.residual.tolist())
-    _write(_out_path(config, args.out, "%s_fdr.csv" % config.prefix),
-           "omega,lhs,re_rhs,im_rhs,residual\n"
+    _write(config, args, "_fdr.csv", "omega,lhs,re_rhs,im_rhs,residual\n"
            + "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows)))
     print("max residual: %.6e" % report.max_residual)
 

@@ -27,7 +27,9 @@ A run file has four sections::
       epsilon: null         # resolvent regularization
       db_tol: 1.0e-9        # detailed-balance tolerance for fdr-check
 
-Unknown keys raise errors so typos do not silently change a run.
+Unknown keys raise errors so typos do not silently change a run, and
+so do keys another key would leave unread: sweep.omega.values beside
+min/max/points, and center or dmu under bias mode 'fixed'.
 """
 
 from dataclasses import dataclass
@@ -112,6 +114,8 @@ def _float(value, path):
 def _omega_grid(section):
     _check_keys(section, {"min", "max", "points", "values"}, "sweep.omega")
     if "values" in section:
+        if len(section) > 1:
+            raise ConfigError("sweep.omega takes values or min/max/points, not both")
         grid = np.asarray([_float(v, "sweep.omega.values")
                            for v in _list(section, "values", "sweep.omega")])
     else:
@@ -216,6 +220,8 @@ def load_config(path):
         mode = bias.get("mode", "symmetric")
         if mode not in ("symmetric", "fixed"):
             raise ConfigError("sweep.bias.mode must be 'symmetric' or 'fixed'")
+        if mode == "fixed" and {"center", "dmu"} & set(bias):
+            raise ConfigError("sweep.bias.mode 'fixed' takes no center or dmu")
         if mode == "symmetric":
             center = _float(bias.get("center", 1.0), "sweep.bias.center")
             for dmu in _list(bias, "dmu", "sweep.bias"):

@@ -22,8 +22,9 @@ Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118
 gives the d x d rate block plus one 1 x 1 block per coherence; the
 junction gives blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 :func:`sectors` finds them in one O(d**4) scan of the pattern (1 ms at
-d = 24 on a 2-core host), and :func:`sector_blocks` stacks equal sizes
-for numpy.linalg.
+d = 24 on a 2-core host), and :func:`sector_modes` diagonalizes every
+sector once, equal sizes stacked into one numpy.linalg.eig call, for the
+steady state, the coherence check and every spectrum to share.
 """
 
 from dataclasses import dataclass
@@ -40,7 +41,7 @@ __all__ = [
     "trace_vector",
     "build_liouvillian",
     "sectors",
-    "sector_blocks",
+    "sector_modes",
 ]
 
 
@@ -246,21 +247,27 @@ def sectors(m):
             return label
 
 
-def sector_blocks(m, labels, indices):
-    """Split `indices` by sector and stack the blocks of equal size.
+def sector_modes(m, labels):
+    """Eigendecomposition of every sector of m, equal sizes stacked.
 
-    Yields one (idx, blocks) pair per distinct size, smallest first: idx
-    is a (count, size) integer array whose rows hold the chosen indices
-    of one sector in increasing order, and blocks = m[idx_r, idx_r] for
-    each row, a (count, size, size) stack that one batched numpy.linalg
-    call takes whole.
+    Returns one (idx, lam, vecs) triple per distinct sector size,
+    smallest first: idx is a (count, size) integer array whose rows hold
+    the indices of one sector in increasing order, and for each row r
+    m[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r], with lam a (count,
+    size) stack of eigenvalues and vecs a (count, size, size) stack of
+    eigenvectors.  Sizes above 1 take one batched numpy.linalg.eig; a
+    1 x 1 sector is its own eigenvalue, with eigenvector 1, and needs no
+    call.
     """
-    indices = np.asarray(indices, dtype=int)
-    chosen = labels[indices]
-    sizes = np.bincount(chosen)
-    ordered = indices[np.argsort(chosen, kind="stable")]
+    sizes = np.bincount(labels)
+    ordered = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
+    modes = []
     for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
         idx = ordered[starts[sizes == size][:, None] + np.arange(size)]
-        yield idx, m[idx[:, :, None], idx[:, None, :]]
-
+        blocks = m[idx[:, :, None], idx[:, None, :]]
+        if size == 1:
+            modes.append((idx, blocks[:, 0], np.ones_like(blocks)))
+        else:
+            modes.append((idx, *np.linalg.eig(blocks)))
+    return modes

@@ -11,16 +11,16 @@ Only coherences that share a sector (:func:`~curlflux.liouville.sectors`)
 with a population have non-zero rows in K, so only they enter the solve;
 on a diagonal Hamiltonian there are none and K = 0 without a solve.
 
-The steady state is the null vector of the full generator, found sector
-by sector (:func:`steady_state`): one eigendecomposition per sector size
-that holds a population and the eigenvalues of every other sector (on a
-diagonal Hamiltonian the d x d rate block, not the d**2 x d**2
-generator).  It does not depend on K and L, so it checks them.
+The steady state is the null vector of the full generator, read from
+the modes of its sectors (:func:`~curlflux.liouville.sector_modes`; on a
+diagonal Hamiltonian one eigendecomposition of the d x d rate block, not
+of the d**2 x d**2 generator).  It does not depend on K and L, so it
+checks them.
 
-`analyze` chains the whole reduction for one generator: one sector
-labelling shared by the elimination, the steady state and the response
-spectra; K and L; the steady state; and on demand the curl flux and the
-split operators.
+`analyze` chains the whole reduction for one generator: one
+diagonalization of its sectors, shared by the coherence check, the
+steady state and the response spectra; K and L; the steady state; and
+on demand the curl flux and the split operators.
 """
 
 import math
@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flux import curl_flux, split_operators
-from .liouville import devectorize, sector_blocks, sectors, vectorize
+from .liouville import devectorize, sector_modes, sectors, vectorize
 
 __all__ = [
     "Analysis",
@@ -57,9 +57,8 @@ class SteadyState(NamedTuple):
     residual: float
 
 
-def _check_coherence_block(stacks, tol=1e-12):
-    """Refuse a (near-)singular M_c, given as its stacked invariant blocks."""
-    evals = np.concatenate([np.linalg.eigvals(s).ravel() for s in stacks])
+def _check_coherence_block(evals, tol=1e-12):
+    """Refuse a (near-)singular M_c, given its eigenvalues."""
     scale = max(1.0, np.abs(evals).max())
     worst = evals[np.argmin(np.abs(evals))]
     if abs(worst) <= tol * scale:
@@ -78,25 +77,29 @@ def _dim(m):
     return d
 
 
-def _eliminate(m, labels):
+def _eliminate(m, labels, modes):
     """(K, L) from one coherence-block check and one solve M_c X = M_cp:
     K = -X and L = M_p - M_pc X.
 
-    `labels` are the sectors of m, whose blocks are read in place.  The
-    check takes the eigenvalues of M_c sector by sector, and the solve
-    only the rows of coherences whose sector holds a population: every
-    other row is 0.
+    `labels` are the sectors of m and `modes` their eigendecompositions.
+    A sector without a population is a block of M_c, whose eigenvalues
+    the check takes from its modes.  The coherences whose sector holds a
+    population form the one block that the check takes eigenvalues of
+    and the solve reads: every other row of X is 0.
     """
     d = _dim(m)
-    _check_coherence_block([stack for _, stack in
-                            sector_blocks(m, labels, np.arange(d, m.shape[0]))])
     # populations come first, so a sector holds one exactly when its
     # smallest index is below d
     fed = np.flatnonzero(labels[d:] < d)
+    rows = fed + d
+    fed_block = m[np.ix_(rows, rows)]
+    evals = [lam[idx[:, 0] >= d].ravel() for idx, lam, _ in modes]
+    if fed.size:
+        evals.append(np.linalg.eigvals(fed_block))
+    _check_coherence_block(np.concatenate(evals))
     x = np.zeros((m.shape[0] - d, d), dtype=complex)
     if fed.size:
-        rows = fed + d
-        x[fed] = np.linalg.solve(m[np.ix_(rows, rows)], m[rows, :d])
+        x[fed] = np.linalg.solve(fed_block, m[rows, :d])
     return -x, m[:d, :d] - m[:d, d:] @ x
 
 
@@ -115,26 +118,17 @@ def _isolated_zero(evals, gap_ratio=1e3):
     return order[0]
 
 
-def _steady_state(m, labels):
-    """:func:`steady_state` of m, given its sector labels."""
+def _steady_state(m, modes):
+    """:func:`steady_state` of m, given its sector modes."""
     d, n = _dim(m), m.shape[0]
-    groups = []
-    for idx, blocks in sector_blocks(m, labels, np.arange(n)):
-        # a null vector with a trace lies in a sector holding a population,
-        # so only the sizes of such sectors pay for eigenvectors
-        if np.any(idx[:, 0] < d):
-            groups.append((idx, *np.linalg.eig(blocks)))
-        else:
-            groups.append((idx, np.linalg.eigvals(blocks), None))
-    k = _isolated_zero(np.concatenate([lam.ravel() for _, lam, _ in groups]))
-    for idx, lam, vecs in groups:
+    k = _isolated_zero(np.concatenate([lam.ravel() for _, lam, _ in modes]))
+    for idx, lam, vecs in modes:
         if k < lam.size:
             break
         k -= lam.size
     row, col = divmod(k, lam.shape[1])
     v = np.zeros(n, dtype=complex)
-    if vecs is not None:
-        v[idx[row]] = vecs[row, :, col]
+    v[idx[row]] = vecs[row, :, col]
     tr = v[:d].sum()
     if abs(tr) < 1e-14:
         raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
@@ -151,13 +145,11 @@ def _steady_state(m, labels):
 def steady_state(m):
     """Stationary density matrix of a full Liouvillian.
 
-    Works sector by sector (:func:`~curlflux.liouville.sectors`, found
-    here from m alone) in one pass: each sector size that holds a
-    population takes one batched eigendecomposition, every other size
-    only its eigenvalues.  The union of the eigenvalues is the spectrum
-    of m and takes the uniqueness check, and the null vector is the
-    eigenvector of the eigenvalue of smallest magnitude in its sector,
-    zero elsewhere.  On a diagonal Hamiltonian that is one d x d
+    Works sector by sector (:func:`~curlflux.liouville.sector_modes`,
+    found here from m alone): the union of the sector eigenvalues is the
+    spectrum of m and takes the uniqueness check, and the null vector is
+    the eigenvector of the eigenvalue of smallest magnitude in its
+    sector, zero elsewhere.  On a diagonal Hamiltonian that is one d x d
     eigendecomposition plus d**2 - d scalars instead of one of size
     d**2; on a generator with one sector, one eigendecomposition of m.
 
@@ -179,15 +171,15 @@ def steady_state(m):
     """
     m = np.asarray(m, dtype=complex)
     _dim(m)
-    return _steady_state(m, sectors(m))
+    return _steady_state(m, sector_modes(m, sectors(m)))
 
 
 @dataclass(frozen=True)
 class Analysis:
     """Everything the reduction derives from one generator.
 
-    `sectors` are the :func:`~curlflux.liouville.sectors` labels of m,
-    found once and shared by the elimination, the steady state and the
+    `modes` are the :func:`~curlflux.liouville.sector_modes` of m, found
+    once and shared by the coherence check, the steady state and the
     response spectra.  `rho_ss` is the null vector of m, and
     `populations` is its diagonal.  `flux` and `split` are computed on
     first use: they need strictly positive populations, which the
@@ -199,7 +191,7 @@ class Analysis:
     l_matrix: np.ndarray
     rho_ss: SteadyState
     populations: np.ndarray
-    sectors: np.ndarray
+    modes: list
 
     @cached_property
     def flux(self):
@@ -215,7 +207,7 @@ class Analysis:
 def analyze(m):
     """Reduce a generator and decompose its steady state.
 
-    m is labelled into sectors once.  K and L come from the elimination,
+    Each sector of m is diagonalized once.  K and L come from the elimination,
     and the steady state rho_ss is the null vector of m itself, from the
     routine behind :func:`steady_state`; the populations are its
     diagonal.  With M_c non-singular, M [p; K p] = [L p; 0], so the null
@@ -231,13 +223,14 @@ def analyze(m):
     m = np.asarray(m, dtype=complex)
     d = _dim(m)
     labels = sectors(m)
-    k_map, l_matrix = _eliminate(m, labels)
-    rho_ss = _steady_state(m, labels)
+    modes = sector_modes(m, labels)
+    k_map, l_matrix = _eliminate(m, labels, modes)
+    rho_ss = _steady_state(m, modes)
     return Analysis(
         m=m,
         k_map=k_map,
         l_matrix=l_matrix,
         rho_ss=rho_ss,
         populations=rho_ss.vector[:d].real,
-        sectors=labels,
+        modes=modes,
     )

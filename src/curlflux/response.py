@@ -26,12 +26,14 @@ and the sources are O(d**3) operator products,
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
 one resolvent.  G(w) is block diagonal over the sectors of M
 (:func:`~curlflux.liouville.sectors`), and :func:`resolvent` evaluates
-it on the whole grid from one eigendecomposition per sector that both
-<<l| and |r>> touch.  On a diagonal Hamiltonian (every generic run file)
-the touched sectors are 1 x 1 coherences, so the cost is O(d**3), not
-the O(d**6) of one dense d**2 x d**2 eigendecomposition: on a 401-point
-grid, 17 ms -> 1.5 ms at d = 16 and 0.18 s -> 3 ms at d = 24 (2 cores,
-BLAS on 1 thread).  A dense Hamiltonian is one sector.
+it on the whole grid from the modes of the sectors that both <<l| and
+|r>> touch (:func:`~curlflux.liouville.sector_modes`, found once per
+generator by :func:`~curlflux.reduction.analyze`).  On a diagonal
+Hamiltonian (every generic run file) the touched sectors are 1 x 1
+coherences, so the cost is O(d**3), not the O(d**6) of one dense
+d**2 x d**2 eigendecomposition: on a 401-point grid, 17 ms -> 1.5 ms at
+d = 16 and 0.18 s -> 3 ms at d = 24 (2 cores, BLAS on 1 thread).  A
+dense Hamiltonian is one sector.
 """
 
 import warnings
@@ -41,7 +43,7 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import devectorize, sector_blocks, sectors, vectorize
+from .liouville import devectorize, sector_modes, sectors, vectorize
 
 __all__ = [
     "Probe",
@@ -129,10 +131,11 @@ def resolvent(m, omegas, left, right, epsilon=None):
     Returns
     -------
     (n_w, k_left, k_right) complex ndarray
-        Only the sectors of M that `left` reads (a non-zero column) and
-        `right` feeds (a non-zero row) contribute.  Each is diagonalized,
-        equal sizes in one stacked call, M_s = V_s diag(lam) V_s^{-1}:
-        with A = left V and B = V^{-1} right over their modes,
+        Every sector of M is diagonalized, equal sizes in one stacked
+        call, M_s = V_s diag(lam) V_s^{-1}, but only the sectors that
+        `left` reads (a non-zero column) and `right` feeds (a non-zero
+        row) contribute: with A = left V and B = V^{-1} right over their
+        modes,
         -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid point is on the
         pole of mode k when
         |lam_k + i w - epsilon| <= 1e-13 max(1, max|lam|), the maximum
@@ -149,36 +152,37 @@ def resolvent(m, omegas, left, right, epsilon=None):
         On the pole of a mode the pair excites; the message names the
         frequency and the eigenvalue.
     """
-    return _sector_resolvent(m, sectors(m), omegas, left, right, epsilon)
-
-
-def _sector_resolvent(m, labels, omegas, left, right, epsilon):
-    """:func:`resolvent` with the sector labels of m already known."""
     m = np.asarray(m, dtype=complex)
+    return _sector_resolvent(m, sector_modes(m, sectors(m)), omegas, left,
+                             right, epsilon)
+
+
+def _sector_resolvent(m, modes, omegas, left, right, epsilon):
+    """:func:`resolvent` with the sector modes of m already known."""
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     shifts = 1j * omegas - (0.0 if epsilon is None else epsilon)
     left = np.atleast_2d(np.asarray(left, dtype=complex))
     right = np.asarray(right, dtype=complex).reshape(m.shape[0], -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
-    touched = ((np.bincount(labels, (left != 0).any(axis=0)) > 0)
-               & (np.bincount(labels, (right != 0).any(axis=1)) > 0))[labels]
-    if not touched.any():
-        return np.zeros(shape, dtype=complex)
-    scale = 1.0
-    for _, blocks in sector_blocks(m, labels, np.flatnonzero(~touched)):
-        scale = max(scale, np.abs(np.linalg.eigvals(blocks)).max())
-    evals, a, b, cond = [], [], [], 0.0
-    for idx, blocks in sector_blocks(m, labels, np.flatnonzero(touched)):
-        lam, vecs = np.linalg.eig(blocks)
+    reads, feeds = (left != 0).any(axis=0), (right != 0).any(axis=1)
+    scale = max(1.0, *(np.abs(lam).max() for _, lam, _ in modes))
+    keep, evals, a, b, cond = [], [], [], [], 0.0
+    for idx, lam, vecs in modes:
+        hit = reads[idx].any(axis=1) & feeds[idx].any(axis=1)
+        if not hit.any():
+            continue
+        idx, vecs = idx[hit], vecs[hit]
+        keep.append(idx.ravel())
         cond = max(cond, np.linalg.cond(vecs).max())
-        evals.append(lam.ravel())
+        evals.append(lam[hit].ravel())
         # A = left V and B = V^-1 right of every sector, flattened over modes
         a.append((left[:, idx][:, :, None, :] @ vecs).reshape(left.shape[0], -1))
         b.append(np.linalg.solve(vecs, right[idx]).reshape(-1, right.shape[1]))
+    if not keep:
+        return np.zeros(shape, dtype=complex)
     evals, a, b = np.concatenate(evals), np.hstack(a), np.vstack(b)
-    scale = max(scale, np.abs(evals).max())
     if cond > EIGEN_COND_MAX:
-        keep = np.flatnonzero(touched)
+        keep = np.concatenate(keep)
         sub, eye = m[np.ix_(keep, keep)], np.eye(keep.size)
         out = np.empty(shape, dtype=complex)
         for i, shift in enumerate(shifts):
@@ -239,7 +243,7 @@ def linear_response_freq(probe, analysis, omegas, epsilon=None):
     omegas = np.asarray(omegas, dtype=float)
     row, kicked, _ = _row_and_sources(probe.observable, probe.coupling,
                                       analysis.rho_ss.vector)
-    r_full = -1j * _sector_resolvent(analysis.m, analysis.sectors, omegas, row,
+    r_full = -1j * _sector_resolvent(analysis.m, analysis.modes, omegas, row,
                                      kicked, epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
@@ -274,7 +278,7 @@ def response_split(probe, analysis, omegas, epsilon=None):
     ])
     row, kicked, _ = _row_and_sources(probe.observable, probe.coupling, states)
     omegas = np.asarray(omegas, dtype=float)
-    r = _sector_resolvent(analysis.m, analysis.sectors, omegas, row, kicked,
+    r = _sector_resolvent(analysis.m, analysis.modes, omegas, row, kicked,
                           epsilon)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
@@ -291,7 +295,7 @@ def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
     `epsilon` replaces that pole by i/(w + i epsilon).
     """
     row, _, seeded = _row_and_sources(coupling, coupling, analysis.rho_ss.vector)
-    return _sector_resolvent(analysis.m, analysis.sectors, omegas, row, seeded,
+    return _sector_resolvent(analysis.m, analysis.modes, omegas, row, seeded,
                              epsilon)[:, 0, 0]
 
 
@@ -347,7 +351,7 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
     row, kicked, seeded = _row_and_sources(v, v, analysis.rho_ss.vector)
-    g = _sector_resolvent(analysis.m, analysis.sectors,
+    g = _sector_resolvent(analysis.m, analysis.modes,
                           np.concatenate([omegas, -omegas]), row,
                           np.hstack([kicked, seeded]), epsilon)[:, 0, :]
     n = omegas.size

@@ -9,6 +9,7 @@ from curlflux.liouville import (
     build_liouvillian,
     devectorize,
     index_pairs,
+    sector_modes,
     sectors,
     trace_vector,
     vectorize,
@@ -53,14 +54,19 @@ def generator_blocks(m):
     return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
+def _elimination(m):
+    labels = sectors(m)
+    return _eliminate(m, labels, sector_modes(m, labels))
+
+
 def coherence_map(m):
     """K = -M_c^{-1} M_cp of the generator m."""
-    return _eliminate(m, sectors(m))[0]
+    return _elimination(m)[0]
 
 
 def effective_rate_matrix(m):
     """L = M_p - M_pc M_c^{-1} M_cp of the generator m."""
-    return _eliminate(m, sectors(m))[1]
+    return _elimination(m)[1]
 
 
 def null_vector(m):

@@ -106,14 +106,26 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
     + "  bias:\n    dmu: [0.12341, 0.12344]\n"
     "    extra_pairs: [[1.0, 0.5], [1.00001, 0.5]]\n",
+    GENERIC + "sweep:\n  omega: {values: [0.9, 1.0], points: 3}\n",
+    "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
+    + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
-        "boolean-rate", "negative-db-tol", "colliding-tags"])
+        "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
+        "fixed-bias-with-dmu"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_unwritable_output_is_a_config_error(tmp_path, capsys):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["flux", "--config", bundled("flux_fivelevel.yaml"),
+                 "--out", str(blocker / "out")]) == 2
+    assert "config error: cannot write" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("name, labellings", [("flux_fivelevel.yaml", 1),
@@ -368,6 +380,33 @@ def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
         assert calls and max(size for _, size in calls) < dim * dim
         assert [call for call in calls if call[0] == "eig"] == [("eig", dim)]
     assert krons == []
+
+
+JUNCTION_POINT = [("eig", (2, 2, 2)), ("eig", (1, 5, 5)), ("eigvals", (2, 2))]
+
+
+@pytest.mark.parametrize("command, name, expected", [
+    # per bias point: the two 2 x 2 coherence sectors and the 5 x 5 sector
+    # of the populations, then the coherences that share it
+    ("spectrum", "fig2a.yaml", JUNCTION_POINT * 5),
+    # the rate block; the coherences are 1 x 1 sectors
+    ("spectrum", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
+    ("flux", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
+    ("validate", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
+])
+def test_each_generator_sector_is_diagonalized_once(tmp_path, monkeypatch,
+                                                    command, name, expected):
+    calls = []
+    for fn in ("eig", "eigvals"):
+        real = getattr(np.linalg, fn)
+
+        def watched(a, _real=real, _fn=fn):
+            calls.append((_fn, np.shape(a)))
+            return _real(a)
+
+        monkeypatch.setattr(np.linalg, fn, watched)
+    assert main([command, "--config", bundled(name), "--out", str(tmp_path)]) == 0
+    assert calls == expected
 
 
 def test_validate_junction_config(capsys):

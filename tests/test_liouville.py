@@ -9,7 +9,7 @@ from curlflux.liouville import (
     build_liouvillian,
     devectorize,
     index_pairs,
-    sector_blocks,
+    sector_modes,
     sectors,
     trace_vector,
     vectorize,
@@ -273,12 +273,40 @@ def test_sectors_recover_planted_blocks(sizes, seed):
     assert np.array_equal(labels, first[expected])
     # every index lands in one stacked block of its own sector
     seen = []
-    for idx, blocks in sector_blocks(hidden, labels, np.arange(n)):
+    for idx, _, _ in sector_modes(hidden, labels):
         assert np.all(labels[idx] == labels[idx[:, :1]])
         assert np.all(np.diff(idx, axis=1) > 0)
-        assert np.array_equal(blocks, hidden[idx[:, :, None], idx[:, None, :]])
         seen.extend(idx.ravel())
     assert sorted(seen) == list(range(n))
+
+
+def _permuted_blocks():
+    rng = np.random.default_rng(12)
+    sizes = [1, 3, 2, 1, 3, 4]
+    m = np.zeros((sum(sizes), sum(sizes)), dtype=complex)
+    for start, size in zip(np.cumsum(sizes) - sizes, sizes):
+        m[start:start + size, start:start + size] = (
+            rng.normal(size=(size, size)) + 1j * rng.normal(size=(size, size)))
+    perm = rng.permutation(m.shape[0])
+    return m[np.ix_(perm, perm)]
+
+
+@pytest.mark.parametrize("m", [
+    build_junction(JunctionParams(mu_1=1.0, mu_2=0.5)).m,
+    random_lindblad_model(np.random.default_rng(3), dim=4)[2],
+    random_ladder_model(np.random.default_rng(4), 8)[2],
+    _permuted_blocks(),
+], ids=["junction", "lindblad", "ladder", "permuted-blocks"])
+def test_each_mode_diagonalizes_its_sector(m):
+    labels = sectors(m)
+    seen = []
+    for idx, lam, vecs in sector_modes(m, labels):
+        blocks = m[idx[:, :, None], idx[:, None, :]]
+        scale = np.abs(blocks).max(axis=(1, 2))[:, None, None]
+        assert np.all(np.abs(blocks @ vecs - vecs * lam[:, None, :])
+                      <= 1e-12 * scale)
+        seen.extend(idx.ravel())
+    assert sorted(seen) == list(range(m.shape[0]))
 
 
 def test_propagation_preserves_density_matrix_structure():

@@ -270,7 +270,7 @@ def test_resolvent_guard_reads_only_the_touched_sectors(monkeypatch):
     assert_close_per_column(got, ref[:, idx][:, :, idx])
     assert len(solves) > omegas.size
     # every row read but only the calm block fed: the near-exceptional
-    # block contributes nothing and is never diagonalized
+    # block contributes nothing and its cond(V) is not read
     idx = place[4:]
     solves.clear()
     got = resolvent(m, omegas, eye, eye[:, idx])

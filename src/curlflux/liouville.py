@@ -41,6 +41,7 @@ __all__ = [
     "trace_vector",
     "build_liouvillian",
     "sectors",
+    "sector_indices",
     "sector_modes",
 ]
 
@@ -247,26 +248,35 @@ def sectors(m):
             return label
 
 
-def sector_modes(m, labels):
-    """Eigendecomposition of every sector of m, equal sizes stacked.
+def sector_indices(labels):
+    """Indices of every sector of a labelling, equal sizes stacked.
 
-    Returns one (idx, lam, vecs) triple per distinct sector size,
-    smallest first: idx is a (count, size) integer array whose rows hold
-    the indices of one sector in increasing order, and for each row r
-    m[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r], with lam a (count,
-    size) stack of eigenvalues and vecs a (count, size, size) stack of
-    eigenvectors.  Sizes above 1 take one batched numpy.linalg.eig; a
-    1 x 1 sector is its own eigenvalue, with eigenvector 1, and needs no
-    call.
+    Returns one (count, size) integer array per distinct sector size,
+    smallest first, whose rows hold the indices of one sector in
+    increasing order.  The layout depends on the labels alone, so it is
+    exact whatever the magnitudes of the entries.
     """
     sizes = np.bincount(labels)
     ordered = np.argsort(labels, kind="stable")
     starts = np.cumsum(sizes) - sizes
+    return [ordered[starts[sizes == size][:, None] + np.arange(size)]
+            for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
+
+
+def sector_modes(m, labels):
+    """Eigendecomposition of every sector of m, equal sizes stacked.
+
+    Returns one (idx, lam, vecs) triple per :func:`sector_indices` array
+    idx: for each row r, m[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r],
+    with lam a (count, size) stack of eigenvalues and vecs a (count,
+    size, size) stack of eigenvectors.  Sizes above 1 take one batched
+    numpy.linalg.eig; a 1 x 1 sector is its own eigenvalue, with
+    eigenvector 1, and needs no call.
+    """
     modes = []
-    for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1:
-        idx = ordered[starts[sizes == size][:, None] + np.arange(size)]
+    for idx in sector_indices(labels):
         blocks = m[idx[:, :, None], idx[:, None, :]]
-        if size == 1:
+        if idx.shape[1] == 1:
             modes.append((idx, blocks[:, 0], np.ones_like(blocks)))
         else:
             modes.append((idx, *np.linalg.eig(blocks)))

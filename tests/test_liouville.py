@@ -9,6 +9,7 @@ from curlflux.liouville import (
     build_liouvillian,
     devectorize,
     index_pairs,
+    sector_indices,
     sector_modes,
     sectors,
     trace_vector,
@@ -273,7 +274,7 @@ def test_sectors_recover_planted_blocks(sizes, seed):
     assert np.array_equal(labels, first[expected])
     # every index lands in one stacked block of its own sector
     seen = []
-    for idx, _, _ in sector_modes(hidden, labels):
+    for idx in sector_indices(labels):
         assert np.all(labels[idx] == labels[idx[:, :1]])
         assert np.all(np.diff(idx, axis=1) > 0)
         seen.extend(idx.ravel())
@@ -300,7 +301,10 @@ def _permuted_blocks():
 def test_each_mode_diagonalizes_its_sector(m):
     labels = sectors(m)
     seen = []
-    for idx, lam, vecs in sector_modes(m, labels):
+    modes = sector_modes(m, labels)
+    assert [idx.tolist() for idx, _, _ in modes] == [
+        idx.tolist() for idx in sector_indices(labels)]
+    for idx, lam, vecs in modes:
         blocks = m[idx[:, :, None], idx[:, None, :]]
         scale = np.abs(blocks).max(axis=(1, 2))[:, None, None]
         assert np.all(np.abs(blocks @ vecs - vecs * lam[:, None, :])

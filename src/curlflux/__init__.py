@@ -20,7 +20,6 @@ from .junction import (
     fermi_dirac,
     first_order_propagator_ge,
     hybridized_parameters,
-    transmission,
 )
 from .liouville import (
     DissipationChannel,
@@ -38,7 +37,6 @@ from .reduction import (
     steady_state,
 )
 from .response import (
-    Probe,
     ResponseSpectrum,
     check_equilibrium_fdr,
     fluctuation_spectrum,

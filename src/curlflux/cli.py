@@ -25,14 +25,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, build_generic_model, junction_sweep_points, load_config
+from .config import ConfigError, load_config
 from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
 from .junction import JUNCTION_LABELS, build_junction, dipole_operator
-from .liouville import trace_vector
+from .liouville import build_liouvillian, trace_vector
 from .reduction import NonUniqueSteadyStateError, analyze
 from .response import (
     NotDetailedBalancedError,
-    Probe,
     ResolventSingularError,
     check_equilibrium_fdr,
     linear_response_freq,
@@ -87,28 +86,32 @@ def _model(config, strict):
             np.zeros((config.generic.basis.dim,) * 2, dtype=complex))
     if not np.any(v):
         raise ValueError("generic model has no channels to define a probe")
-    return analyze(build_generic_model(config.generic)), v
+    return analyze(build_liouvillian(config.generic.hamiltonian,
+                                     config.generic.channels)), v
 
 
 def _labels(config):
     return config.generic.basis.labels if config.generic else JUNCTION_LABELS
 
 
+def _spectrum_points(config, strict):
+    """(tag, analysis, probe coupling) of each spectrum CSV, one at a time:
+    the generic model as the one point 'spectrum', or every junction bias
+    point (a generic model has none)."""
+    if config.generic:
+        yield ("spectrum", *_model(config, strict))
+    for tag, params in config.sweep_points:
+        yield tag, build_junction(params, strict), dipole_operator(params)
+
+
 def cmd_spectrum(config, args):
-    if config.model_type == "junction":
-        # the split spectrum, one CSV per bias point
-        for tag, params in junction_sweep_points(config):
-            v = dipole_operator(params)
-            spectrum = response_split(
-                Probe(v, v), build_junction(params, args.strict_paper_rates),
-                config.omega_grid, epsilon=config.epsilon,
-            )
-            _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
-        return
-    analysis, v = _model(config, args.strict_paper_rates)
-    spec = linear_response_freq(Probe(v, v), analysis, config.omega_grid,
-                                epsilon=config.epsilon)
-    _write(config, args, "_spectrum.csv", spectrum_to_csv(spec))
+    # a point's CSV is written before the next point is built; only the
+    # junction's spectra are split so far
+    spectrum_of = response_split if config.junction else linear_response_freq
+    for tag, analysis, v in _spectrum_points(config, args.strict_paper_rates):
+        spectrum = spectrum_of(v, analysis, config.omega_grid,
+                               epsilon=config.epsilon)
+        _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
 
 
 def cmd_flux(config, args):

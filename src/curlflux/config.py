@@ -32,17 +32,16 @@ so do keys another key would leave unread: sweep.omega.values beside
 min/max/points, and center or dmu under bias mode 'fixed'.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 import yaml
 
 from .junction import JunctionParams
-from .liouville import DissipationChannel, HilbertBasis, build_liouvillian
+from .liouville import DissipationChannel, HilbertBasis
 
-__all__ = ["ConfigError", "RunConfig", "GenericModel", "load_config",
-           "build_generic_model", "junction_sweep_points"]
+__all__ = ["ConfigError", "RunConfig", "GenericModel", "load_config"]
 
 # libyaml's safe loader, when PyYAML has it, parses about ten times faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -59,7 +58,6 @@ class GenericModel:
     basis: HilbertBasis
     hamiltonian: np.ndarray
     channels: tuple
-    temperature: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -68,7 +66,7 @@ class RunConfig:
     junction: Optional[JunctionParams]
     generic: Optional[GenericModel]
     omega_grid: np.ndarray
-    bias_points: tuple          # ((tag, mu_1, mu_2), ...) for junction sweeps
+    sweep_points: tuple         # ((tag, JunctionParams), ...) for junction sweeps
     out_dir: str
     prefix: str
     epsilon: Optional[float]
@@ -203,7 +201,7 @@ def load_config(path):
         if "temperature" in sect:
             temperature = _float(sect["temperature"], "model.generic.temperature")
         generic = GenericModel(basis=basis, hamiltonian=ham,
-                               channels=tuple(channels), temperature=temperature)
+                               channels=tuple(channels))
     else:
         raise ConfigError("model.type must be 'junction' or 'generic'")
 
@@ -211,7 +209,7 @@ def load_config(path):
     _check_keys(sweep, {"omega", "bias"}, "sweep")
     omega_grid = _omega_grid(_require(sweep, "omega", "sweep"))
 
-    bias_points = []
+    sweep_points = []
     if "bias" in sweep:
         if mtype != "junction":
             raise ConfigError("sweep.bias applies only to junction models")
@@ -226,20 +224,20 @@ def load_config(path):
             center = _float(bias.get("center", 1.0), "sweep.bias.center")
             for dmu in _list(bias, "dmu", "sweep.bias"):
                 dmu = _float(dmu, "sweep.bias.dmu")
-                bias_points.append(
-                    ("dmu%.4g" % dmu, center + dmu, center - dmu)
-                )
+                sweep_points.append(("dmu%.4g" % dmu, replace(
+                    junction, mu_1=center + dmu, mu_2=center - dmu)))
         for pair in _list(bias, "extra_pairs", "sweep.bias"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError("sweep.bias.extra_pairs entries must be pairs")
             mu1 = _float(pair[0], "sweep.bias.extra_pairs")
             mu2 = _float(pair[1], "sweep.bias.extra_pairs")
-            bias_points.append(("mu%.4g_%.4g" % (mu1, mu2), mu1, mu2))
-    if mtype == "junction" and not bias_points:
-        bias_points.append(("run", junction.mu_1, junction.mu_2))
+            sweep_points.append(("mu%.4g_%.4g" % (mu1, mu2),
+                                 replace(junction, mu_1=mu1, mu_2=mu2)))
+    if mtype == "junction" and not sweep_points:
+        sweep_points.append(("run", junction))
     # points whose tags collide would overwrite each other's output file
     seen = set()
-    for tag, _, _ in bias_points:
+    for tag, _ in sweep_points:
         if tag in seen:
             raise ConfigError("sweep.bias: two points share the output tag '%s'"
                               % tag)
@@ -266,7 +264,7 @@ def load_config(path):
         junction=junction,
         generic=generic,
         omega_grid=omega_grid,
-        bias_points=tuple(bias_points),
+        sweep_points=tuple(sweep_points),
         out_dir=out_dir,
         prefix=prefix,
         epsilon=epsilon,
@@ -274,17 +272,3 @@ def load_config(path):
         temperature=temperature,
     )
 
-
-def build_generic_model(generic):
-    """Liouvillian of a generic diagonal-Hamiltonian model."""
-    return build_liouvillian(generic.hamiltonian, generic.channels)
-
-
-def junction_sweep_points(config):
-    """Expand the bias sweep into (tag, JunctionParams) pairs."""
-    from dataclasses import replace
-
-    return [
-        (tag, replace(config.junction, mu_1=mu1, mu_2=mu2))
-        for tag, mu1, mu2 in config.bias_points
-    ]

@@ -26,7 +26,6 @@ import numpy as np
 
 from .liouville import DissipationChannel, build_liouvillian, index_pairs
 from .reduction import Analysis, analyze
-from .response import Probe, response_split
 
 __all__ = [
     "JunctionParams",
@@ -40,7 +39,6 @@ __all__ = [
     "hybridized_frequency_propagator",
     "build_junction",
     "closed_form_flux_response",
-    "transmission",
     "dipole_operator",
 ]
 
@@ -337,22 +335,3 @@ def closed_form_flux_response(model, omegas):
 
     return d2 * j * (g(shift) - np.conj(g(-shift))).real
 
-
-def transmission(params, omegas, strict_paper_rates=True, epsilon=None):
-    """Transmission spectrum of the junction under a weak dipole probe.
-
-    Runs the generic response pipeline with observable = coupling =
-    dipole, then evaluates the flux term independently from its closed
-    form.
-
-    Returns
-    -------
-    (ResponseSpectrum, ndarray, JunctionModel)
-        The spectrum (with exact equilibrium/nonequilibrium split), the
-        closed-form flux transmission T_ne(w), and the model.
-    """
-    model = build_junction(params, strict_paper_rates)
-    v = dipole_operator(params)
-    spectrum = response_split(Probe(v, v), model, omegas, epsilon=epsilon)
-    t_ne = closed_form_flux_response(model, omegas)
-    return spectrum, t_ne, model

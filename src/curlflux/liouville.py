@@ -147,11 +147,14 @@ def trace_vector(dim):
     return one
 
 
-def _check_hermitian(h, tol=1e-12):
-    scale = max(1.0, np.abs(h).max())
-    dev = np.abs(h - h.conj().T).max()
-    if dev > tol * scale:
-        raise ValueError("Hamiltonian is not Hermitian (max deviation %.3e)" % dev)
+def _hermitian(op, name):
+    """op as a complex array, after checking max|A - A^dag| <= 1e-12 *
+    max(1, max|A|); the ValueError names the operator."""
+    op = np.asarray(op, dtype=complex)
+    dev = np.abs(op - op.conj().T).max()
+    if dev > 1e-12 * max(1.0, np.abs(op).max()):
+        raise ValueError("%s is not Hermitian (max deviation %.3e)" % (name, dev))
+    return op
 
 
 def build_liouvillian(hamiltonian, channels):
@@ -189,8 +192,7 @@ def build_liouvillian(hamiltonian, channels):
     -------
     m : (d**2, d**2) ndarray of complex
     """
-    h = np.asarray(hamiltonian, dtype=complex)
-    _check_hermitian(h)
+    h = _hermitian(hamiltonian, "Hamiltonian")
     d = h.shape[0]
     jumps, rates = [], []
     for ch in channels:

@@ -1,17 +1,20 @@
 """Linear response of driven open systems and its equilibrium split.
 
-The response of observable Omega to a weak probe coupled through V is
+A weak probe couples to the system through a Hermitian operator V, and
+the response of that same V is what the fluctuation-dissipation theorem
+weighs against the fluctuations of V.  Every spectrum here takes V alone
+(a V that is not Hermitian raises ValueError), and the response is
 
-    R(t) = -i <<1| Omega_L exp(M t) V_- |rho_ss>>,      t >= 0,
-    R(w) = -i <<1| Omega_L G(w) V_- |rho_ss>>,
+    R(t) = -i <<1| V_L exp(M t) V_- |rho_ss>>,      t >= 0,
+    R(w) = -i <<1| V_L G(w) V_- |rho_ss>>,
 
 with V_- the commutator superoperator and G(w) = -(M + i w)^{-1} the
 one-sided Fourier transform of exp(M t).  Writing the steady state
 through the curl-flux identity rho_p = -(S_D + V_ss) rho_p and lifting
 populations with W = I + K, the response splits exactly into
 
-    R_eq(w) = i <<1| Omega_L G(w) V_- W S_D  |rho_p>>
-    R_ne(w) = i <<1| Omega_L G(w) V_- W V_ss |rho_p>>
+    R_eq(w) = i <<1| V_L G(w) V_- W S_D  |rho_p>>
+    R_ne(w) = i <<1| V_L G(w) V_- W V_ss |rho_p>>
 
 whose sum reproduces R(w) identically; the second term vanishes at
 detailed balance.  Fluctuations use the regression rule
@@ -20,7 +23,7 @@ detailed balance.  Fluctuations use the regression rule
 None of these superoperators is built as a d**2 x d**2 matrix: the row
 and the sources are O(d**3) operator products,
 
-    <<1| Omega_L = vectorize(Omega^T)     (<<1| Omega_L |X>> = Tr(Omega X)),
+    <<1| V_L = vectorize(V^T)     (<<1| V_L |X>> = Tr(V X)),
     V_- |rho>> = vectorize(V rho - rho V),  V_L |rho>> = vectorize(V rho).
 
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
@@ -43,10 +46,9 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import devectorize, sector_modes, sectors, vectorize
+from .liouville import _hermitian, devectorize, sector_modes, sectors, vectorize
 
 __all__ = [
-    "Probe",
     "ResponseSpectrum",
     "ResolventSingularError",
     "NotDetailedBalancedError",
@@ -75,21 +77,6 @@ class ResolventSingularError(np.linalg.LinAlgError):
 class NotDetailedBalancedError(ValueError):
     """The model is not at detailed balance, so the equilibrium
     fluctuation-dissipation check does not apply."""
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Observable and coupling operator of a weak-probe experiment."""
-
-    observable: np.ndarray
-    coupling: np.ndarray
-
-    def __post_init__(self):
-        for name in ("observable", "coupling"):
-            op = np.asarray(getattr(self, name), dtype=complex)
-            object.__setattr__(self, name, op)
-            if np.abs(op - op.conj().T).max() > 1e-12 * max(1.0, np.abs(op).max()):
-                raise ValueError("%s must be Hermitian" % name)
 
 
 @dataclass(frozen=True)
@@ -173,8 +160,14 @@ def _sector_resolvent(m, modes, omegas, left, right, epsilon):
             continue
         idx, vecs = idx[hit], vecs[hit]
         keep.append(idx.ravel())
-        cond = max(cond, np.linalg.cond(vecs).max())
         evals.append(lam[hit].ravel())
+        if idx.shape[1] == 1:
+            # a 1 x 1 sector's eigenvector is exactly 1: A and B are the
+            # entries themselves, with no condition number to take
+            a.append(left[:, idx[:, 0]])
+            b.append(right[idx[:, 0]])
+            continue
+        cond = max(cond, np.linalg.cond(vecs).max())
         # A = left V and B = V^-1 right of every sector, flattened over modes
         a.append((left[:, idx][:, :, None, :] @ vecs).reshape(left.shape[0], -1))
         b.append(np.linalg.solve(vecs, right[idx]).reshape(-1, right.shape[1]))
@@ -208,28 +201,29 @@ def _sector_resolvent(m, modes, omegas, left, right, epsilon):
     return -(poles @ weight).reshape(shape)
 
 
-def _row_and_sources(observable, coupling, columns):
-    """<<1| Omega_L, and V_- x and V_L x for every Liouville column x.
+def _row_and_sources(v, columns):
+    """<<1| V_L, and V_- x and V_L x for every Liouville column x.
 
     Operator products, as the module docstring states: returns the row
-    vectorize(Omega^T) and two (d**2, k) arrays whose columns are
+    vectorize(V^T) and two (d**2, k) arrays whose columns are
     vectorize(V X - X V) and vectorize(V X).  The commutator splits X
     into its diagonal p and coherences C, [V, X] = V * (p_m - p_n) +
     [V, C]: near X ~ 1 the products V X and X V nearly cancel, and
     subtracting them whole would round the small coherence part away.
+    A V that is not Hermitian raises ValueError.
     """
-    v = np.asarray(coupling, dtype=complex)
+    v = _hermitian(v, "coupling")
     xs = [devectorize(x) for x in np.asarray(columns).reshape(v.size, -1).T]
     kicked = []
     for x in xs:
         p = np.diagonal(x)
         c = x - np.diag(p)
         kicked.append(vectorize(v * (p - p[:, None]) + (v @ c - c @ v)))
-    return (vectorize(np.asarray(observable).T), np.column_stack(kicked),
+    return (vectorize(v.T), np.column_stack(kicked),
             np.column_stack([vectorize(v @ x) for x in xs]))
 
 
-def linear_response_freq(probe, analysis, omegas, epsilon=None):
+def linear_response_freq(coupling, analysis, omegas, epsilon=None):
     """Frequency-domain response on a grid (full response only).
 
     `analysis` is the :func:`~curlflux.reduction.analyze` result of the
@@ -241,19 +235,19 @@ def linear_response_freq(probe, analysis, omegas, epsilon=None):
         With r_eq_term and r_ne_term left as None.
     """
     omegas = np.asarray(omegas, dtype=float)
-    row, kicked, _ = _row_and_sources(probe.observable, probe.coupling,
-                                      analysis.rho_ss.vector)
+    row, kicked, _ = _row_and_sources(coupling, analysis.rho_ss.vector)
     r_full = -1j * _sector_resolvent(analysis.m, analysis.modes, omegas, row,
                                      kicked, epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
-def response_split(probe, analysis, omegas, epsilon=None):
+def response_split(coupling, analysis, omegas, epsilon=None):
     """Full response together with its equilibrium/nonequilibrium split.
 
     Parameters
     ----------
-    probe : Probe
+    coupling : (d, d) array_like
+        The Hermitian V, probed and observed.
     analysis : Analysis
         The :func:`~curlflux.reduction.analyze` result of the generator:
         its steady state, coherence map K and split operators.
@@ -276,7 +270,7 @@ def response_split(probe, analysis, omegas, epsilon=None):
         lift @ (analysis.split.s_d * pops),
         lift @ (analysis.split.v_ss * pops),
     ])
-    row, kicked, _ = _row_and_sources(probe.observable, probe.coupling, states)
+    row, kicked, _ = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
     r = _sector_resolvent(analysis.m, analysis.modes, omegas, row, kicked,
                           epsilon)[:, 0, :]
@@ -294,7 +288,7 @@ def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
     the steady state makes S(w) diverge like i/w as w -> 0; supplying
     `epsilon` replaces that pole by i/(w + i epsilon).
     """
-    row, _, seeded = _row_and_sources(coupling, coupling, analysis.rho_ss.vector)
+    row, _, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
     return _sector_resolvent(analysis.m, analysis.modes, omegas, row, seeded,
                              epsilon)[:, 0, 0]
 
@@ -314,12 +308,12 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
                           epsilon=None):
     """Test coth(w/2T) Im R(w) = S(w) + S(-w) for a thermal generator.
 
-    The probe observable equals the coupling V, so R(w) and S(+-w) share
-    the row <<1| V_L and come from one :func:`resolvent` call with the
-    sources V_- rho_ss and V_L rho_ss on the grid [w; -w].  The model
-    (an :class:`~curlflux.reduction.Analysis`) must be detailed balanced
-    (checked through its effective rate matrix); driven models are
-    refused.  Grid points at w = 0 are skipped with a warning (coth pole).
+    R(w) and S(+-w) share the row <<1| V_L and come from one
+    :func:`resolvent` call with the sources V_- rho_ss and V_L rho_ss on
+    the grid [w; -w].  The model (an :class:`~curlflux.reduction.Analysis`)
+    must be detailed balanced (checked through its effective rate matrix);
+    driven models are refused.  Grid points at w = 0 are skipped with a
+    warning (coth pole).
 
     For a Markovian generator the relation is exact only in the
     weak-damping limit: the Lorentzian-broadened correlators satisfy the
@@ -344,13 +338,12 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
             "the equilibrium fluctuation-dissipation relation does not "
             "apply" % violation
         )
-    v = Probe(observable=coupling, coupling=coupling).coupling
+    row, kicked, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
     omegas = np.asarray(omegas, dtype=float)
     keep = omegas != 0.0
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
-    row, kicked, seeded = _row_and_sources(v, v, analysis.rho_ss.vector)
     g = _sector_resolvent(analysis.m, analysis.modes,
                           np.concatenate([omegas, -omegas]), row,
                           np.hstack([kicked, seeded]), epsilon)[:, 0, :]

@@ -214,8 +214,8 @@ def propagate(m, rho0, t):
     return expm(m * t) @ rho0
 
 
-def linear_response_time(probe, m, rho_ss, t, stationary_tol=1e-8):
-    """Time-domain response R(t) = -i <<1| Omega_L exp(M t) V_- |rho_ss>>."""
+def linear_response_time(v, m, rho_ss, t, stationary_tol=1e-8):
+    """Time-domain response R(t) = -i <<1| V_L exp(M t) V_- |rho_ss>>."""
     if t < 0:
         raise ValueError("response is causal: t must be non-negative")
     m = np.asarray(m, dtype=complex)
@@ -227,9 +227,9 @@ def linear_response_time(probe, m, rho_ss, t, stationary_tol=1e-8):
         )
     d = int(round(np.sqrt(m.shape[0])))
     one = trace_vector(d)
-    kicked = commutator_superop(probe.coupling) @ rho_ss
+    kicked = commutator_superop(v) @ rho_ss
     evolved = propagate(m, kicked, t)
-    return -1j * (one @ (left_mult(probe.observable) @ evolved))
+    return -1j * (one @ (left_mult(v) @ evolved))
 
 
 def memory_kernel(m, s):

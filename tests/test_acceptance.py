@@ -30,12 +30,13 @@ from curlflux.junction import (
     JunctionParams,
     analytic_propagator_ge,
     build_junction,
+    closed_form_flux_response,
+    dipole_operator,
     ge_generator,
     hybridized_parameters,
-    transmission,
 )
 from curlflux.reduction import analyze
-from curlflux.response import check_equilibrium_fdr
+from curlflux.response import check_equilibrium_fdr, response_split
 
 from helpers import (
     coherence_map,
@@ -85,7 +86,8 @@ def test_criterion_01_flux_axioms_random_systems():
 
 def test_criterion_02_equilibrium_collapse_zero_bias():
     with verdict(2, "zero-bias collapse: J, ||v_ss|| and flux transmission"):
-        spectrum, t_ne, model = transmission(junction_at(dmu=0.0), FIG_GRID)
+        model = build_junction(junction_at(dmu=0.0))
+        t_ne = closed_form_flux_response(model, FIG_GRID)
         assert model.flux_j <= 1e-12, "forward loop flux J = %.3e" % model.flux_j
         assert np.abs(t_ne).max() <= 1e-12, (
             "max |T_ne| = %.3e" % np.abs(t_ne).max()
@@ -103,7 +105,9 @@ def test_criterion_02_equilibrium_collapse_zero_bias():
 def test_criterion_03_split_exactness_biased():
     with verdict(3, "split exactness at dmu in {0.1, 0.2, 0.3}"):
         for dmu in BIASES[1:]:
-            spectrum, _, _ = transmission(junction_at(dmu=dmu), FIG_GRID)
+            params = junction_at(dmu=dmu)
+            spectrum = response_split(dipole_operator(params),
+                                      build_junction(params), FIG_GRID)
             gap = np.abs(
                 spectrum.r_full.imag
                 - (spectrum.r_eq_term + spectrum.r_ne_term).imag
@@ -177,7 +181,9 @@ def test_criterion_06_spectral_structure_and_flux_peak_monotonicity():
         peak_magnitudes = []
         for dmu in BIASES:
             params = junction_at(dmu=dmu)
-            spectrum, t_ne, _ = transmission(params, FIG_GRID)
+            model = build_junction(params)
+            spectrum = response_split(dipole_operator(params), model, FIG_GRID)
+            t_ne = closed_form_flux_response(model, FIG_GRID)
             derived = hybridized_parameters(params)
             im = spectrum.r_full.imag
             turning = [

@@ -8,14 +8,15 @@ from curlflux.junction import (
     analytic_propagator_ge,
     build_junction,
     closed_form_flux_response,
+    dipole_operator,
     fermi_dirac,
     first_order_propagator_ge,
     ge_generator,
     hybridized_frequency_propagator,
     hybridized_parameters,
-    transmission,
 )
 from curlflux.liouville import index_pairs
+from curlflux.response import response_split
 
 from helpers import generator_blocks
 
@@ -337,23 +338,30 @@ def test_flux_proportional_to_stationary_coherence():
     assert spread < 1e-6
 
 
+def dipole_split(params, omegas, strict_paper_rates=True):
+    """The junction's transmission: the dipole's split response."""
+    model = build_junction(params, strict_paper_rates)
+    return response_split(dipole_operator(params), model, omegas), model
+
+
 def test_transmission_balanced_point_kills_flux_term():
-    spectrum, t_ne, model = transmission(reference_params(1.06, 0.94), FIG_GRID)
-    assert np.abs(t_ne).max() < 1e-12
+    spectrum, model = dipole_split(reference_params(1.06, 0.94), FIG_GRID)
+    assert np.abs(closed_form_flux_response(model, FIG_GRID)).max() < 1e-12
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
 
 
 def test_transmission_closed_form_matches_generic_split():
     for dmu in (0.1, 0.2, 0.3):
-        spectrum, t_ne, model = transmission(
+        spectrum, model = dipole_split(
             reference_params(1.0 + dmu, 1.0 - dmu), FIG_GRID
         )
+        t_ne = closed_form_flux_response(model, FIG_GRID)
         assert np.abs(t_ne - spectrum.r_ne_term.imag).max() < 1e-9
 
 
 def test_transmission_flux_peak_prefers_upper_mode_at_strong_bias():
     params = reference_params(1.3, 0.7)
-    spectrum, t_ne, _ = transmission(params, FIG_GRID)
+    t_ne = closed_form_flux_response(build_junction(params), FIG_GRID)
     der = hybridized_parameters(params)
     near_plus = np.abs(FIG_GRID - der.omega_plus) < 0.02
     near_minus = np.abs(FIG_GRID - der.omega_minus) < 0.02
@@ -363,8 +371,8 @@ def test_transmission_flux_peak_prefers_upper_mode_at_strong_bias():
 def test_flux_term_share_of_transmission_grows_with_bias():
     shares = []
     for dmu in (0.1, 0.2, 0.3):
-        spectrum, _, _ = transmission(reference_params(1.0 + dmu, 1.0 - dmu),
-                                      FIG_GRID)
+        spectrum, _ = dipole_split(reference_params(1.0 + dmu, 1.0 - dmu),
+                                   FIG_GRID)
         shares.append(np.abs(spectrum.r_ne_term.imag).max()
                       / np.abs(spectrum.r_full.imag).max())
     assert all(b > a for a, b in zip(shares, shares[1:]))
@@ -374,7 +382,7 @@ def test_transmission_extrema_at_hybridized_frequencies():
     step = FIG_GRID[1] - FIG_GRID[0]
     for dmu in (0.0, 0.3):
         params = reference_params(1.0 + dmu, 1.0 - dmu)
-        spectrum, t_ne, _ = transmission(params, FIG_GRID)
+        spectrum, _ = dipole_split(params, FIG_GRID)
         der = hybridized_parameters(params)
         im = spectrum.r_full.imag
         turning = [
@@ -400,8 +408,8 @@ def test_swapped_rate_variant_changes_only_probe_sector():
     ).max() < 1e-14
     # the swap moves the line widths, so spectra differ
     grid = np.linspace(0.9, 1.1, 101)
-    s1, _, _ = transmission(params, grid, strict_paper_rates=True)
-    s2, _, _ = transmission(params, grid, strict_paper_rates=False)
+    s1, _ = dipole_split(params, grid, strict_paper_rates=True)
+    s2, _ = dipole_split(params, grid, strict_paper_rates=False)
     assert np.abs(s1.r_full - s2.r_full).max() > 1e-3
 
 
@@ -409,9 +417,8 @@ def test_closed_form_flux_response_uses_one_sided_flux():
     # at zero bias the residual loop runs backwards: the closed form
     # reports no forward-flux transmission even though the generic split
     # keeps the reverse-loop contribution
-    spectrum, t_ne, model = transmission(reference_params(1.0, 1.0), FIG_GRID)
-    assert np.array_equal(t_ne, closed_form_flux_response(model, FIG_GRID))
-    assert np.abs(t_ne).max() == 0.0
+    spectrum, model = dipole_split(reference_params(1.0, 1.0), FIG_GRID)
+    assert np.abs(closed_form_flux_response(model, FIG_GRID)).max() == 0.0
     assert np.abs(spectrum.r_ne_term.imag).max() > 1e-3
 
 

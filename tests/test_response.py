@@ -1,6 +1,10 @@
+from importlib import resources
+
 import numpy as np
 import pytest
 
+from curlflux.cli import _model
+from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced
 from curlflux.junction import (
     JunctionParams,
@@ -20,7 +24,6 @@ from curlflux.response import (
     EIGEN_COND_MAX,
     _row_and_sources,
     NotDetailedBalancedError,
-    Probe,
     ResolventSingularError,
     ResponseSpectrum,
     check_equilibrium_fdr,
@@ -149,7 +152,6 @@ ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
     m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.populations.size
-    probe = Probe(v, v)
     pops, split = analysis.populations, analysis.split
     lift = np.vstack([np.eye(d), analysis.k_map])
     columns = np.column_stack(
@@ -157,7 +159,7 @@ def test_spectra_match_per_frequency_solves(key):
 
     # the row and sources against the dense superoperator oracles: the
     # row exactly, the sources to the rounding of a sum of 2d products
-    row, sources, seeded = _row_and_sources(v, v, columns)
+    row, sources, seeded = _row_and_sources(v, columns)
     assert np.array_equal(row, trace_vector(d) @ left_mult(v))
     bound = 2 * d * np.finfo(float).eps * np.abs(v).max() * np.abs(columns).max(axis=0)
     assert np.all(np.abs(sources - commutator_superop(v) @ columns).max(axis=0) <= bound)
@@ -166,12 +168,12 @@ def test_spectra_match_per_frequency_solves(key):
     # the spectra against one dense solve per frequency on those sources
     # (at the balanced junction R(w) is rounding noise, which only the
     # same sources reproduce to 1e-12 of itself)
-    full = linear_response_freq(probe, analysis, omegas)
+    full = linear_response_freq(v, analysis, omegas)
     ref = -1j * solve_per_frequency(m, omegas, row, sources[:, 0])
     assert_close_per_column(full.r_full, ref)
 
     ref = solve_per_frequency(m, omegas, row, sources) * np.array([-1j, 1j, 1j])
-    spectrum = response_split(probe, analysis, omegas)
+    spectrum = response_split(v, analysis, omegas)
     assert_close_per_column(np.column_stack(
         [spectrum.r_full, spectrum.r_eq_term, spectrum.r_ne_term]), ref)
 
@@ -281,9 +283,9 @@ def test_resolvent_guard_reads_only_the_touched_sectors(monkeypatch):
 def test_time_response_vanishes_when_probe_commutes_with_steady_state():
     m, v, pops = thermal_two_level()
     rho = steady_state(m).vector
-    diag_probe = Probe(np.diag([0.3, 0.9]), np.diag([0.3, 0.9]))
+    diag = np.diag([0.3, 0.9])
     for t in (0.0, 1.0, 7.5):
-        assert abs(linear_response_time(diag_probe, m, rho, t)) < 1e-14
+        assert abs(linear_response_time(diag, m, rho, t)) < 1e-14
 
 
 def test_time_response_rejects_non_stationary_state():
@@ -292,22 +294,20 @@ def test_time_response_rejects_non_stationary_state():
     skewed[0] += 0.2
     skewed[1] -= 0.2
     with pytest.raises(ValueError, match="stationary"):
-        linear_response_time(Probe(v, v), m, skewed, 1.0)
+        linear_response_time(v, m, skewed, 1.0)
 
 
 def test_time_response_at_zero_for_commuting_pair():
     m, v, pops = thermal_two_level()
     rho = steady_state(m).vector
-    probe = Probe(v, v)
     # at t = 0 the commutator of V with itself closes the expression
-    assert abs(linear_response_time(probe, m, rho, 0.0)) < 1e-14
+    assert abs(linear_response_time(v, m, rho, 0.0)) < 1e-14
 
 
 def test_frequency_response_matches_time_domain_fourier_transform():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     model = build_junction(params)
     v = dipole_operator(params)
-    probe = Probe(v, v)
     rho = model.rho_ss.vector
     evals, evecs = np.linalg.eig(model.m)
     vinv = np.linalg.inv(evecs)
@@ -317,7 +317,7 @@ def test_frequency_response_matches_time_domain_fourier_transform():
     modes = np.exp(np.outer(ts, evals))     # (nt, 9)
     r_t = -1j * (modes * (one_obs * kicked)).sum(axis=1)
     omegas = np.array([0.94, 1.0, 1.06])
-    spectrum = linear_response_freq(probe, model, omegas)
+    spectrum = linear_response_freq(v, model, omegas)
     from scipy.integrate import simpson
 
     for k, w in enumerate(omegas):
@@ -329,10 +329,9 @@ def test_two_level_response_matches_analytic_lorentzian():
     omega0, temperature, gamma = 1.0, 0.3, 0.02
     m, v, pops = thermal_two_level(omega0, temperature, gamma)
     analysis = analyze(m)
-    probe = Probe(v, v)
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     omegas = np.linspace(0.5, 1.5, 101)
-    spectrum = linear_response_freq(probe, analysis, omegas)
+    spectrum = linear_response_freq(v, analysis, omegas)
     pg, pe = pops
     expected = -1j * (pg - pe) * (
         lorentzian_pole(omegas - omega0, gbar) - lorentzian_pole(omegas + omega0, gbar)
@@ -350,18 +349,16 @@ def test_two_level_response_matches_analytic_lorentzian():
 def test_identity_probe_gives_zero_response():
     m, v, pops = thermal_two_level()
     analysis = analyze(m)
-    probe = Probe(np.eye(2), np.eye(2))
-    spectrum = linear_response_freq(probe, analysis, np.linspace(0.2, 2.0, 50))
+    spectrum = linear_response_freq(np.eye(2), analysis, np.linspace(0.2, 2.0, 50))
     assert np.abs(spectrum.r_full).max() < 1e-14
 
 
 def test_response_reality_structure_on_symmetric_grid():
     m, v, pops = thermal_two_level()
     analysis = analyze(m)
-    probe = Probe(v, v)
     omegas = np.linspace(0.3, 1.7, 29)
-    plus = linear_response_freq(probe, analysis, omegas)
-    minus = linear_response_freq(probe, analysis, -omegas)
+    plus = linear_response_freq(v, analysis, omegas)
+    minus = linear_response_freq(v, analysis, -omegas)
     assert np.abs(minus.r_full - plus.r_full.conj()).max() < 1e-12
 
 
@@ -383,9 +380,8 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
     v = np.zeros((3, 3), dtype=complex)
     v[1, 0] = v[0, 1] = 1.0
     v[2, 1] = v[1, 2] = 1.0
-    probe = Probe(v, v)
     omegas = np.linspace(0.5, 2.0, 151)
-    spectrum = response_split(probe, analyze(m), omegas)
+    spectrum = response_split(v, analyze(m), omegas)
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
     assert np.abs(spectrum.r_eq_term.imag - spectrum.r_full.imag).max() < 1e-12
 
@@ -393,18 +389,16 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
 def test_split_collapses_at_junction_balanced_point():
     params = JunctionParams(mu_1=1.06, mu_2=0.94)  # equal Fermi factors
     model = build_junction(params)
-    probe = Probe(dipole_operator(params), dipole_operator(params))
     omegas = np.linspace(0.85, 1.15, 201)
-    spectrum = response_split(probe, model, omegas)
+    spectrum = response_split(dipole_operator(params), model, omegas)
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
 
 
 def test_split_exactness_for_driven_junction():
     params = JunctionParams(mu_1=1.3, mu_2=0.7)
     model = build_junction(params)
-    probe = Probe(dipole_operator(params), dipole_operator(params))
     omegas = np.linspace(0.85, 1.15, 301)
-    spectrum = response_split(probe, model, omegas)
+    spectrum = response_split(dipole_operator(params), model, omegas)
     gap = np.abs(spectrum.r_full.imag
                  - (spectrum.r_eq_term + spectrum.r_ne_term).imag).max()
     assert gap <= 1e-9 * np.abs(spectrum.r_full.imag).max()
@@ -466,11 +460,34 @@ def test_fdr_residual_shrinks_linearly_with_damping():
     assert ratio == pytest.approx(10.0, rel=0.3)
 
 
-def test_probe_rejects_non_hermitian_operators():
-    with pytest.raises(ValueError, match="Hermitian"):
-        Probe(np.array([[0.0, 1.0], [0.0, 0.0]]), np.eye(2))
-    with pytest.raises(ValueError, match="Hermitian"):
-        Probe(np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]))
+def test_spectra_reject_non_hermitian_coupling():
+    # a detailed-balanced model, so the fdr check reaches the coupling
+    m, _, _ = thermal_two_level()
+    analysis, omegas = analyze(m), np.array([0.5, 1.0])
+    spectra = (linear_response_freq, response_split, fluctuation_spectrum,
+               lambda v, a, w: check_equilibrium_fdr(v, a, 0.3, w))
+    for spectrum in spectra:
+        with pytest.raises(ValueError, match="coupling is not Hermitian"):
+            spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), analysis, omegas)
+
+
+@pytest.mark.parametrize("key", [(1.0, 1.0), (1.0, 0.5), (1.3, 0.7),
+                                 "flux_fivelevel.yaml"], ids=str)
+def test_response_is_the_antisymmetric_part_of_the_fluctuations(key):
+    # Kubo: R(t) = -i <[V(t), V]> = 2 Im <V(t) V> under the regression
+    # rule, so R(w) = -i [S(w) - S(-w)*] on any generator
+    if isinstance(key, str):
+        config = load_config(str(resources.files("curlflux") / "configs" / key))
+        analysis, v = _model(config, True)
+        omegas = config.omega_grid
+    else:
+        params = JunctionParams(mu_1=key[0], mu_2=key[1])
+        analysis, v = build_junction(params), dipole_operator(params)
+        omegas = np.linspace(0.85, 1.15, 301)
+    r = linear_response_freq(v, analysis, omegas).r_full
+    kubo = -1j * (fluctuation_spectrum(v, analysis, omegas)
+                  - fluctuation_spectrum(v, analysis, -omegas).conj())
+    assert np.abs(r - kubo).max() <= 1e-13 * np.abs(r).max()
 
 
 def per_row_spectrum_csv(spectrum):
@@ -488,10 +505,10 @@ def per_row_spectrum_csv(spectrum):
 def test_spectrum_csv_bytes_match_per_row_formatter():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     v = dipole_operator(params)
-    split = response_split(Probe(v, v), build_junction(params),
+    split = response_split(v, build_junction(params),
                            np.linspace(0.85, 1.15, 301))
     m, v, _ = thermal_two_level()
-    full = linear_response_freq(Probe(v, v), analyze(m), np.linspace(-2, 2, 101))
+    full = linear_response_freq(v, analyze(m), np.linspace(-2, 2, 101))
     signed = ResponseSpectrum(
         omega=np.array([-0.0, 0.0, 1e-300, 2.0 / 3.0]),
         r_full=np.array([-0.0 - 0.0j, 0.0 - 0.0j, -1e17 + 1.5e-17j, np.pi]),
@@ -506,7 +523,7 @@ def test_spectrum_csv_bytes_match_per_row_formatter():
 def test_spectrum_csv_format():
     m, v, pops = thermal_two_level()
     analysis = analyze(m)
-    spec = linear_response_freq(Probe(v, v), analysis, np.array([0.5, 1.0]))
+    spec = linear_response_freq(v, analysis, np.array([0.5, 1.0]))
     text = spectrum_to_csv(spec)
     lines = text.strip().split("\n")
     assert lines[0] == "omega,re_full,im_full,im_eq,im_ne"

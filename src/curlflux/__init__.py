@@ -23,10 +23,10 @@ from .junction import (
 )
 from .liouville import (
     DissipationChannel,
+    Generator,
     HilbertBasis,
-    build_liouvillian,
+    build_generator,
     devectorize,
-    sectors,
     trace_vector,
     vectorize,
 )
@@ -34,14 +34,12 @@ from .reduction import (
     Analysis,
     SteadyState,
     analyze,
-    steady_state,
 )
 from .response import (
     ResponseSpectrum,
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
-    resolvent,
     response_split,
     spectrum_to_csv,
 )

@@ -18,8 +18,8 @@ nonequilibrium split of the linear response.  v_ss vanishes exactly when
 detailed balance holds.
 """
 
-import json
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -290,4 +290,52 @@ def render_flux_report(decomposition, splitops, labels=None, extra=None):
     }
     if extra:
         report.update(extra)
-    return json.dumps(report, indent=2, sort_keys=True)
+    return _dumps(report)
+
+
+# json's spelling of the float values that repr gives as nan and inf
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    dicts with string keys, lists, tuples, strings, numbers, booleans and
+    None; `pad` is the newline and indent of the enclosing level.
+
+    A list of floats, the bulk of a flux report, is joined in one pass
+    instead of going through the json module's Python-level encoder.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_CONSTANTS.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = list(map(float.__repr__, value))
+        except TypeError:
+            items = [_dumps(item, inner) for item in value]
+        else:
+            # a finite float's repr holds no "n"; nan, inf and -inf do
+            if any("n" in text for text in items):
+                items = [_FLOAT_CONSTANTS.get(text, text) for text in items]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)

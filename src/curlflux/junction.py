@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .liouville import DissipationChannel, build_liouvillian, index_pairs
+from .liouville import DissipationChannel, build_generator, index_pairs
 from .reduction import Analysis, analyze
 
 __all__ = [
@@ -282,16 +282,16 @@ def build_junction(params, strict_paper_rates=True):
         DissipationChannel(raise_1, params.gamma * f1, params.gamma * (1 - f1)),
         DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2)),
     )
-    m = build_liouvillian(h_eff, channels)
+    swap = None
     if not strict_paper_rates:
-        pairs = list(index_pairs(3))
-        ge1, ge2 = pairs.index((0, 1)), pairs.index((0, 2))
-        e1g, e2g = pairs.index((1, 0)), pairs.index((2, 0))
-        swap = 0.5 * params.gamma * (f1 - f2)
-        for i, sgn in ((ge1, -1.0), (ge2, 1.0), (e1g, -1.0), (e2g, 1.0)):
-            m[i, i] += sgn * swap
+        # the diagonal of M at rho_{g,e1}, rho_{e1,g} moves by -shift and at
+        # rho_{g,e2}, rho_{e2,g} by +shift
+        shift = 0.5 * params.gamma * (f1 - f2)
+        swap = np.zeros((3, 3))
+        swap[0, 1] = swap[1, 0] = -shift
+        swap[0, 2] = swap[2, 0] = shift
     return JunctionModel(
-        **vars(analyze(m)),
+        **vars(analyze(build_generator(h_eff, channels, swap))),
         params=params,
         h_eff=h_eff,
         channels=channels,
@@ -322,7 +322,7 @@ def closed_form_flux_response(model, omegas):
     """
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
-    (a00, a01), (a10, a11) = model.m[np.ix_(idx, idx)]
+    (a00, a01), (a10, a11) = model.generator.take(idx)
     c1, c2 = _ne_coefficients(model)
     j = model.flux_j
     d2 = model.params.dipole ** 2

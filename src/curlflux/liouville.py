@@ -6,29 +6,29 @@ the package: the d population entries |nn>> come first (in basis-label
 order), followed by the d**2 - d coherence entries |nm>>, n != m, in
 row-major (n, m) order.  The inner product is <<A|B>> = Tr(A^dag B).
 
-The generator is the one dense complex (d**2, d**2) matrix the package
-builds: a Lindblad form assembled from a Hermitian Hamiltonian plus a
-list of dissipation channels, each channel acting independently (fully
-secular form: no cross terms between channels).  Its terms are scattered
-straight into place, so the build costs the O(d**4) zero fill plus
-O(d**3 + sum_c nnz_c**2) over the non-zero entries of each jump (2 ms
-at d = 24 on a 2-core host).  Every other superoperator is applied as an
-operator product on d x d matrices.
+The generator M is a Lindblad form assembled from a Hermitian
+Hamiltonian plus a list of dissipation channels, each channel acting
+independently (fully secular form: no cross terms between channels).  It
+splits into invariant blocks, its sectors: the connected components of
+its exact non-zero pattern (the weak U(1) symmetry of Buca & Prosen,
+NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A
+diagonal Hamiltonian with population-to-population jumps gives the
+d x d rate block plus one 1 x 1 block per coherence; the junction gives
+blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 
-A generator splits into invariant blocks, its sectors: the connected
-components of its exact non-zero pattern (the weak U(1) symmetry of
-Buca & Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118
-(2014)).  A diagonal Hamiltonian with population-to-population jumps
-gives the d x d rate block plus one 1 x 1 block per coherence; the
-junction gives blocks of 5, 2 and 2; a dense Hamiltonian gives one.
-:func:`sectors` finds them in one O(d**4) scan of the pattern (1 ms at
-d = 24 on a 2-core host), and :func:`sector_modes` diagonalizes every
-sector once, equal sizes stacked into one numpy.linalg.eig call, for the
-steady state, the coherence check and every spectrum to share.
+:func:`build_generator` finds the sectors from the supports of H_eff and
+of the jumps and scatters every term straight into its sector's dense
+block: M is never built as a d**2 x d**2 matrix, and the cost is
+O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.  A
+:class:`Generator` holds those blocks, equal sizes stacked, and
+:func:`sector_modes` diagonalizes every sector once, one
+numpy.linalg.eig call per size, for the steady state, the coherence
+check and every spectrum to share.  Every other superoperator is applied
+as an operator product on d x d matrices.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -39,8 +39,9 @@ __all__ = [
     "vectorize",
     "devectorize",
     "trace_vector",
-    "build_liouvillian",
-    "sectors",
+    "Generator",
+    "build_generator",
+    "sector_labels",
     "sector_indices",
     "sector_modes",
 ]
@@ -157,8 +158,58 @@ def _hermitian(op, name):
     return op
 
 
-def build_liouvillian(hamiltonian, channels):
-    """Assemble the generator M of d rho/dt = M vec(rho).
+@dataclass(frozen=True, eq=False)
+class Generator:
+    """The generator M of d rho/dt = M vec(rho), held as its sectors.
+
+    `labels[i]` is the sector of index i, the smallest index in it
+    (:func:`sector_labels`).  `blocks` holds one (idx, block) pair per
+    sector size, smallest first: idx is the (count, size)
+    :func:`sector_indices` array and block the (count, size, size) stack
+    with block[r] = M[idx[r]][:, idx[r]].  Every entry of M between two
+    sectors is 0.  `places[:, i]` is (g, r, q) with
+    i = blocks[g][0][r, q] (:func:`_sector_places`).
+    """
+
+    d: int
+    labels: np.ndarray
+    blocks: tuple
+    places: np.ndarray
+
+    @cached_property
+    def populated(self):
+        """Indices of the sectors that hold a population, ascending: the d
+        populations, then the coherences that share a sector with one."""
+        # populations come first, so a sector holds one exactly when its
+        # smallest index is below d
+        return np.flatnonzero(self.labels < self.d)
+
+    def take(self, index):
+        """Dense M[index][:, index], read from the blocks."""
+        index = np.asarray(index)
+        group, row, pos = self.places[:, index]
+        out = np.zeros((index.size, index.size), dtype=complex)
+        for g, (_, block) in enumerate(self.blocks):
+            sel = np.flatnonzero(group == g)
+            r, q = row[sel], pos[sel]
+            entries = block[r[:, None], q[:, None], q]
+            out[np.ix_(sel, sel)] = np.where(r[:, None] == r, entries, 0.0)
+        return out
+
+
+def _sector_places(indices, n):
+    """(group, row, position) of each of n indices in a stacked layout
+    such as :func:`sector_indices`: index indices[group][row, position]."""
+    places = np.empty((3, n), dtype=int)
+    for group, idx in enumerate(indices):
+        places[0, idx] = group
+        places[1, idx] = np.arange(idx.shape[0])[:, None]
+        places[2, idx] = np.arange(idx.shape[1])
+    return places
+
+
+def build_generator(hamiltonian, channels, diagonal=None):
+    """Assemble the generator M of d rho/dt = M vec(rho) as its sectors.
 
     The coherent part is i[rho, H]; every channel contributes two jumps,
     J = A+ at rate_up and J = A- = A+^dag at rate_down, each with the
@@ -169,17 +220,18 @@ def build_liouvillian(hamiltonian, channels):
 
         H_eff = H - (i/2) sum_c r_c J_c^dag J_c
 
-    gives
+    (summed jump by jump, row by row, over the non-zero entries) gives
 
         M rho = -i H_eff rho + i rho H_eff^dag + sum_c r_c J_c rho J_c^dag,
 
     i.e. M = -i H_eff (x) 1 + 1 (x) conj(-i H_eff) + sum_c r_c J_c (x)
-    conj(J_c) in row-major order.  Each term is scattered straight into
-    one zeroed matrix in the package order: the two H_eff terms as d**3
-    entries each, the jump sum as the products of the non-zero entries of
-    each jump, sum_c nnz_c**2 entries.  The build costs the O(d**4) zero
-    fill plus O(d**3 + sum_c nnz_c**2), with no Kronecker product and no
-    d**2 x d**2 matrix product.  Trace preservation (<<1| M = 0) holds by
+    conj(J_c) in row-major order.  Each term is listed at its (row, col)
+    in the package order: the non-zero entries of the two H_eff terms, d
+    each per entry of H_eff, then the products of the non-zero entries of
+    each jump, sum_c nnz_c**2, then `diagonal`.  Duplicates are summed in
+    that order, and the non-zero sums join their row and column into one
+    sector (:func:`sector_labels`), so the sectors are exact and M is
+    block diagonal over them.  Trace preservation (<<1| M = 0) holds by
     construction.
 
     Parameters
@@ -187,57 +239,89 @@ def build_liouvillian(hamiltonian, channels):
     hamiltonian : (d, d) array_like
         Hermitian system Hamiltonian (hbar = 1).
     channels : sequence of DissipationChannel
+    diagonal : (d, d) array_like, optional
+        diagonal[n, m] is added to the diagonal entry of |nm>> last.
 
     Returns
     -------
-    m : (d**2, d**2) ndarray of complex
+    Generator
     """
     h = _hermitian(hamiltonian, "Hamiltonian")
     d = h.shape[0]
-    jumps, rates = [], []
+    supports = []
     for ch in channels:
         if ch.raising.shape[0] != d:
             raise ValueError("channel operator dimension mismatch")
-        for jump, rate in ((ch.raising, ch.rate_up),
-                           (ch.raising.conj().T, ch.rate_down)):
-            if rate != 0.0:
-                jumps.append(jump)
-                rates.append(rate)
-    jumps = np.array(jumps, dtype=complex).reshape(-1, d, d)
-    rates = np.array(rates)
-    h_eff = h - 0.5j * np.tensordot(jumps.conj(), rates[:, None, None] * jumps,
-                                    axes=([0, 1], [0, 1]))
-    a, pos = -1j * h_eff, _positions(d)
-    m = np.zeros((d * d, d * d), dtype=complex)
-    # a (x) 1 puts a[n, k] at [(n, m), (k, m)], and 1 (x) conj(a) puts
-    # conj(a)[m, l] at [(n, m), (n, l)]
-    m[pos[:, None, :], pos[None, :, :]] = a[:, :, None]
-    m[pos[:, :, None], pos[:, None, :]] += a.conj()
-    # r J (x) conj(J) adds r J[n, k] conj(J[m, l]) at [(n, m), (k, l)], for
-    # each ordered pair (i, j) of non-zero entries of one jump
-    c, n, k = np.nonzero(jumps)
+        supports.append(np.nonzero(ch.raising))
+    rates = np.array([(ch.rate_up, ch.rate_down) for ch in channels]).reshape(-1)
+    chan = np.repeat(np.arange(len(supports)), [s[0].size for s in supports])
+    n, k = (np.concatenate([np.zeros(0, int)] + [s[i] for s in supports])
+            for i in (0, 1))
+    vals = np.concatenate([np.zeros(0, complex)]
+                          + [ch.raising[s] for ch, s in zip(channels, supports)])
+    # jump 2c is A+ of channel c and jump 2c + 1 is A- = A+^dag, whose
+    # (k, n) entry is conj(A+[n, k]); each jump's entries are read in
+    # row-major order, and jumps of zero rate are skipped
+    down = np.lexsort((n, k, chan))
+    c = np.concatenate([2 * chan, 2 * chan[down] + 1])
+    n, k = np.concatenate([n, k[down]]), np.concatenate([k, n[down]])
+    vals = np.concatenate([vals, vals[down].conj()])
+    order = np.argsort(c, kind="stable")
+    order = order[rates[c[order]] != 0.0]
+    c, n, k, vals = c[order], n[order], k[order], vals[order]
+    rated = rates[c] * vals
+    # every ordered pair (i, j) of non-zero entries of one jump: j runs
+    # over first[i], first[i] + 1, ... for each i
     first = np.searchsorted(c, c)
     size = np.searchsorted(c, c, side="right") - first
     i = np.repeat(np.arange(c.size), size)
-    # j runs over first[i], first[i] + 1, ... for each i
     j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
-    vals = jumps[c, n, k]
-    np.add.at(m, (pos[n[i], n[j]], pos[k[i], k[j]]),
-              (rates[c] * vals)[i] * vals[j].conj())
-    return m
+    # r J^dag J puts conj(J[n, k]) r J[n, l] at [k, l]
+    same = n[i] == n[j]
+    decay = np.zeros((d, d), dtype=complex)
+    np.add.at(decay, (k[i][same], k[j][same]),
+              vals[i][same].conj() * rated[j][same])
+    a, pos = -1j * (h - 0.5j * decay), _positions(d)
+    p, q = np.nonzero(a)
+    extra = np.zeros((d, d)) if diagonal is None else np.asarray(diagonal)
+    e = np.nonzero(extra)
+    # each term at its flat index row * d**2 + col: a (x) 1 puts a[n, k]
+    # at [(n, m), (k, m)], 1 (x) conj(a) puts conj(a)[m, l] at
+    # [(n, m), (n, l)], r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
+    # [(n, m), (k, l)]
+    flat = np.concatenate([(pos[p] * d * d + pos[q]).ravel(),
+                           (pos[:, p] * d * d + pos[:, q]).T.ravel(),
+                           pos[n[i], n[j]] * d * d + pos[k[i], k[j]],
+                           pos[e] * (d * d + 1)])
+    terms = np.concatenate([np.repeat(a[p, q], d), np.repeat(a[p, q].conj(), d),
+                            rated[i] * vals[j].conj(), extra[e]])
+    keys, where = np.unique(flat, return_inverse=True)
+    sums = np.zeros(keys.size, dtype=complex)
+    np.add.at(sums, where, terms)
+    live = sums != 0
+    rows, cols = np.divmod(keys[live], d * d)
+    sums = sums[live]
+    labels = sector_labels(d * d, rows, cols)
+    indices = sector_indices(labels)
+    places = _sector_places(indices, d * d)
+    group, row, place = places
+    blocks = []
+    for g, idx in enumerate(indices):
+        block = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
+        hit = group[rows] == g
+        block[row[rows[hit]], place[rows[hit]], place[cols[hit]]] = sums[hit]
+        blocks.append((idx, block))
+    return Generator(d, labels, tuple(blocks), places)
 
 
-def sectors(m):
-    """Sector label of every index of m: the smallest index in its sector.
+def sector_labels(n, rows, cols):
+    """Sector label of every index of an n x n matrix whose non-zero
+    entries sit at (rows, cols): the smallest index in its sector.
 
     Indices share a sector when a chain of non-zero entries, read in
-    either direction, joins them, so m is block diagonal over its sectors.
-    No tolerance is applied: only an entry that is exactly 0 separates
-    two sectors, so the split is exact.
+    either direction, joins them, so the matrix is block diagonal over
+    its sectors.
     """
-    n = np.shape(m)[0]
-    # flatnonzero of a mask scans a dense matrix several times faster than nonzero
-    rows, cols = np.divmod(np.flatnonzero(np.asarray(m) != 0), n)
     label = np.arange(n)
     while True:
         # min-label propagation along both directions of every edge, then
@@ -265,21 +349,21 @@ def sector_indices(labels):
             for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
 
 
-def sector_modes(m, labels):
-    """Eigendecomposition of every sector of m, equal sizes stacked.
+def sector_modes(generator):
+    """Eigendecomposition of every sector of a :class:`Generator`, equal
+    sizes stacked.
 
-    Returns one (idx, lam, vecs) triple per :func:`sector_indices` array
-    idx: for each row r, m[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r],
-    with lam a (count, size) stack of eigenvalues and vecs a (count,
-    size, size) stack of eigenvectors.  Sizes above 1 take one batched
+    Returns one (idx, lam, vecs) triple per entry of generator.blocks:
+    for each row r, M[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r], with
+    lam a (count, size) stack of eigenvalues and vecs a (count, size,
+    size) stack of eigenvectors.  Sizes above 1 take one batched
     numpy.linalg.eig; a 1 x 1 sector is its own eigenvalue, with
     eigenvector 1, and needs no call.
     """
     modes = []
-    for idx in sector_indices(labels):
-        blocks = m[idx[:, :, None], idx[:, None, :]]
+    for idx, block in generator.blocks:
         if idx.shape[1] == 1:
-            modes.append((idx, blocks[:, 0], np.ones_like(blocks)))
+            modes.append((idx, block[:, 0], np.ones_like(block)))
         else:
-            modes.append((idx, *np.linalg.eig(blocks)))
+            modes.append((idx, *np.linalg.eig(block)))
     return modes

@@ -27,16 +27,15 @@ and the sources are O(d**3) operator products,
     V_- |rho>> = vectorize(V rho - rho V),  V_L |rho>> = vectorize(V rho).
 
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
-one resolvent.  G(w) is block diagonal over the sectors of M
-(:func:`~curlflux.liouville.sectors`), and :func:`resolvent` evaluates
-it on the whole grid from the modes of the sectors that both <<l| and
-|r>> touch (:func:`~curlflux.liouville.sector_modes`, found once per
-generator by :func:`~curlflux.reduction.analyze`).  On a diagonal
-Hamiltonian (every generic run file) the touched sectors are 1 x 1
-coherences, so the cost is O(d**3), not the O(d**6) of one dense
-d**2 x d**2 eigendecomposition: on a 401-point grid, 17 ms -> 1.5 ms at
-d = 16 and 0.18 s -> 3 ms at d = 24 (2 cores, BLAS on 1 thread).  A
-dense Hamiltonian is one sector.
+one resolvent.  G(w) is block diagonal over the sectors of M (see
+:mod:`~curlflux.liouville`), and it is evaluated on the whole grid from
+the modes of the sectors that both <<l| and |r>> touch
+(:func:`~curlflux.liouville.sector_modes`, found once per generator by
+:func:`~curlflux.reduction.analyze`).  On a diagonal Hamiltonian (every
+generic run file) the touched sectors are 1 x 1 coherences, so the cost
+is O(d**3), not the O(d**6) of one dense d**2 x d**2 eigendecomposition:
+on a 401-point grid, 17 ms -> 1.5 ms at d = 16 and 0.18 s -> 3 ms at
+d = 24 (2 cores, BLAS on 1 thread).  A dense Hamiltonian is one sector.
 """
 
 import warnings
@@ -46,14 +45,13 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import _hermitian, devectorize, sector_modes, sectors, vectorize
+from .liouville import _hermitian, devectorize, vectorize
 
 __all__ = [
     "ResponseSpectrum",
     "ResolventSingularError",
     "NotDetailedBalancedError",
     "FdrReport",
-    "resolvent",
     "linear_response_freq",
     "response_split",
     "fluctuation_spectrum",
@@ -62,7 +60,7 @@ __all__ = [
 ]
 
 
-#: Largest cond(V) over the touched sectors above which :func:`resolvent`
+#: Largest cond(V) over the touched sectors above which the resolvent
 #: solves per frequency.  The modal sum is off by up to 7e-16 * cond(V) of
 #: each column's maximum (measured on near-defective generators), so 1e3
 #: keeps it within 1e-12.  Bundled and random ladder/junction models stay
@@ -102,12 +100,14 @@ def _singular(omega, eigenvalue):
     )
 
 
-def resolvent(m, omegas, left, right, epsilon=None):
+def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
     """Matrix elements left . G(w) . right of G(w) = -(M + i w)^{-1} on a grid.
 
     Parameters
     ----------
-    m : (n, n) array_like
+    generator : Generator
+    modes : list
+        Its :func:`~curlflux.liouville.sector_modes`.
     omegas : array_like of float, n_w points
     left : (n,) or (k_left, n) array_like
     right : (n,) or (n, k_right) array_like
@@ -118,20 +118,18 @@ def resolvent(m, omegas, left, right, epsilon=None):
     Returns
     -------
     (n_w, k_left, k_right) complex ndarray
-        Every sector of M is diagonalized, equal sizes in one stacked
-        call, M_s = V_s diag(lam) V_s^{-1}, but only the sectors that
-        `left` reads (a non-zero column) and `right` feeds (a non-zero
-        row) contribute: with A = left V and B = V^{-1} right over their
-        modes,
-        -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid point is on the
-        pole of mode k when
+        Only the sectors that `left` reads (a non-zero column) and
+        `right` feeds (a non-zero row) contribute: with
+        M_s = V_s diag(lam) V_s^{-1}, A = left V and B = V^{-1} right over
+        their modes, -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid
+        point is on the pole of mode k when
         |lam_k + i w - epsilon| <= 1e-13 max(1, max|lam|), the maximum
         taken over every sector of M; a mode the pair does not excite
         (|A_k B_k| at most 1e-12 of the pair's largest weight) contributes
         0 there, as the stationary mode does under any commutator source
         (<<1|V_- rho>> = 0).  When the largest cond(V_s) over the touched
-        sectors exceeds EIGEN_COND_MAX (near an exceptional point),
-        M + i w - epsilon is solved per frequency on the touched sectors.
+        sectors exceeds EIGEN_COND_MAX (near an exceptional point), each
+        touched block M_s + i w - epsilon is solved per frequency.
 
     Raises
     ------
@@ -139,27 +137,20 @@ def resolvent(m, omegas, left, right, epsilon=None):
         On the pole of a mode the pair excites; the message names the
         frequency and the eigenvalue.
     """
-    m = np.asarray(m, dtype=complex)
-    return _sector_resolvent(m, sector_modes(m, sectors(m)), omegas, left,
-                             right, epsilon)
-
-
-def _sector_resolvent(m, modes, omegas, left, right, epsilon):
-    """:func:`resolvent` with the sector modes of m already known."""
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     shifts = 1j * omegas - (0.0 if epsilon is None else epsilon)
     left = np.atleast_2d(np.asarray(left, dtype=complex))
-    right = np.asarray(right, dtype=complex).reshape(m.shape[0], -1)
+    right = np.asarray(right, dtype=complex).reshape(generator.labels.size, -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
     reads, feeds = (left != 0).any(axis=0), (right != 0).any(axis=1)
     scale = max(1.0, *(np.abs(lam).max() for _, lam, _ in modes))
-    keep, evals, a, b, cond = [], [], [], [], 0.0
-    for idx, lam, vecs in modes:
+    touched, evals, a, b, cond = [], [], [], [], 0.0
+    for (idx, lam, vecs), (_, block) in zip(modes, generator.blocks):
         hit = reads[idx].any(axis=1) & feeds[idx].any(axis=1)
         if not hit.any():
             continue
         idx, vecs = idx[hit], vecs[hit]
-        keep.append(idx.ravel())
+        touched.append((idx, block, hit))
         evals.append(lam[hit].ravel())
         if idx.shape[1] == 1:
             # a 1 x 1 sector's eigenvector is exactly 1: A and B are the
@@ -171,20 +162,22 @@ def _sector_resolvent(m, modes, omegas, left, right, epsilon):
         # A = left V and B = V^-1 right of every sector, flattened over modes
         a.append((left[:, idx][:, :, None, :] @ vecs).reshape(left.shape[0], -1))
         b.append(np.linalg.solve(vecs, right[idx]).reshape(-1, right.shape[1]))
-    if not keep:
+    if not touched:
         return np.zeros(shape, dtype=complex)
     evals, a, b = np.concatenate(evals), np.hstack(a), np.vstack(b)
     if cond > EIGEN_COND_MAX:
-        keep = np.concatenate(keep)
-        sub, eye = m[np.ix_(keep, keep)], np.eye(keep.size)
-        out = np.empty(shape, dtype=complex)
+        out = np.zeros(shape, dtype=complex)
+        touched = [(idx, block[hit], left[:, idx].reshape(left.shape[0], -1))
+                   for idx, block, hit in touched]
         for i, shift in enumerate(shifts):
-            try:
-                out[i] = left[:, keep] @ np.linalg.solve(sub + shift * eye,
-                                                         -right[keep])
-            except np.linalg.LinAlgError:
-                nearest = evals[np.argmin(np.abs(evals + shift))]
-                raise _singular(omegas[i], nearest) from None
+            for idx, block, rows in touched:
+                try:
+                    x = np.linalg.solve(block + shift * np.eye(idx.shape[1]),
+                                        -right[idx])
+                except np.linalg.LinAlgError:
+                    nearest = evals[np.argmin(np.abs(evals + shift))]
+                    raise _singular(omegas[i], nearest) from None
+                out[i] += rows @ x.reshape(-1, right.shape[1])
         return out
     # weight[k, (i, j)] = A[i, k] B[k, j]
     weight = (a.T[:, :, None] * b[:, None, :]).reshape(evals.size, -1)
@@ -236,8 +229,8 @@ def linear_response_freq(coupling, analysis, omegas, epsilon=None):
     """
     omegas = np.asarray(omegas, dtype=float)
     row, kicked, _ = _row_and_sources(coupling, analysis.rho_ss.vector)
-    r_full = -1j * _sector_resolvent(analysis.m, analysis.modes, omegas, row,
-                                     kicked, epsilon)[:, 0, 0]
+    r_full = -1j * _sector_resolvent(analysis.generator, analysis.modes, omegas,
+                                     row, kicked, epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
@@ -253,7 +246,7 @@ def response_split(coupling, analysis, omegas, epsilon=None):
         its steady state, coherence map K and split operators.
     omegas : array_like of float
     epsilon : float, optional
-        As in :func:`resolvent`.
+        As in :func:`_sector_resolvent`.
 
     Returns
     -------
@@ -261,19 +254,15 @@ def response_split(coupling, analysis, omegas, epsilon=None):
         r_full, r_eq_term and r_ne_term, with
         r_eq_term + r_ne_term == r_full up to rounding.
     """
-    pops = analysis.populations
-    d = pops.size
-    # W = I + K lifts population vectors into Liouville space
-    lift = np.vstack([np.eye(d), analysis.k_map])
-    states = np.column_stack([
-        analysis.rho_ss.vector,
-        lift @ (analysis.split.s_d * pops),
-        lift @ (analysis.split.v_ss * pops),
-    ])
+    pops, k_map = analysis.populations, analysis.k_map
+    # W = I + K lifts a population vector p into Liouville space as [p; K p]
+    states = np.column_stack([analysis.rho_ss.vector] + [
+        np.concatenate([w * pops, k_map @ (w * pops)])
+        for w in (analysis.split.s_d, analysis.split.v_ss)])
     row, kicked, _ = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
-    r = _sector_resolvent(analysis.m, analysis.modes, omegas, row, kicked,
-                          epsilon)[:, 0, :]
+    r = _sector_resolvent(analysis.generator, analysis.modes, omegas, row,
+                          kicked, epsilon)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
@@ -289,8 +278,8 @@ def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
     `epsilon` replaces that pole by i/(w + i epsilon).
     """
     row, _, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
-    return _sector_resolvent(analysis.m, analysis.modes, omegas, row, seeded,
-                             epsilon)[:, 0, 0]
+    return _sector_resolvent(analysis.generator, analysis.modes, omegas, row,
+                             seeded, epsilon)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -309,7 +298,7 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     """Test coth(w/2T) Im R(w) = S(w) + S(-w) for a thermal generator.
 
     R(w) and S(+-w) share the row <<1| V_L and come from one
-    :func:`resolvent` call with the sources V_- rho_ss and V_L rho_ss on
+    resolvent evaluation with the sources V_- rho_ss and V_L rho_ss on
     the grid [w; -w].  The model (an :class:`~curlflux.reduction.Analysis`)
     must be detailed balanced (checked through its effective rate matrix);
     driven models are refused.  Grid points at w = 0 are skipped with a
@@ -344,7 +333,7 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
-    g = _sector_resolvent(analysis.m, analysis.modes,
+    g = _sector_resolvent(analysis.generator, analysis.modes,
                           np.concatenate([omegas, -omegas]), row,
                           np.hstack([kicked, seeded]), epsilon)[:, 0, :]
     n = omegas.size

@@ -1,16 +1,22 @@
 """Shared model generators and reference implementations for the test suite."""
 
+import math
+
 import numpy as np
 from scipy.linalg import expm
 
+from curlflux.junction import _fbars
 from curlflux.liouville import (
     DissipationChannel,
+    Generator,
+    _hermitian,
     _permutation,
-    build_liouvillian,
+    _positions,
+    _sector_places,
     devectorize,
     index_pairs,
+    sector_indices,
     sector_modes,
-    sectors,
     trace_vector,
     vectorize,
 )
@@ -20,7 +26,9 @@ from curlflux.reduction import (
     SteadyState,
     _eliminate,
     _isolated_zero,
+    _steady_state,
 )
+from curlflux.response import _sector_resolvent
 
 
 def _superoperator(s):
@@ -54,9 +62,117 @@ def generator_blocks(m):
     return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
-def _elimination(m):
+def _jumps(hamiltonian, channels):
+    """(H, jumps, rates, H_eff): the jumps of nonzero rate as one dense
+    stack, and H_eff = H - (i/2) sum_c r_c J_c^dag J_c summed jump by
+    jump and row by row (a BLAS product may round the sum differently)."""
+    h = np.asarray(hamiltonian, dtype=complex)
+    d = h.shape[0]
+    jumps, rates = [], []
+    for ch in channels:
+        for jump, rate in ((ch.raising, ch.rate_up),
+                           (ch.raising.conj().T, ch.rate_down)):
+            if rate != 0.0:
+                jumps.append(jump)
+                rates.append(rate)
+    jumps = np.array(jumps, dtype=complex).reshape(-1, d, d)
+    rates = np.array(rates)
+    decay = np.zeros((d, d), dtype=complex)
+    for rate, jump in zip(rates, jumps):
+        for row in jump:
+            decay += np.outer(row.conj(), rate * row)
+    return h, jumps, rates, h - 0.5j * decay
+
+
+def build_liouvillian(hamiltonian, channels):
+    """The generator as one dense (d**2, d**2) matrix in the package
+    order: each term scattered into a zeroed matrix, the two H_eff terms
+    as d**3 entries each, then the products of the non-zero entries of
+    each jump."""
+    h, jumps, rates, h_eff = _jumps(_hermitian(hamiltonian, "Hamiltonian"), channels)
+    d = h.shape[0]
+    a, pos = -1j * h_eff, _positions(d)
+    m = np.zeros((d * d, d * d), dtype=complex)
+    # a (x) 1 puts a[n, k] at [(n, m), (k, m)], and 1 (x) conj(a) puts
+    # conj(a)[m, l] at [(n, m), (n, l)]
+    m[pos[:, None, :], pos[None, :, :]] = a[:, :, None]
+    m[pos[:, :, None], pos[:, None, :]] += a.conj()
+    # r J (x) conj(J) adds r J[n, k] conj(J[m, l]) at [(n, m), (k, l)], for
+    # each ordered pair (i, j) of non-zero entries of one jump
+    c, n, k = np.nonzero(jumps)
+    first = np.searchsorted(c, c)
+    size = np.searchsorted(c, c, side="right") - first
+    i = np.repeat(np.arange(c.size), size)
+    j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
+    vals = jumps[c, n, k]
+    np.add.at(m, (pos[n[i], n[j]], pos[k[i], k[j]]),
+              (rates[c] * vals)[i] * vals[j].conj())
+    return m
+
+
+def junction_liouvillian(model, strict_paper_rates=True):
+    """Dense generator of a junction model: its H and channels, then the
+    swapped decay pairing added to the ground-excited coherences."""
+    m = build_liouvillian(model.h_eff, model.channels)
+    if not strict_paper_rates:
+        f1, f2 = _fbars(model.params)
+        pairs = list(index_pairs(3))
+        swap = 0.5 * model.params.gamma * (f1 - f2)
+        for pair, sgn in (((0, 1), -1.0), ((0, 2), 1.0), ((1, 0), -1.0),
+                          ((2, 0), 1.0)):
+            i = pairs.index(pair)
+            m[i, i] += sgn * swap
+    return m
+
+
+def sectors(m):
+    """Sector label of every index of m, the smallest index in its
+    sector, from one scan of the exact non-zero pattern of m."""
+    n = np.shape(m)[0]
+    rows, cols = np.divmod(np.flatnonzero(np.asarray(m) != 0), n)
+    label = np.arange(n)
+    while True:
+        np.minimum.at(label, rows, label[cols])
+        np.minimum.at(label, cols, label[rows])
+        label = label[label]
+        if np.array_equal(label[rows], label[cols]):
+            return label
+
+
+def generator_of(m):
+    """The Generator of a dense square matrix: its sectors and their blocks."""
+    m = np.asarray(m, dtype=complex)
     labels = sectors(m)
-    return _eliminate(m, labels, sector_modes(m, labels))
+    indices = sector_indices(labels)
+    return Generator(math.isqrt(m.shape[0]), labels,
+                     tuple((idx, m[idx[:, :, None], idx[:, None, :]]) for idx in indices),
+                     _sector_places(indices, labels.size))
+
+
+def to_dense(generator):
+    """The (n, n) matrix a Generator holds, zero between sectors."""
+    n = generator.labels.size
+    m = np.zeros((n, n), dtype=complex)
+    for idx, block in generator.blocks:
+        m[idx[:, :, None], idx[:, None, :]] = block
+    return m
+
+
+def steady_state(m):
+    """SteadyState of a dense generator, by the library's sectored route."""
+    gen = generator_of(m)
+    return _steady_state(gen, sector_modes(gen))
+
+
+def resolvent(m, omegas, left, right, epsilon=None):
+    """left . G(w) . right of a dense matrix, by the library's resolvent."""
+    gen = generator_of(m)
+    return _sector_resolvent(gen, sector_modes(gen), omegas, left, right, epsilon)
+
+
+def _elimination(m):
+    gen = generator_of(m)
+    return _eliminate(gen, sector_modes(gen))
 
 
 def coherence_map(m):
@@ -88,18 +204,9 @@ def rate_steady_state(l_matrix):
 def kron_liouvillian(hamiltonian, channels):
     """The generator as two Kronecker products plus one (d**2, n) @
     (n, d**2) jump product, permuted to the package order."""
-    h = np.asarray(hamiltonian, dtype=complex)
+    h, jumps, rates, h_eff = _jumps(hamiltonian, channels)
     d = h.shape[0]
-    jumps, rates = [], []
-    for ch in channels:
-        for jump, rate in ((ch.raising, ch.rate_up),
-                           (ch.raising.conj().T, ch.rate_down)):
-            if rate != 0.0:
-                jumps.append(jump)
-                rates.append(rate)
-    jumps = np.array(jumps, dtype=complex).reshape(-1, d, d)
-    weighted = np.array(rates)[:, None, None] * jumps
-    h_eff = h - 0.5j * np.tensordot(jumps.conj(), weighted, axes=([0, 1], [0, 1]))
+    weighted = rates[:, None, None] * jumps
     jump_sum = weighted.reshape(-1, d * d).T @ jumps.conj().reshape(-1, d * d)
     jump_sum = jump_sum.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     a, eye = -1j * h_eff, np.eye(d)
@@ -165,11 +272,18 @@ def random_lindblad_model(rng, dim=3, coupling=0.05, gamma=0.1):
 
 
 def random_ladder_model(rng, dim):
+    """Driven ladder like the benchmark's (:func:`random_ladder`), with
+    its dense generator: (h, channels, m, top)."""
+    h, channels, top = random_ladder(rng, dim)
+    return h, channels, build_liouvillian(h, channels), top
+
+
+def random_ladder(rng, dim):
     """Driven ladder like the benchmark's: diagonal H, nearest-neighbour
     channels plus dim // 2 random skip channels, rates log-uniform in
     [0.002, 0.05].  Every coherence is then a sector of its own.
 
-    Returns (h, channels, m, top) with `top` the highest level.
+    Returns (h, channels, top) with `top` the highest level.
     """
     steps = rng.uniform(0.2, 0.8, size=dim - 1)
     energies = np.concatenate([[0.0], np.cumsum(steps)])
@@ -183,7 +297,7 @@ def random_ladder_model(rng, dim):
         raising[upper, lower] = 1.0
         up, down = 0.002 * 25.0 ** rng.random(2)
         channels.append(DissipationChannel(raising, up, down))
-    return h, channels, build_liouvillian(h, channels), energies[-1]
+    return h, channels, energies[-1]
 
 
 def thermal_two_level(omega0=1.0, temperature=0.3, gamma=0.02):

@@ -42,9 +42,11 @@ from helpers import (
     coherence_map,
     dense_steady_state,
     generator_blocks,
+    generator_of,
     random_rate_matrix,
     rate_steady_state,
     thermal_two_level,
+    to_dense,
 )
 
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
@@ -150,7 +152,7 @@ def test_criterion_04_closed_form_block_equality():
                 [g * f2, 0.0, -g * (1 - f2)],
             ])
             l = m_p + np.array([[0, 0, 0], [0, -hop, hop], [0, hop, -hop]])
-            _, _, got_cp, got_c = generator_blocks(model.m)
+            _, _, got_cp, got_c = generator_blocks(to_dense(model.generator))
             assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() <= 1e-12
             assert np.abs(got_cp[rows, :] - m_cp).max() <= 1e-12
             assert np.abs(model.k_map[rows, :] - k).max() <= 1e-12
@@ -212,7 +214,7 @@ def test_criterion_07_equilibrium_coth_fdr_two_level():
     with verdict(7, "equilibrium coth comparison on a thermal two-level system"):
         m, v, _ = thermal_two_level(omega0=1.0, temperature=0.3, gamma=0.02)
         grid = np.linspace(0.5, 1.5, 201)  # excludes omega = 0
-        report = check_equilibrium_fdr(v, analyze(m), 0.3, grid)
+        report = check_equilibrium_fdr(v, analyze(generator_of(m)), 0.3, grid)
         assert report.max_residual <= 1e-8, (
             "max residual %.3e: the one-sided spectra keep dispersive "
             "imaginary parts (max |Im rhs| = %.3e) and the Lorentzian "
@@ -229,8 +231,9 @@ def test_criterion_07_equilibrium_coth_fdr_two_level():
 
 def test_criterion_08_steady_state_quality():
     with verdict(8, "steady-state residual, trace and coherence consistency"):
-        models = [build_junction(junction_at(dmu=d)).m for d in BIASES]
-        models.append(build_junction(junction_at(mus=(1.0, 0.5))).m)
+        models = [to_dense(build_junction(junction_at(dmu=d)).generator)
+                  for d in BIASES]
+        models.append(to_dense(build_junction(junction_at(mus=(1.0, 0.5))).generator))
         models.append(thermal_two_level()[0])
         # driven five-level ladder with several cycles
         rng = np.random.default_rng(99)

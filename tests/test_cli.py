@@ -16,7 +16,7 @@ from curlflux.flux import reconstruct_flux
 from curlflux.reduction import analyze
 from curlflux.response import FdrReport, ResolventSingularError, fluctuation_spectrum
 
-from helpers import thermal_two_level
+from helpers import generator_of, thermal_two_level
 
 
 def bundled(name):
@@ -134,15 +134,15 @@ def test_spectrum_labels_each_generator_once(tmp_path, monkeypatch, name, labell
     # one sector labelling per analysed generator: a generic run file has
     # one, the junction sweep one per bias point
     calls = []
-    real = liouville.sectors
+    real = liouville.sector_labels
 
-    def counted(m):
-        calls.append(m.shape)
-        return real(m)
+    def counted(n, rows, cols):
+        calls.append(n)
+        return real(n, rows, cols)
 
     for module in (liouville, reduction, response):
-        if getattr(module, "sectors", None) is real:
-            monkeypatch.setattr(module, "sectors", counted)
+        if getattr(module, "sector_labels", None) is real:
+            monkeypatch.setattr(module, "sector_labels", counted)
     assert main(["spectrum", "--config", bundled(name), "--out", str(tmp_path)]) == 0
     assert len(calls) == labellings
 
@@ -273,7 +273,7 @@ def test_spectrum_at_zero_frequency_is_the_static_response(tmp_path):
     r_0, r_tiny = (complex(*map(float, row.split(",")[1:3])) for row in rows[:2])
     assert abs(r_0 - r_tiny) <= 1e-9 * abs(r_tiny)
     # the fluctuation source V_L rho does excite it: still a pole
-    analysis = analyze(thermal_two_level()[0])
+    analysis = analyze(generator_of(thermal_two_level()[0]))
     with pytest.raises(ResolventSingularError, match="eigenvalue"):
         fluctuation_spectrum(np.eye(2), analysis, [0.0])
 

@@ -1,9 +1,13 @@
 import itertools
 import json
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import curlflux.flux as flux_module
+from curlflux.cli import main
 from curlflux.flux import (
     NonStationaryError,
     curl_flux,
@@ -17,6 +21,7 @@ from curlflux.junction import JUNCTION_LABELS, JunctionParams, build_junction
 from curlflux.reduction import analyze
 
 from helpers import (
+    generator_of,
     random_ladder_model,
     random_lindblad_model,
     random_rate_matrix,
@@ -168,10 +173,10 @@ def test_split_operators_equal_per_state_sums_bit_for_bit():
     rng = np.random.default_rng(25)
     pairs = [stationary_pair(rng, dim) for dim in (2, 3, 7, 16, 24)]
     for dim in (3, 12, 24):
-        l = analyze(random_ladder_model(rng, dim)[2]).l_matrix.real
+        l = analyze(generator_of(random_ladder_model(rng, dim)[2])).l_matrix.real
         pairs.append((l, rate_steady_state(l).vector))
     for dim in (3, 8):
-        l = analyze(random_lindblad_model(rng, dim)[2]).l_matrix.real
+        l = analyze(generator_of(random_lindblad_model(rng, dim)[2])).l_matrix.real
         pairs.append((l, rate_steady_state(l).vector))
     for l, p in pairs:
         decomposition = curl_flux(l, p)
@@ -255,3 +260,49 @@ def test_flux_report_is_deterministic_json():
     assert len(data["loops"]) == 1
     assert data["loops"][0]["cycle"] == ["g", "e1", "e2"]
     assert data["loops"][0]["weight"] == pytest.approx(model.flux_j)
+
+
+def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
+    # every bundled and bench/reference run file at both rate pairings:
+    # the report the CLI writes is json.dumps(report, indent=2,
+    # sort_keys=True) of the report it built
+    reports = []
+    write = flux_module._dumps
+
+    def recorded(report, *pad):
+        text = write(report, *pad)
+        if pad:
+            # the writer's own recursion into a nested value
+            return text
+        reports.append(report)
+        assert text == json.dumps(report, indent=2, sort_keys=True)
+        return text
+
+    monkeypatch.setattr(flux_module, "_dumps", recorded)
+    paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
+             if p.name.endswith(".yaml")]
+    paths += [str(p) for p in (Path(__file__).resolve().parents[1] / "bench"
+                               / "reference").glob("*.yaml")]
+    for path in sorted(paths):
+        for strict in ("true", "false"):
+            assert main(["flux", "--config", path, "--out", str(tmp_path),
+                         "--strict-paper-rates", strict]) == 0
+    assert len(reports) == 2 * len(paths) == 22
+    # the junction reports hold a null ratio at the balanced point
+    assert any(r.get("flux_coherence_ratio", 0.0) is None for r in reports)
+
+
+def test_json_writer_spells_special_values_like_the_json_module():
+    decomp = curl_flux(*three_cycle())
+    split = split_operators(*three_cycle(), decomp)
+    extra = {"flux_coherence_ratio": None, "im_coherence_e1e2": -0.0,
+             "loop_flux_j": float("nan"), "populations": [1.0, float("inf")],
+             "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
+             "nested": [[], {}, [[float("nan")]], (1.5,)]}
+    text = render_flux_report(decomp, split, labels=["a", "b", "c"], extra=extra)
+    report = json.loads(text)
+    assert text == json.dumps(report, indent=2, sort_keys=True)
+    for key in ("flux_coherence_ratio", "im_coherence_e1e2", "loop_flux_j",
+                "populations", "tail"):
+        assert json.dumps(report[key]) == json.dumps(extra[key])
+    assert flux_module._dumps(extra) == json.dumps(extra, indent=2, sort_keys=True)

@@ -18,7 +18,7 @@ from curlflux.junction import (
 from curlflux.liouville import index_pairs
 from curlflux.response import response_split
 
-from helpers import generator_blocks
+from helpers import generator_blocks, to_dense
 
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
 
@@ -95,7 +95,7 @@ def test_params_enforce_level_ordering_and_single_gamma():
 def test_blocks_match_closed_forms_reference_point():
     model = build_junction(reference_params(1.0, 0.5))
     m_p, m_pc, m_cp, m_c, k, l = printed_blocks(model.params)
-    got_p, got_pc, got_cp, got_c = generator_blocks(model.m)
+    got_p, got_pc, got_cp, got_c = generator_blocks(to_dense(model.generator))
     r12, r21 = excited_coherence_rows()
     rows = [r12, r21]
     assert np.abs(got_p - m_p).max() < 1e-12
@@ -130,7 +130,7 @@ def test_blocks_match_closed_forms_random_draws():
         )
         model = build_junction(params)
         m_p, m_pc, m_cp, m_c, k, l = printed_blocks(params)
-        got_p, got_pc, got_cp, got_c = generator_blocks(model.m)
+        got_p, got_pc, got_cp, got_c = generator_blocks(to_dense(model.generator))
         assert np.abs(got_p - m_p).max() < 1e-12
         assert np.abs(got_pc[:, rows] - m_pc).max() < 1e-12
         assert np.abs(got_cp[rows, :] - m_cp).max() < 1e-12
@@ -182,7 +182,7 @@ def test_ge_generator_equals_coherence_sector_of_builder():
     model = build_junction(params)
     pairs = list(index_pairs(3))
     idx = [pairs.index((0, 1)), pairs.index((0, 2))]
-    assert np.abs(model.m[np.ix_(idx, idx)] - ge_generator(params)).max() < 1e-14
+    assert np.abs(model.generator.take(idx) - ge_generator(params)).max() < 1e-14
 
 
 def test_ge_generator_crossed_pairing_as_derived():
@@ -256,7 +256,7 @@ def test_analytic_propagator_conjugate_block():
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
     model = build_junction(params)
-    eg_gen = model.m[np.ix_(idx, idx)]
+    eg_gen = model.generator.take(idx)
     for t in (1.0, 25.0):
         assert np.abs(expm(eg_gen * t) - analytic_propagator_ge(params, t).conj()).max() < 1e-12
 
@@ -266,7 +266,7 @@ def test_hybridized_frequency_propagator_matches_exact_resolvent_at_balance():
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
     model = build_junction(params)
-    a_eg = model.m[np.ix_(idx, idx)]
+    a_eg = model.generator.take(idx)
     for w in (0.9, 1.0, 1.0608):
         exact = -np.linalg.inv(a_eg + 1j * w * np.eye(2))
         assert np.abs(hybridized_frequency_propagator(params, w) - exact).max() < 1e-12
@@ -285,7 +285,7 @@ def test_hybridized_frequency_propagator_first_order_off_balance():
     params = reference_params(1.0, 0.5)
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
-    a_eg = build_junction(params).m[np.ix_(idx, idx)]
+    a_eg = build_junction(params).generator.take(idx)
     worst = 0.0
     scale = 0.0
     for w in np.linspace(0.9, 1.1, 41):
@@ -404,7 +404,7 @@ def test_swapped_rate_variant_changes_only_probe_sector():
     pairs = list(index_pairs(3))
     idx = [pairs.index((0, 1)), pairs.index((0, 2))]
     assert np.abs(
-        swapped.m[np.ix_(idx, idx)] - ge_generator(params, strict_paper_rates=False)
+        swapped.generator.take(idx) - ge_generator(params, strict_paper_rates=False)
     ).max() < 1e-14
     # the swap moves the line widths, so spectra differ
     grid = np.linspace(0.9, 1.1, 101)
@@ -429,7 +429,7 @@ def test_closed_form_flux_response_matches_per_frequency_inverses():
     for strict in (True, False):
         for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (2.0, 0.0)):
             model = build_junction(reference_params(mu_1, mu_2), strict)
-            a_eg = model.m[np.ix_(idx, idx)]
+            a_eg = model.generator.take(idx)
             c1, c2 = _ne_coefficients(model)
             expected = []
             for w in FIG_GRID:

@@ -1,23 +1,33 @@
+import importlib.util
+from importlib import resources
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from curlflux.cli import _spectrum_points
+from curlflux.config import load_config
+
 from curlflux.liouville import (
     DissipationChannel,
     HilbertBasis,
-    build_liouvillian,
+    build_generator,
     devectorize,
     index_pairs,
     sector_indices,
+    sector_labels,
     sector_modes,
-    sectors,
     trace_vector,
     vectorize,
 )
 from curlflux.junction import JunctionParams, build_junction
 from helpers import (
+    build_liouvillian,
     commutator_superop,
+    generator_of,
+    junction_liouvillian,
     kron_liouvillian,
     left_mult,
     propagate,
@@ -26,6 +36,8 @@ from helpers import (
     random_ladder_model,
     random_lindblad_model,
     right_mult,
+    sectors,
+    to_dense,
 )
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -102,7 +114,7 @@ def test_two_level_decay_structure():
     omega, gamma = 1.3, 0.08
     h = np.diag([0.0, omega]).astype(complex)
     raising = np.array([[0, 0], [1, 0]], dtype=complex)
-    m = build_liouvillian(h, [DissipationChannel(raising, 0.0, gamma)])
+    m = to_dense(build_generator(h, [DissipationChannel(raising, 0.0, gamma)]))
     # population block: gain/loss at rate gamma
     assert np.allclose(m[:2, :2], [[0.0, gamma], [0.0, -gamma]])
     # coherence slots (g,e) and (e,g): decay gamma/2, frequencies +-omega
@@ -125,7 +137,7 @@ def per_channel_liouvillian(h, channels):
 
 
 def assert_matches_per_channel_oracle(h, channels):
-    m = build_liouvillian(h, channels)
+    m = to_dense(build_generator(h, channels))
     oracle = per_channel_liouvillian(h, channels)
     assert m.shape == oracle.shape
     assert np.abs(m - oracle).max() <= 1e-14 * np.abs(oracle).max()
@@ -170,7 +182,7 @@ def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
     ]
     assert_matches_per_channel_oracle(h, channels)
     assert_matches_per_channel_oracle(h, [])
-    assert np.array_equal(build_liouvillian(h, []), -1j * commutator_superop(h))
+    assert np.array_equal(to_dense(build_generator(h, [])), -1j * commutator_superop(h))
 
 
 def test_builder_matches_per_channel_oracle_on_junction():
@@ -193,20 +205,20 @@ def test_builder_equals_kron_form_bit_for_bit():
     for dim in (3, 5, 8):
         inputs.append(random_lindblad_model(np.random.default_rng(dim), dim)[:2])
     for h, channels in inputs:
-        assert np.array_equal(build_liouvillian(h, channels),
+        assert np.array_equal(to_dense(build_generator(h, channels)),
                               kron_liouvillian(h, channels))
 
 
 def test_builder_rejects_mismatched_channel_dimension():
     channel = DissipationChannel(np.zeros((3, 3)), 0.1, 0.1)
     with pytest.raises(ValueError, match="dimension mismatch"):
-        build_liouvillian(np.eye(2), [channel])
+        build_generator(np.eye(2), [channel])
 
 
 def test_builder_rejects_non_hermitian_hamiltonian():
     h = np.array([[0.0, 1.0], [0.0, 1.0]], dtype=complex)
     with pytest.raises(ValueError, match="Hermitian"):
-        build_liouvillian(h, [])
+        build_generator(h, [])
 
 
 def test_trace_preservation_for_random_channels():
@@ -236,7 +248,7 @@ def test_thermal_rates_admit_gibbs_stationary_state():
             channels.append(DissipationChannel(
                 raising, base * np.exp(-omega_ij / temperature), base
             ))
-    m = build_liouvillian(h, channels)
+    m = to_dense(build_generator(h, channels))
     gibbs = np.exp(-energies / temperature)
     gibbs /= gibbs.sum()
     assert np.abs(m @ vectorize(np.diag(gibbs))).max() < 1e-10
@@ -266,7 +278,7 @@ def test_sectors_recover_planted_blocks(sizes, seed):
     m[~hit & (rng.random((n, n)) < 0.3)] = complex(-0.0, -0.0)
     perm = rng.permutation(n)
     hidden = m[np.ix_(perm, perm)]
-    labels = sectors(hidden)
+    labels = sector_labels(n, *np.divmod(np.flatnonzero(hidden != 0), n))
     # each index is labelled with the smallest index of its sector
     expected = planted[perm]
     first = np.full(len(sizes), n)
@@ -292,18 +304,18 @@ def _permuted_blocks():
     return m[np.ix_(perm, perm)]
 
 
-@pytest.mark.parametrize("m", [
-    build_junction(JunctionParams(mu_1=1.0, mu_2=0.5)).m,
-    random_lindblad_model(np.random.default_rng(3), dim=4)[2],
-    random_ladder_model(np.random.default_rng(4), 8)[2],
-    _permuted_blocks(),
+@pytest.mark.parametrize("gen", [
+    build_junction(JunctionParams(mu_1=1.0, mu_2=0.5)).generator,
+    generator_of(random_lindblad_model(np.random.default_rng(3), dim=4)[2]),
+    generator_of(random_ladder_model(np.random.default_rng(4), 8)[2]),
+    generator_of(_permuted_blocks()),
 ], ids=["junction", "lindblad", "ladder", "permuted-blocks"])
-def test_each_mode_diagonalizes_its_sector(m):
-    labels = sectors(m)
+def test_each_mode_diagonalizes_its_sector(gen):
+    m = to_dense(gen)
     seen = []
-    modes = sector_modes(m, labels)
+    modes = sector_modes(gen)
     assert [idx.tolist() for idx, _, _ in modes] == [
-        idx.tolist() for idx in sector_indices(labels)]
+        idx.tolist() for idx in sector_indices(gen.labels)]
     for idx, lam, vecs in modes:
         blocks = m[idx[:, :, None], idx[:, None, :]]
         scale = np.abs(blocks).max(axis=(1, 2))[:, None, None]
@@ -311,6 +323,90 @@ def test_each_mode_diagonalizes_its_sector(m):
                       <= 1e-12 * scale)
         seen.extend(idx.ravel())
     assert sorted(seen) == list(range(m.shape[0]))
+
+
+def assert_generator_is_the_dense_oracle(gen, m):
+    # the exact sectors of the dense matrix, and its entries bit for bit
+    assert np.array_equal(gen.labels, sectors(m))
+    assert sorted(np.concatenate([idx.ravel() for idx, _ in gen.blocks])) == list(
+        range(m.shape[0]))
+    for idx, block in gen.blocks:
+        assert np.array_equal(block, m[idx[:, :, None], idx[:, None, :]])
+
+
+@st.composite
+def generator_inputs(draw):
+    """(generator, dense oracle) of a random ladder, a coherent model or a
+    junction at either rate pairing."""
+    kind = draw(st.sampled_from(["ladder", "coherent", "junction"]))
+    if kind == "junction":
+        params = JunctionParams(
+            mu_1=draw(st.floats(0.0, 2.0)), mu_2=draw(st.floats(0.0, 2.0)),
+            delta=draw(st.sampled_from([0.0, 0.01, 0.05])),
+            gamma=draw(st.floats(0.005, 0.05)),
+            t_1=draw(st.floats(0.05, 1.0)), t_2=draw(st.floats(0.05, 1.0)))
+        strict = draw(st.booleans())
+        model = build_junction(params, strict)
+        return model.generator, junction_liouvillian(model, strict)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "ladder":
+        h, channels, m, _ = random_ladder_model(rng, draw(st.integers(2, 24)))
+    else:
+        h, channels, m = random_lindblad_model(rng, dim=draw(st.integers(2, 8)))
+    return build_generator(h, channels), m
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(generator_inputs())
+def test_generator_equals_the_dense_oracle(case):
+    assert_generator_is_the_dense_oracle(*case)
+
+
+def _bench_workloads():
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
+    # the bundled run files, their bench/reference copies and every run
+    # file the bench generates for seeds 1 to 3, at both rate pairings
+    bench = Path(__file__).resolve().parents[1] / "bench"
+    paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
+             if p.name.endswith(".yaml")]
+    paths += [str(p) for p in (bench / "reference").glob("*.yaml")]
+    workloads = _bench_workloads()
+    for name in ("junction_sweep", "ladder_flux", "ladder_spectrum"):
+        for seed in (1, 2, 3):
+            work = str(tmp_path / ("%s%d" % (name, seed)))
+            spec = workloads.generate(name, seed, work)
+            paths += [op["argv"][2] for op in [spec["warmup"]] + spec["batch"]]
+    assert len(set(paths)) == 68
+    for path in sorted(set(paths)):
+        config = load_config(path)
+        for strict in (True, False):
+            for _, analysis, _ in _spectrum_points(config, strict):
+                if config.generic:
+                    m = build_liouvillian(config.generic.hamiltonian,
+                                          config.generic.channels)
+                else:
+                    m = junction_liouvillian(analysis, strict)
+                assert_generator_is_the_dense_oracle(analysis.generator, m)
+
+
+def test_take_reads_any_index_set_from_the_blocks():
+    rng = np.random.default_rng(21)
+    for gen in (build_junction(JunctionParams(mu_1=1.0, mu_2=0.5)).generator,
+                generator_of(random_lindblad_model(rng, dim=3)[2]),
+                generator_of(random_ladder_model(rng, 6)[2]),
+                generator_of(_permuted_blocks())):
+        m = to_dense(gen)
+        for size in (1, 2, 5, m.shape[0]):
+            index = rng.choice(m.shape[0], size, replace=False)
+            assert np.array_equal(gen.take(index), m[np.ix_(index, index)])
+        assert np.array_equal(gen.populated, np.flatnonzero(gen.labels < gen.d))
 
 
 def test_propagation_preserves_density_matrix_structure():

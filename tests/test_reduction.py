@@ -4,30 +4,28 @@ from scipy.linalg import block_diag
 
 import curlflux.reduction as reduction
 from curlflux.junction import JunctionParams, build_junction
-from curlflux.liouville import (
-    DissipationChannel,
-    build_liouvillian,
-    devectorize,
-    vectorize,
-)
+from curlflux.liouville import DissipationChannel, devectorize, vectorize
 from curlflux.reduction import (
     Analysis,
     NonDecayingCoherenceError,
     NonUniqueSteadyStateError,
     analyze,
-    steady_state,
 )
 
 from helpers import (
+    build_liouvillian,
     coherence_map,
     dense_steady_state,
     effective_rate_matrix,
     generator_blocks,
+    generator_of,
     memory_kernel,
     propagate,
     random_ladder_model,
     random_lindblad_model,
     rate_steady_state,
+    steady_state,
+    to_dense,
 )
 
 
@@ -68,7 +66,7 @@ def test_effective_rate_matrix_columns_sum_to_zero():
 
 def test_effective_rate_matrix_reduces_to_population_block_without_hopping():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8, delta=0.0))
-    assert np.abs(model.l_matrix - model.m[:3, :3]).max() < 1e-15
+    assert np.abs(model.l_matrix - to_dense(model.generator)[:3, :3]).max() < 1e-15
 
 
 def test_memory_kernel_decays_at_large_laplace_argument():
@@ -89,13 +87,13 @@ def test_memory_kernel_imaginary_axis_profile():
     # sweep along s = i w: kernel magnitude peaks where the coherence
     # frequencies sit, and matches the eigendecomposition evaluation
     model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
-    _, m_pc, m_cp, m_c = generator_blocks(model.m)
+    _, m_pc, m_cp, m_c = generator_blocks(to_dense(model.generator))
     evals, evecs = np.linalg.eig(m_c)
     vinv = np.linalg.inv(evecs)
     ws = np.linspace(-0.3, 0.3, 241)
     norms = np.empty(ws.size)
     for i, w in enumerate(ws):
-        kernel = memory_kernel(model.m, 1j * w)
+        kernel = memory_kernel(to_dense(model.generator), 1j * w)
         oracle = m_pc @ (evecs @ np.diag(1.0 / (1j * w - evals)) @ vinv) @ m_cp
         assert np.abs(kernel - oracle).max() < 1e-13
         norms[i] = np.linalg.norm(kernel)
@@ -122,7 +120,8 @@ def test_junction_steady_state_matches_long_time_propagation():
     model = build_junction(JunctionParams(mu_1=1.3, mu_2=0.7))
     rho0 = vectorize(np.diag([1.0, 0.0, 0.0]).astype(complex))
     horizon = 1e4 / model.params.gamma
-    assert np.abs(propagate(model.m, rho0, horizon) - model.rho_ss.vector).max() < 1e-8
+    evolved = propagate(to_dense(model.generator), rho0, horizon)
+    assert np.abs(evolved - model.rho_ss.vector).max() < 1e-8
 
 
 def test_junction_detailed_balance_at_equal_fermi_factors():
@@ -188,7 +187,7 @@ def test_steady_state_properties_random_models():
 
 def _assert_matches_full_null_vector(m):
     ref = dense_steady_state(m).vector
-    rho = analyze(m).rho_ss
+    rho = analyze(generator_of(m)).rho_ss
     assert np.abs(rho.vector - ref).max() <= 1e-12 * np.abs(ref).max()
     assert rho.residual <= 1e-10
 
@@ -197,14 +196,14 @@ def _assert_matches_full_null_vector(m):
 @pytest.mark.parametrize("mu", [(1.0, 1.0), (1.06, 0.94), (1.0, 0.5)])
 def test_analyze_steady_state_matches_full_generator_junction(mu, strict):
     model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
-    _assert_matches_full_null_vector(model.m)
+    _assert_matches_full_null_vector(to_dense(model.generator))
 
 
 @pytest.mark.parametrize("dim", [3, 5, 8])
 def test_analyze_steady_state_matches_full_generator_random(dim):
     _, _, m = random_lindblad_model(np.random.default_rng(20 + dim), dim=dim)
     _assert_matches_full_null_vector(m)
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     rho = devectorize(analysis.rho_ss.vector)
     # K p alone is Hermitian only to rounding on these models
     assert np.array_equal(rho, rho.conj().T)
@@ -215,7 +214,7 @@ def _steady_state_cases():
     for strict in (True, False):
         for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
             model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
-            yield "junction-%g-%g-%s" % (mu + (strict,)), model.m
+            yield "junction-%g-%g-%s" % (mu + (strict,)), to_dense(model.generator)
     for dim in (3, 5, 8):
         yield "lindblad-%d" % dim, random_lindblad_model(
             np.random.default_rng(30 + dim), dim=dim)[2]
@@ -276,12 +275,12 @@ def test_steady_state_decomposes_a_one_sector_generator_once(monkeypatch):
 
 def test_analyze_refuses_disconnected_generator():
     with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
-        analyze(_disconnected_rate_graph())
+        analyze(generator_of(_disconnected_rate_graph()))
 
 
 def test_analyze_refuses_non_decaying_coherence():
     with pytest.raises(NonDecayingCoherenceError, match="singular"):
-        analyze(build_liouvillian(np.eye(2, dtype=complex), []))
+        analyze(generator_of(build_liouvillian(np.eye(2, dtype=complex), [])))
 
 
 def test_analyze_checks_and_solves_the_coherence_block_once(monkeypatch):
@@ -299,7 +298,7 @@ def test_analyze_checks_and_solves_the_coherence_block_once(monkeypatch):
     monkeypatch.setattr(reduction, "_check_coherence_block", counted_check)
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     _, _, m = random_lindblad_model(np.random.default_rng(30), dim=4)
-    analyze(m)
+    analyze(generator_of(m))
     assert calls == {"check": 1, "solve": 1}
 
 
@@ -315,14 +314,14 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
     monkeypatch.setattr(np.linalg, "solve", counted_solve)
     # a ladder's coherences are sectors of their own: K = 0 without a solve
     _, _, m, _ = random_ladder_model(np.random.default_rng(60), 12)
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     assert solves == []
     assert not np.any(analysis.k_map)
-    assert np.array_equal(analysis.l_matrix, analysis.m[:12, :12])
+    assert np.array_equal(analysis.l_matrix, to_dense(analysis.generator)[:12, :12])
     # the junction's populations share a sector with rho_e1e2 and rho_e2e1
     model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
     assert solves == [(2, 2)]
-    _, _, m_cp, m_c = generator_blocks(model.m)
+    _, _, m_cp, m_c = generator_blocks(to_dense(model.generator))
     dense = -solve(m_c, m_cp)
     assert np.abs(model.k_map - dense).max() <= 1e-14 * np.abs(dense).max()
     # a sector whose only population is the last one still enters the solve

@@ -1,7 +1,10 @@
+import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from curlflux.cli import _model
 from curlflux.config import load_config
@@ -14,12 +17,12 @@ from curlflux.junction import (
 )
 from curlflux.liouville import (
     DissipationChannel,
-    build_liouvillian,
+    build_generator,
     index_pairs,
     trace_vector,
     vectorize,
 )
-from curlflux.reduction import analyze, steady_state
+from curlflux.reduction import analyze
 from curlflux.response import (
     EIGEN_COND_MAX,
     _row_and_sources,
@@ -29,18 +32,23 @@ from curlflux.response import (
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
-    resolvent,
     response_split,
     spectrum_to_csv,
 )
 
 from helpers import (
+    build_liouvillian,
     commutator_superop,
+    generator_of,
     left_mult,
     linear_response_time,
+    random_ladder,
     random_ladder_model,
     random_lindblad_model,
+    resolvent,
+    steady_state,
     thermal_two_level,
+    to_dense,
 )
 
 
@@ -99,7 +107,7 @@ def test_junction_eg_diagonal_dominated_by_inverse_decay():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     model = build_junction(params)
     derived = hybridized_parameters(params)
-    g = green(model.m, [derived.omega_plus])[0]
+    g = green(to_dense(model.generator), [derived.omega_plus])[0]
     idx = list(index_pairs(3)).index((1, 0))
     assert g[idx, idx].real == pytest.approx(1.0 / derived.gamma_plus, rel=0.05)
 
@@ -127,18 +135,19 @@ def oracle_model(key):
                 np.linspace(0.85, 1.15, 61))
     if key[0] == "thermal":
         m, v, _ = thermal_two_level()
-        return analyze(m), v, np.linspace(-1.5, 1.5, 120)
+        return analyze(generator_of(m)), v, np.linspace(-1.5, 1.5, 120)
     if key[0] == "ladder":
         d = key[1]
         _, channels, m, top = random_ladder_model(np.random.default_rng(50 + d), d)
         v = sum(ch.raising + ch.raising.conj().T for ch in channels)
         # the dense reference costs one O(d**6) solve per point
-        return analyze(m), v, np.linspace(0.05, top + 0.1, 7 if d > 16 else 60)
+        return (analyze(generator_of(m)), v,
+                np.linspace(0.05, top + 0.1, 7 if d > 16 else 60))
     d = key[1]
     _, channels, m = random_lindblad_model(np.random.default_rng(40 + d), dim=d)
     v = sum(ch.raising + ch.raising.conj().T for ch in channels)
     # the grid avoids omega = 0, where V_L rho excites the stationary mode
-    return analyze(m), v, np.linspace(-3.0, 3.0, 120)
+    return analyze(generator_of(m)), v, np.linspace(-3.0, 3.0, 120)
 
 
 ORACLE_MODELS = [("junction", mus, strict)
@@ -151,7 +160,8 @@ ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 @pytest.mark.parametrize("key", ORACLE_MODELS, ids=str)
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
-    m, rho, d = analysis.m, analysis.rho_ss.vector, analysis.populations.size
+    m, rho = to_dense(analysis.generator), analysis.rho_ss.vector
+    d = analysis.populations.size
     pops, split = analysis.populations, analysis.split
     lift = np.vstack([np.eye(d), analysis.k_map])
     columns = np.column_stack(
@@ -309,7 +319,7 @@ def test_frequency_response_matches_time_domain_fourier_transform():
     model = build_junction(params)
     v = dipole_operator(params)
     rho = model.rho_ss.vector
-    evals, evecs = np.linalg.eig(model.m)
+    evals, evecs = np.linalg.eig(to_dense(model.generator))
     vinv = np.linalg.inv(evecs)
     kicked = vinv @ (commutator_superop(v) @ rho)
     one_obs = trace_vector(3) @ left_mult(v) @ evecs
@@ -328,7 +338,7 @@ def test_frequency_response_matches_time_domain_fourier_transform():
 def test_two_level_response_matches_analytic_lorentzian():
     omega0, temperature, gamma = 1.0, 0.3, 0.02
     m, v, pops = thermal_two_level(omega0, temperature, gamma)
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     omegas = np.linspace(0.5, 1.5, 101)
     spectrum = linear_response_freq(v, analysis, omegas)
@@ -348,14 +358,14 @@ def test_two_level_response_matches_analytic_lorentzian():
 
 def test_identity_probe_gives_zero_response():
     m, v, pops = thermal_two_level()
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     spectrum = linear_response_freq(np.eye(2), analysis, np.linspace(0.2, 2.0, 50))
     assert np.abs(spectrum.r_full).max() < 1e-14
 
 
 def test_response_reality_structure_on_symmetric_grid():
     m, v, pops = thermal_two_level()
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     omegas = np.linspace(0.3, 1.7, 29)
     plus = linear_response_freq(v, analysis, omegas)
     minus = linear_response_freq(v, analysis, -omegas)
@@ -381,7 +391,7 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
     v[1, 0] = v[0, 1] = 1.0
     v[2, 1] = v[1, 2] = 1.0
     omegas = np.linspace(0.5, 2.0, 151)
-    spectrum = response_split(v, analyze(m), omegas)
+    spectrum = response_split(v, analyze(generator_of(m)), omegas)
     assert np.abs(spectrum.r_ne_term).max() < 1e-12
     assert np.abs(spectrum.r_eq_term.imag - spectrum.r_full.imag).max() < 1e-12
 
@@ -407,7 +417,7 @@ def test_split_exactness_for_driven_junction():
 def test_fluctuation_spectrum_two_level_thermal_weights():
     omega0, temperature, gamma = 1.0, 0.3, 0.02
     m, v, pops = thermal_two_level(omega0, temperature, gamma)
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     gbar = 0.5 * gamma * (1.0 + np.exp(-omega0 / temperature))
     pg, pe = pops
     omegas = np.linspace(-1.6, 1.6, 23)
@@ -418,7 +428,7 @@ def test_fluctuation_spectrum_two_level_thermal_weights():
 
 def test_fluctuation_spectrum_zero_coupling():
     m, v, pops = thermal_two_level()
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     assert fluctuation_spectrum(np.zeros((2, 2)), analysis, [0.7])[0] == 0.0
 
 
@@ -426,7 +436,7 @@ def test_fluctuation_spectrum_static_observable_regularized():
     # identity coupling projects onto the steady state: the documented
     # epsilon-regularized pole i / (w + i eps)
     m, v, pops = thermal_two_level()
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     eps = 1e-4
     omegas = [0.3, -0.8]
     spectrum = fluctuation_spectrum(np.eye(2), analysis, omegas, epsilon=eps)
@@ -444,7 +454,8 @@ def test_fdr_check_refuses_driven_model():
 def test_fdr_check_skips_zero_frequency():
     m, v, pops = thermal_two_level()
     with pytest.warns(UserWarning, match="omega = 0"):
-        report = check_equilibrium_fdr(v, analyze(m), 0.3, np.array([0.0, 0.5, 1.0]))
+        report = check_equilibrium_fdr(v, analyze(generator_of(m)), 0.3,
+                                       np.array([0.0, 0.5, 1.0]))
     assert report.omega.size == 2
     assert 0.0 not in report.omega
 
@@ -454,7 +465,8 @@ def test_fdr_residual_shrinks_linearly_with_damping():
     residuals = []
     for gamma in (0.02, 0.002):
         m, v, pops = thermal_two_level(gamma=gamma)
-        report = check_equilibrium_fdr(v, analyze(m), 0.3, np.array([0.5, 0.8, 1.3]))
+        report = check_equilibrium_fdr(v, analyze(generator_of(m)), 0.3,
+                                       np.array([0.5, 0.8, 1.3]))
         residuals.append(np.abs(report.lhs - report.rhs.real).max())
     ratio = residuals[0] / residuals[1]
     assert ratio == pytest.approx(10.0, rel=0.3)
@@ -463,7 +475,7 @@ def test_fdr_residual_shrinks_linearly_with_damping():
 def test_spectra_reject_non_hermitian_coupling():
     # a detailed-balanced model, so the fdr check reaches the coupling
     m, _, _ = thermal_two_level()
-    analysis, omegas = analyze(m), np.array([0.5, 1.0])
+    analysis, omegas = analyze(generator_of(m)), np.array([0.5, 1.0])
     spectra = (linear_response_freq, response_split, fluctuation_spectrum,
                lambda v, a, w: check_equilibrium_fdr(v, a, 0.3, w))
     for spectrum in spectra:
@@ -471,23 +483,60 @@ def test_spectra_reject_non_hermitian_coupling():
             spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]), analysis, omegas)
 
 
-@pytest.mark.parametrize("key", [(1.0, 1.0), (1.0, 0.5), (1.3, 0.7),
-                                 "flux_fivelevel.yaml"], ids=str)
+def kubo_model(key):
+    """(analysis, coupling, grid) of one Kubo-identity case: a junction at
+    (mu_1, mu_2) and either rate pairing, a random ladder, or a bundled
+    run file."""
+    if key[0] == "file":
+        config = load_config(str(resources.files("curlflux") / "configs" / key[1]))
+        analysis, v = _model(config, True)
+        return analysis, v, config.omega_grid
+    if key[0] == "junction":
+        _, mu_1, mu_2, strict = key
+        params = JunctionParams(mu_1=mu_1, mu_2=mu_2)
+        return (build_junction(params, strict), dipole_operator(params),
+                np.linspace(0.85, 1.15, 301))
+    _, d, seed = key
+    h, channels, top = random_ladder(np.random.default_rng(seed), d)
+    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    return (analyze(build_generator(h, channels)), v,
+            np.linspace(0.05, top + 0.1, 201))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(key=st.one_of(
+    st.tuples(st.just("junction"), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
+              st.booleans()),
+    st.tuples(st.just("ladder"), st.integers(2, 16), st.integers(0, 2**32 - 1))))
+@example(key=("junction", 1.0, 1.0, True))
+@example(key=("junction", 1.0, 0.5, True))
+@example(key=("junction", 1.3, 0.7, True))
+@example(key=("file", "flux_fivelevel.yaml"))
 def test_response_is_the_antisymmetric_part_of_the_fluctuations(key):
     # Kubo: R(t) = -i <[V(t), V]> = 2 Im <V(t) V> under the regression
     # rule, so R(w) = -i [S(w) - S(-w)*] on any generator
-    if isinstance(key, str):
-        config = load_config(str(resources.files("curlflux") / "configs" / key))
-        analysis, v = _model(config, True)
-        omegas = config.omega_grid
-    else:
-        params = JunctionParams(mu_1=key[0], mu_2=key[1])
-        analysis, v = build_junction(params), dipole_operator(params)
-        omegas = np.linspace(0.85, 1.15, 301)
+    analysis, v, omegas = kubo_model(key)
     r = linear_response_freq(v, analysis, omegas).r_full
     kubo = -1j * (fluctuation_spectrum(v, analysis, omegas)
                   - fluctuation_spectrum(v, analysis, -omegas).conj())
     assert np.abs(r - kubo).max() <= 1e-13 * np.abs(r).max()
+
+
+def test_ladder_pipeline_at_d32_allocates_no_dense_generator():
+    # build, analyze, flux, split and a 401-point split spectrum at d = 32,
+    # where one dense d**2 x d**2 complex generator alone is 16.8 MB
+    h, channels, top = random_ladder(np.random.default_rng(32), 32)
+    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    omegas = np.linspace(0.05, top + 0.1, 401)
+    tracemalloc.start()
+    try:
+        analysis = analyze(build_generator(h, channels))
+        assert analysis.flux.loops and analysis.split.v_ss.size == 32
+        response_split(v, analysis, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2e6, "peak traced allocation %.2f MB" % (peak / 1e6)
 
 
 def per_row_spectrum_csv(spectrum):
@@ -508,7 +557,7 @@ def test_spectrum_csv_bytes_match_per_row_formatter():
     split = response_split(v, build_junction(params),
                            np.linspace(0.85, 1.15, 301))
     m, v, _ = thermal_two_level()
-    full = linear_response_freq(v, analyze(m), np.linspace(-2, 2, 101))
+    full = linear_response_freq(v, analyze(generator_of(m)), np.linspace(-2, 2, 101))
     signed = ResponseSpectrum(
         omega=np.array([-0.0, 0.0, 1e-300, 2.0 / 3.0]),
         r_full=np.array([-0.0 - 0.0j, 0.0 - 0.0j, -1e17 + 1.5e-17j, np.pi]),
@@ -522,7 +571,7 @@ def test_spectrum_csv_bytes_match_per_row_formatter():
 
 def test_spectrum_csv_format():
     m, v, pops = thermal_two_level()
-    analysis = analyze(m)
+    analysis = analyze(generator_of(m))
     spec = linear_response_freq(v, analysis, np.array([0.5, 1.0]))
     text = spectrum_to_csv(spec)
     lines = text.strip().split("\n")

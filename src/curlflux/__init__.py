@@ -24,7 +24,6 @@ from .junction import (
 from .liouville import (
     DissipationChannel,
     Generator,
-    HilbertBasis,
     build_generator,
     devectorize,
     trace_vector,

@@ -13,7 +13,10 @@ omega,re_full,im_full,im_eq,im_ne; `flux` writes a JSON flux report;
 fluctuation-dissipation comparison (and refuses driven models);
 `validate` runs the model invariant suite and reports each check.
 Every command works on the :func:`~curlflux.reduction.analyze` result of
-the configured model.
+the configured model, or of each spectrum point, built by one helper for
+junction and generic models alike.  Two outputs still depend on the kind
+of model: only the junction's spectra are split, and only its flux
+report adds the loop flux and the e1-e2 coherence.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -27,7 +30,12 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config
 from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
-from .junction import JUNCTION_LABELS, build_junction, dipole_operator
+from .junction import (
+    JUNCTION_LABELS,
+    JunctionParams,
+    build_junction,
+    dipole_operator,
+)
 from .liouville import build_generator
 from .reduction import NonUniqueSteadyStateError, analyze
 from .response import (
@@ -73,53 +81,39 @@ def _bool_flag(value):
     raise argparse.ArgumentTypeError("expected true/false, got %r" % value)
 
 
-def _model(config, strict):
-    """(analysis, probe coupling) of the configured model.
+def _analyze(model, strict):
+    """(analysis, probe coupling, state labels) of a junction or generic
+    model.
 
     The junction is probed through its transition dipole; a generic model
     couples every channel's level pair with a unit dipole.
     """
-    if config.model_type == "junction":
-        return (build_junction(config.junction, strict_paper_rates=strict),
-                dipole_operator(config.junction))
-    v = sum((ch.raising + ch.raising.conj().T for ch in config.generic.channels),
-            np.zeros((config.generic.basis.dim,) * 2, dtype=complex))
-    if not np.any(v):
-        raise ValueError("generic model has no channels to define a probe")
-    return analyze(build_generator(config.generic.hamiltonian,
-                                   config.generic.channels)), v
-
-
-def _labels(config):
-    return config.generic.basis.labels if config.generic else JUNCTION_LABELS
-
-
-def _spectrum_points(config, strict):
-    """(tag, analysis, probe coupling) of each spectrum CSV, one at a time:
-    the generic model as the one point 'spectrum', or every junction bias
-    point (a generic model has none)."""
-    if config.generic:
-        yield ("spectrum", *_model(config, strict))
-    for tag, params in config.sweep_points:
-        yield tag, build_junction(params, strict), dipole_operator(params)
+    if isinstance(model, JunctionParams):
+        return (build_junction(model, strict_paper_rates=strict),
+                dipole_operator(model), JUNCTION_LABELS)
+    v = sum(ch.raising + ch.raising.conj().T for ch in model.channels)
+    return (analyze(build_generator(model.hamiltonian, model.channels)), v,
+            model.labels)
 
 
 def cmd_spectrum(config, args):
     # a point's CSV is written before the next point is built; only the
     # junction's spectra are split so far
-    spectrum_of = response_split if config.junction else linear_response_freq
-    for tag, analysis, v in _spectrum_points(config, args.strict_paper_rates):
+    spectrum_of = (response_split if isinstance(config.model, JunctionParams)
+                   else linear_response_freq)
+    for tag, model in config.points:
+        analysis, v, _ = _analyze(model, args.strict_paper_rates)
         spectrum = spectrum_of(v, analysis, config.omega_grid,
                                epsilon=config.epsilon)
         _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
 
 
 def cmd_flux(config, args):
-    model, _ = _model(config, args.strict_paper_rates)
+    model, _, labels = _analyze(config.model, args.strict_paper_rates)
     pops = model.populations
     balanced, violation = is_detailed_balanced(model.l_matrix, pops)
     extra = {"populations": list(map(float, pops))}
-    if config.model_type == "junction":
+    if isinstance(config.model, JunctionParams):
         coh = model.coherence_e1e2
         # Im rho_e1e2 at rounding level (detailed balance) has no ratio
         at_rounding = abs(coh.imag) <= 1e-12 * np.abs(model.rho_ss.vector).max()
@@ -128,8 +122,7 @@ def cmd_flux(config, args):
             im_coherence_e1e2=coh.imag,
             flux_coherence_ratio=None if at_rounding else model.flux_j / coh.imag,
         )
-    report = render_flux_report(model.flux, model.split, labels=_labels(config),
-                                extra=extra)
+    report = render_flux_report(model.flux, model.split, labels, extra=extra)
     _write(config, args, "_flux.json", report)
     print("detailed balance: %s (max violation %.6e)" % (balanced, violation))
 
@@ -140,7 +133,7 @@ def cmd_fdr_check(config, args):
             "fdr-check requires a thermal model: equal electrode "
             "temperatures (junction) or model.generic.temperature"
         )
-    analysis, coupling = _model(config, args.strict_paper_rates)
+    analysis, coupling, _ = _analyze(config.model, args.strict_paper_rates)
     report = check_equilibrium_fdr(coupling, analysis, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
@@ -164,7 +157,7 @@ def cmd_validate(config, args):
     found without K and L, so it is an independent reference for them.
     """
     ok = True
-    analysis, _ = _model(config, args.strict_paper_rates)
+    analysis, _, labels = _analyze(config.model, args.strict_paper_rates)
     l_matrix, k_map = analysis.l_matrix, analysis.k_map
     decomp, split = analysis.flux, analysis.split
     rho, pops = analysis.rho_ss, analysis.populations
@@ -202,7 +195,7 @@ def cmd_validate(config, args):
           % ("detailed balance", "yes" if balanced else "no", violation))
     if not ok:
         raise ValueError("validation failed")
-    print("all checks passed for model with states %s" % (tuple(_labels(config)),))
+    print("all checks passed for model with states %s" % (labels,))
 
 
 def build_parser():

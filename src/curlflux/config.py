@@ -1,5 +1,12 @@
 """Run configuration: YAML schema, validation and model construction.
 
+:func:`load_config` returns a :class:`RunConfig` whose `model` is the
+one model that `flux`, `fdr-check` and `validate` analyze, a
+:class:`~curlflux.junction.JunctionParams` or a :class:`GenericModel`,
+and whose `points` are the (tag, model) pairs that `spectrum` writes one
+CSV each for: every junction bias point, or the generic model as the one
+point 'spectrum'.
+
 A run file has four sections::
 
     model:
@@ -11,7 +18,7 @@ A run file has four sections::
         # are optional and default to the reference values
       generic:             # type: generic
         levels: {a: 0.0, b: 1.0}
-        channels:
+        channels:           # at least one
           - {upper: b, lower: a, rate_up: 0.004, rate_down: 0.02}
     sweep:
       omega: {min: 0.85, max: 1.15, points: 1201}   # or {values: [...]}
@@ -39,7 +46,7 @@ import numpy as np
 import yaml
 
 from .junction import JunctionParams
-from .liouville import DissipationChannel, HilbertBasis
+from .liouville import DissipationChannel
 
 __all__ = ["ConfigError", "RunConfig", "GenericModel", "load_config"]
 
@@ -55,18 +62,16 @@ class ConfigError(ValueError):
 class GenericModel:
     """A diagonal-Hamiltonian model defined directly by levels and rates."""
 
-    basis: HilbertBasis
+    labels: tuple
     hamiltonian: np.ndarray
     channels: tuple
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    model_type: str
-    junction: Optional[JunctionParams]
-    generic: Optional[GenericModel]
+    model: object               # JunctionParams or GenericModel
+    points: tuple               # ((tag, model), ...), one spectrum CSV each
     omega_grid: np.ndarray
-    sweep_points: tuple         # ((tag, JunctionParams), ...) for junction sweeps
     out_dir: str
     prefix: str
     epsilon: Optional[float]
@@ -146,8 +151,6 @@ def load_config(path):
     mtype = _require(model, "type", "model")
     if "junction" in model and "generic" in model:
         raise ConfigError("config must contain exactly one model section")
-    junction = None
-    generic = None
     temperature = None
     if mtype == "junction":
         sect = _require(model, "junction", "model")
@@ -165,11 +168,11 @@ def load_config(path):
         if "mu_1" not in kwargs or "mu_2" not in kwargs:
             raise ConfigError("model.junction requires mu_1 and mu_2")
         try:
-            junction = JunctionParams(**kwargs)
+            params = JunctionParams(**kwargs)
         except ValueError as exc:
             raise ConfigError("model.junction: %s" % exc)
-        if junction.t_1 == junction.t_2:
-            temperature = junction.t_1
+        if params.t_1 == params.t_2:
+            temperature = params.t_1
     elif mtype == "generic":
         sect = _require(model, "generic", "model")
         _check_keys(sect, {"levels", "channels", "temperature"}, "model.generic")
@@ -178,7 +181,6 @@ def load_config(path):
             raise ConfigError("model.generic.levels must be a non-empty mapping")
         labels = tuple(levels.keys())
         energies = [_float(levels[k], "model.generic.levels.%s" % k) for k in labels]
-        basis = HilbertBasis(labels)
         ham = np.diag(np.asarray(energies, dtype=complex))
         channels = []
         for i, ch in enumerate(_list(sect, "channels", "model.generic")):
@@ -190,18 +192,22 @@ def load_config(path):
                     raise ConfigError("%s: %r names no level" % (path, label))
             if upper == lower:
                 raise ConfigError("%s: upper and lower must differ" % path)
-            raising = np.zeros((basis.dim, basis.dim), dtype=complex)
-            raising[basis.index(upper), basis.index(lower)] = 1.0
+            raising = np.zeros((len(labels),) * 2, dtype=complex)
+            raising[labels.index(upper), labels.index(lower)] = 1.0
             rates = [_float(_require(ch, key, path), "%s.%s" % (path, key))
                      for key in ("rate_up", "rate_down")]
             try:
                 channels.append(DissipationChannel(raising, *rates))
             except ValueError as exc:
                 raise ConfigError("%s: %s" % (path, exc))
+        if not channels:
+            # the probe couples the channels' level pairs
+            raise ConfigError("model.generic.channels must list at least one "
+                              "channel")
         if "temperature" in sect:
             temperature = _float(sect["temperature"], "model.generic.temperature")
-        generic = GenericModel(basis=basis, hamiltonian=ham,
-                               channels=tuple(channels))
+        params = GenericModel(labels=labels, hamiltonian=ham,
+                              channels=tuple(channels))
     else:
         raise ConfigError("model.type must be 'junction' or 'generic'")
 
@@ -209,7 +215,7 @@ def load_config(path):
     _check_keys(sweep, {"omega", "bias"}, "sweep")
     omega_grid = _omega_grid(_require(sweep, "omega", "sweep"))
 
-    sweep_points = []
+    points = []
     if "bias" in sweep:
         if mtype != "junction":
             raise ConfigError("sweep.bias applies only to junction models")
@@ -224,20 +230,20 @@ def load_config(path):
             center = _float(bias.get("center", 1.0), "sweep.bias.center")
             for dmu in _list(bias, "dmu", "sweep.bias"):
                 dmu = _float(dmu, "sweep.bias.dmu")
-                sweep_points.append(("dmu%.4g" % dmu, replace(
-                    junction, mu_1=center + dmu, mu_2=center - dmu)))
+                points.append(("dmu%.4g" % dmu, replace(
+                    params, mu_1=center + dmu, mu_2=center - dmu)))
         for pair in _list(bias, "extra_pairs", "sweep.bias"):
             if not isinstance(pair, (list, tuple)) or len(pair) != 2:
                 raise ConfigError("sweep.bias.extra_pairs entries must be pairs")
             mu1 = _float(pair[0], "sweep.bias.extra_pairs")
             mu2 = _float(pair[1], "sweep.bias.extra_pairs")
-            sweep_points.append(("mu%.4g_%.4g" % (mu1, mu2),
-                                 replace(junction, mu_1=mu1, mu_2=mu2)))
-    if mtype == "junction" and not sweep_points:
-        sweep_points.append(("run", junction))
+            points.append(("mu%.4g_%.4g" % (mu1, mu2),
+                           replace(params, mu_1=mu1, mu_2=mu2)))
+    if not points:
+        points.append(("run" if mtype == "junction" else "spectrum", params))
     # points whose tags collide would overwrite each other's output file
     seen = set()
-    for tag, _ in sweep_points:
+    for tag, _ in points:
         if tag in seen:
             raise ConfigError("sweep.bias: two points share the output tag '%s'"
                               % tag)
@@ -260,11 +266,9 @@ def load_config(path):
         raise ConfigError("numerics.db_tol must be non-negative")
 
     return RunConfig(
-        model_type=mtype,
-        junction=junction,
-        generic=generic,
+        model=params,
+        points=tuple(points),
         omega_grid=omega_grid,
-        sweep_points=tuple(sweep_points),
         out_dir=out_dir,
         prefix=prefix,
         epsilon=epsilon,

@@ -41,6 +41,12 @@ FLUX_CLAMP = 1e-14
 # largest max |t - t^T| still called detailed balance, by the flux report
 # and by is_detailed_balanced alike
 BALANCE_TOL = 1e-12
+# largest ||L p||_inf that curl_flux takes as stationary
+STATIONARY_TOL = 1e-10
+# largest flux left after loop extraction, relative to max(1, max c)
+LOOP_RESIDUAL_TOL = 1e-12
+# largest Im L, relative to max(1, max |Re L|), dropped as rounding
+IMAG_TOL = 1e-10
 
 
 class NonStationaryError(ValueError):
@@ -71,11 +77,11 @@ class SplitOperators:
     v_ss: np.ndarray
 
 
-def _real_rate_matrix(l_matrix, imag_tol=1e-10):
+def _real_rate_matrix(l_matrix):
     l_matrix = np.asarray(l_matrix)
     if np.iscomplexobj(l_matrix):
         worst = np.abs(l_matrix.imag).max()
-        if worst > imag_tol * max(1.0, np.abs(l_matrix.real).max()):
+        if worst > IMAG_TOL * max(1.0, np.abs(l_matrix.real).max()):
             raise ValueError(
                 "rate matrix has non-negligible imaginary parts (max %.3e)" % worst
             )
@@ -83,7 +89,7 @@ def _real_rate_matrix(l_matrix, imag_tol=1e-10):
     return l_matrix
 
 
-def curl_flux(l_matrix, populations, stationary_tol=1e-10):
+def curl_flux(l_matrix, populations):
     """Decompose the stationary currents of (L, p) into curl + symmetric parts.
 
     Parameters
@@ -92,10 +98,8 @@ def curl_flux(l_matrix, populations, stationary_tol=1e-10):
         Population rate matrix, columns summing to zero; entry [n, m] is
         the rate from state m to state n.
     populations : (d,) array_like
-        Stationary populations of `l_matrix`, strictly positive.
-    stationary_tol : float
-        Maximum allowed ||L p||_inf; larger residuals raise
-        NonStationaryError since the divergence-free property would fail.
+        Stationary populations of `l_matrix`, strictly positive; an
+        ||L p||_inf above STATIONARY_TOL raises NonStationaryError.
 
     Returns
     -------
@@ -109,10 +113,10 @@ def curl_flux(l_matrix, populations, stationary_tol=1e-10):
     if np.any(p <= 0):
         raise ValueError("populations must be strictly positive")
     resid = np.abs(l_matrix @ p).max()
-    if resid > stationary_tol:
+    if resid > STATIONARY_TOL:
         raise NonStationaryError(
             "populations are not stationary: ||L p||_inf = %.3e > %.3e"
-            % (resid, stationary_tol)
+            % (resid, STATIONARY_TOL)
         )
     t = l_matrix.T * p[:, None]  # t[m, n] = L[n, m] p[m]
     np.fill_diagonal(t, 0.0)
@@ -123,7 +127,7 @@ def curl_flux(l_matrix, populations, stationary_tol=1e-10):
     return FluxDecomposition(t_rate=t, c=c, sym=sym, loops=tuple(loops))
 
 
-def loop_decomposition(c, residual_tol=1e-12):
+def loop_decomposition(c):
     """Decompose a divergence-free flux matrix into directed loops.
 
     Repeatedly finds a directed cycle in the support of the flux (depth
@@ -135,11 +139,10 @@ def loop_decomposition(c, residual_tol=1e-12):
     ----------
     c : (d, d) array_like
         Non-negative flux with c[m, n] * c[n, m] == 0 and equal in/out
-        flow at every node.  Entries below FLUX_CLAMP are ignored.
-    residual_tol : float
-        Allowed leftover flux (relative to the largest input entry) once
-        no cycles remain; anything larger signals a violated
-        precondition.
+        flow at every node.  Entries below FLUX_CLAMP are ignored.  A
+        leftover flux above LOOP_RESIDUAL_TOL (relative to the largest
+        input entry) once no cycles remain signals a violated
+        precondition and raises ValueError.
 
     Returns
     -------
@@ -170,7 +173,7 @@ def loop_decomposition(c, residual_tol=1e-12):
         if len(loops) > d * d:
             raise RuntimeError("loop extraction failed to terminate")
     leftover = np.abs(work).max(initial=0.0)
-    if leftover > residual_tol * scale:
+    if leftover > LOOP_RESIDUAL_TOL * scale:
         raise ValueError(
             "flux is not a superposition of loops: residual %.3e remains "
             "(input likely not divergence free)" % leftover
@@ -257,21 +260,18 @@ def _balance_verdict(t_rate, tol):
     return violation <= tol, violation
 
 
-def render_flux_report(decomposition, splitops, labels=None, extra=None):
+def render_flux_report(decomposition, splitops, labels, extra=None):
     """Serialize a flux decomposition as a deterministic JSON document.
 
     Parameters
     ----------
     decomposition : FluxDecomposition
     splitops : SplitOperators
-    labels : sequence of str, optional
-        State names used for loops; indices are used when omitted.
+    labels : sequence of str
+        State names, one per state, used for loops.
     extra : dict, optional
         Additional top-level entries (e.g. model-specific scalars).
     """
-    d = decomposition.c.shape[0]
-    if labels is None:
-        labels = [str(i) for i in range(d)]
     labels = list(labels)
     balanced, violation = _balance_verdict(decomposition.t_rate, BALANCE_TOL)
     report = {

@@ -2,7 +2,7 @@
 
 A density matrix on a d-dimensional Hilbert space becomes a vector of
 length d**2.  This module fixes the index convention used everywhere in
-the package: the d population entries |nn>> come first (in basis-label
+the package: the d population entries |nn>> come first (in basis
 order), followed by the d**2 - d coherence entries |nm>>, n != m, in
 row-major (n, m) order.  The inner product is <<A|B>> = Tr(A^dag B).
 
@@ -33,7 +33,6 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 __all__ = [
-    "HilbertBasis",
     "DissipationChannel",
     "index_pairs",
     "vectorize",
@@ -45,27 +44,6 @@ __all__ = [
     "sector_indices",
     "sector_modes",
 ]
-
-
-@dataclass(frozen=True)
-class HilbertBasis:
-    """Ordered set of state labels defining the Hilbert space."""
-
-    labels: tuple
-
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        if len(set(self.labels)) != len(self.labels):
-            raise ValueError("basis labels must be unique, got %r" % (self.labels,))
-        if not self.labels:
-            raise ValueError("basis must contain at least one state")
-
-    @property
-    def dim(self):
-        return len(self.labels)
-
-    def index(self, label):
-        return self.labels.index(label)
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,13 @@ __all__ = [
     "analyze",
 ]
 
+# a coherence eigenvalue of magnitude at most COHERENCE_TOL * max(1,
+# max |eigenvalue|) does not decay
+COHERENCE_TOL = 1e-12
+# the steady state is unique when the second-smallest eigenvalue
+# magnitude of M exceeds the smallest by more than GAP_RATIO
+GAP_RATIO = 1e3
+
 
 class NonDecayingCoherenceError(np.linalg.LinAlgError):
     """The coherence block has a (near-)zero eigenvalue: some coherence
@@ -56,11 +63,11 @@ class SteadyState(NamedTuple):
     residual: float
 
 
-def _check_coherence_block(evals, tol=1e-12):
+def _check_coherence_block(evals):
     """Refuse a (near-)singular M_c, given its eigenvalues."""
     scale = max(1.0, np.abs(evals).max())
     worst = evals[np.argmin(np.abs(evals))]
-    if abs(worst) <= tol * scale:
+    if abs(worst) <= COHERENCE_TOL * scale:
         raise NonDecayingCoherenceError(
             "coherence block is singular: eigenvalue %s has magnitude %.3e"
             % (worst, abs(worst))
@@ -92,17 +99,17 @@ def _eliminate(generator, modes):
     return np.negative(x, out=x), l_matrix
 
 
-def _isolated_zero(evals, gap_ratio=1e3):
+def _isolated_zero(evals):
     """Index of the eigenvalue of smallest magnitude, with a uniqueness
-    check: the second-smallest magnitude must exceed the smallest by at
-    least `gap_ratio`."""
+    check: the second-smallest magnitude must exceed the smallest by
+    more than GAP_RATIO."""
     order = np.argsort(np.abs(evals))
     lam0, lam1 = evals[order[0]], evals[order[1]]
-    if not abs(lam1) > gap_ratio * abs(lam0):
+    if not abs(lam1) > GAP_RATIO * abs(lam0):
         raise NonUniqueSteadyStateError(
             "non-unique steady state: two smallest eigenvalue magnitudes "
             "%.3e and %.3e are not separated by a factor %g"
-            % (abs(lam0), abs(lam1), gap_ratio)
+            % (abs(lam0), abs(lam1), GAP_RATIO)
         )
     return order[0]
 
@@ -197,10 +204,19 @@ def analyze(generator):
     NonDecayingCoherenceError
         If the coherence block is singular.
     NonUniqueSteadyStateError
-        If M has no isolated zero eigenvalue.
+        If the populations do not all share one sector, or M has no
+        isolated zero eigenvalue.
     """
     modes = sector_modes(generator)
     k_map, l_matrix = _eliminate(generator, modes)
+    # populations in two sectors hold two stationary states, even where
+    # LAPACK returns one zero eigenvalue as an exact 0.0 that passes the
+    # gap rule
+    labels = generator.labels[:generator.d]
+    if np.any(labels):
+        raise NonUniqueSteadyStateError(
+            "non-unique steady state: the populations fall into %d "
+            "disconnected sectors" % len(set(labels.tolist())))
     rho_ss = _steady_state(generator, modes)
     return Analysis(
         generator=generator,

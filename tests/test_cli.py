@@ -109,10 +109,11 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC + "sweep:\n  omega: {values: [0.9, 1.0], points: 3}\n",
     "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
     + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
+    GENERIC.split("    channels:")[0] + OMEGA,
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
-        "fixed-bias-with-dmu"])
+        "fixed-bias-with-dmu", "no-channels"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -239,6 +240,23 @@ def test_unpopulated_level_fails_only_the_flux_commands(tmp_path, capsys):
     for command in ("flux", "validate"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "strictly positive" in capsys.readouterr().err
+
+
+def test_disconnected_model_is_a_numerical_error(tmp_path, capsys):
+    # level c has no channel: a stationary state of its own, which every
+    # command refuses rather than picking one
+    cfg = tmp_path / "split.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n    temperature: 0.3\n"
+        "    levels: {a: 0.0, b: 1.0, c: 2.0}\n"
+        "    channels:\n"
+        "      - {upper: b, lower: a, rate_up: 0.01, rate_down: 0.02}\n"
+        + OMEGA
+    )
+    for command in ("spectrum", "flux", "fdr-check", "validate"):
+        assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
+        assert "numerical error: non-unique steady state" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv")) + list(tmp_path.glob("*.json"))
 
 
 def test_fdr_check_skips_zero_frequency(tmp_path):

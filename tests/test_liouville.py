@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from curlflux.cli import _spectrum_points
+from curlflux.cli import _analyze
 from curlflux.config import load_config
 
 from curlflux.liouville import (
     DissipationChannel,
-    HilbertBasis,
     build_generator,
     devectorize,
     index_pairs,
@@ -51,11 +50,12 @@ def test_vectorize_maximally_mixed():
 
 
 def test_vectorize_matrix_unit_hits_single_coherence_slot():
-    basis = HilbertBasis(("g", "e1", "e2"))
+    labels = ("g", "e1", "e2")
+    g, e1 = labels.index("g"), labels.index("e1")
     rho = np.zeros((3, 3), dtype=complex)
-    rho[basis.index("g"), basis.index("e1")] = 1.0
+    rho[g, e1] = 1.0
     v = vectorize(rho)
-    slot = index_pairs(basis.dim).index((basis.index("g"), basis.index("e1")))
+    slot = index_pairs(len(labels)).index((g, e1))
     expected = np.zeros(9)
     expected[slot] = 1.0
     assert np.array_equal(v, expected)
@@ -389,12 +389,12 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
     for path in sorted(set(paths)):
         config = load_config(path)
         for strict in (True, False):
-            for _, analysis, _ in _spectrum_points(config, strict):
-                if config.generic:
-                    m = build_liouvillian(config.generic.hamiltonian,
-                                          config.generic.channels)
-                else:
+            for _, model in config.points:
+                analysis = _analyze(model, strict)[0]
+                if isinstance(model, JunctionParams):
                     m = junction_liouvillian(analysis, strict)
+                else:
+                    m = build_liouvillian(model.hamiltonian, model.channels)
                 assert_generator_is_the_dense_oracle(analysis.generator, m)
 
 
@@ -423,8 +423,3 @@ def test_propagation_preserves_density_matrix_structure():
             assert np.abs(rho_t - rho_t.conj().T).max() < 1e-11
             assert np.trace(rho_t).real == pytest.approx(1.0, abs=1e-11)
             assert np.linalg.eigvalsh(rho_t).min() > -1e-10
-
-
-def test_unique_basis_labels_required():
-    with pytest.raises(ValueError):
-        HilbertBasis(("a", "a"))

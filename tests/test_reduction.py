@@ -231,15 +231,22 @@ def test_sectored_steady_state_matches_dense_oracle(m):
     assert got.residual <= 1e-10
 
 
+def _rate_graph(energies, edges):
+    # diagonal Hamiltonian with one channel per (lower, upper, rate_up,
+    # rate_down) edge
+    d = len(energies)
+    channels = []
+    for lower, upper, rate_up, rate_down in edges:
+        raising = np.zeros((d, d), dtype=complex)
+        raising[upper, lower] = 1.0
+        channels.append(DissipationChannel(raising, rate_up, rate_down))
+    return build_liouvillian(np.diag(energies).astype(complex), channels)
+
+
 def _disconnected_rate_graph():
     # two separate two-level pairs: every coherence decays, L has two zeros
-    h = np.diag([0.0, 1.0, 2.5, 4.0]).astype(complex)
-    channels = []
-    for lower, upper in ((0, 1), (2, 3)):
-        raising = np.zeros((4, 4), dtype=complex)
-        raising[upper, lower] = 1.0
-        channels.append(DissipationChannel(raising, 0.01, 0.02))
-    return build_liouvillian(h, channels)
+    return _rate_graph([0.0, 1.0, 2.5, 4.0],
+                       [(0, 1, 0.01, 0.02), (2, 3, 0.01, 0.02)])
 
 
 @pytest.mark.parametrize("m", [
@@ -274,8 +281,15 @@ def test_steady_state_decomposes_a_one_sector_generator_once(monkeypatch):
 
 
 def test_analyze_refuses_disconnected_generator():
-    with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
-        analyze(generator_of(_disconnected_rate_graph()))
+    # two identical pairs; then a level no channel reaches, and two pairs
+    # at different rates, where LAPACK returns one of the two zero
+    # eigenvalues as an exact 0.0 and the gap rule alone passes
+    for m in (_disconnected_rate_graph(),
+              _rate_graph([0.0, 1.0, 2.0], [(0, 1, 0.01, 0.02)]),
+              _rate_graph([0.0, 1.0, 2.0, 3.0],
+                          [(0, 1, 0.01, 0.02), (2, 3, 0.02, 0.01)])):
+        with pytest.raises(NonUniqueSteadyStateError, match="non-unique"):
+            analyze(generator_of(m))
 
 
 def test_analyze_refuses_non_decaying_coherence():

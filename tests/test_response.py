@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curlflux.cli import _model
+from curlflux.cli import _analyze
 from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced
 from curlflux.junction import (
@@ -489,7 +489,7 @@ def kubo_model(key):
     run file."""
     if key[0] == "file":
         config = load_config(str(resources.files("curlflux") / "configs" / key[1]))
-        analysis, v = _model(config, True)
+        analysis, v, _ = _analyze(config.model, True)
         return analysis, v, config.omega_grid
     if key[0] == "junction":
         _, mu_1, mu_2, strict = key

@@ -72,16 +72,7 @@ def _write(config, args, suffix, text):
     print("wrote %s" % path)
 
 
-def _bool_flag(value):
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise argparse.ArgumentTypeError("expected true/false, got %r" % value)
-
-
-def _analyze(model, strict):
+def _analyze(model):
     """(analysis, probe coupling, state labels) of a junction or generic
     model.
 
@@ -89,8 +80,7 @@ def _analyze(model, strict):
     couples every channel's level pair with a unit dipole.
     """
     if isinstance(model, JunctionParams):
-        return (build_junction(model, strict_paper_rates=strict),
-                dipole_operator(model), JUNCTION_LABELS)
+        return build_junction(model), dipole_operator(model), JUNCTION_LABELS
     v = sum(ch.raising + ch.raising.conj().T for ch in model.channels)
     return (analyze(build_generator(model.hamiltonian, model.channels)), v,
             model.labels)
@@ -102,14 +92,14 @@ def cmd_spectrum(config, args):
     spectrum_of = (response_split if isinstance(config.model, JunctionParams)
                    else linear_response_freq)
     for tag, model in config.points:
-        analysis, v, _ = _analyze(model, args.strict_paper_rates)
+        analysis, v, _ = _analyze(model)
         spectrum = spectrum_of(v, analysis, config.omega_grid,
                                epsilon=config.epsilon)
         _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
 
 
 def cmd_flux(config, args):
-    model, _, labels = _analyze(config.model, args.strict_paper_rates)
+    model, _, labels = _analyze(config.model)
     pops = model.populations
     balanced, violation = is_detailed_balanced(model.l_matrix, pops)
     extra = {"populations": list(map(float, pops))}
@@ -133,7 +123,7 @@ def cmd_fdr_check(config, args):
             "fdr-check requires a thermal model: equal electrode "
             "temperatures (junction) or model.generic.temperature"
         )
-    analysis, coupling, _ = _analyze(config.model, args.strict_paper_rates)
+    analysis, coupling, _ = _analyze(config.model)
     report = check_equilibrium_fdr(coupling, analysis, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
@@ -157,7 +147,7 @@ def cmd_validate(config, args):
     found without K and L, so it is an independent reference for them.
     """
     ok = True
-    analysis, _, labels = _analyze(config.model, args.strict_paper_rates)
+    analysis, _, labels = _analyze(config.model)
     l_matrix, k_map = analysis.l_matrix, analysis.k_map
     decomp, split = analysis.flux, analysis.split
     rho, pops = analysis.rho_ss, analysis.populations
@@ -217,10 +207,6 @@ def build_parser():
         p.add_argument("--config", required=True, help="YAML run file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
-        p.add_argument("--strict-paper-rates", type=_bool_flag, default=True,
-                       metavar="BOOL",
-                       help="keep the crossed coherence decay pairing "
-                            "(default true); false swaps it")
         p.set_defaults(func=fn)
     return parser
 

@@ -102,6 +102,13 @@ def _list(mapping, key, path):
     return value
 
 
+def _string(mapping, key, path, default):
+    value = mapping.get(key, default)
+    if not isinstance(value, str):
+        raise ConfigError("field '%s.%s' must be a string, got %r" % (path, key, value))
+    return value
+
+
 def _float(value, path):
     try:
         if isinstance(value, bool):
@@ -206,6 +213,8 @@ def load_config(path):
                               "channel")
         if "temperature" in sect:
             temperature = _float(sect["temperature"], "model.generic.temperature")
+            if temperature <= 0:
+                raise ConfigError("model.generic.temperature must be positive")
         params = GenericModel(labels=labels, hamiltonian=ham,
                               channels=tuple(channels))
     else:
@@ -251,8 +260,8 @@ def load_config(path):
 
     output = raw.get("output", {})
     _check_keys(output, {"directory", "prefix"}, "output")
-    out_dir = str(output.get("directory", "."))
-    prefix = str(output.get("prefix", "curlflux"))
+    out_dir = _string(output, "directory", "output", ".")
+    prefix = _string(output, "prefix", "output", "curlflux")
 
     numerics = raw.get("numerics", {})
     _check_keys(numerics, {"epsilon", "db_tol"}, "numerics")

@@ -16,8 +16,11 @@ flux-proportional part.
 Note the decay-rate pairing of the ground-excited coherences: rho_{g,e1}
 decays with (1 + fbar_2) and rho_{g,e2} with (1 + fbar_1).  This crossed
 pairing is what the three-level master equation produces (the same-index
-Fermi factors cancel against their complements); `strict_paper_rates =
-False` swaps the pairing for sensitivity studies.
+Fermi factors cancel against their complements): each ground-excited
+coherence decays at half the sum of its two levels' exit rates, the
+smallest rate complete positivity allows (Lindblad, Commun. Math. Phys.
+48, 119 (1976)).  Swapping the pairing would take one of them below
+that bound whenever fbar_1 != fbar_2.
 """
 
 from dataclasses import dataclass
@@ -131,7 +134,7 @@ def _fbars(params):
     return f1, f2
 
 
-def hybridized_parameters(params, strict_paper_rates=True):
+def hybridized_parameters(params):
     """Frequencies, decay rates and mixing angle of the coherence pair.
 
     omega_pm = (w_e1g + w_e2g)/2 +- sqrt(w_e1e2**2 + 4 Delta**2)/2 are
@@ -140,8 +143,7 @@ def hybridized_parameters(params, strict_paper_rates=True):
 
         gamma_pm = Gamma/4 * (2 + f1 + f2 -+ cos(2 theta) (f1 - f2))
 
-    with sin(2 theta) = 2 Delta / sqrt(w_e1e2**2 + 4 Delta**2).  With the
-    swapped rate pairing the sign of the cos(2 theta) correction flips.
+    with sin(2 theta) = 2 Delta / sqrt(w_e1e2**2 + 4 Delta**2).
     """
     f1, f2 = _fbars(params)
     dw = params.omega_e1e2
@@ -151,34 +153,32 @@ def hybridized_parameters(params, strict_paper_rates=True):
     theta = 0.5 * np.arctan2(2.0 * params.delta, dw)
     base = params.gamma * (2.0 + f1 + f2) / 4.0
     corr = params.gamma * cos2t * (f1 - f2) / 4.0
-    sign = -1.0 if strict_paper_rates else 1.0
     return JunctionDerived(
         fbar_1=f1,
         fbar_2=f2,
         omega_plus=mid + 0.5 * root,
         omega_minus=mid - 0.5 * root,
-        gamma_plus=base + sign * corr,
-        gamma_minus=base - sign * corr,
+        gamma_plus=base - corr,
+        gamma_minus=base + corr,
         theta=float(theta),
     )
 
 
-def ge_generator(params, strict_paper_rates=True):
+def ge_generator(params):
     """Evolution matrix of the coherence pair (rho_{g,e1}, rho_{g,e2})."""
     f1, f2 = _fbars(params)
-    a, b = (f2, f1) if strict_paper_rates else (f1, f2)
     g = params.gamma
     return np.array(
         [
-            [1j * params.omega_e1g - 0.5 * g * (1.0 + a), -1j * params.delta],
-            [-1j * params.delta, 1j * params.omega_e2g - 0.5 * g * (1.0 + b)],
+            [1j * params.omega_e1g - 0.5 * g * (1.0 + f2), -1j * params.delta],
+            [-1j * params.delta, 1j * params.omega_e2g - 0.5 * g * (1.0 + f1)],
         ]
     )
 
 
-def analytic_propagator_ge(params, t, strict_paper_rates=True):
+def analytic_propagator_ge(params, t):
     """Exact closed-form propagator exp(G t) of the (rho_{g,e1}, rho_{g,e2})
-    pair, with G = :func:`ge_generator` (params, strict_paper_rates).
+    pair, with G = :func:`ge_generator` (params).
 
     For a 2x2 generator write h = tr(G)/2, B = G - h I and
     q**2 = B[0,0]**2 + B[0,1] B[1,0]; then
@@ -195,7 +195,7 @@ def analytic_propagator_ge(params, t, strict_paper_rates=True):
     """
     if t < 0:
         raise ValueError("propagator defined for t >= 0")
-    gen = ge_generator(params, strict_paper_rates)
+    gen = ge_generator(params)
     h = 0.5 * np.trace(gen)
     b = gen - h * np.eye(2)
     q = np.sqrt(b[0, 0] ** 2 + b[0, 1] * b[1, 0])
@@ -207,7 +207,7 @@ def analytic_propagator_ge(params, t, strict_paper_rates=True):
     )
 
 
-def first_order_propagator_ge(params, t, strict_paper_rates=True):
+def first_order_propagator_ge(params, t):
     """Hybridized-mode propagator of the (rho_{g,e1}, rho_{g,e2}) pair.
 
     The paper's first-order form: built from the hybridized frequencies
@@ -219,7 +219,7 @@ def first_order_propagator_ge(params, t, strict_paper_rates=True):
     """
     if t < 0:
         raise ValueError("propagator defined for t >= 0")
-    der = hybridized_parameters(params, strict_paper_rates)
+    der = hybridized_parameters(params)
     dw = params.omega_e1e2
     root = np.hypot(dw, 2.0 * params.delta)
     cos2t = dw / root
@@ -234,7 +234,7 @@ def first_order_propagator_ge(params, t, strict_paper_rates=True):
     )
 
 
-def hybridized_frequency_propagator(params, omega, strict_paper_rates=True):
+def hybridized_frequency_propagator(params, omega):
     """Frequency-domain propagator of the (rho_{e1,g}, rho_{e2,g}) pair in
     the hybridized-mode form.
 
@@ -242,7 +242,7 @@ def hybridized_frequency_propagator(params, omega, strict_paper_rates=True):
     real sin/cos mixing weights; same first-order accuracy as
     :func:`first_order_propagator_ge`.
     """
-    der = hybridized_parameters(params, strict_paper_rates)
+    der = hybridized_parameters(params)
     two_theta = 2.0 * der.theta
     s2 = np.sin(two_theta)
     sin_sq = 0.5 * (1.0 - np.cos(two_theta))
@@ -263,14 +263,9 @@ def dipole_operator(params):
     return v
 
 
-def build_junction(params, strict_paper_rates=True):
-    """Construct the generator and :func:`analyze` it.
-
-    With `strict_paper_rates = False` the decay constants of the
-    ground-excited coherence pairs are swapped (counterfactual variant
-    for sensitivity checks); populations, the excited-state coherence
-    sector and hence K, L and the steady state are unaffected.
-    """
+def build_junction(params):
+    """Construct the generator from the Hamiltonian and the two electrode
+    channels and :func:`analyze` it."""
     h_eff = np.diag([params.omega_g, params.omega_1, params.omega_2]).astype(complex)
     h_eff[1, 2] = h_eff[2, 1] = -params.delta
     f1, f2 = _fbars(params)
@@ -282,16 +277,8 @@ def build_junction(params, strict_paper_rates=True):
         DissipationChannel(raise_1, params.gamma * f1, params.gamma * (1 - f1)),
         DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2)),
     )
-    swap = None
-    if not strict_paper_rates:
-        # the diagonal of M at rho_{g,e1}, rho_{e1,g} moves by -shift and at
-        # rho_{g,e2}, rho_{e2,g} by +shift
-        shift = 0.5 * params.gamma * (f1 - f2)
-        swap = np.zeros((3, 3))
-        swap[0, 1] = swap[1, 0] = -shift
-        swap[0, 2] = swap[2, 0] = shift
     return JunctionModel(
-        **vars(analyze(build_generator(h_eff, channels, swap))),
+        **vars(analyze(build_generator(h_eff, channels))),
         params=params,
         h_eff=h_eff,
         channels=channels,

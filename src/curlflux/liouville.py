@@ -186,7 +186,7 @@ def _sector_places(indices, n):
     return places
 
 
-def build_generator(hamiltonian, channels, diagonal=None):
+def build_generator(hamiltonian, channels):
     """Assemble the generator M of d rho/dt = M vec(rho) as its sectors.
 
     The coherent part is i[rho, H]; every channel contributes two jumps,
@@ -206,10 +206,10 @@ def build_generator(hamiltonian, channels, diagonal=None):
     conj(J_c) in row-major order.  Each term is listed at its (row, col)
     in the package order: the non-zero entries of the two H_eff terms, d
     each per entry of H_eff, then the products of the non-zero entries of
-    each jump, sum_c nnz_c**2, then `diagonal`.  Duplicates are summed in
-    that order, and the non-zero sums join their row and column into one
-    sector (:func:`sector_labels`), so the sectors are exact and M is
-    block diagonal over them.  Trace preservation (<<1| M = 0) holds by
+    each jump, sum_c nnz_c**2.  Duplicates are summed in that order, and
+    the non-zero sums join their row and column into one sector
+    (:func:`sector_labels`), so the sectors are exact and M is block
+    diagonal over them.  Trace preservation (<<1| M = 0) holds by
     construction.
 
     Parameters
@@ -217,8 +217,6 @@ def build_generator(hamiltonian, channels, diagonal=None):
     hamiltonian : (d, d) array_like
         Hermitian system Hamiltonian (hbar = 1).
     channels : sequence of DissipationChannel
-    diagonal : (d, d) array_like, optional
-        diagonal[n, m] is added to the diagonal entry of |nm>> last.
 
     Returns
     -------
@@ -261,18 +259,15 @@ def build_generator(hamiltonian, channels, diagonal=None):
               vals[i][same].conj() * rated[j][same])
     a, pos = -1j * (h - 0.5j * decay), _positions(d)
     p, q = np.nonzero(a)
-    extra = np.zeros((d, d)) if diagonal is None else np.asarray(diagonal)
-    e = np.nonzero(extra)
     # each term at its flat index row * d**2 + col: a (x) 1 puts a[n, k]
     # at [(n, m), (k, m)], 1 (x) conj(a) puts conj(a)[m, l] at
     # [(n, m), (n, l)], r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
     # [(n, m), (k, l)]
     flat = np.concatenate([(pos[p] * d * d + pos[q]).ravel(),
                            (pos[:, p] * d * d + pos[:, q]).T.ravel(),
-                           pos[n[i], n[j]] * d * d + pos[k[i], k[j]],
-                           pos[e] * (d * d + 1)])
+                           pos[n[i], n[j]] * d * d + pos[k[i], k[j]]])
     terms = np.concatenate([np.repeat(a[p, q], d), np.repeat(a[p, q].conj(), d),
-                            rated[i] * vals[j].conj(), extra[e]])
+                            rated[i] * vals[j].conj()])
     keys, where = np.unique(flat, return_inverse=True)
     sums = np.zeros(keys.size, dtype=complex)
     np.add.at(sums, where, terms)

@@ -5,7 +5,6 @@ import math
 import numpy as np
 from scipy.linalg import expm
 
-from curlflux.junction import _fbars
 from curlflux.liouville import (
     DissipationChannel,
     Generator,
@@ -107,21 +106,6 @@ def build_liouvillian(hamiltonian, channels):
     vals = jumps[c, n, k]
     np.add.at(m, (pos[n[i], n[j]], pos[k[i], k[j]]),
               (rates[c] * vals)[i] * vals[j].conj())
-    return m
-
-
-def junction_liouvillian(model, strict_paper_rates=True):
-    """Dense generator of a junction model: its H and channels, then the
-    swapped decay pairing added to the ground-excited coherences."""
-    m = build_liouvillian(model.h_eff, model.channels)
-    if not strict_paper_rates:
-        f1, f2 = _fbars(model.params)
-        pairs = list(index_pairs(3))
-        swap = 0.5 * model.params.gamma * (f1 - f2)
-        for pair, sgn in (((0, 1), -1.0), ((0, 2), 1.0), ((1, 0), -1.0),
-                          ((2, 0), 1.0)):
-            i = pairs.index(pair)
-            m[i, i] += sgn * swap
     return m
 
 

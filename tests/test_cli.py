@@ -110,10 +110,18 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
     + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
     GENERIC.split("    channels:")[0] + OMEGA,
+    GENERIC + "    temperature: 0\n" + OMEGA,
+    GENERIC + "    temperature: -0.3\n" + OMEGA,
+    GENERIC + OMEGA + "output: {prefix: null}\n",
+    GENERIC + OMEGA + "output: {prefix: [a, b]}\n",
+    GENERIC + OMEGA + "output: {prefix: 3}\n",
+    GENERIC + OMEGA + "output: {directory: {x: 1}}\n",
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
-        "fixed-bias-with-dmu", "no-channels"])
+        "fixed-bias-with-dmu", "no-channels", "zero-temperature",
+        "negative-temperature", "null-prefix", "list-prefix", "number-prefix",
+        "mapping-directory"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -452,20 +460,6 @@ def test_two_model_sections_are_rejected(tmp_path, capsys):
     )
     assert main(["spectrum", "--config", str(cfg)]) == 2
     assert "exactly one model section" in capsys.readouterr().err
-
-
-def test_strict_paper_rates_flag_changes_spectrum(tmp_path):
-    cfg = tmp_path / "point.yaml"
-    cfg.write_text(
-        "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n"
-        "sweep:\n  omega: {min: 0.9, max: 1.1, points: 41}\n"
-        "output: {directory: out, prefix: pt}\n"
-    )
-    out1, out2 = tmp_path / "a", tmp_path / "b"
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out1)]) == 0
-    assert main(["spectrum", "--config", str(cfg), "--out", str(out2),
-                 "--strict-paper-rates", "false"]) == 0
-    assert read(out1 / "pt_run.csv") != read(out2 / "pt_run.csv")
 
 
 def test_cli_import_does_not_load_scipy():

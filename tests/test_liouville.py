@@ -26,7 +26,6 @@ from helpers import (
     build_liouvillian,
     commutator_superop,
     generator_of,
-    junction_liouvillian,
     kron_liouvillian,
     left_mult,
     propagate,
@@ -186,20 +185,18 @@ def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
 
 
 def test_builder_matches_per_channel_oracle_on_junction():
-    for strict in (True, False):
-        for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
-            model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2), strict)
-            assert_matches_per_channel_oracle(model.h_eff, model.channels)
+    for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
+        model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2))
+        assert_matches_per_channel_oracle(model.h_eff, model.channels)
 
 
 def test_builder_equals_kron_form_bit_for_bit():
     # every jump here has one non-zero entry, so each generator entry gets
     # at most one jump term and both forms round alike
     inputs = []
-    for strict in (True, False):
-        for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
-            model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2), strict)
-            inputs.append((model.h_eff, model.channels))
+    for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
+        model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2))
+        inputs.append((model.h_eff, model.channels))
     for dim in (3, 8, 16, 24):
         inputs.append(random_ladder_model(np.random.default_rng(dim), dim)[:2])
     for dim in (3, 5, 8):
@@ -254,7 +251,7 @@ def test_thermal_rates_admit_gibbs_stationary_state():
     assert np.abs(m @ vectorize(np.diag(gibbs))).max() < 1e-10
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(sizes=st.lists(st.integers(1, 6), min_size=1, max_size=8),
        seed=st.integers(0, 2**32 - 1))
 def test_sectors_recover_planted_blocks(sizes, seed):
@@ -337,7 +334,7 @@ def assert_generator_is_the_dense_oracle(gen, m):
 @st.composite
 def generator_inputs(draw):
     """(generator, dense oracle) of a random ladder, a coherent model or a
-    junction at either rate pairing."""
+    junction."""
     kind = draw(st.sampled_from(["ladder", "coherent", "junction"]))
     if kind == "junction":
         params = JunctionParams(
@@ -345,9 +342,8 @@ def generator_inputs(draw):
             delta=draw(st.sampled_from([0.0, 0.01, 0.05])),
             gamma=draw(st.floats(0.005, 0.05)),
             t_1=draw(st.floats(0.05, 1.0)), t_2=draw(st.floats(0.05, 1.0)))
-        strict = draw(st.booleans())
-        model = build_junction(params, strict)
-        return model.generator, junction_liouvillian(model, strict)
+        model = build_junction(params)
+        return model.generator, build_liouvillian(model.h_eff, model.channels)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "ladder":
         h, channels, m, _ = random_ladder_model(rng, draw(st.integers(2, 24)))
@@ -372,7 +368,7 @@ def _bench_workloads():
 
 def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
     # the bundled run files, their bench/reference copies and every run
-    # file the bench generates for seeds 1 to 3, at both rate pairings
+    # file the bench generates for seeds 1 to 3
     bench = Path(__file__).resolve().parents[1] / "bench"
     paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
              if p.name.endswith(".yaml")]
@@ -388,14 +384,13 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
     assert len(set(paths)) == 68
     for path in sorted(set(paths)):
         config = load_config(path)
-        for strict in (True, False):
-            for _, model in config.points:
-                analysis = _analyze(model, strict)[0]
-                if isinstance(model, JunctionParams):
-                    m = junction_liouvillian(analysis, strict)
-                else:
-                    m = build_liouvillian(model.hamiltonian, model.channels)
-                assert_generator_is_the_dense_oracle(analysis.generator, m)
+        for _, model in config.points:
+            analysis = _analyze(model)[0]
+            if isinstance(model, JunctionParams):
+                m = build_liouvillian(analysis.h_eff, analysis.channels)
+            else:
+                m = build_liouvillian(model.hamiltonian, model.channels)
+            assert_generator_is_the_dense_oracle(analysis.generator, m)
 
 
 def test_take_reads_any_index_set_from_the_blocks():

@@ -192,10 +192,12 @@ def _assert_matches_full_null_vector(m):
     assert rho.residual <= 1e-10
 
 
-@pytest.mark.parametrize("strict", [True, False])
-@pytest.mark.parametrize("mu", [(1.0, 1.0), (1.06, 0.94), (1.0, 0.5)])
-def test_analyze_steady_state_matches_full_generator_junction(mu, strict):
-    model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
+# the ids keep the "-True" under which these cases ran beside a second,
+# since retired, coherence-decay pairing
+@pytest.mark.parametrize("mu", [(1.0, 1.0), (1.06, 0.94), (1.0, 0.5)],
+                         ids=["mu0-True", "mu1-True", "mu2-True"])
+def test_analyze_steady_state_matches_full_generator_junction(mu):
+    model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]))
     _assert_matches_full_null_vector(to_dense(model.generator))
 
 
@@ -211,10 +213,10 @@ def test_analyze_steady_state_matches_full_generator_random(dim):
 
 
 def _steady_state_cases():
-    for strict in (True, False):
-        for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
-            model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]), strict)
-            yield "junction-%g-%g-%s" % (mu + (strict,)), to_dense(model.generator)
+    for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
+        model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]))
+        # the "-True" id suffix is kept from a retired second pairing
+        yield "junction-%g-%g-True" % mu, to_dense(model.generator)
     for dim in (3, 5, 8):
         yield "lindblad-%d" % dim, random_lindblad_model(
             np.random.default_rng(30 + dim), dim=dim)[2]

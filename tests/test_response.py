@@ -129,9 +129,8 @@ def assert_close_per_column(got, ref, rtol=1e-12):
 def oracle_model(key):
     """(analysis, probe coupling, grid) of one oracle-test model."""
     if key[0] == "junction":
-        _, mus, strict = key
-        params = JunctionParams(mu_1=mus[0], mu_2=mus[1])
-        return (build_junction(params, strict), dipole_operator(params),
+        params = JunctionParams(mu_1=key[1][0], mu_2=key[1][1])
+        return (build_junction(params), dipole_operator(params),
                 np.linspace(0.85, 1.15, 61))
     if key[0] == "thermal":
         m, v, _ = thermal_two_level()
@@ -150,14 +149,18 @@ def oracle_model(key):
     return analyze(generator_of(m)), v, np.linspace(-3.0, 3.0, 120)
 
 
-ORACLE_MODELS = [("junction", mus, strict)
-                 for mus in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5))
-                 for strict in (True, False)]
+ORACLE_MODELS = [("junction", mus) for mus in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5))]
 ORACLE_MODELS += [("random", d) for d in (3, 5, 8)] + [("thermal",)]
 ORACLE_MODELS += [("ladder", d) for d in (3, 8, 16, 24)]
 
 
-@pytest.mark.parametrize("key", ORACLE_MODELS, ids=str)
+def oracle_id(key):
+    # a junction's id keeps the ", True" under which it ran beside a
+    # second, since retired, coherence-decay pairing
+    return str(key + (True,) if key[0] == "junction" else key)
+
+
+@pytest.mark.parametrize("key", ORACLE_MODELS, ids=oracle_id)
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
     m, rho = to_dense(analysis.generator), analysis.rho_ss.vector
@@ -485,16 +488,14 @@ def test_spectra_reject_non_hermitian_coupling():
 
 def kubo_model(key):
     """(analysis, coupling, grid) of one Kubo-identity case: a junction at
-    (mu_1, mu_2) and either rate pairing, a random ladder, or a bundled
-    run file."""
+    (mu_1, mu_2), a random ladder, or a bundled run file."""
     if key[0] == "file":
         config = load_config(str(resources.files("curlflux") / "configs" / key[1]))
-        analysis, v, _ = _analyze(config.model, True)
+        analysis, v, _ = _analyze(config.model)
         return analysis, v, config.omega_grid
     if key[0] == "junction":
-        _, mu_1, mu_2, strict = key
-        params = JunctionParams(mu_1=mu_1, mu_2=mu_2)
-        return (build_junction(params, strict), dipole_operator(params),
+        params = JunctionParams(mu_1=key[1], mu_2=key[2])
+        return (build_junction(params), dipole_operator(params),
                 np.linspace(0.85, 1.15, 301))
     _, d, seed = key
     h, channels, top = random_ladder(np.random.default_rng(seed), d)
@@ -519,17 +520,16 @@ def test_response_is_the_antisymmetric_part_of_the_fluctuations(key):
     if isinstance(key, str):
         assert_kubo_identity(("file", key))
     else:
-        assert_kubo_identity(("junction",) + key + (True,))
+        assert_kubo_identity(("junction",) + key)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(key=st.one_of(
-    st.tuples(st.just("junction"), st.floats(0.0, 2.0), st.floats(0.0, 2.0),
-              st.booleans()),
+    st.tuples(st.just("junction"), st.floats(0.0, 2.0), st.floats(0.0, 2.0)),
     st.tuples(st.just("ladder"), st.integers(2, 16), st.integers(0, 2**32 - 1))))
-@example(key=("junction", 1.0, 1.0, True))
-@example(key=("junction", 1.0, 0.5, True))
-@example(key=("junction", 1.3, 0.7, True))
+@example(key=("junction", 1.0, 1.0))
+@example(key=("junction", 1.0, 0.5))
+@example(key=("junction", 1.3, 0.7))
 @example(key=("file", "flux_fivelevel.yaml"))
 def test_kubo_identity_holds_on_random_junctions_and_ladders(key):
     assert_kubo_identity(key)

@@ -18,10 +18,16 @@ junction and generic models alike.  Two outputs still depend on the kind
 of model: only the junction's spectra are split, and only its flux
 report adds the loop flux and the e1-e2 coherence.
 
+Several calls of :func:`main` in one interpreter share one parser, built
+by the first; each looks up its ``cmd_<name>`` function when it runs.
+A sweep's frequency column is formatted once and shared by all of its
+CSVs, which are written through the same row writer as fdr-check's.
+
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
 
 import argparse
+import functools
 import os
 import sys
 
@@ -41,6 +47,8 @@ from .reduction import NonUniqueSteadyStateError, analyze
 from .response import (
     NotDetailedBalancedError,
     ResolventSingularError,
+    _csv,
+    _format_column,
     check_equilibrium_fdr,
     linear_response_freq,
     response_split,
@@ -91,11 +99,13 @@ def cmd_spectrum(config, args):
     # junction's spectra are split so far
     spectrum_of = (response_split if isinstance(config.model, JunctionParams)
                    else linear_response_freq)
+    omega_text = _format_column(config.omega_grid)
     for tag, model in config.points:
         analysis, v, _ = _analyze(model)
         spectrum = spectrum_of(v, analysis, config.omega_grid,
                                epsilon=config.epsilon)
-        _write(config, args, "_%s.csv" % tag, spectrum_to_csv(spectrum))
+        _write(config, args, "_%s.csv" % tag,
+               spectrum_to_csv(spectrum, omega_text))
 
 
 def cmd_flux(config, args):
@@ -127,11 +137,10 @@ def cmd_fdr_check(config, args):
     report = check_equilibrium_fdr(coupling, analysis, config.temperature,
                                    config.omega_grid, db_tol=config.db_tol,
                                    epsilon=config.epsilon)
-    rows = zip(report.omega.tolist(), report.lhs.tolist(),
-               report.rhs.real.tolist(), report.rhs.imag.tolist(),
-               report.residual.tolist())
-    _write(config, args, "_fdr.csv", "omega,lhs,re_rhs,im_rhs,residual\n"
-           + "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows)))
+    _write(config, args, "_fdr.csv",
+           _csv("omega,lhs,re_rhs,im_rhs,residual",
+                _format_column(report.omega), report.lhs, report.rhs.real,
+                report.rhs.imag, report.residual))
     print("max residual: %.6e" % report.max_residual)
 
 
@@ -188,7 +197,15 @@ def cmd_validate(config, args):
     print("all checks passed for model with states %s" % (labels,))
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per interpreter and shared by
+    every caller, so none may change it.
+
+    Each subcommand stores only its name; :func:`main` looks up the
+    matching ``cmd_<name>`` in this module when it runs, so a replaced
+    command function is the one called.
+    """
     parser = argparse.ArgumentParser(
         prog="curlflux",
         description="Steady-state curl-flux decomposition and linear "
@@ -196,18 +213,17 @@ def build_parser():
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, fn, doc in (
-        ("spectrum", cmd_spectrum, "compute response spectra over the sweep"),
-        ("flux", cmd_flux, "write the steady-state flux report"),
-        ("fdr-check", cmd_fdr_check,
+    for name, doc in (
+        ("spectrum", "compute response spectra over the sweep"),
+        ("flux", "write the steady-state flux report"),
+        ("fdr-check",
          "compare dissipation and fluctuation sides at equilibrium"),
-        ("validate", cmd_validate, "run the model invariant suite"),
+        ("validate", "run the model invariant suite"),
     ):
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="YAML run file")
         p.add_argument("--out", default=None,
                        help="output directory (overrides the config)")
-        p.set_defaults(func=fn)
     return parser
 
 
@@ -219,7 +235,7 @@ def main(argv=None):
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG
     try:
-        args.func(config, args)
+        globals()["cmd_" + args.command.replace("-", "_")](config, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return EXIT_CONFIG

@@ -100,10 +100,11 @@ class JunctionDerived:
 @dataclass(frozen=True, kw_only=True)
 class JunctionModel(Analysis):
     """The analysis of one parameter set, with the junction's own data:
-    its parameters and the generator's inputs, H_eff and the channels."""
+    its parameters and the generator's inputs, the Hermitian Hamiltonian
+    H and the channels."""
 
     params: JunctionParams
-    h_eff: np.ndarray
+    hamiltonian: np.ndarray
     channels: tuple
 
     @property
@@ -266,8 +267,9 @@ def dipole_operator(params):
 def build_junction(params):
     """Construct the generator from the Hamiltonian and the two electrode
     channels and :func:`analyze` it."""
-    h_eff = np.diag([params.omega_g, params.omega_1, params.omega_2]).astype(complex)
-    h_eff[1, 2] = h_eff[2, 1] = -params.delta
+    hamiltonian = np.diag([params.omega_g, params.omega_1,
+                           params.omega_2]).astype(complex)
+    hamiltonian[1, 2] = hamiltonian[2, 1] = -params.delta
     f1, f2 = _fbars(params)
     raise_1 = np.zeros((3, 3), dtype=complex)
     raise_1[1, 0] = 1.0
@@ -278,9 +280,9 @@ def build_junction(params):
         DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2)),
     )
     return JunctionModel(
-        **vars(analyze(build_generator(h_eff, channels))),
+        **vars(analyze(build_generator(hamiltonian, channels))),
         params=params,
-        h_eff=h_eff,
+        hamiltonian=hamiltonian,
         channels=channels,
     )
 

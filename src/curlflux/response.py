@@ -124,12 +124,15 @@ def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
         their modes, -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid
         point is on the pole of mode k when
         |lam_k + i w - epsilon| <= 1e-13 max(1, max|lam|), the maximum
-        taken over every sector of M; a mode the pair does not excite
-        (|A_k B_k| at most 1e-12 of the pair's largest weight) contributes
-        0 there, as the stationary mode does under any commutator source
-        (<<1|V_- rho>> = 0).  When the largest cond(V_s) over the touched
-        sectors exceeds EIGEN_COND_MAX (near an exceptional point), each
-        touched block M_s + i w - epsilon is solved per frequency.
+        taken over every sector of M.  That distance is at least
+        |Re lam_k - epsilon|, so only the modes within the tolerance of
+        the imaginary axis are tested on the grid.  A mode the pair does
+        not excite (|A_k B_k| at most 1e-12 of the pair's largest weight
+        over all modes) contributes 0 there, as the stationary mode does
+        under any commutator source (<<1|V_- rho>> = 0).  When the
+        largest cond(V_s) over the touched sectors exceeds
+        EIGEN_COND_MAX (near an exceptional point), each touched block
+        M_s + i w - epsilon is solved per frequency.
 
     Raises
     ------
@@ -138,7 +141,8 @@ def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
         frequency and the eigenvalue.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    shifts = 1j * omegas - (0.0 if epsilon is None else epsilon)
+    damping = 0.0 if epsilon is None else epsilon
+    shifts = 1j * omegas - damping
     left = np.atleast_2d(np.asarray(left, dtype=complex))
     right = np.asarray(right, dtype=complex).reshape(generator.labels.size, -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
@@ -182,15 +186,22 @@ def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
     # weight[k, (i, j)] = A[i, k] B[k, j]
     weight = (a.T[:, :, None] * b[:, None, :]).reshape(evals.size, -1)
     poles = evals + shifts[:, None]
-    on_pole = np.abs(poles) <= 1e-13 * scale
-    excited = np.abs(weight) > 1e-12 * np.abs(weight).max(axis=0)
-    hits = np.argwhere(on_pole & excited.any(axis=1))
-    if hits.size:
-        i, k = hits[0]
-        raise _singular(omegas[i], evals[k])
+    # |lam_k + i w - epsilon| >= |Re lam_k - epsilon|, so only the modes
+    # near the imaginary axis can put a grid point on a pole
+    tol = 1e-13 * scale
+    near = np.flatnonzero(np.abs(evals.real - damping) <= tol)
+    at, k = np.nonzero(np.abs(poles[:, near]) <= tol)
+    k = near[k]
+    if at.size:
+        excited = (np.abs(weight[k])
+                   > 1e-12 * np.abs(weight).max(axis=0)).any(axis=1)
+        if excited.any():
+            first = np.argmax(excited)
+            raise _singular(omegas[at[first]], evals[k[first]])
+        poles[at, k] = 1.0
     # 1 / (lam_k + i w - epsilon) in place (the grid array is the largest)
-    np.divide(1.0, poles, out=poles, where=~on_pole)
-    poles[on_pole] = 0.0
+    np.divide(1.0, poles, out=poles)
+    poles[at, k] = 0.0
     return -(poles @ weight).reshape(shape)
 
 
@@ -349,17 +360,31 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     )
 
 
-def spectrum_to_csv(spectrum):
+def _format_column(values):
+    """'%.17g' text of each value: full double precision, so the files
+    are usable as regression goldens.  A sweep's frequency column is
+    formatted once and shared by all its CSVs."""
+    return list(map("%.17g".__mod__, values.tolist()))
+
+
+def _csv(header, first, *columns):
+    """CSV text: the header line, then one row per entry of `first`
+    (already formatted, see :func:`_format_column`) followed by the
+    matching entries of each float column at '%.17g'."""
+    template = "%s" + ",%.17g" * len(columns) + "\n"
+    rows = zip(first, *(c.tolist() for c in columns), strict=True)
+    return header + "\n" + "".join(map(template.__mod__, rows))
+
+
+def spectrum_to_csv(spectrum, omega_text):
     """Render a ResponseSpectrum as CSV text.
 
     Columns: omega, re_full, im_full, im_eq, im_ne (the split columns
-    are written as 0 when the split was not computed).  Full double
-    precision so files are usable as regression goldens.
+    are written as 0 when the split was not computed).  `omega_text` is
+    the :func:`_format_column` text of spectrum.omega.
     """
     zeros = np.zeros(spectrum.omega.size)
     eq = spectrum.r_eq_term.imag if spectrum.r_eq_term is not None else zeros
     ne = spectrum.r_ne_term.imag if spectrum.r_ne_term is not None else zeros
-    rows = zip(spectrum.omega.tolist(), spectrum.r_full.real.tolist(),
-               spectrum.r_full.imag.tolist(), eq.tolist(), ne.tolist())
-    return ("omega,re_full,im_full,im_eq,im_ne\n"
-            + "".join(map("%.17g,%.17g,%.17g,%.17g,%.17g\n".__mod__, rows)))
+    return _csv("omega,re_full,im_full,im_eq,im_ne", omega_text,
+                spectrum.r_full.real, spectrum.r_full.imag, eq, ne)

@@ -23,6 +23,14 @@ def bundled(name):
     return str(resources.files("curlflux") / "configs" / name)
 
 
+def fresh_env():
+    """Environment for a fresh interpreter that imports this curlflux."""
+    src = str(Path(curlflux.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
 def read(path):
     with open(path) as fh:
         return fh.read()
@@ -447,6 +455,39 @@ def test_validate_generic_config(capsys):
     assert "all checks passed" in capsys.readouterr().out
 
 
+def test_the_parser_is_built_once_and_calls_the_current_command(capsys,
+                                                                 monkeypatch):
+    assert cli.build_parser() is cli.build_parser()
+    calls = []
+    monkeypatch.setattr(cli, "cmd_validate",
+                        lambda config, args: calls.append(args.config))
+    path = bundled("flux_fivelevel.yaml")
+    assert main(["validate", "--config", path]) == 0
+    assert calls == [path]
+    assert "all checks passed" not in capsys.readouterr().out
+
+
+def test_commands_in_one_process_write_what_fresh_interpreters_write(tmp_path,
+                                                                     capsys):
+    env = fresh_env()
+    calls = [("spectrum", "fdr_twolevel.yaml"), ("flux", "flux_fivelevel.yaml"),
+             ("fdr-check", "fdr_twolevel.yaml")]
+    fresh, warm = tmp_path / "fresh", tmp_path / "warm"
+    for command, name in calls:
+        argv = [command, "--config", bundled(name)]
+        cold = subprocess.run(
+            [sys.executable, "-m", "curlflux.cli", *argv, "--out", str(fresh)],
+            env=env, capture_output=True, text=True)
+        assert main(argv + ["--out", str(warm)]) == cold.returncode == 0
+        out = capsys.readouterr()
+        assert out.out.replace(str(warm), "OUT") == cold.stdout.replace(str(fresh), "OUT")
+        assert out.err == cold.stderr == ""
+    names = sorted(p.name for p in fresh.iterdir())
+    assert names == sorted(p.name for p in warm.iterdir()) and len(names) == 3
+    for name in names:
+        assert (warm / name).read_bytes() == (fresh / name).read_bytes()
+
+
 def test_missing_config_file_is_config_error():
     assert main(["spectrum", "--config", "/nonexistent/nope.yaml"]) == 2
 
@@ -465,9 +506,7 @@ def test_two_model_sections_are_rejected(tmp_path, capsys):
 def test_cli_import_does_not_load_scipy():
     # scipy is a test-only dependency, so a cold CLI call must not pay for
     # importing it
-    src = str(Path(curlflux.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = fresh_env()
     code = ("import sys, curlflux.cli; "
             "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
@@ -478,9 +517,7 @@ def test_cli_import_does_not_load_scipy():
 def test_cli_spectrum_does_not_load_numpy_ma(tmp_path):
     # np.unique, np.isin and np.intersect1d import numpy.ma on first use,
     # a cost every cold CLI call would pay; the sector code avoids them
-    src = str(Path(curlflux.__file__).resolve().parents[1])
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    env = fresh_env()
     code = ("import sys; from curlflux.cli import main; "
             "codes = [main(['spectrum', '--config', path, '--out', sys.argv[1]]) "
             "for path in sys.argv[2:]]; "

@@ -443,7 +443,7 @@ def test_junction_dynamics_are_completely_positive():
     fig2a = resources.files("curlflux") / "configs" / "fig2a.yaml"
     for _, params in load_config(str(fig2a)).points:
         model = build_junction(params)
-        m = build_liouvillian(model.h_eff, model.channels)
+        m = build_liouvillian(model.hamiltonian, model.channels)
         for t in (0.5, 2.0, 10.0, 50.0):
             choi = choi_matrix(expm(m * t), 3)
             assert np.abs(choi - choi.conj().T).max() < 1e-12

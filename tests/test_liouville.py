@@ -187,7 +187,7 @@ def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
 def test_builder_matches_per_channel_oracle_on_junction():
     for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
         model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2))
-        assert_matches_per_channel_oracle(model.h_eff, model.channels)
+        assert_matches_per_channel_oracle(model.hamiltonian, model.channels)
 
 
 def test_builder_equals_kron_form_bit_for_bit():
@@ -196,7 +196,7 @@ def test_builder_equals_kron_form_bit_for_bit():
     inputs = []
     for mu_1, mu_2 in ((1.0, 0.5), (1.3, 0.7), (1.0, 1.0)):
         model = build_junction(JunctionParams(mu_1=mu_1, mu_2=mu_2))
-        inputs.append((model.h_eff, model.channels))
+        inputs.append((model.hamiltonian, model.channels))
     for dim in (3, 8, 16, 24):
         inputs.append(random_ladder_model(np.random.default_rng(dim), dim)[:2])
     for dim in (3, 5, 8):
@@ -343,7 +343,7 @@ def generator_inputs(draw):
             gamma=draw(st.floats(0.005, 0.05)),
             t_1=draw(st.floats(0.05, 1.0)), t_2=draw(st.floats(0.05, 1.0)))
         model = build_junction(params)
-        return model.generator, build_liouvillian(model.h_eff, model.channels)
+        return model.generator, build_liouvillian(model.hamiltonian, model.channels)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if kind == "ladder":
         h, channels, m, _ = random_ladder_model(rng, draw(st.integers(2, 24)))
@@ -387,7 +387,7 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
         for _, model in config.points:
             analysis = _analyze(model)[0]
             if isinstance(model, JunctionParams):
-                m = build_liouvillian(analysis.h_eff, analysis.channels)
+                m = build_liouvillian(analysis.hamiltonian, analysis.channels)
             else:
                 m = build_liouvillian(model.hamiltonian, model.channels)
             assert_generator_is_the_dense_oracle(analysis.generator, m)

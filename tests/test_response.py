@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curlflux.cli import _analyze
+from curlflux.cli import _analyze, main
 from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced
 from curlflux.junction import (
@@ -29,6 +29,7 @@ from curlflux.response import (
     NotDetailedBalancedError,
     ResolventSingularError,
     ResponseSpectrum,
+    _format_column,
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
@@ -253,6 +254,24 @@ def test_resolvent_pole_tolerance_scales_with_every_sector():
     with pytest.raises(ResolventSingularError, match="eigenvalue"):
         resolvent(m, [-0.5], [1.0, 0.0], [1.0, 0.0])
     assert np.isfinite(resolvent(m[:1, :1], [-0.5], [1.0], [1.0])).all()
+
+
+@pytest.mark.parametrize("epsilon", [None, 0.25])
+def test_resolvent_pole_tolerance_holds_at_its_edge(epsilon):
+    # the scale is 1, so a mode is on the pole at omega = -Im lam when
+    # |Re lam - epsilon| <= 1e-13: just inside raises, just outside is finite
+    shift = 0.0 if epsilon is None else epsilon
+    inside = complex(shift - 0.9e-13, 0.5)
+    with pytest.raises(ResolventSingularError) as err:
+        resolvent(np.array([[inside]]), [-0.5], [1.0], [1.0], epsilon)
+    assert str(err.value) == (
+        "resolvent singular at omega = -0.5: generator eigenvalue %s is "
+        "undamped at this frequency" % (inside,))
+    outside = complex(shift - 1.1e-13, 0.5)
+    got = resolvent(np.array([[outside]]), [-0.5], [1.0], [1.0], epsilon)
+    assert np.isfinite(got).all()
+    assert got[0, 0, 0] == pytest.approx(-1.0 / (outside - 0.5j - shift),
+                                         rel=1e-12)
 
 
 def test_resolvent_guard_reads_only_the_touched_sectors(monkeypatch):
@@ -578,15 +597,31 @@ def test_spectrum_csv_bytes_match_per_row_formatter():
         r_ne_term=np.array([0.0j, -1j, 0.0j, -np.e * 1j]),
     )
     for spectrum in (split, full, signed):
-        assert spectrum_to_csv(spectrum) == per_row_spectrum_csv(spectrum)
-    assert "-0," in spectrum_to_csv(signed)
+        assert (spectrum_to_csv(spectrum, _format_column(spectrum.omega))
+                == per_row_spectrum_csv(spectrum))
+    assert "-0," in spectrum_to_csv(signed, _format_column(signed.omega))
+
+
+def test_every_fig2a_csv_matches_the_per_row_formatter(tmp_path):
+    # the CLI formats the frequency column once and shares it between
+    # the bias points
+    path = str(resources.files("curlflux") / "configs" / "fig2a.yaml")
+    assert main(["spectrum", "--config", path, "--out", str(tmp_path)]) == 0
+    config = load_config(path)
+    assert len(config.points) == 5
+    for tag, params in config.points:
+        analysis, v, _ = _analyze(params)
+        spectrum = response_split(v, analysis, config.omega_grid,
+                                  epsilon=config.epsilon)
+        text = (tmp_path / ("%s_%s.csv" % (config.prefix, tag))).read_text()
+        assert text == per_row_spectrum_csv(spectrum), tag
 
 
 def test_spectrum_csv_format():
     m, v, pops = thermal_two_level()
     analysis = analyze(generator_of(m))
     spec = linear_response_freq(v, analysis, np.array([0.5, 1.0]))
-    text = spectrum_to_csv(spec)
+    text = spectrum_to_csv(spec, _format_column(spec.omega))
     lines = text.strip().split("\n")
     assert lines[0] == "omega,re_full,im_full,im_eq,im_ne"
     assert len(lines) == 3

@@ -12,21 +12,12 @@ from .flux import (
     render_flux_report,
     split_operators,
 )
-from .junction import (
-    JunctionDerived,
-    JunctionParams,
-    analytic_propagator_ge,
-    build_junction,
-    fermi_dirac,
-    first_order_propagator_ge,
-    hybridized_parameters,
-)
+from .junction import JunctionParams, fermi_dirac
 from .liouville import (
     DissipationChannel,
     Generator,
     build_generator,
     devectorize,
-    trace_vector,
     vectorize,
 )
 from .reduction import (

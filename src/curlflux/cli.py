@@ -13,10 +13,11 @@ omega,re_full,im_full,im_eq,im_ne; `flux` writes a JSON flux report;
 fluctuation-dissipation comparison (and refuses driven models);
 `validate` runs the model invariant suite and reports each check.
 Every command works on the :func:`~curlflux.reduction.analyze` result of
-the configured model, or of each spectrum point, built by one helper for
-junction and generic models alike.  Two outputs still depend on the kind
-of model: only the junction's spectra are split, and only its flux
-report adds the loop flux and the e1-e2 coherence.
+the configured :class:`~curlflux.config.Model`, or of each spectrum
+point, and probes it through the model's own coupling; junction and
+generic run files give the same record.  Two outputs still depend on the
+run file's `model.type`: only the junction's spectra are split, and only
+its flux report adds the loop flux and the e1-e2 coherence.
 
 Several calls of :func:`main` in one interpreter share one parser, built
 by the first; each looks up its ``cmd_<name>`` function when it runs.
@@ -36,13 +37,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError, load_config
 from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
-from .junction import (
-    JUNCTION_LABELS,
-    JunctionParams,
-    build_junction,
-    dipole_operator,
-)
-from .liouville import build_generator
+from .liouville import build_generator, index_pairs
 from .reduction import NonUniqueSteadyStateError, analyze
 from .response import (
     NotDetailedBalancedError,
@@ -81,23 +76,15 @@ def _write(config, args, suffix, text):
 
 
 def _analyze(model):
-    """(analysis, probe coupling, state labels) of a junction or generic
-    model.
-
-    The junction is probed through its transition dipole; a generic model
-    couples every channel's level pair with a unit dipole.
-    """
-    if isinstance(model, JunctionParams):
-        return build_junction(model), dipole_operator(model), JUNCTION_LABELS
-    v = sum(ch.raising + ch.raising.conj().T for ch in model.channels)
-    return (analyze(build_generator(model.hamiltonian, model.channels)), v,
-            model.labels)
+    """(analysis, probe coupling, state labels) of a Model."""
+    return (analyze(build_generator(model.hamiltonian, model.channels)),
+            model.coupling, model.labels)
 
 
 def cmd_spectrum(config, args):
     # a point's CSV is written before the next point is built; only the
     # junction's spectra are split so far
-    spectrum_of = (response_split if isinstance(config.model, JunctionParams)
+    spectrum_of = (response_split if config.kind == "junction"
                    else linear_response_freq)
     omega_text = _format_column(config.omega_grid)
     for tag, model in config.points:
@@ -113,14 +100,17 @@ def cmd_flux(config, args):
     pops = model.populations
     balanced, violation = is_detailed_balanced(model.l_matrix, pops)
     extra = {"populations": list(map(float, pops))}
-    if isinstance(config.model, JunctionParams):
-        coh = model.coherence_e1e2
+    if config.kind == "junction":
+        # the one-sided loop flux e1 -> e2 (zero when the loop runs
+        # backwards) and the stationary coherence rho_e1e2
+        flux_j = float(model.flux.c[1, 2])
+        coh = complex(model.rho_ss.vector[list(index_pairs(3)).index((1, 2))])
         # Im rho_e1e2 at rounding level (detailed balance) has no ratio
         at_rounding = abs(coh.imag) <= 1e-12 * np.abs(model.rho_ss.vector).max()
         extra.update(
-            loop_flux_j=model.flux_j,
+            loop_flux_j=flux_j,
             im_coherence_e1e2=coh.imag,
-            flux_coherence_ratio=None if at_rounding else model.flux_j / coh.imag,
+            flux_coherence_ratio=None if at_rounding else flux_j / coh.imag,
         )
     report = render_flux_report(model.flux, model.split, labels, extra=extra)
     _write(config, args, "_flux.json", report)

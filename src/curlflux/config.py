@@ -1,11 +1,14 @@
 """Run configuration: YAML schema, validation and model construction.
 
 :func:`load_config` returns a :class:`RunConfig` whose `model` is the
-one model that `flux`, `fdr-check` and `validate` analyze, a
-:class:`~curlflux.junction.JunctionParams` or a :class:`GenericModel`,
-and whose `points` are the (tag, model) pairs that `spectrum` writes one
-CSV each for: every junction bias point, or the generic model as the one
-point 'spectrum'.
+one model that `flux`, `fdr-check` and `validate` analyze, and whose
+`points` are the (tag, model) pairs that `spectrum` writes one CSV each
+for: every junction bias point, or the generic model as the one point
+'spectrum'.  Both kinds of run file give the same :class:`Model`
+record: state labels, Hamiltonian, channels and the probe coupling,
+``scale * sum(J + J^dag)`` over the channels' raising operators, with
+the junction's dipole as the scale (1 for a generic model).  The kind,
+read from `model.type`, is kept as `RunConfig.kind`.
 
 A run file has four sections::
 
@@ -45,10 +48,10 @@ from typing import Optional
 import numpy as np
 import yaml
 
-from .junction import JunctionParams
+from .junction import JUNCTION_LABELS, JunctionParams, hamiltonian_and_channels
 from .liouville import DissipationChannel
 
-__all__ = ["ConfigError", "RunConfig", "GenericModel", "load_config"]
+__all__ = ["ConfigError", "RunConfig", "Model", "load_config"]
 
 # libyaml's safe loader, when PyYAML has it, parses about ten times faster
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
@@ -59,18 +62,33 @@ class ConfigError(ValueError):
 
 
 @dataclass(frozen=True)
-class GenericModel:
-    """A diagonal-Hamiltonian model defined directly by levels and rates."""
+class Model:
+    """One model: its state labels, Hermitian Hamiltonian, dissipation
+    channels and Hermitian probe coupling."""
 
     labels: tuple
     hamiltonian: np.ndarray
     channels: tuple
+    coupling: np.ndarray
+
+
+def _model(labels, hamiltonian, channels, scale=1.0):
+    """The Model probed by scale * sum(J + J^dag) over the channels."""
+    coupling = scale * sum(ch.raising + ch.raising.conj().T for ch in channels)
+    return Model(labels, hamiltonian, tuple(channels), coupling)
+
+
+def _junction_model(params):
+    """The Model of one junction parameter set, probed through its dipole."""
+    return _model(JUNCTION_LABELS, *hamiltonian_and_channels(params),
+                  params.dipole)
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    model: object               # JunctionParams or GenericModel
-    points: tuple               # ((tag, model), ...), one spectrum CSV each
+    kind: str                   # model.type: 'junction' or 'generic'
+    model: Model
+    points: tuple               # ((tag, Model), ...), one spectrum CSV each
     omega_grid: np.ndarray
     out_dir: str
     prefix: str
@@ -215,8 +233,7 @@ def load_config(path):
             temperature = _float(sect["temperature"], "model.generic.temperature")
             if temperature <= 0:
                 raise ConfigError("model.generic.temperature must be positive")
-        params = GenericModel(labels=labels, hamiltonian=ham,
-                              channels=tuple(channels))
+        params = _model(labels, ham, channels)
     else:
         raise ConfigError("model.type must be 'junction' or 'generic'")
 
@@ -248,6 +265,9 @@ def load_config(path):
             mu2 = _float(pair[1], "sweep.bias.extra_pairs")
             points.append(("mu%.4g_%.4g" % (mu1, mu2),
                            replace(params, mu_1=mu1, mu_2=mu2)))
+    if mtype == "junction":
+        points = [(tag, _junction_model(p)) for tag, p in points]
+        params = _junction_model(params)
     if not points:
         points.append(("run" if mtype == "junction" else "spectrum", params))
     # points whose tags collide would overwrite each other's output file
@@ -275,6 +295,7 @@ def load_config(path):
         raise ConfigError("numerics.db_tol must be non-negative")
 
     return RunConfig(
+        kind=mtype,
         model=params,
         points=tuple(points),
         omega_grid=omega_grid,

@@ -37,7 +37,6 @@ __all__ = [
     "index_pairs",
     "vectorize",
     "devectorize",
-    "trace_vector",
     "Generator",
     "build_generator",
     "sector_labels",
@@ -117,13 +116,6 @@ def devectorize(vec):
     out = np.empty(d * d, dtype=complex)
     out[_permutation(d)] = vec
     return out.reshape(d, d)
-
-
-def trace_vector(dim):
-    """Row vector <<1| with ones on the population slots."""
-    one = np.zeros(dim * dim)
-    one[:dim] = 1.0
-    return one
 
 
 def _hermitian(op, name):

@@ -16,7 +16,6 @@ from curlflux.liouville import (
     index_pairs,
     sector_indices,
     sector_modes,
-    trace_vector,
     vectorize,
 )
 from curlflux.reduction import (
@@ -28,6 +27,13 @@ from curlflux.reduction import (
     _steady_state,
 )
 from curlflux.response import _sector_resolvent
+
+
+def trace_vector(dim):
+    """Row vector <<1| with ones on the population slots."""
+    one = np.zeros(dim * dim)
+    one[:dim] = 1.0
+    return one
 
 
 def _superoperator(s):

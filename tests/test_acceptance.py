@@ -26,15 +26,7 @@ from scipy.linalg import expm
 
 from curlflux.cli import main
 from curlflux.flux import curl_flux, reconstruct_flux
-from curlflux.junction import (
-    JunctionParams,
-    analytic_propagator_ge,
-    build_junction,
-    closed_form_flux_response,
-    dipole_operator,
-    ge_generator,
-    hybridized_parameters,
-)
+from curlflux.junction import JunctionParams
 from curlflux.reduction import analyze
 from curlflux.response import check_equilibrium_fdr, response_split
 
@@ -47,6 +39,15 @@ from helpers import (
     rate_steady_state,
     thermal_two_level,
     to_dense,
+)
+from junction_oracles import (
+    analytic_propagator_ge,
+    build_junction,
+    closed_form_flux_response,
+    dipole_operator,
+    ge_generator,
+    hybridized_parameters,
+    printed_blocks,
 )
 
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
@@ -134,24 +135,8 @@ def test_criterion_04_closed_form_block_equality():
                 t_2=rng.uniform(0.1, 0.6),
             )
             model = build_junction(params)
-            derived = hybridized_parameters(params)
-            f1, f2 = derived.fbar_1, derived.fbar_2
-            g, dw = params.gamma, params.omega_e1e2
-            width = 0.5 * g * (2.0 - f1 - f2)
+            _, _, m_cp, m_c, k, l = printed_blocks(params)
             rows = [3, 5]  # (e1,e2) and (e2,e1) slots within the coherences
-            m_c = np.array([[-1j * dw - width, 0.0], [0.0, 1j * dw - width]])
-            m_cp = 1j * params.delta * np.array([[0, -1, 1], [0, 1, -1]])
-            k = np.array([
-                [0, -params.delta / (dw - 1j * width), params.delta / (dw - 1j * width)],
-                [0, -params.delta / (dw + 1j * width), params.delta / (dw + 1j * width)],
-            ])
-            hop = params.delta ** 2 * g * (2 - f1 - f2) / (dw ** 2 + width ** 2)
-            m_p = np.array([
-                [-g * (f1 + f2), g * (1 - f1), g * (1 - f2)],
-                [g * f1, -g * (1 - f1), 0.0],
-                [g * f2, 0.0, -g * (1 - f2)],
-            ])
-            l = m_p + np.array([[0, 0, 0], [0, -hop, hop], [0, hop, -hop]])
             _, _, got_cp, got_c = generator_blocks(to_dense(model.generator))
             assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() <= 1e-12
             assert np.abs(got_cp[rows, :] - m_cp).max() <= 1e-12

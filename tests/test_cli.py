@@ -201,6 +201,28 @@ def test_flux_report_balanced_junction(tmp_path, capsys):
     assert "detailed balance: True" in capsys.readouterr().out
 
 
+def test_the_kind_comes_from_model_type_not_from_the_labels(tmp_path):
+    # a generic model with the junction's level names stays generic
+    cfg = tmp_path / "gee.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n"
+        "    levels: {g: 0.0, e1: 1.06, e2: 0.94}\n    channels:\n"
+        "      - {upper: e1, lower: g, rate_up: 0.01, rate_down: 0.02}\n"
+        "      - {upper: e2, lower: g, rate_up: 0.005, rate_down: 0.02}\n"
+        "sweep:\n  omega: {min: 0.85, max: 1.15, points: 31}\n"
+        "output: {directory: out, prefix: gee}\n")
+    out = tmp_path / "out"
+    for command in ("spectrum", "flux", "validate"):
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    rows = read(out / "gee_spectrum.csv").strip().split("\n")[1:]
+    assert len(rows) == 31
+    assert all(row.split(",")[3:] == ["0", "0"] for row in rows)
+    report = json.loads(read(out / "gee_flux.json"))
+    assert report["states"] == ["g", "e1", "e2"]
+    assert not {"loop_flux_j", "im_coherence_e1e2",
+                "flux_coherence_ratio"} & set(report)
+
+
 def test_fdr_check_thermal_two_level(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["fdr-check", "--config", bundled("fdr_twolevel.yaml"),

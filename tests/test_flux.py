@@ -17,7 +17,7 @@ from curlflux.flux import (
     render_flux_report,
     split_operators,
 )
-from curlflux.junction import JUNCTION_LABELS, JunctionParams, build_junction
+from curlflux.junction import JUNCTION_LABELS, JunctionParams
 from curlflux.reduction import analyze
 
 from helpers import (
@@ -27,6 +27,7 @@ from helpers import (
     random_rate_matrix,
     rate_steady_state,
 )
+from junction_oracles import build_junction
 
 
 def stationary_pair(rng, dim):

@@ -4,24 +4,24 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from curlflux.config import load_config
-from curlflux.junction import (
-    JunctionParams,
+from curlflux.config import _junction_model, load_config
+from curlflux.junction import JunctionParams, fermi_dirac
+from curlflux.liouville import devectorize, index_pairs, vectorize
+from curlflux.response import response_split
+
+from helpers import build_liouvillian, generator_blocks, to_dense
+from junction_oracles import (
     _ne_coefficients,
     analytic_propagator_ge,
     build_junction,
     closed_form_flux_response,
     dipole_operator,
-    fermi_dirac,
     first_order_propagator_ge,
     ge_generator,
     hybridized_frequency_propagator,
     hybridized_parameters,
+    printed_blocks,
 )
-from curlflux.liouville import devectorize, index_pairs, vectorize
-from curlflux.response import response_split
-
-from helpers import build_liouvillian, generator_blocks, to_dense
 
 FIG_GRID = np.linspace(0.85, 1.15, 1201)
 
@@ -30,31 +30,17 @@ def reference_params(mu_1, mu_2, **overrides):
     return JunctionParams(mu_1=mu_1, mu_2=mu_2, **overrides)
 
 
-def printed_blocks(params):
-    """Closed forms of the population and excited-coherence blocks."""
-    der = hybridized_parameters(params)
-    f1, f2 = der.fbar_1, der.fbar_2
-    g = params.gamma
-    dw = params.omega_e1e2
-    width = 0.5 * g * (2.0 - f1 - f2)
-    m_p = np.array([
-        [-g * (f1 + f2), g * (1 - f1), g * (1 - f2)],
-        [g * f1, -g * (1 - f1), 0.0],
-        [g * f2, 0.0, -g * (1 - f2)],
-    ])
-    m_c = np.array([
-        [-1j * dw - width, 0.0],
-        [0.0, 1j * dw - width],
-    ])
-    m_cp = 1j * params.delta * np.array([[0, -1, 1], [0, 1, -1]])
-    m_pc = 1j * params.delta * np.array([[0, 0], [-1, 1], [1, -1]])
-    k = np.array([
-        [0, -params.delta / (dw - 1j * width), params.delta / (dw - 1j * width)],
-        [0, -params.delta / (dw + 1j * width), params.delta / (dw + 1j * width)],
-    ])
-    hop = params.delta ** 2 * g * (2 - f1 - f2) / (dw ** 2 + width ** 2)
-    l = m_p + np.array([[0, 0, 0], [0, -hop, hop], [0, hop, -hop]])
-    return m_p, m_pc, m_cp, m_c, k, l
+def test_junction_record_is_probed_through_the_oracle_dipole():
+    # config's one probe rule, scale * sum(J + J^dag) over the channels,
+    # with the dipole as the junction's scale and 1 for a generic model
+    for dipole in (1.0, 0.7, 2.3):
+        params = reference_params(1.0, 0.5, dipole=dipole)
+        assert np.array_equal(_junction_model(params).coupling,
+                              dipole_operator(params))
+    five = resources.files("curlflux") / "configs" / "flux_fivelevel.yaml"
+    model = load_config(str(five)).model
+    assert np.array_equal(model.coupling, sum(
+        ch.raising + ch.raising.conj().T for ch in model.channels))
 
 
 def excited_coherence_rows():
@@ -441,8 +427,7 @@ def test_junction_dynamics_are_completely_positive():
     # at these points, and a ground-excited coherence decaying slower than
     # half its two levels' exit rates drives it negative
     fig2a = resources.files("curlflux") / "configs" / "fig2a.yaml"
-    for _, params in load_config(str(fig2a)).points:
-        model = build_junction(params)
+    for _, model in load_config(str(fig2a)).points:
         m = build_liouvillian(model.hamiltonian, model.channels)
         for t in (0.5, 2.0, 10.0, 50.0):
             choi = choi_matrix(expm(m * t), 3)

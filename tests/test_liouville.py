@@ -18,10 +18,9 @@ from curlflux.liouville import (
     sector_indices,
     sector_labels,
     sector_modes,
-    trace_vector,
     vectorize,
 )
-from curlflux.junction import JunctionParams, build_junction
+from curlflux.junction import JunctionParams
 from helpers import (
     build_liouvillian,
     commutator_superop,
@@ -36,7 +35,9 @@ from helpers import (
     right_mult,
     sectors,
     to_dense,
+    trace_vector,
 )
+from junction_oracles import build_junction
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -385,12 +386,9 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
     for path in sorted(set(paths)):
         config = load_config(path)
         for _, model in config.points:
-            analysis = _analyze(model)[0]
-            if isinstance(model, JunctionParams):
-                m = build_liouvillian(analysis.hamiltonian, analysis.channels)
-            else:
-                m = build_liouvillian(model.hamiltonian, model.channels)
-            assert_generator_is_the_dense_oracle(analysis.generator, m)
+            assert_generator_is_the_dense_oracle(
+                _analyze(model)[0].generator,
+                build_liouvillian(model.hamiltonian, model.channels))
 
 
 def test_take_reads_any_index_set_from_the_blocks():

@@ -3,7 +3,9 @@ import pytest
 from scipy.linalg import block_diag
 
 import curlflux.reduction as reduction
-from curlflux.junction import JunctionParams, build_junction
+from curlflux.cli import _analyze
+from curlflux.config import _junction_model
+from curlflux.junction import JunctionParams
 from curlflux.liouville import DissipationChannel, devectorize, vectorize
 from curlflux.reduction import (
     Analysis,
@@ -27,6 +29,7 @@ from helpers import (
     steady_state,
     to_dense,
 )
+from junction_oracles import build_junction
 
 
 def random_generator(rng, d=3):
@@ -350,6 +353,6 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
 
 
 def test_junction_model_is_an_analysis():
-    model = build_junction(JunctionParams(mu_1=1.0, mu_2=0.5))
+    model = _analyze(_junction_model(JunctionParams(mu_1=1.0, mu_2=0.5)))[0]
     assert isinstance(model, Analysis)
     assert np.array_equal(model.populations, model.rho_ss.vector[:3].real)

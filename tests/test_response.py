@@ -9,17 +9,11 @@ from hypothesis import strategies as st
 from curlflux.cli import _analyze, main
 from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced
-from curlflux.junction import (
-    JunctionParams,
-    build_junction,
-    dipole_operator,
-    hybridized_parameters,
-)
+from curlflux.junction import JunctionParams
 from curlflux.liouville import (
     DissipationChannel,
     build_generator,
     index_pairs,
-    trace_vector,
     vectorize,
 )
 from curlflux.reduction import analyze
@@ -50,7 +44,9 @@ from helpers import (
     steady_state,
     thermal_two_level,
     to_dense,
+    trace_vector,
 )
+from junction_oracles import build_junction, dipole_operator, hybridized_parameters
 
 
 def lorentzian_pole(x, gbar):

@@ -124,12 +124,17 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC + OMEGA + "output: {prefix: [a, b]}\n",
     GENERIC + OMEGA + "output: {prefix: 3}\n",
     GENERIC + OMEGA + "output: {directory: {x: 1}}\n",
+    GENERIC.replace("b: 1.0", "b: 1" + "0" * 400) + OMEGA,
+    GENERIC + "sweep:\n  omega: {values: [0.5, 1%s]}\n" % ("0" * 400),
+    GENERIC + OMEGA.replace("points: 3", "points: 10000000000000000000000"),
+    GENERIC + OMEGA.replace("points: 3", "points: %d" % (2**63 - 1)),
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
         "fixed-bias-with-dmu", "no-channels", "zero-temperature",
         "negative-temperature", "null-prefix", "list-prefix", "number-prefix",
-        "mapping-directory"])
+        "mapping-directory", "huge-integer-level", "huge-integer-omega-value",
+        "huge-points", "int64-max-points"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)

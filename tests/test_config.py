@@ -1,0 +1,133 @@
+"""The run-file loader gives what yaml.load gives, under either loader."""
+
+import io
+from importlib import resources
+
+import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from curlflux import config
+
+LOADERS = [yaml.SafeLoader] + (
+    [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
+
+
+def outcome(load, text):
+    """The value load(text) returns, or the exception it raises."""
+    try:
+        return load(io.StringIO(text))
+    except Exception as exc:
+        return exc
+
+
+def shape(value, seen):
+    """The types of a loaded value and which of its objects are shared."""
+    if id(value) in seen:
+        return ("same as", seen[id(value)])
+    seen[id(value)] = len(seen)
+    if isinstance(value, list):
+        return [shape(item, seen) for item in value]
+    if isinstance(value, dict):
+        return [(shape(k, seen), shape(v, seen)) for k, v in value.items()]
+    return type(value)
+
+
+def assert_loads_like_yaml_load(loader, text):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "YAML_LOADER", loader)
+        got = outcome(config._load_yaml, text)
+    want = outcome(lambda fh: yaml.load(fh, Loader=loader), text)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        # repr is exact for these types and, unlike ==, survives NaN and
+        # recursive values
+        assert repr(got) == repr(want)
+        assert shape(got, {}) == shape(want, {})
+
+
+HANDWRITTEN = {
+    "core-spellings": "a: 1_000\nb: .inf\nc: 0x1F\nd: yes\ne: ~\nf: -.INF\n"
+                      "g: 0o17\nh: 1:30\ni: 190:20:30.15\nj: .NaN\nk: +12e3\n"
+                      "l: 'quoted'\nm: Off\nn: null\n",
+    "anchors-and-aliases": "a: &x [1, 2]\nb: *x\nc: &s 1.5\nd: *s\n",
+    "merge-key": "base: &b {x: 1, y: 2}\nmerged:\n  <<: *b\n  y: 3\n",
+    "value-key": "a:\n  =: 1\n  b: 2\n",
+    "explicit-core-tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\n"
+                          "d: !!seq [1]\ne: !!map {f: 4}\n",
+    "explicit-tag-on-wrong-node": "a: [1]\nb: !!str {c: 1}\n",
+    "bad-explicit-conversion": "a: [!!int abc]\nb: !foo x\n",
+    "timestamp": "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+    "binary": "b: !!binary aGVsbG8=\n",
+    "set": "s: !!set {a, b}\n",
+    "recursive-alias": "&a [1, *a]\n",
+    "recursive-mapping": "&m {self: *m, x: 1}\n",
+    "alias-bomb": "a: &a [x, x, x]\nb: &b [*a, *a, *a]\nc: &c [*b, *b, *b]\n"
+                  "d: &d [*c, *c, *c]\ne: [*d, *d, *d]\n",
+    "sequence-key": "? [1, 2]\n: x\n",
+    "mapping-key": "? {a: 1}\n: x\n",
+    "duplicate-keys": "a: 1\nb: 2\na: 3\n1: x\n1.0: y\ntrue: z\n",
+    "empty": "",
+    "comment-only": "# nothing\n",
+    "two-documents": "a: 1\n---\nb: 2\n",
+    "unknown-tag": "a: !foo bar\n",
+    "syntax-error": "a: [1, 2\n",
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text", HANDWRITTEN.values(), ids=HANDWRITTEN.keys())
+def test_handwritten_documents_load_as_yaml_load_loads_them(loader, text):
+    assert_loads_like_yaml_load(loader, text)
+
+
+def test_nesting_deeper_than_the_walk_loads_as_yaml_load_loads_it(
+        monkeypatch):
+    if not hasattr(yaml, "CSafeLoader"):
+        pytest.skip("PyYAML built without libyaml")
+    # libyaml composes it, the recursive walk exceeds the recursion limit
+    # and leaves the document to PyYAML's constructor
+    monkeypatch.setattr(config, "YAML_LOADER", yaml.CSafeLoader)
+    value = config._load_yaml(io.StringIO("[" * 2000 + "1" + "]" * 2000))
+    for _ in range(2000):
+        (value,) = value
+    assert value == 1 and type(value) is int
+
+
+scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+           | st.text(max_size=8))
+documents = st.recursive(
+    scalars, lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(scalars, inner, max_size=4), max_leaves=24)
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(doc=documents, flow=st.none() | st.booleans())
+def test_dumped_core_documents_load_as_yaml_load_loads_them(loader, doc, flow):
+    text = yaml.safe_dump(doc, default_flow_style=flow, sort_keys=False)
+    assert_loads_like_yaml_load(loader, text)
+
+
+def test_run_files_are_composed_once_and_walked_without_pyyaml_constructing(
+        monkeypatch):
+    composed = []
+
+    def compose(*args, **kwargs):
+        composed.append(args)
+        return real_compose(*args, **kwargs)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PyYAML's constructor called")
+
+    real_compose = yaml.compose
+    monkeypatch.setattr(yaml, "compose", compose)
+    monkeypatch.setattr(yaml, "load", refuse)
+    monkeypatch.setattr(config, "SafeConstructor", refuse)
+    configs = resources.files("curlflux") / "configs"
+    names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".yaml"))
+    for name in names:
+        config.load_config(str(configs / name))
+    assert len(composed) == len(names) == 7

@@ -35,7 +35,6 @@ A run file has four sections::
       prefix: run
     numerics:
       epsilon: null         # resolvent regularization
-      db_tol: 1.0e-9        # detailed-balance tolerance for fdr-check
 
 Unknown keys raise errors so typos do not silently change a run, and
 so do keys another key would leave unread: sweep.omega.values beside
@@ -159,7 +158,6 @@ class RunConfig:
     out_dir: str
     prefix: str
     epsilon: Optional[float]
-    db_tol: float
     temperature: Optional[float]
 
 
@@ -238,7 +236,10 @@ def load_config(path):
             raw = _load_yaml(fh)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, KeyError, AttributeError) as exc:
+        # PyYAML's converters raise the last three on a bad explicit tag
+        # (!!int abc, !!bool abc, !!timestamp abc) or an integer past the
+        # interpreter's digit limit
         raise ConfigError("malformed YAML: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
@@ -357,15 +358,12 @@ def load_config(path):
     prefix = _string(output, "prefix", "output", "curlflux")
 
     numerics = raw.get("numerics", {})
-    _check_keys(numerics, {"epsilon", "db_tol"}, "numerics")
+    _check_keys(numerics, {"epsilon"}, "numerics")
     epsilon = numerics.get("epsilon", None)
     if epsilon is not None:
         epsilon = _float(epsilon, "numerics.epsilon")
         if epsilon <= 0:
             raise ConfigError("numerics.epsilon must be positive when given")
-    db_tol = _float(numerics.get("db_tol", 1e-9), "numerics.db_tol")
-    if db_tol < 0:
-        raise ConfigError("numerics.db_tol must be non-negative")
 
     return RunConfig(
         kind=mtype,
@@ -375,7 +373,6 @@ def load_config(path):
         out_dir=out_dir,
         prefix=prefix,
         epsilon=epsilon,
-        db_tol=db_tol,
         temperature=temperature,
     )
 

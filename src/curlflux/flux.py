@@ -240,24 +240,25 @@ def split_operators(l_matrix, populations, decomposition):
     return SplitOperators(s_d=s_sum / diag, v_ss=v_sum / (diag * p))
 
 
-def is_detailed_balanced(l_matrix, populations, tol=BALANCE_TOL):
+def is_detailed_balanced(l_matrix, populations):
     """Check pairwise balance of the stationary currents.
 
     Returns
     -------
     (bool, float)
-        Verdict and the maximum violation max_mn |t[m,n] - t[n,m]|.
+        Verdict (the violation at most BALANCE_TOL) and the maximum
+        violation max_mn |t[m,n] - t[n,m]|.
     """
     l_matrix = _real_rate_matrix(l_matrix)
     p = np.asarray(populations, dtype=float)
     t = l_matrix.T * p[:, None]
     np.fill_diagonal(t, 0.0)
-    return _balance_verdict(t, tol)
+    return _balance_verdict(t)
 
 
-def _balance_verdict(t_rate, tol):
+def _balance_verdict(t_rate):
     violation = float(np.abs(t_rate - t_rate.T).max())
-    return violation <= tol, violation
+    return violation <= BALANCE_TOL, violation
 
 
 def render_flux_report(decomposition, splitops, labels, extra=None):
@@ -273,7 +274,7 @@ def render_flux_report(decomposition, splitops, labels, extra=None):
         Additional top-level entries (e.g. model-specific scalars).
     """
     labels = list(labels)
-    balanced, violation = _balance_verdict(decomposition.t_rate, BALANCE_TOL)
+    balanced, violation = _balance_verdict(decomposition.t_rate)
     report = {
         "states": labels,
         "t_rate": decomposition.t_rate.tolist(),

@@ -20,11 +20,13 @@ blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 of the jumps and scatters every term straight into its sector's dense
 block: M is never built as a d**2 x d**2 matrix, and the cost is
 O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.  A
-:class:`Generator` holds those blocks, equal sizes stacked, and
-:func:`sector_modes` diagonalizes every sector once, one
-numpy.linalg.eig call per size, for the steady state, the coherence
-check and every spectrum to share.  Every other superoperator is applied
-as an operator product on d x d matrices.
+:class:`Generator` holds those blocks, equal sizes stacked, reads the
+block of the sector that holds population 0 in place
+(`Generator.population_sector`), and keeps its `modes`: the
+:func:`sector_modes` of every sector, one numpy.linalg.eig call per
+size, found on first use and shared by the coherence check, the steady
+state and every spectrum.  Every other superoperator is applied as an
+operator product on d x d matrices.
 """
 
 from dataclasses import dataclass
@@ -137,34 +139,27 @@ class Generator:
     sector size, smallest first: idx is the (count, size)
     :func:`sector_indices` array and block the (count, size, size) stack
     with block[r] = M[idx[r]][:, idx[r]].  Every entry of M between two
-    sectors is 0.  `places[:, i]` is (g, r, q) with
-    i = blocks[g][0][r, q] (:func:`_sector_places`).
+    sectors is 0.
     """
 
     d: int
     labels: np.ndarray
     blocks: tuple
-    places: np.ndarray
+
+    @property
+    def population_sector(self):
+        """(idx, block) of the sector that holds population 0: its
+        indices, ascending, and M[idx][:, idx]."""
+        # the rows of a size group run in label order, so the sector
+        # labelled 0 is row 0 of its group
+        for idx, block in self.blocks:
+            if idx[0, 0] == 0:
+                return idx[0], block[0]
 
     @cached_property
-    def populated(self):
-        """Indices of the sectors that hold a population, ascending: the d
-        populations, then the coherences that share a sector with one."""
-        # populations come first, so a sector holds one exactly when its
-        # smallest index is below d
-        return np.flatnonzero(self.labels < self.d)
-
-    def take(self, index):
-        """Dense M[index][:, index], read from the blocks."""
-        index = np.asarray(index)
-        group, row, pos = self.places[:, index]
-        out = np.zeros((index.size, index.size), dtype=complex)
-        for g, (_, block) in enumerate(self.blocks):
-            sel = np.flatnonzero(group == g)
-            r, q = row[sel], pos[sel]
-            entries = block[r[:, None], q[:, None], q]
-            out[np.ix_(sel, sel)] = np.where(r[:, None] == r, entries, 0.0)
-        return out
+    def modes(self):
+        """The :func:`sector_modes` of the generator, found on first use."""
+        return sector_modes(self)
 
 
 def _sector_places(indices, n):
@@ -268,15 +263,14 @@ def build_generator(hamiltonian, channels):
     sums = sums[live]
     labels = sector_labels(d * d, rows, cols)
     indices = sector_indices(labels)
-    places = _sector_places(indices, d * d)
-    group, row, place = places
+    group, row, place = _sector_places(indices, d * d)
     blocks = []
     for g, idx in enumerate(indices):
         block = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
         hit = group[rows] == g
         block[row[rows[hit]], place[rows[hit]], place[cols[hit]]] = sums[hit]
         blocks.append((idx, block))
-    return Generator(d, labels, tuple(blocks), places)
+    return Generator(d, labels, tuple(blocks))
 
 
 def sector_labels(n, rows, cols):

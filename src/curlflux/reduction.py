@@ -7,21 +7,21 @@ relax to their stationary value K rho_p with K = -M_c^{-1} M_cp, which
 yields the effective population rate matrix L = M_p - M_pc M_c^{-1} M_cp.
 L is exact at stationarity regardless of time-scale separation.
 
-Only coherences that share a sector with a population have non-zero
-rows in K, and M_pc and M_cp live in those sectors alone, so the
-elimination reads only the population-holding sectors; on a diagonal
-Hamiltonian that is the d x d rate block, and K = 0 without a solve.
+A reduction needs every population in one sector, the population
+sector (`Generator.population_sector`).  Only coherences in that sector
+have non-zero rows in K, and M_pc and M_cp live in it alone, so the
+elimination reads that one block; on a diagonal Hamiltonian it is the
+d x d rate block, and K = 0 without a solve.
 
 The steady state is the null vector of the full generator, read from
-the modes of its sectors (:func:`~curlflux.liouville.sector_modes`; on a
-diagonal Hamiltonian one eigendecomposition of the d x d rate block, not
-of a d**2 x d**2 matrix).  It does not depend on K and L, so it checks
-them.
+the modes of its sectors (`Generator.modes`; on a diagonal Hamiltonian
+one eigendecomposition of the d x d rate block, not of a d**2 x d**2
+matrix).  It does not depend on K and L, so it checks them.
 
-`analyze` chains the whole reduction for one generator: one
-diagonalization of its sectors, shared by the coherence check, the
-steady state and the response spectra; K and L; the steady state; and
-on demand the curl flux and the split operators.
+`analyze` chains the whole reduction for one generator: K and L, with
+the first use of its modes, which the steady state and the response
+spectra share; the steady state; and on demand the curl flux and the
+split operators.
 """
 
 from dataclasses import dataclass
@@ -31,7 +31,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .flux import curl_flux, split_operators
-from .liouville import Generator, devectorize, sector_modes, vectorize
+from .liouville import Generator, devectorize, vectorize
 
 __all__ = [
     "Analysis",
@@ -74,23 +74,38 @@ def _check_coherence_block(evals):
         )
 
 
-def _eliminate(generator, modes):
+def _eliminate(generator):
     """(K, L) from one coherence-block check and one solve M_c X = M_cp:
     K = -X and L = M_p - M_pc X.
 
-    `modes` are the sector eigendecompositions of the generator.  A
-    sector without a population is a block of M_c, whose eigenvalues the
-    check takes from its modes.  The coherences whose sector holds a
-    population form the one block that the check takes eigenvalues of
-    and the solve reads: every other row of X is 0.
+    A sector without a population is a block of M_c, whose eigenvalues
+    the check takes from the generator's modes.  The coherences of the
+    population sector form the one block that the check takes eigenvalues
+    of and the solve reads: every other row of X is 0.
+
+    Raises
+    ------
+    NonDecayingCoherenceError
+        If the coherence block is singular.
+    NonUniqueSteadyStateError
+        If the populations do not all share one sector.
     """
     d = generator.d
-    block = generator.take(generator.populated)
-    fed = generator.populated[d:] - d
-    evals = [lam[idx[:, 0] >= d].ravel() for idx, lam, _ in modes]
-    if fed.size:
-        evals.append(np.linalg.eigvals(block[d:, d:]))
+    idx, block = generator.population_sector
+    # the sector's indices ascend, so its populations come first
+    p = np.searchsorted(idx, d)
+    evals = [lam[i[:, 0] >= d].ravel() for i, lam, _ in generator.modes]
+    if p < idx.size:
+        evals.append(np.linalg.eigvals(block[p:, p:]))
     _check_coherence_block(np.concatenate(evals))
+    # populations in two sectors hold two stationary states, even where
+    # LAPACK returns one zero eigenvalue as an exact 0.0 that passes the
+    # gap rule
+    if p < d:
+        raise NonUniqueSteadyStateError(
+            "non-unique steady state: the populations fall into %d "
+            "disconnected sectors" % len(set(generator.labels[:d].tolist())))
+    fed = idx[d:] - d
     x = np.zeros((d * d - d, d), dtype=complex)
     if fed.size:
         x[fed] = np.linalg.solve(block[d:, d:], block[d:, :d])
@@ -114,8 +129,8 @@ def _isolated_zero(evals):
     return order[0]
 
 
-def _steady_state(generator, modes):
-    """Stationary density matrix of a generator, given its sector modes.
+def _steady_state(generator):
+    """Stationary density matrix of a generator, from its sector modes.
 
     The union of the sector eigenvalues is the spectrum of M and takes
     the uniqueness check, and the null vector is the eigenvector of the
@@ -138,6 +153,7 @@ def _steady_state(generator, modes):
         If the zero eigenvalue is degenerate or absent.
     """
     d = generator.d
+    modes = generator.modes
     k = _isolated_zero(np.concatenate([lam.ravel() for _, lam, _ in modes]))
     for (idx, lam, vecs), (_, block) in zip(modes, generator.blocks):
         if k < lam.size:
@@ -163,12 +179,9 @@ def _steady_state(generator, modes):
 class Analysis:
     """Everything the reduction derives from one generator.
 
-    `modes` are the :func:`~curlflux.liouville.sector_modes` of the
-    generator, found once and shared by the coherence check, the steady
-    state and the response spectra.  `rho_ss` is the null vector of M,
-    and `populations` is its diagonal.  `flux` and `split` are computed
-    on first use: they need strictly positive populations, which the
-    response spectra do not.
+    `rho_ss` is the null vector of M, and `populations` is its diagonal.
+    `flux` and `split` are computed on first use: they need strictly
+    positive populations, which the response spectra do not.
     """
 
     generator: Generator
@@ -176,7 +189,6 @@ class Analysis:
     l_matrix: np.ndarray
     rho_ss: SteadyState
     populations: np.ndarray
-    modes: list
 
     @cached_property
     def flux(self):
@@ -193,9 +205,9 @@ def analyze(generator):
     """Reduce a :class:`~curlflux.liouville.Generator` and decompose its
     steady state.
 
-    Each sector is diagonalized once.  K and L come from the
-    elimination, and the steady state rho_ss is the null vector of M
-    itself; the populations are its diagonal.  With M_c non-singular,
+    Each sector is diagonalized once (`Generator.modes`).  K and L come
+    from the elimination, and the steady state rho_ss is the null vector
+    of M itself; the populations are its diagonal.  With M_c non-singular,
     M [p; K p] = [L p; 0], so the null spaces of M and L correspond one
     to one and L p = 0.
 
@@ -207,22 +219,12 @@ def analyze(generator):
         If the populations do not all share one sector, or M has no
         isolated zero eigenvalue.
     """
-    modes = sector_modes(generator)
-    k_map, l_matrix = _eliminate(generator, modes)
-    # populations in two sectors hold two stationary states, even where
-    # LAPACK returns one zero eigenvalue as an exact 0.0 that passes the
-    # gap rule
-    labels = generator.labels[:generator.d]
-    if np.any(labels):
-        raise NonUniqueSteadyStateError(
-            "non-unique steady state: the populations fall into %d "
-            "disconnected sectors" % len(set(labels.tolist())))
-    rho_ss = _steady_state(generator, modes)
+    k_map, l_matrix = _eliminate(generator)
+    rho_ss = _steady_state(generator)
     return Analysis(
         generator=generator,
         k_map=k_map,
         l_matrix=l_matrix,
         rho_ss=rho_ss,
         populations=rho_ss.vector[:generator.d].real,
-        modes=modes,
     )

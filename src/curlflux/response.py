@@ -30,7 +30,7 @@ Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
 one resolvent.  G(w) is block diagonal over the sectors of M (see
 :mod:`~curlflux.liouville`), and it is evaluated on the whole grid from
 the modes of the sectors that both <<l| and |r>> touch
-(:func:`~curlflux.liouville.sector_modes`, found once per generator by
+(`Generator.modes`, found once per generator and shared with
 :func:`~curlflux.reduction.analyze`).  On a diagonal Hamiltonian (every
 generic run file) the touched sectors are 1 x 1 coherences, so the cost
 is O(d**3), not the O(d**6) of one dense d**2 x d**2 eigendecomposition:
@@ -67,6 +67,10 @@ __all__ = [
 #: below 200 even as one sector, and at 1 to rounding sector by sector.
 EIGEN_COND_MAX = 1e3
 
+#: Largest detailed-balance violation max |t - t^T| that
+#: check_equilibrium_fdr accepts as a thermal model.
+FDR_BALANCE_TOL = 1e-9
+
 
 class ResolventSingularError(np.linalg.LinAlgError):
     """(M + i w) is singular: w hits an undamped frequency of M."""
@@ -100,14 +104,13 @@ def _singular(omega, eigenvalue):
     )
 
 
-def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
+def _sector_resolvent(generator, omegas, left, right, epsilon=None):
     """Matrix elements left . G(w) . right of G(w) = -(M + i w)^{-1} on a grid.
 
     Parameters
     ----------
     generator : Generator
-    modes : list
-        Its :func:`~curlflux.liouville.sector_modes`.
+        Read through its blocks and its modes.
     omegas : array_like of float, n_w points
     left : (n,) or (k_left, n) array_like
     right : (n,) or (n, k_right) array_like
@@ -147,6 +150,7 @@ def _sector_resolvent(generator, modes, omegas, left, right, epsilon=None):
     right = np.asarray(right, dtype=complex).reshape(generator.labels.size, -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
     reads, feeds = (left != 0).any(axis=0), (right != 0).any(axis=1)
+    modes = generator.modes
     scale = max(1.0, *(np.abs(lam).max() for _, lam, _ in modes))
     touched, evals, a, b, cond = [], [], [], [], 0.0
     for (idx, lam, vecs), (_, block) in zip(modes, generator.blocks):
@@ -240,8 +244,8 @@ def linear_response_freq(coupling, analysis, omegas, epsilon=None):
     """
     omegas = np.asarray(omegas, dtype=float)
     row, kicked, _ = _row_and_sources(coupling, analysis.rho_ss.vector)
-    r_full = -1j * _sector_resolvent(analysis.generator, analysis.modes, omegas,
-                                     row, kicked, epsilon)[:, 0, 0]
+    r_full = -1j * _sector_resolvent(analysis.generator, omegas, row, kicked,
+                                     epsilon)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
@@ -272,8 +276,8 @@ def response_split(coupling, analysis, omegas, epsilon=None):
         for w in (analysis.split.s_d, analysis.split.v_ss)])
     row, kicked, _ = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
-    r = _sector_resolvent(analysis.generator, analysis.modes, omegas, row,
-                          kicked, epsilon)[:, 0, :]
+    r = _sector_resolvent(analysis.generator, omegas, row, kicked,
+                          epsilon)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
@@ -289,8 +293,8 @@ def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
     `epsilon` replaces that pole by i/(w + i epsilon).
     """
     row, _, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
-    return _sector_resolvent(analysis.generator, analysis.modes, omegas, row,
-                             seeded, epsilon)[:, 0, 0]
+    return _sector_resolvent(analysis.generator, omegas, row, seeded,
+                             epsilon)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -304,14 +308,14 @@ class FdrReport:
     max_residual: float
 
 
-def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
-                          epsilon=None):
+def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None):
     """Test coth(w/2T) Im R(w) = S(w) + S(-w) for a thermal generator.
 
     R(w) and S(+-w) share the row <<1| V_L and come from one
     resolvent evaluation with the sources V_- rho_ss and V_L rho_ss on
     the grid [w; -w].  The model (an :class:`~curlflux.reduction.Analysis`)
-    must be detailed balanced (checked through its effective rate matrix);
+    must be detailed balanced: its effective rate matrix's violation (see
+    :func:`~curlflux.flux.is_detailed_balanced`) at most FDR_BALANCE_TOL;
     driven models are refused.  Grid points at w = 0 are skipped with a
     warning (coth pole).
 
@@ -329,10 +333,8 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     NotDetailedBalancedError
         With the measured violation, if the generator carries flux.
     """
-    balanced, violation = is_detailed_balanced(
-        analysis.l_matrix, analysis.populations, tol=db_tol
-    )
-    if not balanced:
+    _, violation = is_detailed_balanced(analysis.l_matrix, analysis.populations)
+    if not violation <= FDR_BALANCE_TOL:
         raise NotDetailedBalancedError(
             "generator is not detailed balanced (max violation %.3e); "
             "the equilibrium fluctuation-dissipation relation does not "
@@ -344,9 +346,8 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, db_tol=1e-9,
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
-    g = _sector_resolvent(analysis.generator, analysis.modes,
-                          np.concatenate([omegas, -omegas]), row,
-                          np.hstack([kicked, seeded]), epsilon)[:, 0, :]
+    g = _sector_resolvent(analysis.generator, np.concatenate([omegas, -omegas]),
+                          row, np.hstack([kicked, seeded]), epsilon)[:, 0, :]
     n = omegas.size
     lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
     rhs = g[:n, 1] + g[n:, 1]

@@ -11,11 +11,9 @@ from curlflux.liouville import (
     _hermitian,
     _permutation,
     _positions,
-    _sector_places,
     devectorize,
     index_pairs,
     sector_indices,
-    sector_modes,
     vectorize,
 )
 from curlflux.reduction import (
@@ -133,10 +131,9 @@ def generator_of(m):
     """The Generator of a dense square matrix: its sectors and their blocks."""
     m = np.asarray(m, dtype=complex)
     labels = sectors(m)
-    indices = sector_indices(labels)
     return Generator(math.isqrt(m.shape[0]), labels,
-                     tuple((idx, m[idx[:, :, None], idx[:, None, :]]) for idx in indices),
-                     _sector_places(indices, labels.size))
+                     tuple((idx, m[idx[:, :, None], idx[:, None, :]])
+                           for idx in sector_indices(labels)))
 
 
 def to_dense(generator):
@@ -150,19 +147,16 @@ def to_dense(generator):
 
 def steady_state(m):
     """SteadyState of a dense generator, by the library's sectored route."""
-    gen = generator_of(m)
-    return _steady_state(gen, sector_modes(gen))
+    return _steady_state(generator_of(m))
 
 
 def resolvent(m, omegas, left, right, epsilon=None):
     """left . G(w) . right of a dense matrix, by the library's resolvent."""
-    gen = generator_of(m)
-    return _sector_resolvent(gen, sector_modes(gen), omegas, left, right, epsilon)
+    return _sector_resolvent(generator_of(m), omegas, left, right, epsilon)
 
 
 def _elimination(m):
-    gen = generator_of(m)
-    return _eliminate(gen, sector_modes(gen))
+    return _eliminate(generator_of(m))
 
 
 def coherence_map(m):

@@ -18,6 +18,8 @@ from curlflux.junction import JunctionParams, _fbars, hamiltonian_and_channels
 from curlflux.liouville import build_generator, index_pairs
 from curlflux.reduction import Analysis, analyze
 
+from helpers import to_dense
+
 
 @dataclass(frozen=True)
 class JunctionDerived:
@@ -241,7 +243,7 @@ def closed_form_flux_response(model, omegas):
     """
     pairs = list(index_pairs(3))
     idx = [pairs.index((1, 0)), pairs.index((2, 0))]
-    (a00, a01), (a10, a11) = model.generator.take(idx)
+    (a00, a01), (a10, a11) = to_dense(model.generator)[np.ix_(idx, idx)]
     c1, c2 = _ne_coefficients(model)
     j = model.flux_j
     d2 = model.params.dipole ** 2

@@ -128,13 +128,19 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC + "sweep:\n  omega: {values: [0.5, 1%s]}\n" % ("0" * 400),
     GENERIC + OMEGA.replace("points: 3", "points: 10000000000000000000000"),
     GENERIC + OMEGA.replace("points: 3", "points: %d" % (2**63 - 1)),
+    GENERIC.replace("b: 1.0", "b: !!int abc") + OMEGA,
+    GENERIC.replace("b: 1.0", "b: !!float abc") + OMEGA,
+    GENERIC.replace("b: 1.0", "b: !!bool abc") + OMEGA,
+    GENERIC.replace("b: 1.0", "b: !!timestamp abc") + OMEGA,
+    GENERIC.replace("b: 1.0", "b: 1" + "0" * 4999) + OMEGA,
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
         "fixed-bias-with-dmu", "no-channels", "zero-temperature",
         "negative-temperature", "null-prefix", "list-prefix", "number-prefix",
         "mapping-directory", "huge-integer-level", "huge-integer-omega-value",
-        "huge-points", "int64-max-points"])
+        "huge-points", "int64-max-points", "bad-int-tag", "bad-float-tag",
+        "bad-bool-tag", "bad-timestamp-tag", "integer-past-digit-limit"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)

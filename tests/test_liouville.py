@@ -21,9 +21,11 @@ from curlflux.liouville import (
     vectorize,
 )
 from curlflux.junction import JunctionParams
+from curlflux.reduction import analyze
 from helpers import (
     build_liouvillian,
     commutator_superop,
+    generator_blocks,
     generator_of,
     kron_liouvillian,
     left_mult,
@@ -359,6 +361,20 @@ def test_generator_equals_the_dense_oracle(case):
     assert_generator_is_the_dense_oracle(*case)
 
 
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(generator_inputs())
+def test_population_sector_and_reduction_equal_the_dense_oracle(case):
+    gen, m = case
+    assert_population_sector_is_the_dense_oracle(gen, m)
+    # K = -M_c^-1 M_cp and L = M_p - M_pc M_c^-1 M_cp, from dense blocks
+    m_p, m_pc, m_cp, m_c = generator_blocks(m)
+    k_map = -np.linalg.solve(m_c, m_cp)
+    l_matrix = m_p + m_pc @ k_map
+    analysis = analyze(gen)
+    for got, want in ((analysis.k_map, k_map), (analysis.l_matrix, l_matrix)):
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
 def _bench_workloads():
     path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
     spec = importlib.util.spec_from_file_location("bench_workloads", path)
@@ -391,17 +407,22 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
                 build_liouvillian(model.hamiltonian, model.channels))
 
 
-def test_take_reads_any_index_set_from_the_blocks():
+def assert_population_sector_is_the_dense_oracle(gen, m):
+    # the sector labelled 0 and its block, bit for bit
+    idx, block = gen.population_sector
+    sector = np.flatnonzero(gen.labels == 0)
+    assert np.array_equal(idx, sector)
+    assert np.array_equal(block, m[np.ix_(sector, sector)])
+
+
+def test_population_sector_is_the_block_of_population_0():
+    # the permuted blocks split the populations over several sectors
     rng = np.random.default_rng(21)
     for gen in (build_junction(JunctionParams(mu_1=1.0, mu_2=0.5)).generator,
                 generator_of(random_lindblad_model(rng, dim=3)[2]),
                 generator_of(random_ladder_model(rng, 6)[2]),
                 generator_of(_permuted_blocks())):
-        m = to_dense(gen)
-        for size in (1, 2, 5, m.shape[0]):
-            index = rng.choice(m.shape[0], size, replace=False)
-            assert np.array_equal(gen.take(index), m[np.ix_(index, index)])
-        assert np.array_equal(gen.populated, np.flatnonzero(gen.labels < gen.d))
+        assert_population_sector_is_the_dense_oracle(gen, to_dense(gen))
 
 
 def test_propagation_preserves_density_matrix_structure():

@@ -343,8 +343,10 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
     _, _, m_cp, m_c = generator_blocks(to_dense(model.generator))
     dense = -solve(m_c, m_cp)
     assert np.abs(model.k_map - dense).max() <= 1e-14 * np.abs(dense).max()
-    # a sector whose only population is the last one still enters the solve
+    # a coherence that reaches the populations through the last one alone
+    # still enters the solve
     m = np.diag(-1.0 - 0.5j * np.arange(9))
+    m[0, 1] = m[1, 0] = m[1, 2] = m[2, 1] = 0.2
     m[5, 2], m[2, 5] = 0.3, 0.1
     _, _, m_cp, m_c = generator_blocks(m)
     dense = -solve(m_c, m_cp)

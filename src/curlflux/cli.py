@@ -36,7 +36,8 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .flux import is_detailed_balanced, reconstruct_flux, render_flux_report
+from .flux import (STATIONARY_TOL, is_detailed_balanced, reconstruct_flux,
+                   render_flux_report)
 from .liouville import build_generator, index_pairs
 from .reduction import analyze
 from .response import (
@@ -71,9 +72,8 @@ def _write(config, args, suffix, text):
 
 
 def _analyze(model):
-    """(analysis, probe coupling, state labels) of a Model."""
-    return (analyze(build_generator(model.hamiltonian, model.channels)),
-            model.coupling, model.labels)
+    """The Analysis of a Model."""
+    return analyze(build_generator(model.hamiltonian, model.channels))
 
 
 def cmd_spectrum(config, args):
@@ -83,31 +83,32 @@ def cmd_spectrum(config, args):
                    else linear_response_freq)
     omega_text = _format_column(config.omega_grid)
     for tag, model in config.points:
-        analysis, v, _ = _analyze(model)
-        spectrum = spectrum_of(v, analysis, config.omega_grid,
-                               epsilon=config.epsilon)
+        spectrum = spectrum_of(model.coupling, _analyze(model),
+                               config.omega_grid, epsilon=config.epsilon)
         _write(config, args, "_%s.csv" % tag,
                spectrum_to_csv(spectrum, omega_text))
 
 
 def cmd_flux(config, args):
-    model, _, labels = _analyze(config.model)
-    pops = model.populations
-    balanced, violation = is_detailed_balanced(model.l_matrix, pops)
+    analysis = _analyze(config.model)
+    pops = analysis.populations
+    balanced, violation = is_detailed_balanced(analysis.l_matrix, pops)
     extra = {"populations": list(map(float, pops))}
     if config.kind == "junction":
         # the one-sided loop flux e1 -> e2 (zero when the loop runs
         # backwards) and the stationary coherence rho_e1e2
-        flux_j = float(model.flux.c[1, 2])
-        coh = complex(model.rho_ss.vector[list(index_pairs(3)).index((1, 2))])
+        flux_j = float(analysis.flux.c[1, 2])
+        rho = analysis.rho_ss.vector
+        coh = complex(rho[list(index_pairs(3)).index((1, 2))])
         # Im rho_e1e2 at rounding level (detailed balance) has no ratio
-        at_rounding = abs(coh.imag) <= 1e-12 * np.abs(model.rho_ss.vector).max()
+        at_rounding = abs(coh.imag) <= 1e-12 * np.abs(rho).max()
         extra.update(
             loop_flux_j=flux_j,
             im_coherence_e1e2=coh.imag,
             flux_coherence_ratio=None if at_rounding else flux_j / coh.imag,
         )
-    report = render_flux_report(model.flux, model.split, labels, extra=extra)
+    report = render_flux_report(analysis.flux, analysis.split,
+                                config.model.labels, extra=extra)
     _write(config, args, "_flux.json", report)
     print("detailed balance: %s (max violation %.6e)" % (balanced, violation))
 
@@ -118,8 +119,8 @@ def cmd_fdr_check(config, args):
             "fdr-check requires a thermal model: equal electrode "
             "temperatures (junction) or model.generic.temperature"
         )
-    analysis, coupling, _ = _analyze(config.model)
-    report = check_equilibrium_fdr(coupling, analysis, config.temperature,
+    report = check_equilibrium_fdr(config.model.coupling,
+                                   _analyze(config.model), config.temperature,
                                    config.omega_grid, epsilon=config.epsilon)
     _write(config, args, "_fdr.csv",
            _csv("omega,lhs,re_rhs,im_rhs,residual",
@@ -140,7 +141,7 @@ def cmd_validate(config, args):
     found without K and L, so it is an independent reference for them.
     """
     ok = True
-    analysis, _, labels = _analyze(config.model)
+    analysis = _analyze(config.model)
     l_matrix, k_map = analysis.l_matrix, analysis.k_map
     decomp, split = analysis.flux, analysis.split
     rho, pops = analysis.rho_ss, analysis.populations
@@ -158,8 +159,8 @@ def cmd_validate(config, args):
     ok &= _check("stationary coherences equal K rho_p", coh_err <= 1e-10,
                  "%.2e" % coh_err)
     lp = np.abs(l_matrix @ pops).max()
-    ok &= _check("reduced rates stationary on populations", lp <= 1e-10,
-                 "%.2e" % lp)
+    ok &= _check("reduced rates stationary on populations",
+                 lp <= STATIONARY_TOL, "%.2e" % lp)
     col = np.abs(l_matrix.sum(axis=0)).max()
     ok &= _check("rate matrix columns sum to zero", col <= 1e-12,
                  "%.2e" % col)
@@ -178,7 +179,8 @@ def cmd_validate(config, args):
           % ("detailed balance", "yes" if balanced else "no", violation))
     if not ok:
         raise ValueError("validation failed")
-    print("all checks passed for model with states %s" % (labels,))
+    print("all checks passed for model with states %s"
+          % (config.model.labels,))
 
 
 @functools.cache
@@ -215,10 +217,6 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-    except ConfigError as exc:
-        print("config error: %s" % exc, file=sys.stderr)
-        return EXIT_CONFIG
-    try:
         globals()["cmd_" + args.command.replace("-", "_")](config, args)
     except ConfigError as exc:
         print("config error: %s" % exc, file=sys.stderr)

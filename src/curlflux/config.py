@@ -53,7 +53,7 @@ walk takes 0.1-0.2 ms (timeit, best of 7, 2-core x86-64 host).
 """
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -253,10 +253,7 @@ def load_config(path):
     temperature = None
     if mtype == "junction":
         sect = _require(model, "junction", "model")
-        allowed = {
-            "mu_1", "mu_2", "omega_1", "omega_2", "omega_g", "delta",
-            "gamma", "t_1", "t_2", "dipole",
-        }
+        allowed = {f.name for f in fields(JunctionParams)}
         _check_keys(sect, allowed | {"gamma_1", "gamma_2"}, "model.junction")
         if "gamma_1" in sect or "gamma_2" in sect:
             raise ConfigError(

@@ -38,10 +38,10 @@ __all__ = [
 # flux entries below this magnitude are treated as round-off during loop
 # extraction, so no spurious cycles are produced
 FLUX_CLAMP = 1e-14
-# largest max |t - t^T| still called detailed balance, by the flux report
-# and by is_detailed_balanced alike
+# largest max |t - t^T| still called detailed balance: the one bound of
+# every verdict (the flux report, `flux`, `validate` and `fdr-check`)
 BALANCE_TOL = 1e-12
-# largest ||L p||_inf that curl_flux takes as stationary
+# largest ||L p||_inf that curl_flux and `validate` take as stationary
 STATIONARY_TOL = 1e-10
 # largest flux left after loop extraction, relative to max(1, max c)
 LOOP_RESIDUAL_TOL = 1e-12

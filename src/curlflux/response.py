@@ -18,7 +18,10 @@ populations with W = I + K, the response splits exactly into
 
 whose sum reproduces R(w) identically; the second term vanishes at
 detailed balance.  Fluctuations use the regression rule
-<V(t)V(0)> = <<1| V_L exp(M t) V_L |rho_ss>>.
+<V(t)V(0)> = <<1| V_L exp(M t) V_L |rho_ss>>.  The equilibrium
+comparison of the two, :func:`check_equilibrium_fdr`, runs only on
+models that :func:`~curlflux.flux.is_detailed_balanced` calls balanced,
+the one rule the flux report and `validate` also state.
 
 None of these superoperators is built as a d**2 x d**2 matrix: the row
 and the sources are O(d**3) operator products,
@@ -66,10 +69,6 @@ __all__ = [
 #: keeps it within 1e-12.  Bundled and random ladder/junction models stay
 #: below 200 even as one sector, and at 1 to rounding sector by sector.
 EIGEN_COND_MAX = 1e3
-
-#: Largest detailed-balance violation max |t - t^T| that
-#: check_equilibrium_fdr accepts as a thermal model.
-FDR_BALANCE_TOL = 1e-9
 
 
 class ResolventSingularError(np.linalg.LinAlgError):
@@ -314,9 +313,9 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None)
     R(w) and S(+-w) share the row <<1| V_L and come from one
     resolvent evaluation with the sources V_- rho_ss and V_L rho_ss on
     the grid [w; -w].  The model (an :class:`~curlflux.reduction.Analysis`)
-    must be detailed balanced: its effective rate matrix's violation (see
-    :func:`~curlflux.flux.is_detailed_balanced`) at most FDR_BALANCE_TOL;
-    driven models are refused.  Grid points at w = 0 are skipped with a
+    must be detailed balanced by the one rule of
+    :func:`~curlflux.flux.is_detailed_balanced`, the rule the flux report
+    and `validate` state; driven models are refused.  Grid points at w = 0 are skipped with a
     warning (coth pole).
 
     For a Markovian generator the relation is exact only in the
@@ -333,8 +332,9 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None)
     NotDetailedBalancedError
         With the measured violation, if the generator carries flux.
     """
-    _, violation = is_detailed_balanced(analysis.l_matrix, analysis.populations)
-    if not violation <= FDR_BALANCE_TOL:
+    balanced, violation = is_detailed_balanced(analysis.l_matrix,
+                                               analysis.populations)
+    if not balanced:
         raise NotDetailedBalancedError(
             "generator is not detailed balanced (max violation %.3e); "
             "the equilibrium fluctuation-dissipation relation does not "

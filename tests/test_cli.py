@@ -266,9 +266,31 @@ def test_fdr_csv_bytes_match_per_row_formatter(tmp_path, monkeypatch):
     assert (tmp_path / "fdr_twolevel_fdr.csv").read_bytes() == expected.encode()
 
 
-def test_fdr_check_refuses_driven_junction(tmp_path, capsys):
-    assert main(["fdr-check", "--config", bundled("junction_equilibrium.yaml"),
-                 "--out", str(tmp_path)]) == 3
+# a thermal ladder whose a-c channel misses balance by a violation of
+# 2.476e-10: driven by the one rule, so fdr-check refuses it as flux
+# calls it unbalanced
+NEAR_THERMAL_LADDER = (
+    "model: {type: generic, generic: {temperature: 0.3,"
+    " levels: {a: 0.0, b: 0.5, c: 1.0}, channels: ["
+    "{upper: b, lower: a, rate_up: 0.0037775103, rate_down: 0.02},"
+    " {upper: c, lower: b, rate_up: 0.0037775103, rate_down: 0.02},"
+    " {upper: c, lower: a, rate_up: 0.000713479867, rate_down: 0.02}]}}\n"
+    "sweep: {omega: {min: 0.4, max: 1.2, points: 5}}\n"
+)
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(read(bundled("junction_equilibrium.yaml")),
+                 id="junction_equilibrium"),
+    pytest.param(NEAR_THERMAL_LADDER, id="near_thermal_ladder"),
+])
+def test_fdr_check_refuses_driven_junction(text, tmp_path, capsys):
+    cfg = tmp_path / "driven.yaml"
+    cfg.write_text(text)
+    out = str(tmp_path / "out")
+    assert main(["flux", "--config", str(cfg), "--out", out]) == 0
+    assert "detailed balance: False" in capsys.readouterr().out
+    assert main(["fdr-check", "--config", str(cfg), "--out", out]) == 3
     err = capsys.readouterr().err
     assert "not detailed balanced" in err and "violation" in err
 

@@ -403,7 +403,7 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
         config = load_config(path)
         for _, model in config.points:
             assert_generator_is_the_dense_oracle(
-                _analyze(model)[0].generator,
+                _analyze(model).generator,
                 build_liouvillian(model.hamiltonian, model.channels))
 
 

@@ -355,6 +355,6 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
 
 
 def test_junction_model_is_an_analysis():
-    model = _analyze(_junction_model(JunctionParams(mu_1=1.0, mu_2=0.5)))[0]
+    model = _analyze(_junction_model(JunctionParams(mu_1=1.0, mu_2=0.5)))
     assert isinstance(model, Analysis)
     assert np.array_equal(model.populations, model.rho_ss.vector[:3].real)

@@ -1,11 +1,12 @@
 import importlib.util
+from importlib import resources
 from pathlib import Path
 
-LOC = Path(__file__).resolve().parents[1] / "tools" / "loc.py"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
 
-def _loc():
-    spec = importlib.util.spec_from_file_location("loc", LOC)
+def _tool(name):
+    spec = importlib.util.spec_from_file_location(name, TOOLS / (name + ".py"))
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -29,4 +30,18 @@ def test_loc_counts_neither_docstrings_nor_comments_nor_blanks(tmp_path):
         "                2)\n"
     )
     # code: X's two lines, class, def, and the two-line return
-    assert _loc().count(str(source)) == (6, 16)
+    assert _tool("loc").count(str(source)) == (6, 16)
+
+
+def test_outputs_gives_the_same_line_for_every_command_twice(capsys):
+    path = str(resources.files("curlflux") / "configs" / "fdr_twolevel.yaml")
+    outputs = _tool("outputs")
+    runs = []
+    for _ in range(2):
+        outputs.main([path])
+        runs.append(capsys.readouterr().out.splitlines())
+    # stdout names the temporary directory, different in each run
+    assert runs[0] == runs[1]
+    assert "fdr_twolevel_flux.json:" in runs[0][1]
+    assert [line.split(" ")[1:3] for line in runs[0]] == [
+        [command, "0"] for command in outputs.COMMANDS]

@@ -9,7 +9,6 @@ from .flux import (
     curl_flux,
     is_detailed_balanced,
     loop_decomposition,
-    render_flux_report,
     split_operators,
 )
 from .junction import JunctionParams, fermi_dirac
@@ -31,5 +30,4 @@ from .response import (
     fluctuation_spectrum,
     linear_response_freq,
     response_split,
-    spectrum_to_csv,
 )

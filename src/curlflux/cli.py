@@ -21,8 +21,15 @@ its flux report adds the loop flux and the e1-e2 coherence.
 
 Several calls of :func:`main` in one interpreter share one parser, built
 by the first; each looks up its ``cmd_<name>`` function when it runs.
-A sweep's frequency column is formatted once and shared by all of its
+
+This is the one module that turns numbers into text; the library
+returns arrays and records.  Every CSV value is written at '%.17g', and
+a sweep's frequency column is formatted once and shared by all of its
 CSVs, which are written through the same row writer as fdr-check's.
+The flux report's bytes equal ``json.dumps(report, indent=2,
+sort_keys=True)``, and its balance verdict is the one
+:func:`~curlflux.flux.is_detailed_balanced` gives the `flux` command,
+which also prints it.
 
 Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 """
@@ -31,23 +38,17 @@ import argparse
 import functools
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from . import __version__
 from .config import ConfigError, load_config
-from .flux import (STATIONARY_TOL, is_detailed_balanced, reconstruct_flux,
-                   render_flux_report)
-from .liouville import build_generator, index_pairs
+from .flux import STATIONARY_TOL, is_detailed_balanced, reconstruct_flux
+from .liouville import build_generator, devectorize
 from .reduction import analyze
-from .response import (
-    _csv,
-    _format_column,
-    check_equilibrium_fdr,
-    linear_response_freq,
-    response_split,
-    spectrum_to_csv,
-)
+from .response import (check_equilibrium_fdr, linear_response_freq,
+                       response_split)
 
 EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
@@ -71,6 +72,119 @@ def _write(config, args, suffix, text):
     print("wrote %s" % path)
 
 
+def _format_column(values):
+    """'%.17g' text of each value: full double precision, so the files
+    are usable as regression goldens.  A sweep's frequency column is
+    formatted once and shared by all its CSVs."""
+    return list(map("%.17g".__mod__, values.tolist()))
+
+
+def _csv(header, first, *columns):
+    """CSV text: the header line, then one row per entry of `first`
+    (already formatted, see :func:`_format_column`) followed by the
+    matching entries of each float column at '%.17g'."""
+    template = "%s" + ",%.17g" * len(columns) + "\n"
+    rows = zip(first, *(c.tolist() for c in columns), strict=True)
+    return header + "\n" + "".join(map(template.__mod__, rows))
+
+
+def spectrum_to_csv(spectrum, omega_text):
+    """Render a ResponseSpectrum as CSV text.
+
+    Columns: omega, re_full, im_full, im_eq, im_ne (the split columns
+    are written as 0 when the split was not computed).  `omega_text` is
+    the :func:`_format_column` text of spectrum.omega.
+    """
+    zeros = np.zeros(spectrum.omega.size)
+    eq = spectrum.r_eq_term.imag if spectrum.r_eq_term is not None else zeros
+    ne = spectrum.r_ne_term.imag if spectrum.r_ne_term is not None else zeros
+    return _csv("omega,re_full,im_full,im_eq,im_ne", omega_text,
+                spectrum.r_full.real, spectrum.r_full.imag, eq, ne)
+
+
+def render_flux_report(decomposition, splitops, labels, verdict, extra):
+    """Serialize a flux decomposition as a deterministic JSON document.
+
+    Parameters
+    ----------
+    decomposition : FluxDecomposition
+    splitops : SplitOperators
+    labels : sequence of str
+        State names, one per state, used for loops.
+    verdict : (bool, float)
+        The :func:`~curlflux.flux.is_detailed_balanced` pair, written as
+        detailed_balance and max_violation.
+    extra : dict
+        Additional top-level entries (e.g. model-specific scalars).
+    """
+    labels = list(labels)
+    balanced, violation = verdict
+    report = {
+        "states": labels,
+        "t_rate": decomposition.t_rate.tolist(),
+        "curl_flux": decomposition.c.tolist(),
+        "symmetric_part": decomposition.sym.tolist(),
+        "loops": [
+            {"cycle": [labels[i] for i in cyc], "weight": w}
+            for cyc, w in decomposition.loops
+        ],
+        "s_d": splitops.s_d.tolist(),
+        "v_ss": splitops.v_ss.tolist(),
+        "detailed_balance": balanced,
+        "max_violation": violation,
+    }
+    report.update(extra)
+    return _dumps(report)
+
+
+# json's spelling of the float values that repr gives as nan and inf
+_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _dumps(value, pad="\n"):
+    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
+    dicts with string keys, lists, tuples, strings, numbers, booleans and
+    None; `pad` is the newline and indent of the enclosing level.
+
+    A list of floats, the bulk of a flux report, is joined in one pass
+    instead of going through the json module's Python-level encoder.
+    """
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    if isinstance(value, float):
+        text = float.__repr__(value)
+        return _FLOAT_CONSTANTS.get(text, text)
+    inner = pad + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
+                 for key, item in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + pad + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        try:
+            items = list(map(float.__repr__, value))
+        except TypeError:
+            items = [_dumps(item, inner) for item in value]
+        else:
+            # a finite float's repr holds no "n"; nan, inf and -inf do
+            if any("n" in text for text in items):
+                items = [_FLOAT_CONSTANTS.get(text, text) for text in items]
+        return "[" + inner + ("," + inner).join(items) + pad + "]"
+    raise TypeError("Object of type %s is not JSON serializable"
+                    % type(value).__name__)
+
+
 def _analyze(model):
     """The Analysis of a Model."""
     return analyze(build_generator(model.hamiltonian, model.channels))
@@ -92,14 +206,14 @@ def cmd_spectrum(config, args):
 def cmd_flux(config, args):
     analysis = _analyze(config.model)
     pops = analysis.populations
-    balanced, violation = is_detailed_balanced(analysis.l_matrix, pops)
+    verdict = is_detailed_balanced(analysis.l_matrix, pops)
     extra = {"populations": list(map(float, pops))}
     if config.kind == "junction":
         # the one-sided loop flux e1 -> e2 (zero when the loop runs
         # backwards) and the stationary coherence rho_e1e2
         flux_j = float(analysis.flux.c[1, 2])
         rho = analysis.rho_ss.vector
-        coh = complex(rho[list(index_pairs(3)).index((1, 2))])
+        coh = complex(devectorize(rho)[1, 2])
         # Im rho_e1e2 at rounding level (detailed balance) has no ratio
         at_rounding = abs(coh.imag) <= 1e-12 * np.abs(rho).max()
         extra.update(
@@ -108,9 +222,9 @@ def cmd_flux(config, args):
             flux_coherence_ratio=None if at_rounding else flux_j / coh.imag,
         )
     report = render_flux_report(analysis.flux, analysis.split,
-                                config.model.labels, extra=extra)
+                                config.model.labels, verdict, extra)
     _write(config, args, "_flux.json", report)
-    print("detailed balance: %s (max violation %.6e)" % (balanced, violation))
+    print("detailed balance: %s (max violation %.6e)" % verdict)
 
 
 def cmd_fdr_check(config, args):

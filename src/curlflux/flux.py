@@ -16,10 +16,12 @@ The diagonal operators derived from the decomposition,
 satisfy s_d + v_ss = -1 entrywise and enter the equilibrium /
 nonequilibrium split of the linear response.  v_ss vanishes exactly when
 detailed balance holds.
+
+Every function returns arrays and records; the JSON flux report is
+written by :mod:`curlflux.cli`.
 """
 
 from dataclasses import dataclass
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -32,7 +34,6 @@ __all__ = [
     "reconstruct_flux",
     "split_operators",
     "is_detailed_balanced",
-    "render_flux_report",
 ]
 
 # flux entries below this magnitude are treated as round-off during loop
@@ -253,90 +254,5 @@ def is_detailed_balanced(l_matrix, populations):
     p = np.asarray(populations, dtype=float)
     t = l_matrix.T * p[:, None]
     np.fill_diagonal(t, 0.0)
-    return _balance_verdict(t)
-
-
-def _balance_verdict(t_rate):
-    violation = float(np.abs(t_rate - t_rate.T).max())
+    violation = float(np.abs(t - t.T).max())
     return violation <= BALANCE_TOL, violation
-
-
-def render_flux_report(decomposition, splitops, labels, extra=None):
-    """Serialize a flux decomposition as a deterministic JSON document.
-
-    Parameters
-    ----------
-    decomposition : FluxDecomposition
-    splitops : SplitOperators
-    labels : sequence of str
-        State names, one per state, used for loops.
-    extra : dict, optional
-        Additional top-level entries (e.g. model-specific scalars).
-    """
-    labels = list(labels)
-    balanced, violation = _balance_verdict(decomposition.t_rate)
-    report = {
-        "states": labels,
-        "t_rate": decomposition.t_rate.tolist(),
-        "curl_flux": decomposition.c.tolist(),
-        "symmetric_part": decomposition.sym.tolist(),
-        "loops": [
-            {"cycle": [labels[i] for i in cyc], "weight": w}
-            for cyc, w in decomposition.loops
-        ],
-        "s_d": splitops.s_d.tolist(),
-        "v_ss": splitops.v_ss.tolist(),
-        "detailed_balance": balanced,
-        "max_violation": violation,
-    }
-    if extra:
-        report.update(extra)
-    return _dumps(report)
-
-
-# json's spelling of the float values that repr gives as nan and inf
-_FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
-
-
-def _dumps(value, pad="\n"):
-    """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
-    dicts with string keys, lists, tuples, strings, numbers, booleans and
-    None; `pad` is the newline and indent of the enclosing level.
-
-    A list of floats, the bulk of a flux report, is joined in one pass
-    instead of going through the json module's Python-level encoder.
-    """
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if value is True:
-        return "true"
-    if value is False:
-        return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
-    if isinstance(value, float):
-        text = float.__repr__(value)
-        return _FLOAT_CONSTANTS.get(text, text)
-    inner = pad + "  "
-    if isinstance(value, dict):
-        if not value:
-            return "{}"
-        items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
-                 for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
-    if isinstance(value, (list, tuple)):
-        if not value:
-            return "[]"
-        try:
-            items = list(map(float.__repr__, value))
-        except TypeError:
-            items = [_dumps(item, inner) for item in value]
-        else:
-            # a finite float's repr holds no "n"; nan, inf and -inf do
-            if any("n" in text for text in items):
-                items = [_FLOAT_CONSTANTS.get(text, text) for text in items]
-        return "[" + inner + ("," + inner).join(items) + pad + "]"
-    raise TypeError("Object of type %s is not JSON serializable"
-                    % type(value).__name__)

@@ -91,14 +91,6 @@ def fermi_dirac(omega, mu, temperature):
     return 1.0 / (np.exp(x) + 1.0)
 
 
-def _fbars(params):
-    f1 = fermi_dirac(params.omega_e1g, params.mu_1, params.t_1)
-    f2 = fermi_dirac(params.omega_e2g, params.mu_2, params.t_2)
-    return f1, f2
-
-
-
-
 def hamiltonian_and_channels(params):
     """(H, channels) of the junction: the Hermitian Hamiltonian and the
     two electrode channels that :func:`~curlflux.liouville.build_generator`
@@ -106,7 +98,8 @@ def hamiltonian_and_channels(params):
     hamiltonian = np.diag([params.omega_g, params.omega_1,
                            params.omega_2]).astype(complex)
     hamiltonian[1, 2] = hamiltonian[2, 1] = -params.delta
-    f1, f2 = _fbars(params)
+    f1 = fermi_dirac(params.omega_e1g, params.mu_1, params.t_1)
+    f2 = fermi_dirac(params.omega_e2g, params.mu_2, params.t_2)
     raise_1 = np.zeros((3, 3), dtype=complex)
     raise_1[1, 0] = 1.0
     raise_2 = np.zeros((3, 3), dtype=complex)

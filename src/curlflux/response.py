@@ -39,6 +39,9 @@ generic run file) the touched sectors are 1 x 1 coherences, so the cost
 is O(d**3), not the O(d**6) of one dense d**2 x d**2 eigendecomposition:
 on a 401-point grid, 17 ms -> 1.5 ms at d = 16 and 0.18 s -> 3 ms at
 d = 24 (2 cores, BLAS on 1 thread).  A dense Hamiltonian is one sector.
+
+Every function returns arrays and records; the spectrum and fdr-check
+CSVs are written by :mod:`curlflux.cli`.
 """
 
 import warnings
@@ -59,7 +62,6 @@ __all__ = [
     "response_split",
     "fluctuation_spectrum",
     "check_equilibrium_fdr",
-    "spectrum_to_csv",
 ]
 
 
@@ -360,32 +362,3 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None)
         max_residual=float(residual.max(initial=0.0)),
     )
 
-
-def _format_column(values):
-    """'%.17g' text of each value: full double precision, so the files
-    are usable as regression goldens.  A sweep's frequency column is
-    formatted once and shared by all its CSVs."""
-    return list(map("%.17g".__mod__, values.tolist()))
-
-
-def _csv(header, first, *columns):
-    """CSV text: the header line, then one row per entry of `first`
-    (already formatted, see :func:`_format_column`) followed by the
-    matching entries of each float column at '%.17g'."""
-    template = "%s" + ",%.17g" * len(columns) + "\n"
-    rows = zip(first, *(c.tolist() for c in columns), strict=True)
-    return header + "\n" + "".join(map(template.__mod__, rows))
-
-
-def spectrum_to_csv(spectrum, omega_text):
-    """Render a ResponseSpectrum as CSV text.
-
-    Columns: omega, re_full, im_full, im_eq, im_ne (the split columns
-    are written as 0 when the split was not computed).  `omega_text` is
-    the :func:`_format_column` text of spectrum.omega.
-    """
-    zeros = np.zeros(spectrum.omega.size)
-    eq = spectrum.r_eq_term.imag if spectrum.r_eq_term is not None else zeros
-    ne = spectrum.r_ne_term.imag if spectrum.r_ne_term is not None else zeros
-    return _csv("omega,re_full,im_full,im_eq,im_ne", omega_text,
-                spectrum.r_full.real, spectrum.r_full.imag, eq, ne)

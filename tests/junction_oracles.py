@@ -14,7 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from curlflux.junction import JunctionParams, _fbars, hamiltonian_and_channels
+from curlflux.junction import (JunctionParams, fermi_dirac,
+                               hamiltonian_and_channels)
 from curlflux.liouville import build_generator, index_pairs
 from curlflux.reduction import Analysis, analyze
 
@@ -55,6 +56,13 @@ class JunctionModel(Analysis):
         return complex(self.rho_ss.vector[pairs.index((1, 2))])
 
 
+def fermi_factors(params):
+    """(fbar_1, fbar_2): each electrode's occupation at its transition
+    energy."""
+    return (fermi_dirac(params.omega_e1g, params.mu_1, params.t_1),
+            fermi_dirac(params.omega_e2g, params.mu_2, params.t_2))
+
+
 def hybridized_parameters(params):
     """Frequencies, decay rates and mixing angle of the coherence pair.
 
@@ -66,7 +74,7 @@ def hybridized_parameters(params):
 
     with sin(2 theta) = 2 Delta / sqrt(w_e1e2**2 + 4 Delta**2).
     """
-    f1, f2 = _fbars(params)
+    f1, f2 = fermi_factors(params)
     dw = params.omega_e1e2
     root = np.hypot(dw, 2.0 * params.delta)
     mid = 0.5 * (params.omega_e1g + params.omega_e2g)
@@ -114,7 +122,7 @@ def printed_blocks(params):
 
 def ge_generator(params):
     """Evolution matrix of the coherence pair (rho_{g,e1}, rho_{g,e2})."""
-    f1, f2 = _fbars(params)
+    f1, f2 = fermi_factors(params)
     g = params.gamma
     return np.array(
         [

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -418,6 +419,51 @@ def test_flux_verdict_is_the_same_on_stdout_and_in_the_report(tmp_path, capsys):
     assert data["detailed_balance"] is True
     assert "detailed balance: True" in capsys.readouterr().out
 
+
+
+def test_flux_writes_and_prints_the_verdict_of_one_balance_check(tmp_path,
+                                                                capsys,
+                                                                monkeypatch):
+    calls = []
+
+    def verdict(l_matrix, populations):
+        calls.append(l_matrix)
+        return False, 0.125
+
+    monkeypatch.setattr(cli, "is_detailed_balanced", verdict)
+    assert main(["flux", "--config", bundled("junction_balanced.yaml"),
+                 "--out", str(tmp_path)]) == 0
+    assert len(calls) == 1
+    data = json.loads(read(tmp_path / "junction_balanced_flux.json"))
+    assert data["detailed_balance"] is False
+    assert data["max_violation"] == 0.125
+    assert ("detailed balance: False (max violation 1.250000e-01)"
+            in capsys.readouterr().out)
+
+
+def _bench_tracer():
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("bench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_bench_tracer_times_both_renderers(tmp_path, capsys):
+    # the bench's render.csv_s and render.json_s are the spans of the two
+    # public renderers, which its tracer finds by name in the modules it
+    # traces; a renderer it cannot see would read as 0 there
+    tracer = _bench_tracer().Tracer().install()
+    try:
+        assert cli.main(["spectrum", "--config", bundled("fig2a.yaml"),
+                         "--out", str(tmp_path)]) == 0
+        assert cli.main(["flux", "--config", bundled("flux_fivelevel.yaml"),
+                         "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    render_s = tracer.totals()["render_s"]
+    assert render_s.get("render.csv_s", 0.0) > 0.0
+    assert render_s.get("render.json_s", 0.0) > 0.0
 
 def ladder_run_file(path, dim, seed=0):
     """Generic run file of a driven ladder: nearest-neighbour channels

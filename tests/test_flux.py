@@ -6,15 +6,15 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import curlflux.flux as flux_module
-from curlflux.cli import main
+from curlflux import cli
+from curlflux.cli import main, render_flux_report
 from curlflux.flux import (
+    IMAG_TOL,
     NonStationaryError,
     curl_flux,
     is_detailed_balanced,
     loop_decomposition,
     reconstruct_flux,
-    render_flux_report,
     split_operators,
 )
 from curlflux.junction import JUNCTION_LABELS, JunctionParams
@@ -138,6 +138,32 @@ def test_curl_flux_rejects_non_positive_populations():
         curl_flux(l, bad / bad.sum())
 
 
+
+def test_imaginary_rates_are_refused_above_the_rounding_bound():
+    l, p = three_cycle()
+    # max |Re L| = 12, so the bound is 12 * IMAG_TOL
+    bound = IMAG_TOL * np.abs(l).max()
+    pattern = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
+    decomp = curl_flux(l, p)
+    split = split_operators(l, p, decomp)
+    calls = (
+        lambda m: curl_flux(m, p),
+        lambda m: split_operators(m, p, decomp),
+        lambda m: is_detailed_balanced(m, p),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="imaginary parts"):
+            call(l + 2.0j * bound * pattern)
+    below = l + 0.5j * bound * pattern
+    got = curl_flux(below, p)
+    for field in ("t_rate", "c", "sym"):
+        assert np.array_equal(getattr(got, field), getattr(decomp, field))
+    assert got.loops == decomp.loops
+    got = split_operators(below, p, decomp)
+    assert np.array_equal(got.s_d, split.s_d)
+    assert np.array_equal(got.v_ss, split.v_ss)
+    assert is_detailed_balanced(below, p) == is_detailed_balanced(l, p)
+
 def test_split_operators_at_detailed_balance():
     rng = np.random.default_rng(23)
     l, p = reversible_pair(rng, 4)
@@ -248,9 +274,12 @@ def test_flux_axioms_random_property_suite():
 
 def test_flux_report_is_deterministic_json():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8))
+    verdict = is_detailed_balanced(model.l_matrix, model.populations)
     text1 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
+                               verdict=verdict,
                                extra={"loop_flux_j": model.flux_j})
     text2 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
+                               verdict=verdict,
                                extra={"loop_flux_j": model.flux_j})
     assert text1 == text2
     data = json.loads(text1)
@@ -266,7 +295,7 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
     # the report the CLI writes is json.dumps(report, indent=2,
     # sort_keys=True) of the report it built
     reports = []
-    write = flux_module._dumps
+    write = cli._dumps
 
     def recorded(report, *pad):
         text = write(report, *pad)
@@ -277,7 +306,7 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
         assert text == json.dumps(report, indent=2, sort_keys=True)
         return text
 
-    monkeypatch.setattr(flux_module, "_dumps", recorded)
+    monkeypatch.setattr(cli, "_dumps", recorded)
     paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
              if p.name.endswith(".yaml")]
     paths += [str(p) for p in (Path(__file__).resolve().parents[1] / "bench"
@@ -296,10 +325,12 @@ def test_json_writer_spells_special_values_like_the_json_module():
              "loop_flux_j": float("nan"), "populations": [1.0, float("inf")],
              "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
              "nested": [[], {}, [[float("nan")]], (1.5,)]}
-    text = render_flux_report(decomp, split, labels=["a", "b", "c"], extra=extra)
+    text = render_flux_report(decomp, split, labels=["a", "b", "c"],
+                              verdict=is_detailed_balanced(*three_cycle()),
+                              extra=extra)
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, sort_keys=True)
     for key in ("flux_coherence_ratio", "im_coherence_e1e2", "loop_flux_j",
                 "populations", "tail"):
         assert json.dumps(report[key]) == json.dumps(extra[key])
-    assert flux_module._dumps(extra) == json.dumps(extra, indent=2, sort_keys=True)
+    assert cli._dumps(extra) == json.dumps(extra, indent=2, sort_keys=True)

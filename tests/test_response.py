@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from curlflux.cli import _analyze, main
+from curlflux.cli import _analyze, _format_column, main, spectrum_to_csv
 from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced
 from curlflux.junction import JunctionParams
@@ -23,12 +23,10 @@ from curlflux.response import (
     NotDetailedBalancedError,
     ResolventSingularError,
     ResponseSpectrum,
-    _format_column,
     check_equilibrium_fdr,
     fluctuation_spectrum,
     linear_response_freq,
     response_split,
-    spectrum_to_csv,
 )
 
 from helpers import (

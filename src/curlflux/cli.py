@@ -198,7 +198,7 @@ def cmd_spectrum(config, args):
     omega_text = _format_column(config.omega_grid)
     for tag, model in config.points:
         spectrum = spectrum_of(model.coupling, _analyze(model),
-                               config.omega_grid, epsilon=config.epsilon)
+                               config.omega_grid)
         _write(config, args, "_%s.csv" % tag,
                spectrum_to_csv(spectrum, omega_text))
 
@@ -233,9 +233,11 @@ def cmd_fdr_check(config, args):
             "fdr-check requires a thermal model: equal electrode "
             "temperatures (junction) or model.generic.temperature"
         )
+    if not config.omega_grid.any():
+        raise ConfigError("fdr-check needs a non-zero frequency in sweep.omega")
     report = check_equilibrium_fdr(config.model.coupling,
                                    _analyze(config.model), config.temperature,
-                                   config.omega_grid, epsilon=config.epsilon)
+                                   config.omega_grid)
     _write(config, args, "_fdr.csv",
            _csv("omega,lhs,re_rhs,im_rhs,residual",
                 _format_column(report.omega), report.lhs, report.rhs.real,

@@ -10,7 +10,7 @@ record: state labels, Hamiltonian, channels and the probe coupling,
 the junction's dipole as the scale (1 for a generic model).  The kind,
 read from `model.type`, is kept as `RunConfig.kind`.
 
-A run file has four sections::
+A run file has three sections::
 
     model:
       type: junction | generic
@@ -33,8 +33,6 @@ A run file has four sections::
     output:
       directory: out
       prefix: run
-    numerics:
-      epsilon: null         # resolvent regularization
 
 Unknown keys raise errors so typos do not silently change a run, and
 so do keys another key would leave unread: sweep.omega.values beside
@@ -157,7 +155,6 @@ class RunConfig:
     omega_grid: np.ndarray
     out_dir: str
     prefix: str
-    epsilon: Optional[float]
     temperature: Optional[float]
 
 
@@ -243,7 +240,7 @@ def load_config(path):
         raise ConfigError("malformed YAML: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")
-    _check_keys(raw, {"model", "sweep", "output", "numerics"}, "<top>")
+    _check_keys(raw, {"model", "sweep", "output"}, "<top>")
 
     model = _require(raw, "model", "<top>")
     _check_keys(model, {"type", "junction", "generic"}, "model")
@@ -354,14 +351,6 @@ def load_config(path):
     out_dir = _string(output, "directory", "output", ".")
     prefix = _string(output, "prefix", "output", "curlflux")
 
-    numerics = raw.get("numerics", {})
-    _check_keys(numerics, {"epsilon"}, "numerics")
-    epsilon = numerics.get("epsilon", None)
-    if epsilon is not None:
-        epsilon = _float(epsilon, "numerics.epsilon")
-        if epsilon <= 0:
-            raise ConfigError("numerics.epsilon must be positive when given")
-
     return RunConfig(
         kind=mtype,
         model=params,
@@ -369,7 +358,6 @@ def load_config(path):
         omega_grid=omega_grid,
         out_dir=out_dir,
         prefix=prefix,
-        epsilon=epsilon,
         temperature=temperature,
     )
 

@@ -9,9 +9,14 @@ weighs against the fluctuations of V.  Every spectrum here takes V alone
     R(w) = -i <<1| V_L G(w) V_- |rho_ss>>,
 
 with V_- the commutator superoperator and G(w) = -(M + i w)^{-1} the
-one-sided Fourier transform of exp(M t).  Writing the steady state
-through the curl-flux identity rho_p = -(S_D + V_ss) rho_p and lifting
-populations with W = I + K, the response splits exactly into
+one-sided Fourier transform of exp(M t).  It takes no convergence
+factor: on every model a run file describes, each mode of M but the
+stationary one decays, and no commutator source excites that one
+(<<1| V_- |X>> = Tr(V X - X V) = 0), so R(w) is finite at every real
+w.  A grid point on an undamped mode that a source does excite raises
+ResolventSingularError.  Writing the steady state through the
+curl-flux identity rho_p = -(S_D + V_ss) rho_p and lifting populations
+with W = I + K, the response splits exactly into
 
     R_eq(w) = i <<1| V_L G(w) V_- W S_D  |rho_p>>
     R_ne(w) = i <<1| V_L G(w) V_- W V_ss |rho_p>>
@@ -105,7 +110,7 @@ def _singular(omega, eigenvalue):
     )
 
 
-def _sector_resolvent(generator, omegas, left, right, epsilon=None):
+def _sector_resolvent(generator, omegas, left, right):
     """Matrix elements left . G(w) . right of G(w) = -(M + i w)^{-1} on a grid.
 
     Parameters
@@ -115,9 +120,6 @@ def _sector_resolvent(generator, omegas, left, right, epsilon=None):
     omegas : array_like of float, n_w points
     left : (n,) or (k_left, n) array_like
     right : (n,) or (n, k_right) array_like
-    epsilon : float, optional
-        Regularization for directions that do not decay: uses
-        -(M + i w - epsilon)^{-1}, an exp(-epsilon t) convergence factor.
 
     Returns
     -------
@@ -125,18 +127,18 @@ def _sector_resolvent(generator, omegas, left, right, epsilon=None):
         Only the sectors that `left` reads (a non-zero column) and
         `right` feeds (a non-zero row) contribute: with
         M_s = V_s diag(lam) V_s^{-1}, A = left V and B = V^{-1} right over
-        their modes, -sum_k A_k B_k / (lam_k + i w - epsilon).  A grid
-        point is on the pole of mode k when
-        |lam_k + i w - epsilon| <= 1e-13 max(1, max|lam|), the maximum
-        taken over every sector of M.  That distance is at least
-        |Re lam_k - epsilon|, so only the modes within the tolerance of
-        the imaginary axis are tested on the grid.  A mode the pair does
-        not excite (|A_k B_k| at most 1e-12 of the pair's largest weight
-        over all modes) contributes 0 there, as the stationary mode does
-        under any commutator source (<<1|V_- rho>> = 0).  When the
-        largest cond(V_s) over the touched sectors exceeds
-        EIGEN_COND_MAX (near an exceptional point), each touched block
-        M_s + i w - epsilon is solved per frequency.
+        their modes, -sum_k A_k B_k / (lam_k + i w), with no
+        convergence factor.  A grid point is on the pole of mode k when
+        |lam_k + i w| <= 1e-13 max(1, max|lam|), the maximum taken over
+        every sector of M.  That distance is at least |Re lam_k|, so
+        only the modes within the tolerance of the imaginary axis are
+        tested on the grid.  A mode the pair does not excite (|A_k B_k|
+        at most 1e-12 of the pair's largest weight over all modes)
+        contributes 0 there, as the stationary mode does under any
+        commutator source (<<1|V_- rho>> = 0).  When the largest
+        cond(V_s) over the touched sectors exceeds EIGEN_COND_MAX (near
+        an exceptional point), each touched block M_s + i w is solved
+        per frequency.
 
     Raises
     ------
@@ -145,8 +147,7 @@ def _sector_resolvent(generator, omegas, left, right, epsilon=None):
         frequency and the eigenvalue.
     """
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
-    damping = 0.0 if epsilon is None else epsilon
-    shifts = 1j * omegas - damping
+    shifts = 1j * omegas
     left = np.atleast_2d(np.asarray(left, dtype=complex))
     right = np.asarray(right, dtype=complex).reshape(generator.labels.size, -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
@@ -191,10 +192,10 @@ def _sector_resolvent(generator, omegas, left, right, epsilon=None):
     # weight[k, (i, j)] = A[i, k] B[k, j]
     weight = (a.T[:, :, None] * b[:, None, :]).reshape(evals.size, -1)
     poles = evals + shifts[:, None]
-    # |lam_k + i w - epsilon| >= |Re lam_k - epsilon|, so only the modes
-    # near the imaginary axis can put a grid point on a pole
+    # |lam_k + i w| >= |Re lam_k|, so only the modes near the imaginary
+    # axis can put a grid point on a pole
     tol = 1e-13 * scale
-    near = np.flatnonzero(np.abs(evals.real - damping) <= tol)
+    near = np.flatnonzero(np.abs(evals.real) <= tol)
     at, k = np.nonzero(np.abs(poles[:, near]) <= tol)
     k = near[k]
     if at.size:
@@ -204,7 +205,7 @@ def _sector_resolvent(generator, omegas, left, right, epsilon=None):
             first = np.argmax(excited)
             raise _singular(omegas[at[first]], evals[k[first]])
         poles[at, k] = 1.0
-    # 1 / (lam_k + i w - epsilon) in place (the grid array is the largest)
+    # 1 / (lam_k + i w) in place (the grid array is the largest)
     np.divide(1.0, poles, out=poles)
     poles[at, k] = 0.0
     return -(poles @ weight).reshape(shape)
@@ -232,7 +233,7 @@ def _row_and_sources(v, columns):
             np.column_stack([vectorize(v @ x) for x in xs]))
 
 
-def linear_response_freq(coupling, analysis, omegas, epsilon=None):
+def linear_response_freq(coupling, analysis, omegas):
     """Frequency-domain response on a grid (full response only).
 
     `analysis` is the :func:`~curlflux.reduction.analyze` result of the
@@ -245,12 +246,12 @@ def linear_response_freq(coupling, analysis, omegas, epsilon=None):
     """
     omegas = np.asarray(omegas, dtype=float)
     row, kicked, _ = _row_and_sources(coupling, analysis.rho_ss.vector)
-    r_full = -1j * _sector_resolvent(analysis.generator, omegas, row, kicked,
-                                     epsilon)[:, 0, 0]
+    r_full = -1j * _sector_resolvent(analysis.generator, omegas, row,
+                                     kicked)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
 
 
-def response_split(coupling, analysis, omegas, epsilon=None):
+def response_split(coupling, analysis, omegas):
     """Full response together with its equilibrium/nonequilibrium split.
 
     Parameters
@@ -261,8 +262,6 @@ def response_split(coupling, analysis, omegas, epsilon=None):
         The :func:`~curlflux.reduction.analyze` result of the generator:
         its steady state, coherence map K and split operators.
     omegas : array_like of float
-    epsilon : float, optional
-        As in :func:`_sector_resolvent`.
 
     Returns
     -------
@@ -277,25 +276,25 @@ def response_split(coupling, analysis, omegas, epsilon=None):
         for w in (analysis.split.s_d, analysis.split.v_ss)])
     row, kicked, _ = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
-    r = _sector_resolvent(analysis.generator, omegas, row, kicked,
-                          epsilon)[:, 0, :]
+    r = _sector_resolvent(analysis.generator, omegas, row, kicked)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
 
 
-def fluctuation_spectrum(coupling, analysis, omegas, epsilon=None):
+def fluctuation_spectrum(coupling, analysis, omegas):
     """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt,
     as a complex array over the grid `omegas`, in the steady state of
     `analysis` (an :class:`~curlflux.reduction.Analysis`).
 
     The two-time correlator is evaluated by the regression rule, so
-    S(w) = <<1| V_L G(w) V_L |rho_ss>>.  A static component of V along
-    the steady state makes S(w) diverge like i/w as w -> 0; supplying
-    `epsilon` replaces that pole by i/(w + i epsilon).
+    S(w) = <<1| V_L G(w) V_L |rho_ss>>.  Unlike the commutator source of
+    the response, V_L rho_ss excites the stationary mode when V has a
+    static component along the steady state (<<1|V_L rho_ss>> = <V> != 0):
+    S(w) then carries the undamped pole i<V>^2/w, and a grid that holds
+    w = 0 raises ResolventSingularError.
     """
     row, _, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
-    return _sector_resolvent(analysis.generator, omegas, row, seeded,
-                             epsilon)[:, 0, 0]
+    return _sector_resolvent(analysis.generator, omegas, row, seeded)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -309,7 +308,7 @@ class FdrReport:
     max_residual: float
 
 
-def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None):
+def check_equilibrium_fdr(coupling, analysis, temperature, omegas):
     """Test coth(w/2T) Im R(w) = S(w) + S(-w) for a thermal generator.
 
     R(w) and S(+-w) share the row <<1| V_L and come from one
@@ -349,7 +348,7 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas, epsilon=None)
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
     g = _sector_resolvent(analysis.generator, np.concatenate([omegas, -omegas]),
-                          row, np.hstack([kicked, seeded]), epsilon)[:, 0, :]
+                          row, np.hstack([kicked, seeded]))[:, 0, :]
     n = omegas.size
     lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
     rhs = g[:n, 1] + g[n:, 1]

@@ -150,9 +150,9 @@ def steady_state(m):
     return _steady_state(generator_of(m))
 
 
-def resolvent(m, omegas, left, right, epsilon=None):
+def resolvent(m, omegas, left, right):
     """left . G(w) . right of a dense matrix, by the library's resolvent."""
-    return _sector_resolvent(generator_of(m), omegas, left, right, epsilon)
+    return _sector_resolvent(generator_of(m), omegas, left, right)
 
 
 def _elimination(m):

@@ -134,6 +134,7 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC.replace("b: 1.0", "b: !!bool abc") + OMEGA,
     GENERIC.replace("b: 1.0", "b: !!timestamp abc") + OMEGA,
     GENERIC.replace("b: 1.0", "b: 1" + "0" * 4999) + OMEGA,
+    GENERIC + OMEGA + "numerics: {epsilon: 0.1}\n",
 ], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
@@ -141,7 +142,8 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
         "negative-temperature", "null-prefix", "list-prefix", "number-prefix",
         "mapping-directory", "huge-integer-level", "huge-integer-omega-value",
         "huge-points", "int64-max-points", "bad-int-tag", "bad-float-tag",
-        "bad-bool-tag", "bad-timestamp-tag", "integer-past-digit-limit"])
+        "bad-bool-tag", "bad-timestamp-tag", "integer-past-digit-limit",
+        "numerics-epsilon"])
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
@@ -349,6 +351,23 @@ def test_fdr_check_skips_zero_frequency(tmp_path):
     assert lines[1].split(",")[0] == "0.5"
 
 
+def test_fdr_check_refuses_a_grid_of_only_zero_frequency(tmp_path, capsys):
+    # a thermal model whose every grid point would be skipped, leaving
+    # nothing to compare
+    cfg = tmp_path / "fdr.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n    temperature: 0.3\n"
+        "    levels: {g: 0.0, e: 1.0}\n"
+        "    channels:\n"
+        "      - {upper: e, lower: g, rate_up: 0.00071347986694504791, rate_down: 0.02}\n"
+        "sweep:\n  omega: {values: [0.0]}\n"
+    )
+    out = tmp_path / "out"
+    assert main(["fdr-check", "--config", str(cfg), "--out", str(out)]) == 2
+    assert "non-zero frequency" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_spectrum_at_zero_frequency_is_the_static_response(tmp_path):
     # omega = 0 sits on the stationary mode, which the commutator source
     # V_- rho does not excite (<<1|V_- rho>> = 0), so R(0) is the static limit
@@ -375,16 +394,6 @@ def test_spectrum_split_columns_sum_to_full(tmp_path):
     data = np.loadtxt(out / "fig2a_dmu0.3.csv", delimiter=",", skiprows=1)
     im_full, im_eq, im_ne = data[:, 2], data[:, 3], data[:, 4]
     assert np.abs(im_full - (im_eq + im_ne)).max() <= 1e-9 * np.abs(im_full).max()
-
-
-def test_negative_epsilon_is_a_config_error(tmp_path):
-    cfg = tmp_path / "bad.yaml"
-    cfg.write_text(
-        "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n"
-        "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
-        "numerics: {epsilon: -1.0}\n"
-    )
-    assert main(["spectrum", "--config", str(cfg)]) == 2
 
 
 def test_bias_sweep_rejected_for_generic_model(tmp_path):

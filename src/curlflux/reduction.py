@@ -10,8 +10,9 @@ L is exact at stationarity regardless of time-scale separation.
 A reduction needs every population in one sector, the population
 sector (`Generator.population_sector`).  Only coherences in that sector
 have non-zero rows in K, and M_pc and M_cp live in it alone, so the
-elimination reads that one block; on a diagonal Hamiltonian it is the
-d x d rate block, and K = 0 without a solve.
+elimination reads that one block and K is held as those rows alone,
+which `Analysis.lift` reads; on a diagonal Hamiltonian the block is the
+d x d rate block, and K has no rows and takes no solve.
 
 The steady state is the null vector of the full generator, read from
 the modes of its sectors (`Generator.modes`; on a diagonal Hamiltonian
@@ -81,7 +82,8 @@ def _eliminate(generator):
     A sector without a population is a block of M_c, whose eigenvalues
     the check takes from the generator's modes.  The coherences of the
     population sector form the one block that the check takes eigenvalues
-    of and the solve reads: every other row of X is 0.
+    of and the solve reads, so X is solved there alone: an (n_fed, d)
+    array whose rows follow `generator.population_sector[0][d:]`.
 
     Raises
     ------
@@ -105,13 +107,9 @@ def _eliminate(generator):
         raise NonUniqueSteadyStateError(
             "non-unique steady state: the populations fall into %d "
             "disconnected sectors" % len(set(generator.labels[:d].tolist())))
-    fed = idx[d:] - d
-    x = np.zeros((d * d - d, d), dtype=complex)
-    if fed.size:
-        x[fed] = np.linalg.solve(block[d:, d:], block[d:, :d])
-    l_matrix = block[:d, :d] - block[:d, d:] @ x[fed]
-    # K = -X, negated in place
-    return np.negative(x, out=x), l_matrix
+    x = (np.linalg.solve(block[d:, d:], block[d:, :d]) if p < idx.size
+         else np.zeros((0, d), dtype=complex))
+    return -x, block[:d, :d] - block[:d, d:] @ x
 
 
 def _isolated_zero(evals):
@@ -180,15 +178,24 @@ class Analysis:
     """Everything the reduction derives from one generator.
 
     `rho_ss` is the null vector of M, and `populations` is its diagonal.
-    `flux` and `split` are computed on first use: they need strictly
-    positive populations, which the response spectra do not.
+    `k_fed` holds K's rows on the population sector's coherences, the
+    only rows that can be non-zero; `lift` reads them.  `flux` and
+    `split` are computed on first use: they need strictly positive
+    populations, which the response spectra do not.
     """
 
     generator: Generator
-    k_map: np.ndarray
+    k_fed: np.ndarray
     l_matrix: np.ndarray
     rho_ss: SteadyState
     populations: np.ndarray
+
+    def lift(self, x):
+        """W x = [x; K x] for a population vector x, as a Liouville vector."""
+        gen = self.generator
+        v = np.zeros(gen.d ** 2, dtype=complex)
+        v[gen.population_sector[0]] = np.concatenate([x, self.k_fed @ x])
+        return v
 
     @cached_property
     def flux(self):
@@ -219,11 +226,11 @@ def analyze(generator):
         If the populations do not all share one sector, or M has no
         isolated zero eigenvalue.
     """
-    k_map, l_matrix = _eliminate(generator)
+    k_fed, l_matrix = _eliminate(generator)
     rho_ss = _steady_state(generator)
     return Analysis(
         generator=generator,
-        k_map=k_map,
+        k_fed=k_fed,
         l_matrix=l_matrix,
         rho_ss=rho_ss,
         populations=rho_ss.vector[:generator.d].real,

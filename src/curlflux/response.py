@@ -260,7 +260,9 @@ def response_split(coupling, analysis, omegas):
         The Hermitian V, probed and observed.
     analysis : Analysis
         The :func:`~curlflux.reduction.analyze` result of the generator:
-        its steady state, coherence map K and split operators.
+        its steady state, its split operators s_d and v_ss, and its
+        `lift` W = I + K, which takes s_d p and v_ss p into Liouville
+        space.
     omegas : array_like of float
 
     Returns
@@ -269,11 +271,9 @@ def response_split(coupling, analysis, omegas):
         r_full, r_eq_term and r_ne_term, with
         r_eq_term + r_ne_term == r_full up to rounding.
     """
-    pops, k_map = analysis.populations, analysis.k_map
-    # W = I + K lifts a population vector p into Liouville space as [p; K p]
+    split, lift = analysis.split, analysis.lift
     states = np.column_stack([analysis.rho_ss.vector] + [
-        np.concatenate([w * pops, k_map @ (w * pops)])
-        for w in (analysis.split.s_d, analysis.split.v_ss)])
+        lift(w * analysis.populations) for w in (split.s_d, split.v_ss)])
     row, kicked, _ = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
     r = _sector_resolvent(analysis.generator, omegas, row, kicked)[:, 0, :]

@@ -159,9 +159,24 @@ def _elimination(m):
     return _eliminate(generator_of(m))
 
 
+def _dense_k(generator, k_fed):
+    """K as a dense (d**2 - d, d) array: the fed rows `k_fed` on the
+    population sector's coherences, 0 on every other coherence."""
+    d = generator.d
+    k = np.zeros((d * d - d, d), dtype=complex)
+    k[generator.population_sector[0][d:] - d] = k_fed
+    return k
+
+
+def dense_k(analysis):
+    """The dense K of an Analysis."""
+    return _dense_k(analysis.generator, analysis.k_fed)
+
+
 def coherence_map(m):
-    """K = -M_c^{-1} M_cp of the generator m."""
-    return _elimination(m)[0]
+    """K = -M_c^{-1} M_cp of the generator m, dense."""
+    generator = generator_of(m)
+    return _dense_k(generator, _eliminate(generator)[0])
 
 
 def effective_rate_matrix(m):

@@ -19,7 +19,7 @@ from curlflux.junction import (JunctionParams, fermi_dirac,
 from curlflux.liouville import build_generator, index_pairs
 from curlflux.reduction import Analysis, analyze
 
-from helpers import to_dense
+from helpers import dense_k, to_dense
 
 
 @dataclass(frozen=True)
@@ -234,7 +234,7 @@ def _ne_coefficients(model):
     pairs = list(index_pairs(3))
     i12, i21 = pairs.index((1, 2)) - 3, pairs.index((2, 1)) - 3
     l_diag = np.diag(model.l_matrix).real
-    k = model.k_map
+    k = dense_k(model)
     coeff_1 = 1.0 / l_diag[0] - (1.0 + k[i12, 1]) / l_diag[1] - k[i12, 2] / l_diag[2]
     coeff_2 = 1.0 / l_diag[0] - k[i21, 1] / l_diag[1] - (1.0 + k[i21, 2]) / l_diag[2]
     return coeff_1, coeff_2

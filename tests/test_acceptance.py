@@ -32,6 +32,7 @@ from curlflux.response import check_equilibrium_fdr, response_split
 
 from helpers import (
     coherence_map,
+    dense_k,
     dense_steady_state,
     generator_blocks,
     generator_of,
@@ -140,7 +141,7 @@ def test_criterion_04_closed_form_block_equality():
             _, _, got_cp, got_c = generator_blocks(to_dense(model.generator))
             assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() <= 1e-12
             assert np.abs(got_cp[rows, :] - m_cp).max() <= 1e-12
-            assert np.abs(model.k_map[rows, :] - k).max() <= 1e-12
+            assert np.abs(dense_k(model)[rows, :] - k).max() <= 1e-12
             assert np.abs(model.l_matrix - l).max() <= 1e-12
 
 

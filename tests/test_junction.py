@@ -9,7 +9,7 @@ from curlflux.junction import JunctionParams, fermi_dirac
 from curlflux.liouville import devectorize, index_pairs, vectorize
 from curlflux.response import response_split
 
-from helpers import build_liouvillian, generator_blocks, to_dense
+from helpers import build_liouvillian, dense_k, generator_blocks, to_dense
 from junction_oracles import (
     _ne_coefficients,
     analytic_propagator_ge,
@@ -91,13 +91,13 @@ def test_blocks_match_closed_forms_reference_point():
     assert np.abs(got_pc[:, rows] - m_pc).max() < 1e-12
     assert np.abs(got_cp[rows, :] - m_cp).max() < 1e-12
     assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
-    assert np.abs(model.k_map[rows, :] - k).max() < 1e-12
+    assert np.abs(dense_k(model)[rows, :] - k).max() < 1e-12
     assert np.abs(model.l_matrix - l).max() < 1e-12
     # populations talk only to the excited coherence pair
     other = [i for i in range(6) if i not in rows]
     assert np.abs(got_pc[:, other]).max() == 0.0
     assert np.abs(got_cp[other, :]).max() == 0.0
-    assert np.abs(model.k_map[other, :]).max() == 0.0
+    assert np.abs(dense_k(model)[other, :]).max() == 0.0
 
 
 def test_blocks_match_closed_forms_random_draws():
@@ -124,7 +124,7 @@ def test_blocks_match_closed_forms_random_draws():
         assert np.abs(got_pc[:, rows] - m_pc).max() < 1e-12
         assert np.abs(got_cp[rows, :] - m_cp).max() < 1e-12
         assert np.abs(got_c[np.ix_(rows, rows)] - m_c).max() < 1e-12
-        assert np.abs(model.k_map[rows, :] - k).max() < 1e-12
+        assert np.abs(dense_k(model)[rows, :] - k).max() < 1e-12
         assert np.abs(model.l_matrix - l).max() < 1e-12
 
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from curlflux.cli import _analyze
 from curlflux.config import load_config
-
+from curlflux.flux import is_detailed_balanced, reconstruct_flux
 from curlflux.liouville import (
     DissipationChannel,
     build_generator,
@@ -25,6 +25,7 @@ from curlflux.reduction import analyze
 from helpers import (
     build_liouvillian,
     commutator_superop,
+    dense_k,
     generator_blocks,
     generator_of,
     kron_liouvillian,
@@ -371,8 +372,31 @@ def test_population_sector_and_reduction_equal_the_dense_oracle(case):
     k_map = -np.linalg.solve(m_c, m_cp)
     l_matrix = m_p + m_pc @ k_map
     analysis = analyze(gen)
-    for got, want in ((analysis.k_map, k_map), (analysis.l_matrix, l_matrix)):
+    for got, want in ((dense_k(analysis), k_map), (analysis.l_matrix, l_matrix)):
         assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(generator_inputs())
+def test_flux_axioms_hold_on_every_generator(case):
+    # c >= 0, unidirectional and divergence free, t = c + sym, the loops
+    # sum back to c within validate's bounds, and the balance violation
+    # max|t - t^T| is max c bit for bit; a level that is not populated
+    # has no flux
+    analysis = analyze(case[0])
+    l_matrix, pops = analysis.l_matrix, analysis.populations
+    if np.any(pops <= 0):
+        with pytest.raises(ValueError, match="strictly positive"):
+            analysis.flux
+        return
+    flux = analysis.flux
+    c, t = flux.c, flux.t_rate
+    assert np.all(c >= 0) and not np.diagonal(c).any()
+    assert not np.any(c * c.T)
+    assert np.abs(t - (c + flux.sym)).max() <= 1e-15 * np.abs(t).max()
+    assert np.abs(c.sum(axis=0) - c.sum(axis=1)).max() <= 1e-11
+    assert np.abs(reconstruct_flux(flux.loops, pops.size) - c).max() <= 1e-11
+    assert is_detailed_balanced(l_matrix, pops)[1] == c.max()
 
 
 def _bench_workloads():

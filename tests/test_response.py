@@ -32,6 +32,7 @@ from curlflux.response import (
 from helpers import (
     build_liouvillian,
     commutator_superop,
+    dense_k,
     generator_of,
     left_mult,
     linear_response_time,
@@ -159,7 +160,7 @@ def test_spectra_match_per_frequency_solves(key):
     m, rho = to_dense(analysis.generator), analysis.rho_ss.vector
     d = analysis.populations.size
     pops, split = analysis.populations, analysis.split
-    lift = np.vstack([np.eye(d), analysis.k_map])
+    lift = np.vstack([np.eye(d), dense_k(analysis)])
     columns = np.column_stack(
         [rho, lift @ (split.s_d * pops), lift @ (split.v_ss * pops)])
 
@@ -600,6 +601,23 @@ def test_ladder_pipeline_at_d32_allocates_no_dense_generator():
     finally:
         tracemalloc.stop()
     assert peak < 2e6, "peak traced allocation %.2f MB" % (peak / 1e6)
+
+
+def test_ladder_pipeline_at_d64_keeps_k_to_its_fed_rows():
+    # the d = 32 pipeline at d = 64, where a dense (d**2 - d) x d complex
+    # K alone would be 4.1 MB
+    h, channels, top = random_ladder(np.random.default_rng(64), 64)
+    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    omegas = np.linspace(0.05, top + 0.1, 401)
+    tracemalloc.start()
+    try:
+        analysis = analyze(build_generator(h, channels))
+        assert analysis.flux.loops and analysis.split.v_ss.size == 64
+        response_split(v, analysis, omegas)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, "peak traced allocation %.2f MB" % (peak / 1e6)
 
 
 def per_row_spectrum_csv(spectrum):

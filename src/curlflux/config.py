@@ -5,9 +5,10 @@ one model that `flux`, `fdr-check` and `validate` analyze, and whose
 `points` are the (tag, model) pairs that `spectrum` writes one CSV each
 for: every junction bias point, or the generic model as the one point
 'spectrum'.  Both kinds of run file give the same :class:`Model`
-record: state labels, Hamiltonian, channels and the probe coupling,
-``scale * sum(J + J^dag)`` over the channels' raising operators, with
-the junction's dipole as the scale (1 for a generic model).  The kind,
+record: state labels, Hamiltonian, channels and the probe coupling
+``scale * (A + A^dag)``, with A the sum of the channels' raising
+operators, each one unit entry |upper><lower|, and the junction's dipole
+as the scale (1 for a generic model).  The kind,
 read from `model.type`, is kept as `RunConfig.kind`.
 
 A run file has three sections::
@@ -136,9 +137,13 @@ class Model:
 
 
 def _model(labels, hamiltonian, channels, scale=1.0):
-    """The Model probed by scale * sum(J + J^dag) over the channels."""
-    coupling = scale * sum(ch.raising + ch.raising.conj().T for ch in channels)
-    return Model(labels, hamiltonian, tuple(channels), coupling)
+    """The Model probed by scale * (A + A^dag), A the sum of the channels'
+    raising operators."""
+    a = np.zeros((len(labels),) * 2, dtype=complex)
+    for ch in channels:
+        for (row, col), value in ch.raising.items():
+            a[row, col] += value
+    return Model(labels, hamiltonian, tuple(channels), scale * (a + a.conj().T))
 
 
 def _junction_model(params):
@@ -285,8 +290,7 @@ def load_config(path):
                     raise ConfigError("%s: %r names no level" % (path, label))
             if upper == lower:
                 raise ConfigError("%s: upper and lower must differ" % path)
-            raising = np.zeros((len(labels),) * 2, dtype=complex)
-            raising[labels.index(upper), labels.index(lower)] = 1.0
+            raising = {(labels.index(upper), labels.index(lower)): 1.0}
             rates = [_float(_require(ch, key, path), "%s.%s" % (path, key))
                      for key in ("rate_up", "rate_down")]
             try:

@@ -100,12 +100,10 @@ def hamiltonian_and_channels(params):
     hamiltonian[1, 2] = hamiltonian[2, 1] = -params.delta
     f1 = fermi_dirac(params.omega_e1g, params.mu_1, params.t_1)
     f2 = fermi_dirac(params.omega_e2g, params.mu_2, params.t_2)
-    raise_1 = np.zeros((3, 3), dtype=complex)
-    raise_1[1, 0] = 1.0
-    raise_2 = np.zeros((3, 3), dtype=complex)
-    raise_2[2, 0] = 1.0
     channels = (
-        DissipationChannel(raise_1, params.gamma * f1, params.gamma * (1 - f1)),
-        DissipationChannel(raise_2, params.gamma * f2, params.gamma * (1 - f2)),
+        DissipationChannel({(1, 0): 1.0}, params.gamma * f1,
+                           params.gamma * (1 - f1)),
+        DissipationChannel({(2, 0): 1.0}, params.gamma * f2,
+                           params.gamma * (1 - f2)),
     )
     return hamiltonian, channels

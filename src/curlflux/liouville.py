@@ -52,19 +52,19 @@ class DissipationChannel:
     """One secular dissipation channel.
 
     `raising` is the operator A+ taking the lower state of the channel to
-    the upper one; the downward operator is its adjoint.  `rate_up` and
-    `rate_down` are the population transition rates (probability per unit
-    time).
+    the upper one, held as its support: the mapping {(row, col): value}
+    of its non-zero entries, kept as a dict of its own and read in the
+    mapping's order.  The downward operator is its adjoint.  `rate_up`
+    and `rate_down` are the population transition rates (probability per
+    unit time).
     """
 
-    raising: np.ndarray
+    raising: dict
     rate_up: float
     rate_down: float
 
     def __post_init__(self):
-        object.__setattr__(self, "raising", np.asarray(self.raising, dtype=complex))
-        if self.raising.ndim != 2 or self.raising.shape[0] != self.raising.shape[1]:
-            raise ValueError("raising operator must be a square matrix")
+        object.__setattr__(self, "raising", dict(self.raising))
         if self.rate_up < 0 or self.rate_down < 0:
             raise ValueError("channel rates must be non-negative")
 
@@ -211,20 +211,19 @@ def build_generator(hamiltonian, channels):
     """
     h = _hermitian(hamiltonian, "Hamiltonian")
     d = h.shape[0]
-    supports = []
-    for ch in channels:
-        if ch.raising.shape[0] != d:
-            raise ValueError("channel operator dimension mismatch")
-        supports.append(np.nonzero(ch.raising))
+    keys = np.array([key for ch in channels for key in ch.raising],
+                    dtype=int).reshape(-1, 2)
+    if np.any((keys < 0) | (keys >= d)):
+        raise ValueError("channel operator dimension mismatch")
     rates = np.array([(ch.rate_up, ch.rate_down) for ch in channels]).reshape(-1)
-    chan = np.repeat(np.arange(len(supports)), [s[0].size for s in supports])
-    n, k = (np.concatenate([np.zeros(0, int)] + [s[i] for s in supports])
-            for i in (0, 1))
-    vals = np.concatenate([np.zeros(0, complex)]
-                          + [ch.raising[s] for ch, s in zip(channels, supports)])
+    chan = np.repeat(np.arange(len(channels)), [len(ch.raising) for ch in channels])
+    n, k = keys.T
+    vals = np.array([v for ch in channels for v in ch.raising.values()],
+                    dtype=complex)
     # jump 2c is A+ of channel c and jump 2c + 1 is A- = A+^dag, whose
-    # (k, n) entry is conj(A+[n, k]); each jump's entries are read in
-    # row-major order, and jumps of zero rate are skipped
+    # (k, n) entry is conj(A+[n, k]); A+'s entries are read in the
+    # mapping's order and A-'s in row-major order, and jumps of zero rate
+    # are skipped
     down = np.lexsort((n, k, chan))
     c = np.concatenate([2 * chan, 2 * chan[down] + 1])
     n, k = np.concatenate([n, k[down]]), np.concatenate([k, n[down]])

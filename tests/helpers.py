@@ -65,6 +65,23 @@ def generator_blocks(m):
     return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
+def channel(dense, up, down):
+    """The DissipationChannel of a dense raising operator: its non-zero
+    entries, in row-major order."""
+    dense = np.asarray(dense, dtype=complex)
+    return DissipationChannel(
+        {(int(n), int(k)): dense[n, k] for n, k in zip(*np.nonzero(dense))},
+        up, down)
+
+
+def dense_raising(ch, d):
+    """The raising operator of a channel as a dense (d, d) matrix."""
+    a = np.zeros((d, d), dtype=complex)
+    for (row, col), value in ch.raising.items():
+        a[row, col] = value
+    return a
+
+
 def _jumps(hamiltonian, channels):
     """(H, jumps, rates, H_eff): the jumps of nonzero rate as one dense
     stack, and H_eff = H - (i/2) sum_c r_c J_c^dag J_c summed jump by
@@ -73,8 +90,9 @@ def _jumps(hamiltonian, channels):
     d = h.shape[0]
     jumps, rates = [], []
     for ch in channels:
-        for jump, rate in ((ch.raising, ch.rate_up),
-                           (ch.raising.conj().T, ch.rate_down)):
+        raising = dense_raising(ch, d)
+        for jump, rate in ((raising, ch.rate_up),
+                           (raising.conj().T, ch.rate_down)):
             if rate != 0.0:
                 jumps.append(jump)
                 rates.append(rate)
@@ -260,10 +278,8 @@ def random_lindblad_model(rng, dim=3, coupling=0.05, gamma=0.1):
     h = 0.5 * (h + h.conj().T)
     channels = []
     for i in range(dim - 1):
-        raising = np.zeros((dim, dim), dtype=complex)
-        raising[i + 1, i] = 1.0
         channels.append(DissipationChannel(
-            raising,
+            {(i + 1, i): 1.0},
             gamma * rng.uniform(0.2, 1.0),
             gamma * rng.uniform(0.2, 1.0),
         ))
@@ -292,21 +308,16 @@ def random_ladder(rng, dim):
     pairs = [(k + 1, k) for k in range(dim - 1)] + [skips[k] for k in picked]
     channels = []
     for upper, lower in pairs:
-        raising = np.zeros((dim, dim), dtype=complex)
-        raising[upper, lower] = 1.0
         up, down = 0.002 * 25.0 ** rng.random(2)
-        channels.append(DissipationChannel(raising, up, down))
+        channels.append(DissipationChannel({(upper, lower): 1.0}, up, down))
     return h, channels, energies[-1]
 
 
 def thermal_two_level(omega0=1.0, temperature=0.3, gamma=0.02):
     """Detailed-balanced two-level model; returns (M, V, populations)."""
     h = np.diag([0.0, omega0]).astype(complex)
-    raising = np.zeros((2, 2), dtype=complex)
-    raising[1, 0] = 1.0
     up = gamma * np.exp(-omega0 / temperature)
-    channel = DissipationChannel(raising, up, gamma)
-    m = build_liouvillian(h, [channel])
+    m = build_liouvillian(h, [DissipationChannel({(1, 0): 1.0}, up, gamma)])
     v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     p_e = up / (up + gamma)
     return m, v, np.array([1.0 - p_e, p_e])

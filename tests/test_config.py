@@ -1,6 +1,9 @@
-"""The run-file loader gives what yaml.load gives, under either loader."""
+"""The run-file loader gives what yaml.load gives, under either loader,
+and holds each channel at its support."""
 
 import io
+import random
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from curlflux import config
+from test_liouville import _bench_workloads
 
 LOADERS = [yaml.SafeLoader] + (
     [yaml.CSafeLoader] if hasattr(yaml, "CSafeLoader") else [])
@@ -131,3 +135,21 @@ def test_run_files_are_composed_once_and_walked_without_pyyaml_constructing(
     for name in names:
         config.load_config(str(configs / name))
     assert len(composed) == len(names) == 7
+
+
+def test_loading_a_d128_ladder_holds_no_dense_channel(tmp_path):
+    # the bench's d = 128 ladder (seed 3) with 401 frequencies: its 191
+    # channels as dense 128 x 128 complex matrices would take 50 MB
+    model, top = _bench_workloads().ladder_model(random.Random(3), 128)
+    doc = {"model": dict(type="generic", **model),
+           "sweep": {"omega": {"min": 0.05, "max": top + 0.1, "points": 401}},
+           "output": {"directory": "out", "prefix": "ladder128"}}
+    path = tmp_path / "ladder128.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    tracemalloc.start()
+    try:
+        assert len(config.load_config(str(path)).model.channels) == 191
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6, "peak traced allocation %.2f MB" % (peak / 1e6)

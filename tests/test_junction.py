@@ -9,7 +9,13 @@ from curlflux.junction import JunctionParams, fermi_dirac
 from curlflux.liouville import devectorize, index_pairs, vectorize
 from curlflux.response import response_split
 
-from helpers import build_liouvillian, dense_k, generator_blocks, to_dense
+from helpers import (
+    build_liouvillian,
+    dense_k,
+    dense_raising,
+    generator_blocks,
+    to_dense,
+)
 from junction_oracles import (
     _ne_coefficients,
     analytic_propagator_ge,
@@ -31,7 +37,8 @@ def reference_params(mu_1, mu_2, **overrides):
 
 
 def test_junction_record_is_probed_through_the_oracle_dipole():
-    # config's one probe rule, scale * sum(J + J^dag) over the channels,
+    # config's one probe rule, scale * (A + A^dag) with A the sum of the
+    # channels' raising operators,
     # with the dipole as the junction's scale and 1 for a generic model
     for dipole in (1.0, 0.7, 2.3):
         params = reference_params(1.0, 0.5, dipole=dipole)
@@ -39,8 +46,9 @@ def test_junction_record_is_probed_through_the_oracle_dipole():
                               dipole_operator(params))
     five = resources.files("curlflux") / "configs" / "flux_fivelevel.yaml"
     model = load_config(str(five)).model
-    assert np.array_equal(model.coupling, sum(
-        ch.raising + ch.raising.conj().T for ch in model.channels))
+    raising = [dense_raising(ch, len(model.labels)) for ch in model.channels]
+    assert np.array_equal(model.coupling,
+                          sum(a + a.conj().T for a in raising))
 
 
 def excited_coherence_rows():

@@ -24,8 +24,10 @@ from curlflux.junction import JunctionParams
 from curlflux.reduction import analyze
 from helpers import (
     build_liouvillian,
+    channel,
     commutator_superop,
     dense_k,
+    dense_raising,
     generator_blocks,
     generator_of,
     kron_liouvillian,
@@ -116,8 +118,7 @@ def test_left_mult_flips_ground_state_projector():
 def test_two_level_decay_structure():
     omega, gamma = 1.3, 0.08
     h = np.diag([0.0, omega]).astype(complex)
-    raising = np.array([[0, 0], [1, 0]], dtype=complex)
-    m = to_dense(build_generator(h, [DissipationChannel(raising, 0.0, gamma)]))
+    m = to_dense(build_generator(h, [DissipationChannel({(1, 0): 1.0}, 0.0, gamma)]))
     # population block: gain/loss at rate gamma
     assert np.allclose(m[:2, :2], [[0.0, gamma], [0.0, -gamma]])
     # coherence slots (g,e) and (e,g): decay gamma/2, frequencies +-omega
@@ -129,7 +130,8 @@ def per_channel_liouvillian(h, channels):
     """Oracle: each jump as L(J) @ R(J^dag) - (L(J^dag J) + R(J^dag J)) / 2."""
     m = -1j * commutator_superop(h)
     for ch in channels:
-        for jump, rate in ((ch.raising, ch.rate_up), (ch.raising.conj().T, ch.rate_down)):
+        raising = dense_raising(ch, h.shape[0])
+        for jump, rate in ((raising, ch.rate_up), (raising.conj().T, ch.rate_down)):
             jd = jump.conj().T
             anti = jd @ jump
             m = m + rate * (
@@ -155,7 +157,7 @@ def test_builder_matches_per_channel_oracle_dense_complex_jumps():
     for dim in (2, 3, 5, 8):
         h = random_hermitian(rng, dim)
         channels = [
-            DissipationChannel(random_complex(rng, dim), *rng.uniform(0.01, 1.0, size=2))
+            channel(random_complex(rng, dim), *rng.uniform(0.01, 1.0, size=2))
             for _ in range(3)
         ]
         assert_matches_per_channel_oracle(h, channels)
@@ -170,8 +172,8 @@ def test_builder_matches_per_channel_oracle_mixed_sparsity_jumps():
         raising = np.zeros(25, dtype=complex)
         raising[rng.choice(25, size=nnz, replace=False)] = (
             rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
-        channels.append(DissipationChannel(raising.reshape(5, 5),
-                                           *rng.uniform(0.01, 1.0, size=2)))
+        channels.append(channel(raising.reshape(5, 5),
+                                *rng.uniform(0.01, 1.0, size=2)))
     assert_matches_per_channel_oracle(h, channels)
     assert_matches_per_channel_oracle(h, channels[::-1])
 
@@ -180,8 +182,8 @@ def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
     rng = np.random.default_rng(9)
     h = random_hermitian(rng, 4)
     channels = [
-        DissipationChannel(random_complex(rng, 4), 0.0, 0.3),
-        DissipationChannel(random_complex(rng, 4), 0.2, 0.7),
+        channel(random_complex(rng, 4), 0.0, 0.3),
+        channel(random_complex(rng, 4), 0.2, 0.7),
     ]
     assert_matches_per_channel_oracle(h, channels)
     assert_matches_per_channel_oracle(h, [])
@@ -211,9 +213,10 @@ def test_builder_equals_kron_form_bit_for_bit():
 
 
 def test_builder_rejects_mismatched_channel_dimension():
-    channel = DissipationChannel(np.zeros((3, 3)), 0.1, 0.1)
-    with pytest.raises(ValueError, match="dimension mismatch"):
-        build_generator(np.eye(2), [channel])
+    # negative indices too, which numpy indexing would wrap silently
+    for key in ((3, 0), (-1, 0), (0, 3), (0, -1)):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            build_generator(np.eye(3), [DissipationChannel({key: 1.0}, 0.1, 0.1)])
 
 
 def test_builder_rejects_non_hermitian_hamiltonian():
@@ -242,12 +245,10 @@ def test_thermal_rates_admit_gibbs_stationary_state():
     channels = []
     for i in range(4):
         for j in range(i + 1, 4):
-            raising = np.zeros((4, 4), dtype=complex)
-            raising[j, i] = 1.0
             base = rng.uniform(0.02, 0.2)
             omega_ij = energies[j] - energies[i]
             channels.append(DissipationChannel(
-                raising, base * np.exp(-omega_ij / temperature), base
+                {(j, i): 1.0}, base * np.exp(-omega_ij / temperature), base
             ))
     m = to_dense(build_generator(h, channels))
     gibbs = np.exp(-energies / temperature)

@@ -240,12 +240,10 @@ def test_sectored_steady_state_matches_dense_oracle(m):
 def _rate_graph(energies, edges):
     # diagonal Hamiltonian with one channel per (lower, upper, rate_up,
     # rate_down) edge
-    d = len(energies)
     channels = []
     for lower, upper, rate_up, rate_down in edges:
-        raising = np.zeros((d, d), dtype=complex)
-        raising[upper, lower] = 1.0
-        channels.append(DissipationChannel(raising, rate_up, rate_down))
+        channels.append(DissipationChannel({(upper, lower): 1.0}, rate_up,
+                                           rate_down))
     return build_liouvillian(np.diag(energies).astype(complex), channels)
 
 

@@ -33,6 +33,7 @@ from helpers import (
     build_liouvillian,
     commutator_superop,
     dense_k,
+    dense_raising,
     generator_of,
     left_mult,
     linear_response_time,
@@ -47,6 +48,12 @@ from helpers import (
 )
 from junction_oracles import build_junction, dipole_operator, hybridized_parameters
 from test_liouville import generator_inputs
+
+
+def channel_coupling(channels, d):
+    """sum(A+ + A+^dag) over the channels, dense."""
+    raising = [dense_raising(ch, d) for ch in channels]
+    return sum(a + a.conj().T for a in raising)
 
 
 def lorentzian_pole(x, gbar):
@@ -132,13 +139,13 @@ def oracle_model(key):
     if key[0] == "ladder":
         d = key[1]
         _, channels, m, top = random_ladder_model(np.random.default_rng(50 + d), d)
-        v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+        v = channel_coupling(channels, d)
         # the dense reference costs one O(d**6) solve per point
         return (analyze(generator_of(m)), v,
                 np.linspace(0.05, top + 0.1, 7 if d > 16 else 60))
     d = key[1]
     _, channels, m = random_lindblad_model(np.random.default_rng(40 + d), dim=d)
-    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    v = channel_coupling(channels, d)
     # the grid avoids omega = 0, where V_L rho excites the stationary mode
     return analyze(generator_of(m)), v, np.linspace(-3.0, 3.0, 120)
 
@@ -218,9 +225,8 @@ def test_resolvent_ignores_an_undamped_sector_the_pair_does_not_reach():
     # levels 2 and 3 carry no channel, so their coherences are undamped
     # with poles at +-0.9 on the grid, and their populations sit at 0
     energies = np.array([0.0, 1.0, 1.7, 2.6])
-    raising = np.zeros((4, 4), dtype=complex)
-    raising[1, 0] = 1.0
-    m = build_liouvillian(np.diag(energies), [DissipationChannel(raising, 0.02, 0.05)])
+    m = build_liouvillian(np.diag(energies),
+                          [DissipationChannel({(1, 0): 1.0}, 0.02, 0.05)])
     v = np.zeros((4, 4), dtype=complex)
     v[0, 1] = v[1, 0] = 1.0
     rho = vectorize(np.diag([5.0, 2.0, 0.0, 0.0]) / 7.0)
@@ -394,11 +400,9 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
     h = np.diag(energies).astype(complex)
     channels = []
     for i in range(2):
-        raising = np.zeros((3, 3), dtype=complex)
-        raising[i + 1, i] = 1.0
         omega_ij = energies[i + 1] - energies[i]
         channels.append(DissipationChannel(
-            raising, 0.05 * np.exp(-omega_ij / temperature), 0.05
+            {(i + 1, i): 1.0}, 0.05 * np.exp(-omega_ij / temperature), 0.05
         ))
     m = build_liouvillian(h, channels)
     v = np.zeros((3, 3), dtype=complex)
@@ -550,7 +554,7 @@ def kubo_model(key):
                 np.linspace(0.85, 1.15, 301))
     _, d, seed = key
     h, channels, top = random_ladder(np.random.default_rng(seed), d)
-    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    v = channel_coupling(channels, d)
     return (analyze(build_generator(h, channels)), v,
             np.linspace(0.05, top + 0.1, 201))
 
@@ -590,7 +594,7 @@ def test_ladder_pipeline_at_d32_allocates_no_dense_generator():
     # build, analyze, flux, split and a 401-point split spectrum at d = 32,
     # where one dense d**2 x d**2 complex generator alone is 16.8 MB
     h, channels, top = random_ladder(np.random.default_rng(32), 32)
-    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    v = channel_coupling(channels, 32)
     omegas = np.linspace(0.05, top + 0.1, 401)
     tracemalloc.start()
     try:
@@ -607,7 +611,7 @@ def test_ladder_pipeline_at_d64_keeps_k_to_its_fed_rows():
     # the d = 32 pipeline at d = 64, where a dense (d**2 - d) x d complex
     # K alone would be 4.1 MB
     h, channels, top = random_ladder(np.random.default_rng(64), 64)
-    v = sum(ch.raising + ch.raising.conj().T for ch in channels)
+    v = channel_coupling(channels, 64)
     omegas = np.linspace(0.05, top + 0.1, 401)
     tracemalloc.start()
     try:

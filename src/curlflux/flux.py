@@ -152,7 +152,6 @@ def loop_decomposition(c):
         comes first; weights strictly positive.
     """
     work = np.array(c, dtype=float, copy=True)
-    d = work.shape[0]
     scale = max(work.max(initial=0.0), 1.0)
     work[work < FLUX_CLAMP] = 0.0
     loops = []
@@ -171,8 +170,6 @@ def loop_decomposition(c):
                 work[i, j] = 0.0
         k = cycle.index(min(cycle))
         loops.append((tuple(cycle[k:] + cycle[:k]), float(weight)))
-        if len(loops) > d * d:
-            raise RuntimeError("loop extraction failed to terminate")
     leftover = np.abs(work).max(initial=0.0)
     if leftover > LOOP_RESIDUAL_TOL * scale:
         raise ValueError(

@@ -75,10 +75,6 @@ class JunctionParams:
     def omega_e2g(self):
         return self.omega_2 - self.omega_g
 
-    @property
-    def omega_e1e2(self):
-        return self.omega_1 - self.omega_2
-
 
 def fermi_dirac(omega, mu, temperature):
     """Electrode occupation 1 / (exp((omega - mu) / T) + 1), computed stably."""

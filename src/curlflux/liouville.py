@@ -4,7 +4,8 @@ A density matrix on a d-dimensional Hilbert space becomes a vector of
 length d**2.  This module fixes the index convention used everywhere in
 the package: the d population entries |nn>> come first (in basis
 order), followed by the d**2 - d coherence entries |nm>>, n != m, in
-row-major (n, m) order.  The inner product is <<A|B>> = Tr(A^dag B).
+row-major (n, m) order, found by index arithmetic on the row-major
+flat indices n*d + m.  The inner product is <<A|B>> = Tr(A^dag B).
 
 The generator M is a Lindblad form assembled from a Hermitian
 Hamiltonian plus a list of dissipation channels, each channel acting
@@ -20,8 +21,9 @@ blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 of the jumps and scatters every term straight into its sector's dense
 block: M is never built as a d**2 x d**2 matrix, and the cost is
 O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.  A
-:class:`Generator` holds those blocks, equal sizes stacked, reads the
-block of the sector that holds population 0 in place
+:class:`Generator` holds d and those blocks alone, equal sizes stacked
+with the index arrays that name their sectors, reads the block of the
+sector that holds population 0 in place
 (`Generator.population_sector`), and keeps its `modes`: the
 :func:`sector_modes` of every sector, one numpy.linalg.eig call per
 size, found on first use and shared by the coherence check, the steady
@@ -36,7 +38,6 @@ import numpy as np
 
 __all__ = [
     "DissipationChannel",
-    "index_pairs",
     "vectorize",
     "devectorize",
     "Generator",
@@ -70,17 +71,11 @@ class DissipationChannel:
 
 
 @lru_cache(maxsize=None)
-def index_pairs(dim):
-    """Ordered (n, m) pairs: populations first, then row-major coherences."""
-    pops = [(n, n) for n in range(dim)]
-    cohs = [(n, m) for n in range(dim) for m in range(dim) if n != m]
-    return tuple(pops + cohs)
-
-
-@lru_cache(maxsize=None)
 def _permutation(dim):
-    # position i of our ordering holds row-major entry n*dim + m
-    return np.array([n * dim + m for (n, m) in index_pairs(dim)])
+    # position i of our ordering holds row-major entry n*dim + m: the
+    # diagonal entries n*(dim + 1) first, then the rest in row-major order
+    diagonal = np.arange(0, dim * dim, dim + 1)
+    return np.concatenate([diagonal, np.delete(np.arange(dim * dim), diagonal)])
 
 
 @lru_cache(maxsize=None)
@@ -134,24 +129,23 @@ def _hermitian(op, name):
 class Generator:
     """The generator M of d rho/dt = M vec(rho), held as its sectors.
 
-    `labels[i]` is the sector of index i, the smallest index in it
-    (:func:`sector_labels`).  `blocks` holds one (idx, block) pair per
-    sector size, smallest first: idx is the (count, size)
-    :func:`sector_indices` array and block the (count, size, size) stack
-    with block[r] = M[idx[r]][:, idx[r]].  Every entry of M between two
-    sectors is 0.
+    `blocks` holds one (idx, block) pair per sector size, smallest
+    first: idx is the (count, size) :func:`sector_indices` array, whose
+    rows each list one sector's indices in increasing order, and block
+    the (count, size, size) stack with block[r] = M[idx[r]][:, idx[r]].
+    Every index of M lies in exactly one row of one idx, and every entry
+    of M between two sectors is 0.
     """
 
     d: int
-    labels: np.ndarray
     blocks: tuple
 
     @property
     def population_sector(self):
         """(idx, block) of the sector that holds population 0: its
         indices, ascending, and M[idx][:, idx]."""
-        # the rows of a size group run in label order, so the sector
-        # labelled 0 is row 0 of its group
+        # the rows of a size group run in order of their smallest index,
+        # so the sector that holds index 0 is row 0 of its group
         for idx, block in self.blocks:
             if idx[0, 0] == 0:
                 return idx[0], block[0]
@@ -260,8 +254,7 @@ def build_generator(hamiltonian, channels):
     live = sums != 0
     rows, cols = np.divmod(keys[live], d * d)
     sums = sums[live]
-    labels = sector_labels(d * d, rows, cols)
-    indices = sector_indices(labels)
+    indices = sector_indices(sector_labels(d * d, rows, cols))
     group, row, place = _sector_places(indices, d * d)
     blocks = []
     for g, idx in enumerate(indices):
@@ -269,7 +262,7 @@ def build_generator(hamiltonian, channels):
         hit = group[rows] == g
         block[row[rows[hit]], place[rows[hit]], place[cols[hit]]] = sums[hit]
         blocks.append((idx, block))
-    return Generator(d, labels, tuple(blocks))
+    return Generator(d, tuple(blocks))
 
 
 def sector_labels(n, rows, cols):

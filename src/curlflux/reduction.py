@@ -106,7 +106,8 @@ def _eliminate(generator):
     if p < d:
         raise NonUniqueSteadyStateError(
             "non-unique steady state: the populations fall into %d "
-            "disconnected sectors" % len(set(generator.labels[:d].tolist())))
+            "disconnected sectors"
+            % sum(int((i[:, 0] < d).sum()) for i, _ in generator.blocks))
     x = (np.linalg.solve(block[d:, d:], block[d:, :d]) if p < idx.size
          else np.zeros((0, d), dtype=complex))
     return -x, block[:d, :d] - block[:d, d:] @ x

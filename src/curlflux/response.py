@@ -149,7 +149,7 @@ def _sector_resolvent(generator, omegas, left, right):
     omegas = np.asarray(omegas, dtype=float).reshape(-1)
     shifts = 1j * omegas
     left = np.atleast_2d(np.asarray(left, dtype=complex))
-    right = np.asarray(right, dtype=complex).reshape(generator.labels.size, -1)
+    right = np.asarray(right, dtype=complex).reshape(left.shape[1], -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
     reads, feeds = (left != 0).any(axis=0), (right != 0).any(axis=1)
     modes = generator.modes

@@ -1,6 +1,7 @@
 """Shared model generators and reference implementations for the test suite."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import expm
@@ -12,7 +13,6 @@ from curlflux.liouville import (
     _permutation,
     _positions,
     devectorize,
-    index_pairs,
     sector_indices,
     vectorize,
 )
@@ -25,6 +25,14 @@ from curlflux.reduction import (
     _steady_state,
 )
 from curlflux.response import _sector_resolvent
+
+
+@lru_cache(maxsize=None)
+def index_pairs(dim):
+    """Ordered (n, m) pairs: populations first, then row-major coherences."""
+    pops = [(n, n) for n in range(dim)]
+    cohs = [(n, m) for n in range(dim) for m in range(dim) if n != m]
+    return tuple(pops + cohs)
 
 
 def trace_vector(dim):
@@ -148,15 +156,14 @@ def sectors(m):
 def generator_of(m):
     """The Generator of a dense square matrix: its sectors and their blocks."""
     m = np.asarray(m, dtype=complex)
-    labels = sectors(m)
-    return Generator(math.isqrt(m.shape[0]), labels,
+    return Generator(math.isqrt(m.shape[0]),
                      tuple((idx, m[idx[:, :, None], idx[:, None, :]])
-                           for idx in sector_indices(labels)))
+                           for idx in sector_indices(sectors(m))))
 
 
 def to_dense(generator):
     """The (n, n) matrix a Generator holds, zero between sectors."""
-    n = generator.labels.size
+    n = sum(idx.size for idx, _ in generator.blocks)
     m = np.zeros((n, n), dtype=complex)
     for idx, block in generator.blocks:
         m[idx[:, :, None], idx[:, None, :]] = block

@@ -16,10 +16,10 @@ import numpy as np
 
 from curlflux.junction import (JunctionParams, fermi_dirac,
                                hamiltonian_and_channels)
-from curlflux.liouville import build_generator, index_pairs
+from curlflux.liouville import build_generator
 from curlflux.reduction import Analysis, analyze
 
-from helpers import dense_k, to_dense
+from helpers import dense_k, index_pairs, to_dense
 
 
 @dataclass(frozen=True)
@@ -75,7 +75,7 @@ def hybridized_parameters(params):
     with sin(2 theta) = 2 Delta / sqrt(w_e1e2**2 + 4 Delta**2).
     """
     f1, f2 = fermi_factors(params)
-    dw = params.omega_e1e2
+    dw = params.omega_1 - params.omega_2
     root = np.hypot(dw, 2.0 * params.delta)
     mid = 0.5 * (params.omega_e1g + params.omega_e2g)
     cos2t = dw / root
@@ -98,7 +98,7 @@ def printed_blocks(params):
     der = hybridized_parameters(params)
     f1, f2 = der.fbar_1, der.fbar_2
     g = params.gamma
-    dw = params.omega_e1e2
+    dw = params.omega_1 - params.omega_2
     width = 0.5 * g * (2.0 - f1 - f2)
     m_p = np.array([
         [-g * (f1 + f2), g * (1 - f1), g * (1 - f2)],
@@ -176,7 +176,7 @@ def first_order_propagator_ge(params, t):
     if t < 0:
         raise ValueError("propagator defined for t >= 0")
     der = hybridized_parameters(params)
-    dw = params.omega_e1e2
+    dw = params.omega_1 - params.omega_2
     root = np.hypot(dw, 2.0 * params.delta)
     cos2t = dw / root
     e_minus = np.exp((1j * der.omega_minus - der.gamma_minus) * t)

@@ -99,9 +99,34 @@ def test_per_electrode_gamma_is_rejected(tmp_path, capsys):
 GENERIC = ("model:\n  type: generic\n  generic:\n    levels: {a: 0.0, b: 1.0}\n"
            "    channels:\n      - {upper: b, lower: a, rate_up: 0.01, rate_down: 0.02}\n")
 OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
+JUNCTION = "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n"
+
+# schema rules, each with a phrase of the message that names it
+REFUSALS = {
+    "no-sweep": (GENERIC, "missing required field '<top>.sweep'"),
+    "nan-level": (GENERIC.replace("b: 1.0", "b: .nan") + OMEGA, "must be finite"),
+    "inf-level": (GENERIC.replace("b: 1.0", "b: .inf") + OMEGA, "must be finite"),
+    "top-level-list": ("- " + OMEGA, "top level of the config must be a mapping"),
+    "junction-without-mu-2": (JUNCTION.replace(", mu_2: 0.5", "") + OMEGA,
+                              "requires mu_1 and mu_2"),
+    "zero-gamma": (JUNCTION.replace("mu_2: 0.5", "mu_2: 0.5, gamma: 0.0") + OMEGA,
+                   "gamma must be positive"),
+    "omega-order": (JUNCTION.replace("mu_2: 0.5", "mu_2: 0.5, omega_1: 0.9") + OMEGA,
+                    "omega_1 > omega_2 violated"),
+    "empty-levels": (GENERIC.replace("{a: 0.0, b: 1.0}", "{}") + OMEGA,
+                     "non-empty mapping"),
+    "self-channel": (GENERIC.replace("upper: b", "upper: a") + OMEGA,
+                     "upper and lower must differ"),
+    "unknown-type": (GENERIC.replace("type: generic", "type: ladder") + OMEGA,
+                     "must be 'junction' or 'generic'"),
+    "unknown-bias-mode": (JUNCTION + OMEGA + "  bias: {mode: sweep}\n",
+                          "must be 'symmetric' or 'fixed'"),
+    "unpaired-extra-pair": (JUNCTION + OMEGA + "  bias:\n    extra_pairs: [1.0]\n",
+                            "entries must be pairs"),
+}
 
 
-@pytest.mark.parametrize("text", [
+@pytest.mark.parametrize("text, message", [(text, "config error") for text in [
     GENERIC.replace("upper: b", "upper: zz") + OMEGA,
     GENERIC.replace("rate_up: 0.01", "rate_up: -0.1") + OMEGA,
     "model: 3\n" + OMEGA,
@@ -112,12 +137,10 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC + "sweep:\n  omega: {values: 0.5}\n",
     GENERIC.replace("rate_up: 0.01", "rate_up: true") + OMEGA,
     GENERIC + "    temperature: 0.3\n" + OMEGA + "numerics: {db_tol: -1.0}\n",
-    "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
-    + "  bias:\n    dmu: [0.12341, 0.12344]\n"
+    JUNCTION + OMEGA + "  bias:\n    dmu: [0.12341, 0.12344]\n"
     "    extra_pairs: [[1.0, 0.5], [1.00001, 0.5]]\n",
     GENERIC + "sweep:\n  omega: {values: [0.9, 1.0], points: 3}\n",
-    "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n" + OMEGA
-    + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
+    JUNCTION + OMEGA + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
     GENERIC.split("    channels:")[0] + OMEGA,
     GENERIC + "    temperature: 0\n" + OMEGA,
     GENERIC + "    temperature: -0.3\n" + OMEGA,
@@ -135,7 +158,8 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
     GENERIC.replace("b: 1.0", "b: !!timestamp abc") + OMEGA,
     GENERIC.replace("b: 1.0", "b: 1" + "0" * 4999) + OMEGA,
     GENERIC + OMEGA + "numerics: {epsilon: 0.1}\n",
-], ids=["unknown-level", "negative-rate", "model-not-mapping", "empty-output",
+]] + list(REFUSALS.values()), ids=[
+        "unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
         "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
         "fixed-bias-with-dmu", "no-channels", "zero-temperature",
@@ -143,12 +167,20 @@ OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
         "mapping-directory", "huge-integer-level", "huge-integer-omega-value",
         "huge-points", "int64-max-points", "bad-int-tag", "bad-float-tag",
         "bad-bool-tag", "bad-timestamp-tag", "integer-past-digit-limit",
-        "numerics-epsilon"])
-def test_malformed_run_files_are_config_errors(tmp_path, capsys, text):
+        "numerics-epsilon"] + list(REFUSALS))
+def test_malformed_run_files_are_config_errors(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(text)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
-    assert "config error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "config error" in err and message in err
+
+
+def test_fdr_check_refuses_unequal_electrode_temperatures(tmp_path, capsys):
+    cfg = tmp_path / "hot.yaml"
+    cfg.write_text(JUNCTION.replace("mu_2: 0.5", "mu_2: 0.5, t_2: 0.4") + OMEGA)
+    assert main(["fdr-check", "--config", str(cfg), "--out", str(tmp_path)]) == 2
+    assert "fdr-check requires a thermal model" in capsys.readouterr().err
 
 
 def test_unwritable_output_is_a_config_error(tmp_path, capsys):

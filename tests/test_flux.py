@@ -116,6 +116,24 @@ def test_loop_decomposition_random_stationary_systems():
             assert len(decomp.loops) <= np.count_nonzero(decomp.c)
 
 
+def test_loop_count_is_bounded_by_the_flux_support():
+    # each extraction zeroes the cycle's smallest edge exactly (x - x = 0)
+    # and grows none, so there are at most as many loops as positive
+    # entries; here the net flux of 300 random cycles on 12 nodes
+    rng = np.random.default_rng(5)
+    dim = 12
+    f = np.zeros((dim, dim))
+    for _ in range(300):
+        cycle = list(rng.permutation(dim)[:rng.integers(2, dim + 1)])
+        weight = rng.uniform(0.1, 1.0)
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            f[i, j] += weight
+    c = np.maximum(f - f.T, 0.0)
+    loops = loop_decomposition(c)
+    assert np.abs(reconstruct_flux(loops, dim) - c).max() < 1e-12
+    assert len(loops) <= np.count_nonzero(c)
+
+
 def test_loop_decomposition_rejects_divergent_input():
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0  # a lone edge cannot close into loops

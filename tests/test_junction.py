@@ -6,7 +6,7 @@ from scipy.linalg import expm
 
 from curlflux.config import _junction_model, load_config
 from curlflux.junction import JunctionParams, fermi_dirac
-from curlflux.liouville import devectorize, index_pairs, vectorize
+from curlflux.liouville import devectorize, vectorize
 from curlflux.response import response_split
 
 from helpers import (
@@ -14,6 +14,7 @@ from helpers import (
     dense_k,
     dense_raising,
     generator_blocks,
+    index_pairs,
     to_dense,
 )
 from junction_oracles import (

@@ -13,7 +13,6 @@ from curlflux.junction import JunctionParams
 from curlflux.liouville import (
     DissipationChannel,
     build_generator,
-    index_pairs,
     vectorize,
 )
 from curlflux.reduction import analyze
@@ -35,6 +34,7 @@ from helpers import (
     dense_k,
     dense_raising,
     generator_of,
+    index_pairs,
     left_mult,
     linear_response_time,
     random_ladder,
@@ -255,9 +255,7 @@ def test_resolvent_pole_tolerance_scales_with_every_sector():
     assert np.isfinite(resolvent(m[:1, :1], [-0.5], [1.0], [1.0])).all()
 
 
-# one case, the unshifted resolvent G(w) = -(M + i w)^-1
-@pytest.mark.parametrize("epsilon", [None])
-def test_resolvent_pole_tolerance_holds_at_its_edge(epsilon):
+def test_resolvent_pole_tolerance_holds_at_its_edge():
     # the scale is 1, so a mode is on the pole at omega = -Im lam when
     # |Re lam| <= 1e-13: just inside raises, just outside is finite
     inside = complex(-0.9e-13, 0.5)

@@ -37,7 +37,9 @@ A run file has three sections::
 
 Unknown keys raise errors so typos do not silently change a run, and
 so do keys another key would leave unread: sweep.omega.values beside
-min/max/points, and center or dmu under bias mode 'fixed'.
+min/max/points, and center or dmu under bias mode 'fixed'.  So does a
+key that one mapping gives twice, where yaml.load would keep the last
+value; a key merged in by '<<' may still be overridden.
 
 A file is parsed once, into libyaml's node graph (`yaml.compose`), and
 one walk over the nodes gives the value `yaml.load` would: a str scalar
@@ -72,6 +74,7 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _CORE = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _CORE + "str", _CORE + "seq", _CORE + "map"
+_MERGE = _CORE + "merge"
 _SAFE = SafeConstructor()
 # PyYAML's own converters, so 1_000, .inf, 0x1F and yes read as yaml.load
 # reads them; they keep no state
@@ -102,9 +105,43 @@ def _walk(node, seen):
         for key, value in node.value:
             if type(key) is not ScalarNode:
                 raise _Unhandled
-            out[_walk(key, seen)] = _walk(value, seen)
+            name = _walk(key, seen)
+            if name in out:
+                raise _duplicate(key)
+            out[name] = _walk(value, seen)
         return out
     raise _Unhandled
+
+
+def _duplicate(key):
+    return ConfigError("duplicate key %r in a mapping (line %d)"
+                       % (key.value, key.start_mark.line + 1))
+
+
+class _Constructor(SafeConstructor):
+    """PyYAML's safe constructor, refusing a key a mapping gives twice; a
+    key merged in by '<<' may be overridden."""
+
+    def __init__(self):
+        super().__init__()
+        self.explicit = {}      # mapping node -> its own key nodes
+
+    def flatten_mapping(self, node):
+        # read before the merge rewrites node.value, which may happen
+        # while flattening another mapping that merges this one
+        self.explicit.setdefault(
+            node, [key for key, _ in node.value if key.tag != _MERGE])
+        super().flatten_mapping(node)
+
+    def construct_mapping(self, node, deep=False):
+        mapping = super().construct_mapping(node, deep=deep)
+        names = set()
+        for key in self.explicit[node]:
+            name = self.construct_object(key)   # cached by now
+            if name in names:
+                raise _duplicate(key)
+            names.add(name)
+        return mapping
 
 
 def _load_yaml(fh):
@@ -114,11 +151,14 @@ def _load_yaml(fh):
         return None
     try:
         return _walk(root, set())
+    except ConfigError:
+        raise
     except Exception:
         # _Unhandled, an unknown scalar tag, a failing conversion, or
         # nesting deeper than the recursion limit: PyYAML's constructor
-        # then returns or raises exactly what yaml.load does
-        return SafeConstructor().construct_document(root)
+        # then returns or raises what yaml.load does, but for a key given
+        # twice
+        return _Constructor().construct_document(root)
 
 
 class ConfigError(ValueError):
@@ -238,6 +278,8 @@ def load_config(path):
             raw = _load_yaml(fh)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
+    except ConfigError:
+        raise
     except (yaml.YAMLError, ValueError, KeyError, AttributeError) as exc:
         # PyYAML's converters raise the last three on a bad explicit tag
         # (!!int abc, !!bool abc, !!timestamp abc) or an integer past the

@@ -6,7 +6,8 @@ detailed-balance part sym[m, n] = min(t[m, n], t[n, m]) and a
 non-negative, unidirectional remainder c = t - sym, the curl flux.  At
 stationarity c is divergence free and therefore decomposes into a
 superposition of directed loop fluxes; the loops are extracted by
-deterministic iterative cycle cancellation.
+deterministic iterative cycle cancellation, a walk over one ascending
+successor list per node of the flux support, in O(nnz) memory.
 
 The diagonal operators derived from the decomposition,
 
@@ -131,10 +132,15 @@ def curl_flux(l_matrix, populations):
 def loop_decomposition(c):
     """Decompose a divergence-free flux matrix into directed loops.
 
-    Repeatedly finds a directed cycle in the support of the flux (depth
-    first from the lowest-indexed node with outgoing flux, always walking
-    to the lowest-indexed successor), subtracts the minimum edge weight
-    along the cycle, and records (cycle, weight).  Deterministic.
+    Repeatedly finds a directed cycle in the support of the flux (walking
+    from the lowest-indexed node with outgoing flux, always to the
+    lowest-indexed successor, until a node repeats), subtracts the
+    minimum edge weight along the cycle, and records (cycle, weight).
+    Deterministic.  Only the support is held, as a dict of edge weights
+    and one ascending successor list per node (O(nnz) memory); an edge
+    leaves its list once it falls below FLUX_CLAMP.  The cycles, their
+    order and the weights equal those of the same walk over the dense
+    matrix: the subtractions are the same and run in the same order.
 
     Parameters
     ----------
@@ -151,26 +157,31 @@ def loop_decomposition(c):
         Cycles as tuples of node indices, rotated so the smallest index
         comes first; weights strictly positive.
     """
-    work = np.array(c, dtype=float, copy=True)
-    scale = max(work.max(initial=0.0), 1.0)
-    work[work < FLUX_CLAMP] = 0.0
+    c = np.asarray(c, dtype=float)
+    scale = max(c.max(initial=0.0), 1.0)
+    rows, cols = np.nonzero(c >= FLUX_CLAMP)
+    weights = dict(zip(zip(rows.tolist(), cols.tolist()),
+                       c[rows, cols].tolist()))
+    succ = {}
+    for i, j in weights:    # row-major order, so each list ascends
+        succ.setdefault(i, []).append(j)
     loops = []
-    while True:
-        out_nodes = np.nonzero(work.sum(axis=1) > 0)[0]
-        if out_nodes.size == 0:
+    for start in sorted(succ):
+        while succ[start] and (cycle := _find_cycle(succ, start)):
+            edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+            weight = min(weights[edge] for edge in edges)
+            for i, j in edges:
+                left = weights[i, j] - weight
+                if left < FLUX_CLAMP:
+                    del weights[i, j]
+                    succ[i].remove(j)
+                else:
+                    weights[i, j] = left
+            k = cycle.index(min(cycle))
+            loops.append((tuple(cycle[k:] + cycle[:k]), weight))
+        if succ[start]:     # the walk from start met a node with no successor
             break
-        cycle = _find_cycle(work, int(out_nodes[0]))
-        if cycle is None:
-            break
-        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
-        weight = min(work[i, j] for i, j in edges)
-        for i, j in edges:
-            work[i, j] -= weight
-            if work[i, j] < FLUX_CLAMP:
-                work[i, j] = 0.0
-        k = cycle.index(min(cycle))
-        loops.append((tuple(cycle[k:] + cycle[:k]), float(weight)))
-    leftover = np.abs(work).max(initial=0.0)
+    leftover = max(weights.values(), default=0.0)
     if leftover > LOOP_RESIDUAL_TOL * scale:
         raise ValueError(
             "flux is not a superposition of loops: residual %.3e remains "
@@ -179,16 +190,17 @@ def loop_decomposition(c):
     return loops
 
 
-def _find_cycle(w, start):
-    """Walk the support graph until a node repeats; return that cycle."""
+def _find_cycle(succ, start):
+    """Walk to the lowest successor until a node repeats; return that
+    cycle, or None at a node with no successor."""
     path = [start]
     seen = {start: 0}
     node = start
     while True:
-        succ = np.nonzero(w[node] > 0)[0]
-        if succ.size == 0:
+        successors = succ.get(node)
+        if not successors:
             return None
-        node = int(succ[0])
+        node = successors[0]
         if node in seen:
             return path[seen[node]:]
         seen[node] = len(path)
@@ -229,12 +241,10 @@ def split_operators(l_matrix, populations, decomposition):
     # [n, k] terms of both sums, 0.0 at k == n
     balanced = np.where(off, np.minimum(l_matrix * p / p[:, None], l_matrix.T), 0.0)
     inflow = np.where(off, decomposition.c.T, 0.0)
-    s_sum, v_sum = np.zeros(d), np.zeros(d)
-    # one k at a time in increasing order: a left-to-right sum over k,
-    # which numpy's pairwise sum would round differently
-    for k in range(d):
-        s_sum += balanced[:, k]
-        v_sum += inflow[:, k]
+    # a left-to-right sum over k: accumulate adds one k at a time, where
+    # numpy's pairwise sum would round differently
+    s_sum = np.add.accumulate(balanced, axis=1)[:, -1]
+    v_sum = np.add.accumulate(inflow, axis=1)[:, -1]
     return SplitOperators(s_d=s_sum / diag, v_ss=v_sum / (diag * p))
 
 

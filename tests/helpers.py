@@ -6,6 +6,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.linalg import expm
 
+from curlflux.flux import FLUX_CLAMP, LOOP_RESIDUAL_TOL
 from curlflux.liouville import (
     DissipationChannel,
     Generator,
@@ -88,6 +89,54 @@ def dense_raising(ch, d):
     for (row, col), value in ch.raising.items():
         a[row, col] = value
     return a
+
+
+def dense_loop_decomposition(c):
+    """Loop extraction as numpy row scans of a dense copy of the flux: the
+    reference for flux.loop_decomposition's cycles, order, weights and
+    error message."""
+    work = np.array(c, dtype=float, copy=True)
+    scale = max(work.max(initial=0.0), 1.0)
+    work[work < FLUX_CLAMP] = 0.0
+    loops = []
+    while True:
+        out_nodes = np.nonzero(work.sum(axis=1) > 0)[0]
+        if out_nodes.size == 0:
+            break
+        cycle = _dense_cycle(work, int(out_nodes[0]))
+        if cycle is None:
+            break
+        edges = list(zip(cycle, cycle[1:] + cycle[:1]))
+        weight = min(work[i, j] for i, j in edges)
+        for i, j in edges:
+            work[i, j] -= weight
+            if work[i, j] < FLUX_CLAMP:
+                work[i, j] = 0.0
+        k = cycle.index(min(cycle))
+        loops.append((tuple(cycle[k:] + cycle[:k]), float(weight)))
+    leftover = np.abs(work).max(initial=0.0)
+    if leftover > LOOP_RESIDUAL_TOL * scale:
+        raise ValueError(
+            "flux is not a superposition of loops: residual %.3e remains "
+            "(input likely not divergence free)" % leftover
+        )
+    return loops
+
+
+def _dense_cycle(w, start):
+    """Walk the support graph until a node repeats; return that cycle."""
+    path = [start]
+    seen = {start: 0}
+    node = start
+    while True:
+        succ = np.nonzero(w[node] > 0)[0]
+        if succ.size == 0:
+            return None
+        node = int(succ[0])
+        if node in seen:
+            return path[seen[node]:]
+        seen[node] = len(path)
+        path.append(node)
 
 
 def _jumps(hamiltonian, channels):

@@ -58,6 +58,9 @@ HANDWRITTEN = {
                       "l: 'quoted'\nm: Off\nn: null\n",
     "anchors-and-aliases": "a: &x [1, 2]\nb: *x\nc: &s 1.5\nd: *s\n",
     "merge-key": "base: &b {x: 1, y: 2}\nmerged:\n  <<: *b\n  y: 3\n",
+    # b is flattened while m is, before b's own keys are checked
+    "merge-of-a-merging-mapping": "c: &c {k: 0, z: 9}\na: [&b {<<: *c, k: 1}]\n"
+                                  "m: {<<: *b, k: 2}\n",
     "value-key": "a:\n  =: 1\n  b: 2\n",
     "explicit-core-tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\n"
                           "d: !!seq [1]\ne: !!map {f: 4}\n",
@@ -72,7 +75,6 @@ HANDWRITTEN = {
                   "d: &d [*c, *c, *c]\ne: [*d, *d, *d]\n",
     "sequence-key": "? [1, 2]\n: x\n",
     "mapping-key": "? {a: 1}\n: x\n",
-    "duplicate-keys": "a: 1\nb: 2\na: 3\n1: x\n1.0: y\ntrue: z\n",
     "empty": "",
     "comment-only": "# nothing\n",
     "two-documents": "a: 1\n---\nb: 2\n",
@@ -85,6 +87,47 @@ HANDWRITTEN = {
 @pytest.mark.parametrize("text", HANDWRITTEN.values(), ids=HANDWRITTEN.keys())
 def test_handwritten_documents_load_as_yaml_load_loads_them(loader, text):
     assert_loads_like_yaml_load(loader, text)
+
+
+# documents yaml.load reads by keeping a repeated key's last value
+DUPLICATES = {
+    "duplicate-keys": ("a: 1\nb: 2\na: 3\n1: x\n1.0: y\ntrue: z\n", "'a'", 3),
+    "equal-numbers": ("1: x\n1.0: y\ntrue: z\n", "'1.0'", 2),
+    "nested": ("a: {b: {c: 1, c: 2}}\n", "'c'", 1),
+    # an explicit tag sends the document to PyYAML's constructor
+    "beside-a-tag": ("a: !!str x\nb: 1\nb: 2\n", "'b'", 3),
+    "beside-a-merge": ("base: &b {x: 1}\nm: {<<: *b, y: 1, y: 2}\n", "'y'", 2),
+    "set-member": ("s: !!set {a, a}\n", "'a'", 1),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text, key, line", DUPLICATES.values(),
+                         ids=DUPLICATES.keys())
+def test_a_key_given_twice_is_refused(loader, text, key, line):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "YAML_LOADER", loader)
+        with pytest.raises(config.ConfigError) as refused:
+            config._load_yaml(io.StringIO(text))
+    assert str(refused.value) == (
+        "duplicate key %s in a mapping (line %d)" % (key, line))
+
+
+GENERIC = ("model:\n  type: generic\n  generic:\n    levels: {a: 0.0, b: 1.0}\n"
+           "    channels:\n      - {upper: b, lower: a, rate_up: 0.01, "
+           "rate_down: 0.02}\n")
+SWEEP = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
+
+
+@pytest.mark.parametrize("text", [
+    GENERIC.replace("b: 1.0}", "b: 1.0, b: 2.0}") + SWEEP,
+    GENERIC + SWEEP + SWEEP,
+], ids=["level", "section"])
+def test_a_run_file_giving_a_key_twice_is_a_config_error(tmp_path, text):
+    path = tmp_path / "twice.yaml"
+    path.write_text(text)
+    with pytest.raises(config.ConfigError, match="^duplicate key "):
+        config.load_config(str(path))
 
 
 def test_nesting_deeper_than_the_walk_loads_as_yaml_load_loads_it(
@@ -129,7 +172,7 @@ def test_run_files_are_composed_once_and_walked_without_pyyaml_constructing(
     real_compose = yaml.compose
     monkeypatch.setattr(yaml, "compose", compose)
     monkeypatch.setattr(yaml, "load", refuse)
-    monkeypatch.setattr(config, "SafeConstructor", refuse)
+    monkeypatch.setattr(config, "_Constructor", refuse)
     configs = resources.files("curlflux") / "configs"
     names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".yaml"))
     for name in names:

@@ -5,10 +5,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from curlflux import cli
-from curlflux.cli import main, render_flux_report
+from curlflux.cli import _analyze, main, render_flux_report
+from curlflux.config import load_config
 from curlflux.flux import (
+    FLUX_CLAMP,
     IMAG_TOL,
     NonStationaryError,
     curl_flux,
@@ -21,6 +25,7 @@ from curlflux.junction import JUNCTION_LABELS, JunctionParams
 from curlflux.reduction import analyze
 
 from helpers import (
+    dense_loop_decomposition,
     generator_of,
     random_ladder_model,
     random_lindblad_model,
@@ -28,6 +33,14 @@ from helpers import (
     rate_steady_state,
 )
 from junction_oracles import build_junction
+from test_liouville import generator_inputs
+
+# every bundled and bench/reference run file
+RUN_FILES = sorted(
+    [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
+     if p.name.endswith(".yaml")]
+    + [str(p) for p in (Path(__file__).resolve().parents[1] / "bench"
+                        / "reference").glob("*.yaml")])
 
 
 def stationary_pair(rng, dim):
@@ -137,8 +150,73 @@ def test_loop_count_is_bounded_by_the_flux_support():
 def test_loop_decomposition_rejects_divergent_input():
     bad = np.zeros((3, 3))
     bad[0, 1] = 1.0  # a lone edge cannot close into loops
-    with pytest.raises(ValueError, match="divergence"):
+    with pytest.raises(ValueError, match="divergence") as got:
         loop_decomposition(bad)
+    with pytest.raises(ValueError) as want:
+        dense_loop_decomposition(bad)
+    assert str(got.value) == str(want.value)
+
+
+def extraction(decompose, c):
+    """The loops decompose(c) returns, or the message it raises."""
+    try:
+        return decompose(c)
+    except ValueError as exc:
+        return str(exc)
+
+
+def assert_loops_are_the_dense_walks(c):
+    # the same cycles in the same order with the same weights, bit for
+    # bit (repr is exact for ints and floats), or the same refusal
+    got = extraction(loop_decomposition, c)
+    assert repr(got) == repr(extraction(dense_loop_decomposition, c))
+
+
+NEAR_CLAMP = st.sampled_from([FLUX_CLAMP, float(np.nextafter(FLUX_CLAMP, 0.0)),
+                              2.0 * FLUX_CLAMP])
+
+
+@st.composite
+def cycle_fluxes(draw):
+    """The net flux of random cycles on 2-40 nodes, weights at, just below
+    and far above FLUX_CLAMP, with up to three entries then overwritten
+    by such weights (which may leave it divergent)."""
+    dim = draw(st.integers(2, 40))
+    nodes = st.lists(st.integers(0, dim - 1), min_size=2, max_size=dim,
+                     unique=True)
+    weights = NEAR_CLAMP | st.floats(1e-3, 10.0)
+    f = np.zeros((dim, dim))
+    for cycle, weight in draw(st.lists(st.tuples(nodes, weights), max_size=30)):
+        for i, j in zip(cycle, cycle[1:] + cycle[:1]):
+            f[i, j] += weight
+    c = np.maximum(f - f.T, 0.0)
+    index = st.integers(0, dim - 1)
+    for i, j, value in draw(st.lists(st.tuples(index, index, NEAR_CLAMP),
+                                     max_size=3)):
+        c[i, j] = value
+    return c
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(cycle_fluxes())
+def test_loops_of_random_cycle_fluxes_are_the_dense_walks(c):
+    assert_loops_are_the_dense_walks(c)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(generator_inputs())
+def test_loops_of_every_generator_are_the_dense_walks(case):
+    analysis = analyze(case[0])
+    assume(np.all(analysis.populations > 0))
+    flux = analysis.flux
+    assert repr(list(flux.loops)) == repr(dense_loop_decomposition(flux.c))
+
+
+@pytest.mark.parametrize("path", RUN_FILES, ids=lambda p: Path(p).name)
+def test_loops_of_every_run_file_are_the_dense_walks(path):
+    config = load_config(path)
+    for model in [config.model] + [model for _, model in config.points]:
+        assert_loops_are_the_dense_walks(_analyze(model).flux.c)
 
 
 def test_curl_flux_rejects_non_stationary_populations():
@@ -325,13 +403,9 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
         return text
 
     monkeypatch.setattr(cli, "_dumps", recorded)
-    paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
-             if p.name.endswith(".yaml")]
-    paths += [str(p) for p in (Path(__file__).resolve().parents[1] / "bench"
-                               / "reference").glob("*.yaml")]
-    for path in sorted(paths):
+    for path in RUN_FILES:
         assert main(["flux", "--config", path, "--out", str(tmp_path)]) == 0
-    assert len(reports) == len(paths) == 11
+    assert len(reports) == len(RUN_FILES) == 11
     # the junction reports hold a null ratio at the balanced point
     assert any(r.get("flux_coherence_ratio", 0.0) is None for r in reports)
 

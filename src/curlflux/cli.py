@@ -304,8 +304,8 @@ def cmd_validate(config, args):
           % ("detailed balance", "yes" if balanced else "no", violation))
     if not ok:
         raise ValueError("validation failed")
-    print("all checks passed for model with states %s"
-          % (config.model.labels,))
+    print("all checks passed for the %s model with %d states"
+          % (config.kind, d))
 
 
 @functools.cache

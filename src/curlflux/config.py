@@ -39,18 +39,18 @@ Unknown keys raise errors so typos do not silently change a run, and
 so do keys another key would leave unread: sweep.omega.values beside
 min/max/points, and center or dmu under bias mode 'fixed'.  So does a
 key that one mapping gives twice, where yaml.load would keep the last
-value; a key merged in by '<<' may still be overridden.
+value.
 
-A file is parsed once, into libyaml's node graph (`yaml.compose`), and
-one walk over the nodes gives the value `yaml.load` would: a str scalar
-is its text, an int, float, bool or null scalar goes through PyYAML's
-own converter for that tag, a sequence is a list and a mapping with
-scalar keys a dict.  Any other node (another tag, a merge key, a
-collection key, or a node met twice, which is an alias) sends the whole
-document through PyYAML's `SafeConstructor`, which is what `yaml.load`
-runs.  That constructor is pure Python even under libyaml: on a 2.3 kB
-d = 12 ladder file it took 0.6-0.8 ms after a 0.46 ms parse, where the
-walk takes 0.1-0.2 ms (timeit, best of 7, 2-core x86-64 host).
+A file is read as UTF-8 and parsed once, into libyaml's node graph
+(`yaml.compose`), and one walk over the nodes gives the value
+`yaml.load` would: a str scalar is its text, an int, float, bool or
+null scalar goes through PyYAML's own converter for that tag, a
+sequence is a list and a mapping with scalar keys a dict.  A run file
+holds nothing else.  An alias, a merge key '<<', any other tag (!!set,
+!!binary, a timestamp, !foo, !!str on a collection), a collection as a
+key, a scalar its tag's converter cannot read and nesting past the
+recursion limit are each a ConfigError that names the construct and,
+but for the nesting, its line.
 """
 
 import math
@@ -74,7 +74,6 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _CORE = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _CORE + "str", _CORE + "seq", _CORE + "map"
-_MERGE = _CORE + "merge"
 _SAFE = SafeConstructor()
 # PyYAML's own converters, so 1_000, .inf, 0x1F and yes read as yaml.load
 # reads them; they keep no state
@@ -86,79 +85,62 @@ _SCALARS = {
 }
 
 
-class _Unhandled(Exception):
-    """A node the walk leaves to PyYAML's constructor."""
+def _refusal(message, node):
+    return ConfigError("%s (line %d)" % (message, node.start_mark.line + 1))
+
+
+def _text(node):
+    """A scalar's text for a message, cut to 40 characters."""
+    text = node.value
+    return repr(text if len(text) <= 40 else text[:37] + "...")
 
 
 def _walk(node, seen):
-    """The value of a node graph made of core scalars, lists and dicts."""
-    if node in seen:    # an alias: yaml.load would share the object
-        raise _Unhandled
+    """The value of a node graph made of core scalars, lists and dicts;
+    any other node is a ConfigError."""
+    if node in seen:    # met again through an alias, and never walked twice
+        raise ConfigError("unsupported YAML: an alias of the node anchored at "
+                          "line %d" % (node.start_mark.line + 1))
     seen.add(node)
     kind, tag = type(node), node.tag
     if kind is ScalarNode:
-        return node.value if tag == _STR else _SCALARS[tag](node)
-    if kind is SequenceNode and tag == _SEQ:
+        if tag == _STR:
+            return node.value
+        if tag in _SCALARS:
+            try:
+                return _SCALARS[tag](node)
+            except (ValueError, IndexError, KeyError):
+                # !!int '', !!bool abc, or past the integer digit limit
+                raise _refusal("malformed YAML: cannot read %s as %s"
+                               % (_text(node), tag.replace(_CORE, "!!")), node)
+    elif kind is SequenceNode and tag == _SEQ:
         return [_walk(item, seen) for item in node.value]
-    if kind is MappingNode and tag == _MAP:
+    elif kind is MappingNode and tag == _MAP:
         out = {}
         for key, value in node.value:
             if type(key) is not ScalarNode:
-                raise _Unhandled
+                raise _refusal("unsupported YAML: a collection as a mapping "
+                               "key", key)
             name = _walk(key, seen)
             if name in out:
-                raise _duplicate(key)
+                raise _refusal("duplicate key %r in a mapping" % key.value, key)
             out[name] = _walk(value, seen)
         return out
-    raise _Unhandled
-
-
-def _duplicate(key):
-    return ConfigError("duplicate key %r in a mapping (line %d)"
-                       % (key.value, key.start_mark.line + 1))
-
-
-class _Constructor(SafeConstructor):
-    """PyYAML's safe constructor, refusing a key a mapping gives twice; a
-    key merged in by '<<' may be overridden."""
-
-    def __init__(self):
-        super().__init__()
-        self.explicit = {}      # mapping node -> its own key nodes
-
-    def flatten_mapping(self, node):
-        # read before the merge rewrites node.value, which may happen
-        # while flattening another mapping that merges this one
-        self.explicit.setdefault(
-            node, [key for key, _ in node.value if key.tag != _MERGE])
-        super().flatten_mapping(node)
-
-    def construct_mapping(self, node, deep=False):
-        mapping = super().construct_mapping(node, deep=deep)
-        names = set()
-        for key in self.explicit[node]:
-            name = self.construct_object(key)   # cached by now
-            if name in names:
-                raise _duplicate(key)
-            names.add(name)
-        return mapping
+    what = _text(node) if kind is ScalarNode else "a collection"
+    raise _refusal("unsupported YAML: tag %s on %s"
+                   % (tag.replace(_CORE, "!!"), what), node)
 
 
 def _load_yaml(fh):
-    """What yaml.load(fh, Loader=YAML_LOADER) gives, from one parse."""
-    root = yaml.compose(fh, Loader=YAML_LOADER)
-    if root is None:
-        return None
+    """What yaml.load(fh, Loader=YAML_LOADER) gives, from one parse, for a
+    document of core scalars, lists and mappings."""
     try:
-        return _walk(root, set())
-    except ConfigError:
-        raise
-    except Exception:
-        # _Unhandled, an unknown scalar tag, a failing conversion, or
-        # nesting deeper than the recursion limit: PyYAML's constructor
-        # then returns or raises what yaml.load does, but for a key given
-        # twice
-        return _Constructor().construct_document(root)
+        root = yaml.compose(fh, Loader=YAML_LOADER)
+        return None if root is None else _walk(root, set())
+    except RecursionError:
+        # in the pure-Python composer, or in the walk
+        raise ConfigError("unsupported YAML: nesting deeper than the "
+                          "recursion limit")
 
 
 class ConfigError(ValueError):
@@ -274,16 +256,14 @@ def _omega_grid(section):
 def load_config(path):
     """Parse and validate a YAML run file."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             raw = _load_yaml(fh)
     except OSError as exc:
         raise ConfigError("cannot read config file: %s" % exc)
     except ConfigError:
         raise
-    except (yaml.YAMLError, ValueError, KeyError, AttributeError) as exc:
-        # PyYAML's converters raise the last three on a bad explicit tag
-        # (!!int abc, !!bool abc, !!timestamp abc) or an integer past the
-        # interpreter's digit limit
+    except (yaml.YAMLError, ValueError) as exc:
+        # ValueError: a file that is not UTF-8
         raise ConfigError("malformed YAML: %s" % exc)
     if not isinstance(raw, dict):
         raise ConfigError("top level of the config must be a mapping")

@@ -123,6 +123,24 @@ REFUSALS = {
                           "must be 'symmetric' or 'fixed'"),
     "unpaired-extra-pair": (JUNCTION + OMEGA + "  bias:\n    extra_pairs: [1.0]\n",
                             "entries must be pairs"),
+    "empty-int-tag": (GENERIC.replace("b: 1.0", "b: !!int ''") + OMEGA,
+                      "cannot read '' as !!int (line 4)"),
+    "empty-float-tag": (GENERIC.replace("b: 1.0", "b: !!float ''") + OMEGA,
+                        "cannot read '' as !!float (line 4)"),
+    "not-utf-8": ((GENERIC + OMEGA).encode().replace(b"b: 1.0", b"b\xff: 1.0"),
+                  "malformed YAML: 'utf-8' codec can't decode byte 0xff"),
+    # YAML beyond plain scalars, lists and mappings
+    "alias": (GENERIC.replace("rate_up: 0.01", "rate_up: &r 0.01")
+              .replace("rate_down: 0.02", "rate_down: *r") + OMEGA,
+              "an alias of the node anchored at line 6"),
+    "merge-key": (GENERIC + "sweep:\n  omega:\n    <<: {min: 0.9, max: 1.1}\n"
+                  "    points: 3\n", "tag !!merge on '<<' (line 9)"),
+    "binary-tag": (GENERIC.replace("b: 1.0", "b: !!binary AAAA") + OMEGA,
+                   "tag !!binary on 'AAAA' (line 4)"),
+    "collection-key": (GENERIC.replace("b: 1.0}", "b: 1.0, [c]: 2.0}") + OMEGA,
+                       "a collection as a mapping key (line 4)"),
+    "deep-nesting": (GENERIC + OMEGA + "output: %s%s\n" % ("[" * 3000, "]" * 3000),
+                     "nesting deeper than the recursion limit"),
 }
 
 
@@ -170,7 +188,7 @@ REFUSALS = {
         "numerics-epsilon"] + list(REFUSALS))
 def test_malformed_run_files_are_config_errors(tmp_path, capsys, text, message):
     cfg = tmp_path / "bad.yaml"
-    cfg.write_text(text)
+    (cfg.write_bytes if isinstance(text, bytes) else cfg.write_text)(text)
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
@@ -588,13 +606,15 @@ def test_each_generator_sector_is_diagonalized_once(tmp_path, monkeypatch,
 def test_validate_junction_config(capsys):
     assert main(["validate", "--config", bundled("fig2a.yaml")]) == 0
     out = capsys.readouterr().out
-    assert "all checks passed" in out
+    assert out.endswith("\nall checks passed for the junction model with "
+                        "3 states\n")
     assert "FAIL" not in out
 
 
 def test_validate_generic_config(capsys):
     assert main(["validate", "--config", bundled("flux_fivelevel.yaml")]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+    assert capsys.readouterr().out.endswith(
+        "\nall checks passed for the generic model with 5 states\n")
 
 
 def test_the_parser_is_built_once_and_calls_the_current_command(capsys,

@@ -1,5 +1,6 @@
-"""The run-file loader gives what yaml.load gives, under either loader,
-and holds each channel at its support."""
+"""The run-file loader gives what yaml.load gives on core scalars, lists
+and mappings, refuses any other YAML, under either loader, and holds
+each channel at its support."""
 
 import io
 import random
@@ -10,6 +11,7 @@ import pytest
 import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from yaml.constructor import SafeConstructor
 
 from curlflux import config
 from test_liouville import _bench_workloads
@@ -26,18 +28,6 @@ def outcome(load, text):
         return exc
 
 
-def shape(value, seen):
-    """The types of a loaded value and which of its objects are shared."""
-    if id(value) in seen:
-        return ("same as", seen[id(value)])
-    seen[id(value)] = len(seen)
-    if isinstance(value, list):
-        return [shape(item, seen) for item in value]
-    if isinstance(value, dict):
-        return [(shape(k, seen), shape(v, seen)) for k, v in value.items()]
-    return type(value)
-
-
 def assert_loads_like_yaml_load(loader, text):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(config, "YAML_LOADER", loader)
@@ -46,39 +36,20 @@ def assert_loads_like_yaml_load(loader, text):
     if isinstance(want, Exception):
         assert (type(got), str(got)) == (type(want), str(want))
     else:
-        # repr is exact for these types and, unlike ==, survives NaN and
-        # recursive values
+        # repr is exact for these types and, unlike ==, survives NaN; no
+        # object is shared, as only an alias shares one
         assert repr(got) == repr(want)
-        assert shape(got, {}) == shape(want, {})
 
 
 HANDWRITTEN = {
     "core-spellings": "a: 1_000\nb: .inf\nc: 0x1F\nd: yes\ne: ~\nf: -.INF\n"
                       "g: 0o17\nh: 1:30\ni: 190:20:30.15\nj: .NaN\nk: +12e3\n"
                       "l: 'quoted'\nm: Off\nn: null\n",
-    "anchors-and-aliases": "a: &x [1, 2]\nb: *x\nc: &s 1.5\nd: *s\n",
-    "merge-key": "base: &b {x: 1, y: 2}\nmerged:\n  <<: *b\n  y: 3\n",
-    # b is flattened while m is, before b's own keys are checked
-    "merge-of-a-merging-mapping": "c: &c {k: 0, z: 9}\na: [&b {<<: *c, k: 1}]\n"
-                                  "m: {<<: *b, k: 2}\n",
-    "value-key": "a:\n  =: 1\n  b: 2\n",
     "explicit-core-tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\n"
                           "d: !!seq [1]\ne: !!map {f: 4}\n",
-    "explicit-tag-on-wrong-node": "a: [1]\nb: !!str {c: 1}\n",
-    "bad-explicit-conversion": "a: [!!int abc]\nb: !foo x\n",
-    "timestamp": "t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
-    "binary": "b: !!binary aGVsbG8=\n",
-    "set": "s: !!set {a, b}\n",
-    "recursive-alias": "&a [1, *a]\n",
-    "recursive-mapping": "&m {self: *m, x: 1}\n",
-    "alias-bomb": "a: &a [x, x, x]\nb: &b [*a, *a, *a]\nc: &c [*b, *b, *b]\n"
-                  "d: &d [*c, *c, *c]\ne: [*d, *d, *d]\n",
-    "sequence-key": "? [1, 2]\n: x\n",
-    "mapping-key": "? {a: 1}\n: x\n",
     "empty": "",
     "comment-only": "# nothing\n",
     "two-documents": "a: 1\n---\nb: 2\n",
-    "unknown-tag": "a: !foo bar\n",
     "syntax-error": "a: [1, 2\n",
 }
 
@@ -89,15 +60,69 @@ def test_handwritten_documents_load_as_yaml_load_loads_them(loader, text):
     assert_loads_like_yaml_load(loader, text)
 
 
+ALIAS = "unsupported YAML: an alias of the node anchored at line 1"
+# documents the walk refuses, each with its message; yaml.load reads all
+# but the bad conversion and, under the pure-Python loader, the nesting
+UNSUPPORTED = {
+    "anchors-and-aliases": ("a: &x [1, 2]\nb: *x\nc: &s 1.5\nd: *s\n", ALIAS),
+    "merge-key": ("base: &b {x: 1, y: 2}\nmerged:\n  <<: *b\n  y: 3\n",
+                  "unsupported YAML: tag !!merge on '<<' (line 3)"),
+    "merge-of-a-merging-mapping": (
+        "c: &c {k: 0, z: 9}\na: [&b {<<: *c, k: 1}]\nm: {<<: *b, k: 2}\n",
+        "unsupported YAML: tag !!merge on '<<' (line 2)"),
+    "beside-a-merge": ("base: &b {x: 1}\nm: {<<: *b, y: 1, y: 2}\n",
+                       "unsupported YAML: tag !!merge on '<<' (line 2)"),
+    "value-key": ("a:\n  =: 1\n  b: 2\n",
+                  "unsupported YAML: tag !!value on '=' (line 2)"),
+    "explicit-tag-on-wrong-node": (
+        "a: [1]\nb: !!str {c: 1}\n",
+        "unsupported YAML: tag !!str on a collection (line 2)"),
+    "bad-explicit-conversion": ("a: [!!int abc]\nb: !foo x\n",
+                                "malformed YAML: cannot read 'abc' as !!int "
+                                "(line 1)"),
+    "timestamp": ("t: 2001-12-14t21:59:43.10-05:00\nd: 2002-12-14\n",
+                  "unsupported YAML: tag !!timestamp on "
+                  "'2001-12-14t21:59:43.10-05:00' (line 1)"),
+    "binary": ("b: !!binary aGVsbG8=\n",
+               "unsupported YAML: tag !!binary on 'aGVsbG8=' (line 1)"),
+    "set": ("s: !!set {a, b}\n",
+            "unsupported YAML: tag !!set on a collection (line 1)"),
+    "set-member": ("s: !!set {a, a}\n",
+                   "unsupported YAML: tag !!set on a collection (line 1)"),
+    "recursive-alias": ("&a [1, *a]\n", ALIAS),
+    "recursive-mapping": ("&m {self: *m, x: 1}\n", ALIAS),
+    "alias-bomb": ("a: &a [x, x, x]\nb: &b [*a, *a, *a]\nc: &c [*b, *b, *b]\n"
+                   "d: &d [*c, *c, *c]\ne: [*d, *d, *d]\n", ALIAS),
+    "sequence-key": ("? [1, 2]\n: x\n",
+                     "unsupported YAML: a collection as a mapping key (line 1)"),
+    "mapping-key": ("? {a: 1}\n: x\n",
+                    "unsupported YAML: a collection as a mapping key (line 1)"),
+    "unknown-tag": ("a: !foo bar\n",
+                    "unsupported YAML: tag !foo on 'bar' (line 1)"),
+    # the pure-Python composer recurses, libyaml's does not but the walk does
+    "deep-nesting": ("[" * 3000 + "1" + "]" * 3000,
+                     "unsupported YAML: nesting deeper than the recursion "
+                     "limit"),
+}
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@pytest.mark.parametrize("text, message", UNSUPPORTED.values(),
+                         ids=UNSUPPORTED.keys())
+def test_unread_yaml_is_refused(loader, text, message):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(config, "YAML_LOADER", loader)
+        with pytest.raises(config.ConfigError) as refused:
+            config._load_yaml(io.StringIO(text))
+    assert str(refused.value) == message
+
+
 # documents yaml.load reads by keeping a repeated key's last value
 DUPLICATES = {
     "duplicate-keys": ("a: 1\nb: 2\na: 3\n1: x\n1.0: y\ntrue: z\n", "'a'", 3),
     "equal-numbers": ("1: x\n1.0: y\ntrue: z\n", "'1.0'", 2),
     "nested": ("a: {b: {c: 1, c: 2}}\n", "'c'", 1),
-    # an explicit tag sends the document to PyYAML's constructor
     "beside-a-tag": ("a: !!str x\nb: 1\nb: 2\n", "'b'", 3),
-    "beside-a-merge": ("base: &b {x: 1}\nm: {<<: *b, y: 1, y: 2}\n", "'y'", 2),
-    "set-member": ("s: !!set {a, a}\n", "'a'", 1),
 }
 
 
@@ -130,19 +155,6 @@ def test_a_run_file_giving_a_key_twice_is_a_config_error(tmp_path, text):
         config.load_config(str(path))
 
 
-def test_nesting_deeper_than_the_walk_loads_as_yaml_load_loads_it(
-        monkeypatch):
-    if not hasattr(yaml, "CSafeLoader"):
-        pytest.skip("PyYAML built without libyaml")
-    # libyaml composes it, the recursive walk exceeds the recursion limit
-    # and leaves the document to PyYAML's constructor
-    monkeypatch.setattr(config, "YAML_LOADER", yaml.CSafeLoader)
-    value = config._load_yaml(io.StringIO("[" * 2000 + "1" + "]" * 2000))
-    for _ in range(2000):
-        (value,) = value
-    assert value == 1 and type(value) is int
-
-
 scalars = (st.none() | st.booleans() | st.integers() | st.floats()
            | st.text(max_size=8))
 documents = st.recursive(
@@ -172,7 +184,7 @@ def test_run_files_are_composed_once_and_walked_without_pyyaml_constructing(
     real_compose = yaml.compose
     monkeypatch.setattr(yaml, "compose", compose)
     monkeypatch.setattr(yaml, "load", refuse)
-    monkeypatch.setattr(config, "_Constructor", refuse)
+    monkeypatch.setattr(SafeConstructor, "construct_document", refuse)
     configs = resources.files("curlflux") / "configs"
     names = sorted(p.name for p in configs.iterdir() if p.name.endswith(".yaml"))
     for name in names:

@@ -1,6 +1,11 @@
 import importlib.util
+import inspect
+import subprocess
+import sys
 from importlib import resources
 from pathlib import Path
+
+from curlflux import config, response
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -45,3 +50,33 @@ def test_outputs_gives_the_same_line_for_every_command_twice(capsys):
     assert "fdr_twolevel_flux.json:" in runs[0][1]
     assert [line.split(" ")[1:3] for line in runs[0]] == [
         [command, "0"] for command in outputs.COMMANDS]
+
+
+def test_reach_lists_fluctuation_spectrum_and_no_core_branch_of_the_walk():
+    configs = resources.files("curlflux") / "configs"
+    paths = sorted(str(p) for p in configs.iterdir() if p.name.endswith(".yaml"))
+    assert len(paths) == 7
+    out = subprocess.run([sys.executable, str(TOOLS / "reach.py"), *paths],
+                         capture_output=True, text=True, check=True).stdout
+    *stretches, summary = out.splitlines()
+    assert summary.startswith("missed ")
+    missed = set()
+    for stretch in stretches:
+        path, span = stretch.split()[0].rsplit(":", 1)
+        first, last = map(int, span.split("-"))
+        missed.update((Path(path).name, n) for n in range(first, last + 1))
+
+    code = response.fluctuation_spectrum.__code__
+    body = {n for _, _, n in code.co_lines() if n and n > code.co_firstlineno}
+    assert body and {("response.py", n) for n in body} <= missed
+    source, first = inspect.getsourcelines(config._walk)
+    walk = {first + i: line.strip() for i, line in enumerate(source)}
+    # the def line runs at import only, so the tracer was on by then
+    assert ("config.py", first) not in missed
+    refusals = {n for n, line in walk.items() if line.startswith("raise")}
+    core = {n for n, line in walk.items() if line.startswith((
+        "return node.value", "return _SCALARS", "return [_walk", "out = {}",
+        "name = _walk", "out[name] = _walk", "return out"))}
+    assert len(refusals) == 5 and len(core) == 7
+    assert {("config.py", n) for n in refusals} <= missed
+    assert not {("config.py", n) for n in core} & missed

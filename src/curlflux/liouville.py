@@ -24,15 +24,17 @@ O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.  A
 :class:`Generator` holds d and those blocks alone, equal sizes stacked
 with the index arrays that name their sectors, reads the block of the
 sector that holds population 0 in place
-(`Generator.population_sector`), and keeps its `modes`: the
-:func:`sector_modes` of every sector, one numpy.linalg.eig call per
-size, found on first use and shared by the coherence check, the steady
-state and every spectrum.  Every other superoperator is applied as an
-operator product on d x d matrices.
+(`Generator.population_sector`), and finds the :func:`sector_modes`
+of a size group, one numpy.linalg.eig call, the first time something
+reads them (`Generator.modes`): the coherence check reads the groups
+that hold a coherence-only sector and a spectrum the groups its sources
+touch, so on a diagonal Hamiltonian no command diagonalizes the d x d
+rate block.  Every other superoperator is applied as an operator
+product on d x d matrices.
 """
 
-from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -134,11 +136,13 @@ class Generator:
     rows each list one sector's indices in increasing order, and block
     the (count, size, size) stack with block[r] = M[idx[r]][:, idx[r]].
     Every index of M lies in exactly one row of one idx, and every entry
-    of M between two sectors is 0.
+    of M between two sectors is 0.  `_modes` keeps each group's
+    :func:`sector_modes` once `modes` has found them.
     """
 
     d: int
     blocks: tuple
+    _modes: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def population_sector(self):
@@ -150,10 +154,11 @@ class Generator:
             if idx[0, 0] == 0:
                 return idx[0], block[0]
 
-    @cached_property
-    def modes(self):
-        """The :func:`sector_modes` of the generator, found on first use."""
-        return sector_modes(self)
+    def modes(self, group):
+        """The :func:`sector_modes` of blocks[group], found on first use."""
+        if group not in self._modes:
+            self._modes[group] = sector_modes(*self.blocks[group])
+        return self._modes[group]
 
 
 def _sector_places(indices, n):
@@ -300,21 +305,17 @@ def sector_indices(labels):
             for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
 
 
-def sector_modes(generator):
-    """Eigendecomposition of every sector of a :class:`Generator`, equal
-    sizes stacked.
+def sector_modes(idx, block):
+    """Eigendecomposition of one size group of a :class:`Generator`'s
+    sectors, given as its (idx, block) pair.
 
-    Returns one (idx, lam, vecs) triple per entry of generator.blocks:
-    for each row r, M[idx_r, idx_r] @ vecs[r] = vecs[r] * lam[r], with
-    lam a (count, size) stack of eigenvalues and vecs a (count, size,
-    size) stack of eigenvectors.  Sizes above 1 take one batched
-    numpy.linalg.eig; a 1 x 1 sector is its own eigenvalue, with
-    eigenvector 1, and needs no call.
+    Returns (idx, lam, vecs): for each row r, M[idx_r, idx_r] @ vecs[r] =
+    vecs[r] * lam[r], with lam a (count, size) stack of eigenvalues and
+    vecs a (count, size, size) stack of eigenvectors.  Sizes above 1 take
+    one batched numpy.linalg.eig; a 1 x 1 sector is its own eigenvalue,
+    with eigenvector 1 (a read-only view), and needs no call.
     """
-    modes = []
-    for idx, block in generator.blocks:
-        if idx.shape[1] == 1:
-            modes.append((idx, block[:, 0], np.ones_like(block)))
-        else:
-            modes.append((idx, *np.linalg.eig(block)))
-    return modes
+    if idx.shape[1] == 1:
+        return idx, block[:, 0], np.broadcast_to(np.ones(1, complex),
+                                                 block.shape)
+    return (idx, *np.linalg.eig(block))

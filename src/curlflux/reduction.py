@@ -14,15 +14,23 @@ elimination reads that one block and K is held as those rows alone,
 which `Analysis.lift` reads; on a diagonal Hamiltonian the block is the
 d x d rate block, and K has no rows and takes no solve.
 
-The steady state is the null vector of the full generator, read from
-the modes of its sectors (`Generator.modes`; on a diagonal Hamiltonian
-one eigendecomposition of the d x d rate block, not of a d**2 x d**2
-matrix).  It does not depend on K and L, so it checks them.
+The steady state comes from L.  Its populations p are found by the
+Grassmann-Taksar-Heyman state reduction (Grassmann, Taksar & Heyman,
+Oper. Res. 33, 1107 (1985)), which takes each pivot as the sum of a
+state's exit rates and so subtracts nothing: for non-negative rates p
+is accurate entrywise in the relative sense (O'Cinneide, Numer. Math.
+65, 109 (1993)), and the relative residual (L p)_n / (L_nn p_n), which
+is what s_d + v_ss + 1 equals, stays at rounding however slow a level's
+exits are.  rho_ss is their lift [p; K p], exact because M [p; K p] =
+[L p; 0], and its residual ||M_s rho_s|| on the population sector
+checks p, K and L against M's own block.  Neither step takes an
+eigendecomposition: only the coherence check reads modes, those of the
+size groups that hold a coherence-only sector (`Generator.modes`), plus
+the eigenvalues of the population sector's coherences, so on a diagonal
+Hamiltonian no command diagonalizes the d x d rate block.
 
-`analyze` chains the whole reduction for one generator: K and L, with
-the first use of its modes, which the steady state and the response
-spectra share; the steady state; and on demand the curl flux and the
-split operators.
+`analyze` chains the whole reduction for one generator: K and L, the
+steady state, and on demand the curl flux and the split operators.
 """
 
 from dataclasses import dataclass
@@ -31,7 +39,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .flux import curl_flux, split_operators
+from .flux import _real_rate_matrix, curl_flux, split_operators
 from .liouville import Generator, devectorize, vectorize
 
 __all__ = [
@@ -45,9 +53,11 @@ __all__ = [
 # a coherence eigenvalue of magnitude at most COHERENCE_TOL * max(1,
 # max |eigenvalue|) does not decay
 COHERENCE_TOL = 1e-12
-# the steady state is unique when the second-smallest eigenvalue
-# magnitude of M exceeds the smallest by more than GAP_RATIO
-GAP_RATIO = 1e3
+# states the state reduction eliminates one by one before the states
+# below them take their updates in one matrix product: 32 takes 0.05 s
+# at d = 512 and 0.44 s at d = 1024, where 16 takes 0.04 and 0.55 s and
+# 64 takes 0.07 and 0.55 s (2 cores, BLAS on 1 thread)
+_PANEL = 32
 
 
 class NonDecayingCoherenceError(np.linalg.LinAlgError):
@@ -56,7 +66,7 @@ class NonDecayingCoherenceError(np.linalg.LinAlgError):
 
 
 class NonUniqueSteadyStateError(np.linalg.LinAlgError):
-    """The generator has no isolated zero eigenvalue."""
+    """The generator has more than one stationary state."""
 
 
 class SteadyState(NamedTuple):
@@ -80,10 +90,11 @@ def _eliminate(generator):
     K = -X and L = M_p - M_pc X.
 
     A sector without a population is a block of M_c, whose eigenvalues
-    the check takes from the generator's modes.  The coherences of the
-    population sector form the one block that the check takes eigenvalues
-    of and the solve reads, so X is solved there alone: an (n_fed, d)
-    array whose rows follow `generator.population_sector[0][d:]`.
+    the check takes from the modes of the size groups that hold one.
+    The coherences of the population sector form the one block that the
+    check takes eigenvalues of and the solve reads, so X is solved there
+    alone: an (n_fed, d) array whose rows follow
+    `generator.population_sector[0][d:]`.
 
     Raises
     ------
@@ -96,13 +107,16 @@ def _eliminate(generator):
     idx, block = generator.population_sector
     # the sector's indices ascend, so its populations come first
     p = np.searchsorted(idx, d)
-    evals = [lam[i[:, 0] >= d].ravel() for i, lam, _ in generator.modes]
+    evals = []
+    for group, (i, _) in enumerate(generator.blocks):
+        # rows run in order of their smallest index, so a group holds a
+        # coherence-only sector when its last row does
+        if i[-1, 0] >= d:
+            evals.append(generator.modes(group)[1][i[:, 0] >= d].ravel())
     if p < idx.size:
         evals.append(np.linalg.eigvals(block[p:, p:]))
     _check_coherence_block(np.concatenate(evals))
-    # populations in two sectors hold two stationary states, even where
-    # LAPACK returns one zero eigenvalue as an exact 0.0 that passes the
-    # gap rule
+    # populations in two sectors hold two stationary states
     if p < d:
         raise NonUniqueSteadyStateError(
             "non-unique steady state: the populations fall into %d "
@@ -113,64 +127,103 @@ def _eliminate(generator):
     return -x, block[:d, :d] - block[:d, d:] @ x
 
 
-def _isolated_zero(evals):
-    """Index of the eigenvalue of smallest magnitude, with a uniqueness
-    check: the second-smallest magnitude must exceed the smallest by
-    more than GAP_RATIO."""
-    order = np.argsort(np.abs(evals))
-    lam0, lam1 = evals[order[0]], evals[order[1]]
-    if not abs(lam1) > GAP_RATIO * abs(lam0):
-        raise NonUniqueSteadyStateError(
-            "non-unique steady state: two smallest eigenvalue magnitudes "
-            "%.3e and %.3e are not separated by a factor %g"
-            % (abs(lam0), abs(lam1), GAP_RATIO)
-        )
-    return order[0]
+def _reduce(a):
+    """Eliminate the states d - 1, ..., 1 of a (d, d) rate array in place,
+    a[m, n] the rate from m to n (its diagonal is never read), and return
+    the first state whose pivot is 0, or None.
+
+    Eliminating n divides a[:n, n] by its pivot, the sum of n's rates to
+    the states below it, and adds a[i, n] a[n, j] to the rate from i to j
+    for every i, j below n: the rates of the chain censored to 0..n-1.
+    The states run in panels of _PANEL.  Inside a panel its states' rows
+    and columns take the updates state by state; the block of the states
+    below the panel takes their sum afterwards in one matrix product, the
+    same terms summed in another order.
+    """
+    top = a.shape[0]
+    while top > 1:
+        low = max(top - _PANEL, 0)
+        for n in range(top - 1, max(low, 1) - 1, -1):
+            pivot = a[n, :n].sum()
+            if pivot == 0.0:
+                return n
+            col = a[:n, n]
+            col /= pivot
+            a[low:n, :n] += col[low:, None] * a[n, :n]
+            if low:
+                a[:low, low:n] += col[:low, None] * a[n, low:n]
+        if low:
+            a[:low, :low] += a[:low, low:top] @ a[low:top, :low]
+        top = low
+    return None
 
 
-def _steady_state(generator):
-    """Stationary density matrix of a generator, from its sector modes.
+def _populations(l_matrix):
+    """Stationary populations of a rate matrix L (columns summing to zero),
+    normalized to sum 1, by GTH state reduction on L's real part (the
+    IMAG_TOL rule of :mod:`~curlflux.flux`).
 
-    The union of the sector eigenvalues is the spectrum of M and takes
-    the uniqueness check, and the null vector is the eigenvector of the
-    eigenvalue of smallest magnitude in its sector, zero elsewhere.  On a
-    diagonal Hamiltonian that is one d x d eigendecomposition plus
-    d**2 - d scalars instead of one of size d**2; on a generator with one
-    sector, one eigendecomposition of M.
-
-    Returns
-    -------
-    SteadyState
-        Normalized (trace 1), hermitized Liouville vector together with
-        the residual ||M vec(rho_ss)||, taken on its sector (a
-        Hermiticity-preserving M maps the adjoint of a sector onto the
-        same sector, so the hermitized vector stays in it).
+    With p_0 = 1, back substitution gives p_n = sum_(k<n) p_k a[k, n].
+    A zero pivot at state n means that n cannot reach the states before
+    it, so it lies in a closed class: the reduction restarts once with n
+    first, the state kept to the end.  A unique closed class then holds
+    n and is reached from every state, so a second zero pivot means a
+    second closed class.
 
     Raises
     ------
     NonUniqueSteadyStateError
-        If the zero eigenvalue is degenerate or absent.
+        If L has two closed classes.
+    """
+    rates = _real_rate_matrix(l_matrix)
+    order = np.arange(rates.shape[0])
+    a = np.array(rates.T)
+    n = _reduce(a)
+    if n is not None:
+        order = np.concatenate([[n], np.delete(order, n)])
+        a = rates.T[np.ix_(order, order)]
+        second = _reduce(a)
+        if second is not None:
+            raise NonUniqueSteadyStateError(
+                "non-unique steady state: states %d and %d of the rate "
+                "matrix lie in two closed classes" % (n, order[second]))
+    p = np.ones(order.size)
+    for k in range(1, order.size):
+        p[k] = p[:k] @ a[:k, k]
+    out = np.empty_like(p)
+    out[order] = p / p.sum()
+    return out
+
+
+def _lift(generator, k_fed, x):
+    """[x; K x] for a population vector x, as a Liouville vector."""
+    v = np.zeros(generator.d ** 2, dtype=complex)
+    v[generator.population_sector[0]] = np.concatenate([x, k_fed @ x])
+    return v
+
+
+def _steady_state(generator, k_fed, l_matrix):
+    """Stationary density matrix of a generator, from its K and L.
+
+    Returns
+    -------
+    SteadyState
+        The lift [p; K p] of L's stationary populations, hermitized and
+        normalized to trace 1, together with the residual ||M_s rho_s||
+        on the population sector, the only sector it has entries in.
+
+    Raises
+    ------
+    NonUniqueSteadyStateError
+        If L has two closed classes.
     """
     d = generator.d
-    modes = generator.modes
-    k = _isolated_zero(np.concatenate([lam.ravel() for _, lam, _ in modes]))
-    for (idx, lam, vecs), (_, block) in zip(modes, generator.blocks):
-        if k < lam.size:
-            break
-        k -= lam.size
-    row, col = divmod(k, lam.shape[1])
-    v = np.zeros(d * d, dtype=complex)
-    v[idx[row]] = vecs[row, :, col]
-    tr = v[:d].sum()
-    if abs(tr) < 1e-14:
-        raise NonUniqueSteadyStateError("null vector has (near-)zero trace")
-    v = v / tr
-    # null vectors of a physical generator are Hermitian up to rounding
-    rho = devectorize(v)
-    rho = 0.5 * (rho + rho.conj().T)
-    v = vectorize(rho)
+    idx, block = generator.population_sector
+    rho = devectorize(_lift(generator, k_fed, _populations(l_matrix)))
+    # K p is Hermitian up to rounding
+    v = vectorize(0.5 * (rho + rho.conj().T))
     v = v / v[:d].sum().real
-    residual = float(np.linalg.norm(block[row] @ v[idx[row]]))
+    residual = float(np.linalg.norm(block @ v[idx]))
     return SteadyState(vector=v, residual=residual)
 
 
@@ -178,7 +231,8 @@ def _steady_state(generator):
 class Analysis:
     """Everything the reduction derives from one generator.
 
-    `rho_ss` is the null vector of M, and `populations` is its diagonal.
+    `rho_ss` is the stationary state, the lift of L's populations, and
+    `populations` is its diagonal.
     `k_fed` holds K's rows on the population sector's coherences, the
     only rows that can be non-zero; `lift` reads them.  `flux` and
     `split` are computed on first use: they need strictly positive
@@ -193,10 +247,7 @@ class Analysis:
 
     def lift(self, x):
         """W x = [x; K x] for a population vector x, as a Liouville vector."""
-        gen = self.generator
-        v = np.zeros(gen.d ** 2, dtype=complex)
-        v[gen.population_sector[0]] = np.concatenate([x, self.k_fed @ x])
-        return v
+        return _lift(self.generator, self.k_fed, x)
 
     @cached_property
     def flux(self):
@@ -213,22 +264,23 @@ def analyze(generator):
     """Reduce a :class:`~curlflux.liouville.Generator` and decompose its
     steady state.
 
-    Each sector is diagonalized once (`Generator.modes`).  K and L come
-    from the elimination, and the steady state rho_ss is the null vector
-    of M itself; the populations are its diagonal.  With M_c non-singular,
-    M [p; K p] = [L p; 0], so the null spaces of M and L correspond one
-    to one and L p = 0.
+    K and L come from the elimination, the populations from L by GTH
+    state reduction, and rho_ss is their lift [p; K p]: with M_c
+    non-singular, M [p; K p] = [L p; 0], so the null spaces of M and L
+    correspond one to one.
 
     Raises
     ------
     NonDecayingCoherenceError
         If the coherence block is singular.
     NonUniqueSteadyStateError
-        If the populations do not all share one sector, or M has no
-        isolated zero eigenvalue.
+        If the populations do not all share one sector, or L has two
+        closed classes.
+    ValueError
+        If L has imaginary parts above the IMAG_TOL rule.
     """
     k_fed, l_matrix = _eliminate(generator)
-    rho_ss = _steady_state(generator)
+    rho_ss = _steady_state(generator, k_fed, l_matrix)
     return Analysis(
         generator=generator,
         k_fed=k_fed,

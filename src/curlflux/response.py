@@ -37,13 +37,17 @@ and the sources are O(d**3) operator products,
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
 one resolvent.  G(w) is block diagonal over the sectors of M (see
 :mod:`~curlflux.liouville`), and it is evaluated on the whole grid from
-the modes of the sectors that both <<l| and |r>> touch
-(`Generator.modes`, found once per generator and shared with
-:func:`~curlflux.reduction.analyze`).  On a diagonal Hamiltonian (every
-generic run file) the touched sectors are 1 x 1 coherences, so the cost
-is O(d**3), not the O(d**6) of one dense d**2 x d**2 eigendecomposition:
-on a 401-point grid, 17 ms -> 1.5 ms at d = 16 and 0.18 s -> 3 ms at
-d = 24 (2 cores, BLAS on 1 thread).  A dense Hamiltonian is one sector.
+the modes of the sectors that both <<l| and |r>> touch: only their size
+groups are diagonalized (`Generator.modes`, each group once per
+generator and shared with the coherence check of
+:func:`~curlflux.reduction.analyze`), and the pole tolerance scales with
+the largest row sum of any block, which needs no eigenvalue.  On a
+diagonal Hamiltonian (every generic run file) the touched sectors are
+1 x 1 coherences and the d x d rate block is never diagonalized, so the
+cost is O(d**3), not the O(d**6) of one dense d**2 x d**2
+eigendecomposition: on a 401-point grid, 17 ms -> 1.5 ms at d = 16 and
+0.18 s -> 3 ms at d = 24 (2 cores, BLAS on 1 thread).  A dense
+Hamiltonian is one sector.
 
 Every function returns arrays and records; the spectrum and fdr-check
 CSVs are written by :mod:`curlflux.cli`.
@@ -116,7 +120,8 @@ def _sector_resolvent(generator, omegas, left, right):
     Parameters
     ----------
     generator : Generator
-        Read through its blocks and its modes.
+        Read through its blocks, and through the modes of the size groups
+        that hold a touched sector alone.
     omegas : array_like of float, n_w points
     left : (n,) or (k_left, n) array_like
     right : (n,) or (n, k_right) array_like
@@ -129,8 +134,10 @@ def _sector_resolvent(generator, omegas, left, right):
         M_s = V_s diag(lam) V_s^{-1}, A = left V and B = V^{-1} right over
         their modes, -sum_k A_k B_k / (lam_k + i w), with no
         convergence factor.  A grid point is on the pole of mode k when
-        |lam_k + i w| <= 1e-13 max(1, max|lam|), the maximum taken over
-        every sector of M.  That distance is at least |Re lam_k|, so
+        |lam_k + i w| <= 1e-13 max(1, max_s ||M_s||_inf), the largest
+        absolute row sum of any sector of M: it bounds every |lam| from
+        above, equals |lam| on a 1 x 1 sector, and needs no eigenvalue of
+        an untouched sector.  That distance is at least |Re lam_k|, so
         only the modes within the tolerance of the imaginary axis are
         tested on the grid.  A mode the pair does not excite (|A_k B_k|
         at most 1e-12 of the pair's largest weight over all modes)
@@ -152,13 +159,15 @@ def _sector_resolvent(generator, omegas, left, right):
     right = np.asarray(right, dtype=complex).reshape(left.shape[1], -1)
     shape = (omegas.size, left.shape[0], right.shape[1])
     reads, feeds = (left != 0).any(axis=0), (right != 0).any(axis=1)
-    modes = generator.modes
-    scale = max(1.0, *(np.abs(lam).max() for _, lam, _ in modes))
+    # the largest ||M_s||_inf bounds every |lam| without an eigenvalue
+    scale = max(1.0, *(np.abs(block).sum(axis=2).max()
+                       for _, block in generator.blocks))
     touched, evals, a, b, cond = [], [], [], [], 0.0
-    for (idx, lam, vecs), (_, block) in zip(modes, generator.blocks):
+    for group, (idx, block) in enumerate(generator.blocks):
         hit = reads[idx].any(axis=1) & feeds[idx].any(axis=1)
         if not hit.any():
             continue
+        _, lam, vecs = generator.modes(group)
         idx, vecs = idx[hit], vecs[hit]
         touched.append((idx, block, hit))
         evals.append(lam[hit].ravel())

@@ -22,8 +22,7 @@ from curlflux.reduction import (
     NonUniqueSteadyStateError,
     SteadyState,
     _eliminate,
-    _isolated_zero,
-    _steady_state,
+    analyze,
 )
 from curlflux.response import _sector_resolvent
 
@@ -220,8 +219,9 @@ def to_dense(generator):
 
 
 def steady_state(m):
-    """SteadyState of a dense generator, by the library's sectored route."""
-    return _steady_state(generator_of(m))
+    """SteadyState of a dense generator, by the library's route: the lift
+    of L's GTH populations."""
+    return analyze(generator_of(m)).rho_ss
 
 
 def resolvent(m, omegas, left, right):
@@ -258,11 +258,25 @@ def effective_rate_matrix(m):
     return _elimination(m)[1]
 
 
+# the oracle's null vector is unique when the second-smallest eigenvalue
+# magnitude exceeds the smallest by more than GAP_RATIO
+GAP_RATIO = 1e3
+
+
 def null_vector(m):
     """Eigenvector of m for its isolated eigenvalue of smallest magnitude,
-    from one dense eigendecomposition."""
+    from one dense eigendecomposition: the second-smallest magnitude must
+    exceed the smallest by more than GAP_RATIO."""
     evals, evecs = np.linalg.eig(m)
-    return evecs[:, _isolated_zero(evals)]
+    order = np.argsort(np.abs(evals))
+    lam0, lam1 = evals[order[0]], evals[order[1]]
+    if not abs(lam1) > GAP_RATIO * abs(lam0):
+        raise NonUniqueSteadyStateError(
+            "non-unique steady state: two smallest eigenvalue magnitudes "
+            "%.3e and %.3e are not separated by a factor %g"
+            % (abs(lam0), abs(lam1), GAP_RATIO)
+        )
+    return evecs[:, order[0]]
 
 
 def rate_steady_state(l_matrix):

@@ -366,6 +366,36 @@ def test_unpopulated_level_fails_only_the_flux_commands(tmp_path, capsys):
     assert "strictly positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("channels, spectrum_code, message", [
+    # all population in a, or all in c: spectrum runs, the flux commands
+    # refuse the empty levels
+    ("[{upper: b, lower: a, rate_up: 0.0, rate_down: 0.02},"
+     " {upper: c, lower: b, rate_up: 0.0, rate_down: 0.03}]",
+     0, "strictly positive"),
+    ("[{upper: b, lower: a, rate_up: 0.01, rate_down: 0.0},"
+     " {upper: c, lower: b, rate_up: 0.02, rate_down: 0.0}]",
+     0, "strictly positive"),
+    # b empties into a and into c: two closed classes, refused everywhere
+    ("[{upper: b, lower: a, rate_up: 0.0, rate_down: 0.02},"
+     " {upper: c, lower: b, rate_up: 0.01, rate_down: 0.0}]",
+     3, "non-unique steady state"),
+], ids=["rate-up-0", "rate-down-0", "two-closed-classes"])
+def test_irreversible_rate_graphs_keep_their_exit_codes(tmp_path, capsys,
+                                                        channels,
+                                                        spectrum_code, message):
+    cfg = tmp_path / "edge.yaml"
+    cfg.write_text(
+        "model:\n  type: generic\n  generic:\n"
+        "    levels: {a: 0.0, b: 1.0, c: 2.5}\n"
+        "    channels: %s\n" % channels + OMEGA
+    )
+    out = str(tmp_path / "out")
+    assert main(["spectrum", "--config", str(cfg), "--out", out]) == spectrum_code
+    for command in ("flux", "validate"):
+        assert main([command, "--config", str(cfg), "--out", out]) == 3
+    assert message in capsys.readouterr().err
+
+
 def test_disconnected_model_is_a_numerical_error(tmp_path, capsys):
     # level c has no channel: a stationary state of its own, which every
     # command refuses rather than picking one
@@ -548,8 +578,9 @@ def ladder_run_file(path, dim, seed=0):
 
 def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
     # no eigendecomposition of a d**2 x d**2 matrix and no Kronecker
-    # product anywhere on the way, only per-sector blocks, and one
-    # eigendecomposition per command: the steady state's, of the rate block
+    # product anywhere on the way, only per-sector blocks; the coherences
+    # are 1 x 1 sectors and the steady state comes from the rate block by
+    # state reduction, so no command takes an eigendecomposition at all
     dim = 16
     cfg = ladder_run_file(tmp_path / "ladder.yaml", dim)
     calls, krons = [], []
@@ -571,22 +602,23 @@ def test_flux_and_validate_run_no_dense_generator_stage(tmp_path, monkeypatch):
     for command in ("validate", "flux"):
         calls.clear()
         assert main([command, "--config", cfg, "--out", str(tmp_path)]) == 0
-        assert calls and max(size for _, size in calls) < dim * dim
-        assert [call for call in calls if call[0] == "eig"] == [("eig", dim)]
+        assert calls == []
     assert krons == []
 
 
-JUNCTION_POINT = [("eig", (2, 2, 2)), ("eig", (1, 5, 5)), ("eigvals", (2, 2))]
+JUNCTION_POINT = [("eig", (2, 2, 2)), ("eigvals", (2, 2))]
 
 
 @pytest.mark.parametrize("command, name, expected", [
-    # per bias point: the two 2 x 2 coherence sectors and the 5 x 5 sector
-    # of the populations, then the coherences that share it
+    # per bias point: the two 2 x 2 coherence sectors, which the coherence
+    # check and the spectrum read, and the coherences that share the 5 x 5
+    # sector of the populations, which is never diagonalized
     ("spectrum", "fig2a.yaml", JUNCTION_POINT * 5),
-    # the rate block; the coherences are 1 x 1 sectors
-    ("spectrum", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
-    ("flux", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
-    ("validate", "flux_fivelevel.yaml", [("eig", (1, 5, 5))]),
+    # the coherences are 1 x 1 sectors and the rate block is never
+    # diagonalized
+    ("spectrum", "flux_fivelevel.yaml", []),
+    ("flux", "flux_fivelevel.yaml", []),
+    ("validate", "flux_fivelevel.yaml", []),
 ])
 def test_each_generator_sector_is_diagonalized_once(tmp_path, monkeypatch,
                                                     command, name, expected):

@@ -338,7 +338,7 @@ def _permuted_blocks():
 def test_each_mode_diagonalizes_its_sector(gen):
     m = to_dense(gen)
     seen = []
-    modes = sector_modes(gen)
+    modes = [sector_modes(idx, block) for idx, block in gen.blocks]
     assert [idx.tolist() for idx, _, _ in modes] == [
         idx.tolist() for idx, _ in gen.blocks]
     for idx, lam, vecs in modes:
@@ -434,9 +434,9 @@ def _bench_workloads():
     return module
 
 
-def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
-    # the bundled run files, their bench/reference copies and every run
-    # file the bench generates for seeds 1 to 3
+def run_file_paths(tmp_path):
+    """The bundled run files, their bench/reference copies and every run
+    file the bench generates for seeds 1 to 3, written under tmp_path."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
              if p.name.endswith(".yaml")]
@@ -447,10 +447,15 @@ def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
             work = str(tmp_path / ("%s%d" % (name, seed)))
             spec = workloads.generate(name, seed, work)
             paths += [op["argv"][2] for op in [spec["warmup"]] + spec["batch"]]
+    return sorted(set(paths))
+
+
+def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):
+    paths = run_file_paths(tmp_path)
     # 68 files today; a new bench rung changes the count, and its dense
     # oracles grow as d**4
-    assert len(set(paths)) == 68
-    for path in sorted(set(paths)):
+    assert len(paths) == 68
+    for path in paths:
         config = load_config(path)
         for _, model in config.points:
             assert_generator_is_the_dense_oracle(

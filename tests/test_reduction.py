@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.linalg import block_diag
 
 import curlflux.reduction as reduction
 from curlflux.cli import _analyze
-from curlflux.config import _junction_model
+from curlflux.config import _junction_model, load_config
 from curlflux.junction import JunctionParams
-from curlflux.liouville import DissipationChannel, devectorize, vectorize
+from curlflux.liouville import (DissipationChannel, build_generator,
+                                devectorize, vectorize)
 from curlflux.reduction import (
     Analysis,
     NonDecayingCoherenceError,
@@ -24,6 +26,7 @@ from helpers import (
     generator_of,
     memory_kernel,
     propagate,
+    random_ladder,
     random_ladder_model,
     random_lindblad_model,
     rate_steady_state,
@@ -31,6 +34,7 @@ from helpers import (
     to_dense,
 )
 from junction_oracles import build_junction
+from test_liouville import generator_inputs, run_file_paths
 
 
 def random_generator(rng, d=3):
@@ -217,27 +221,6 @@ def test_analyze_steady_state_matches_full_generator_random(dim):
     assert np.array_equal(np.diag(rho), analysis.populations)
 
 
-def _steady_state_cases():
-    for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
-        model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]))
-        # the "-True" id suffix is kept from a retired second pairing
-        yield "junction-%g-%g-True" % mu, to_dense(model.generator)
-    for dim in (3, 5, 8):
-        yield "lindblad-%d" % dim, random_lindblad_model(
-            np.random.default_rng(30 + dim), dim=dim)[2]
-    for dim in (3, 8, 16, 24):
-        yield "ladder-%d" % dim, random_ladder_model(
-            np.random.default_rng(40 + dim), dim)[2]
-
-
-@pytest.mark.parametrize("m", [pytest.param(m, id=name)
-                               for name, m in _steady_state_cases()])
-def test_sectored_steady_state_matches_dense_oracle(m):
-    got, ref = steady_state(m), dense_steady_state(m)
-    assert np.abs(got.vector - ref.vector).max() <= 1e-12 * np.abs(ref.vector).max()
-    assert got.residual <= 1e-10
-
-
 def _rate_graph(energies, edges):
     # diagonal Hamiltonian with one channel per (lower, upper, rate_up,
     # rate_down) edge
@@ -254,22 +237,70 @@ def _disconnected_rate_graph():
                        [(0, 1, 0.01, 0.02), (2, 3, 0.01, 0.02)])
 
 
-@pytest.mark.parametrize("m", [
-    _disconnected_rate_graph(),
-    # degenerate levels, no channel: every coherence is an undamped sector
-    build_liouvillian(np.eye(2, dtype=complex), []),
-], ids=["disconnected", "undamped-coherence"])
-def test_sectored_steady_state_refuses_like_dense_oracle(m):
-    with pytest.raises(NonUniqueSteadyStateError) as ref:
+def _edge_rate_graphs():
+    # three levels a < b < c: no uphill rate, no downhill rate, and b
+    # emptying into both a and c, two closed classes
+    levels = [0.0, 1.0, 2.5]
+    return {
+        "rate-up-0": _rate_graph(levels, [(0, 1, 0.0, 0.02), (1, 2, 0.0, 0.03)]),
+        "rate-down-0": _rate_graph(levels, [(0, 1, 0.01, 0.0), (1, 2, 0.02, 0.0)]),
+        "two-closed-classes": _rate_graph(levels, [(0, 1, 0.0, 0.02),
+                                                   (1, 2, 0.01, 0.0)]),
+    }
+
+
+def _steady_state_cases():
+    for mu in ((1.0, 1.0), (1.06, 0.94), (1.0, 0.5)):
+        model = build_junction(JunctionParams(mu_1=mu[0], mu_2=mu[1]))
+        # the "-True" id suffix is kept from a retired second pairing
+        yield "junction-%g-%g-True" % mu, to_dense(model.generator)
+    for dim in (3, 5, 8):
+        yield "lindblad-%d" % dim, random_lindblad_model(
+            np.random.default_rng(30 + dim), dim=dim)[2]
+    for dim in (3, 8, 16, 24):
+        yield "ladder-%d" % dim, random_ladder_model(
+            np.random.default_rng(40 + dim), dim)[2]
+    # one closed class and empty levels; rate-down-0's first zero pivot,
+    # at c, restarts the reduction there
+    for name in ("rate-up-0", "rate-down-0"):
+        yield name, _edge_rate_graphs()[name]
+
+
+@pytest.mark.parametrize("m", [pytest.param(m, id=name)
+                               for name, m in _steady_state_cases()])
+def test_sectored_steady_state_matches_dense_oracle(m):
+    got, ref = steady_state(m), dense_steady_state(m)
+    assert np.abs(got.vector - ref.vector).max() <= 1e-12 * np.abs(ref.vector).max()
+    assert got.residual <= 1e-10
+
+
+@pytest.mark.parametrize("m, error, message", [
+    # two separate pairs: _eliminate finds the populations in two sectors
+    (_disconnected_rate_graph(), NonUniqueSteadyStateError,
+     "non-unique steady state: the populations fall into 2 disconnected "
+     "sectors"),
+    # degenerate levels, no channel: every coherence is an undamped sector,
+    # which the coherence check refuses first
+    (build_liouvillian(np.eye(2, dtype=complex), []), NonDecayingCoherenceError,
+     "coherence block is singular: eigenvalue 0j has magnitude 0.000e+00"),
+    # one sector, but a second zero pivot: the reduction restarted at c
+    # finds a, which cannot reach c
+    (_edge_rate_graphs()["two-closed-classes"], NonUniqueSteadyStateError,
+     "non-unique steady state: states 2 and 0 of the rate matrix lie in "
+     "two closed classes"),
+], ids=["disconnected", "undamped-coherence", "two-closed-classes"])
+def test_sectored_steady_state_refuses_like_dense_oracle(m, error, message):
+    with pytest.raises(NonUniqueSteadyStateError):
         dense_steady_state(m)
-    with pytest.raises(NonUniqueSteadyStateError) as got:
+    with pytest.raises(error) as got:
         steady_state(m)
-    assert str(got.value) == str(ref.value)
+    assert str(got.value) == message
 
 
 def test_steady_state_decomposes_a_one_sector_generator_once(monkeypatch):
-    # a dense Hamiltonian joins every index into one sector: its null
-    # vector costs one eigendecomposition and no separate eigenvalue pass
+    # a dense Hamiltonian joins every index into one sector: its steady
+    # state takes no eigendecomposition, and the coherence check one
+    # eigenvalue pass of the 12 x 12 coherence block
     _, _, m = random_lindblad_model(np.random.default_rng(50), dim=4)
     calls = []
     for name in ("eig", "eigvals"):
@@ -281,7 +312,7 @@ def test_steady_state_decomposes_a_one_sector_generator_once(monkeypatch):
 
         monkeypatch.setattr(np.linalg, name, watched)
     ss = steady_state(m)
-    assert calls == [("eig", 16)]
+    assert calls == [("eigvals", 12)]
     assert ss.residual <= 1e-12
 
 
@@ -359,3 +390,49 @@ def test_junction_model_is_an_analysis():
     model = _analyze(_junction_model(JunctionParams(mu_1=1.0, mu_2=0.5)))
     assert isinstance(model, Analysis)
     assert np.array_equal(model.populations, model.rho_ss.vector[:3].real)
+
+
+def relative_residual(analysis):
+    """max_n |(L p)_n / (L_nn p_n)| over the populated levels: what
+    s_d + v_ss + 1 equals."""
+    rates, pops = analysis.l_matrix.real, analysis.populations
+    live = pops > 0
+    return np.abs((rates @ pops)[live]
+                  / (np.diagonal(rates) * pops)[live]).max()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(generator_inputs())
+def test_steady_state_is_relatively_stationary_on_every_generator(case):
+    # every draw analyzes; its populations are stationary level by level
+    # to rounding, and its steady state is the dense null vector
+    gen, m = case
+    analysis = analyze(gen)
+    assert relative_residual(analysis) <= 1e-14
+    ref = dense_steady_state(m).vector
+    assert (np.abs(analysis.rho_ss.vector - ref).max()
+            <= 1e-12 * np.abs(ref).max())
+
+
+def test_steady_state_is_relatively_stationary_on_every_run_file(tmp_path):
+    for path in run_file_paths(tmp_path):
+        for _, model in load_config(path).points:
+            assert relative_residual(_analyze(model)) <= 1e-14, path
+
+
+@pytest.mark.parametrize("dim, panel", [(8, 3), (80, 32)])
+def test_state_reduction_in_panels_matches_one_panel(monkeypatch, dim, panel):
+    # the states below a panel take its updates in one matrix product: the
+    # same terms summed in another order, so the populations agree entry
+    # by entry with a reduction that updates every state state by state
+    h, channels, _ = random_ladder(np.random.default_rng(60 + dim), dim)
+    l_matrix = analyze(build_generator(h, channels)).l_matrix
+    monkeypatch.setattr(reduction, "_PANEL", panel)
+    blocked = reduction._populations(l_matrix)
+    monkeypatch.setattr(reduction, "_PANEL", dim)
+    whole = reduction._populations(l_matrix)
+    assert np.abs(blocked / whole - 1.0).max() <= 1e-13
+    rates = l_matrix.real
+    assert np.abs((rates @ blocked) / (np.diagonal(rates) * blocked)).max() <= 1e-14
+    ref = rate_steady_state(l_matrix).vector
+    assert np.abs(blocked - ref).max() <= 1e-12 * ref.max()

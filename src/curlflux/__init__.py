@@ -16,18 +16,15 @@ from .liouville import (
     DissipationChannel,
     Generator,
     build_generator,
-    devectorize,
     vectorize,
 )
 from .reduction import (
     Analysis,
-    SteadyState,
     analyze,
 )
 from .response import (
     ResponseSpectrum,
     check_equilibrium_fdr,
-    fluctuation_spectrum,
     linear_response_freq,
     response_split,
 )

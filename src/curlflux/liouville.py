@@ -41,7 +41,6 @@ import numpy as np
 __all__ = [
     "DissipationChannel",
     "vectorize",
-    "devectorize",
     "Generator",
     "build_generator",
     "sector_labels",
@@ -104,17 +103,6 @@ def vectorize(rho):
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (rho.shape,))
     return rho.reshape(-1)[_permutation(rho.shape[0])]
-
-
-def devectorize(vec):
-    """Inverse of :func:`vectorize`."""
-    vec = np.asarray(vec, dtype=complex)
-    d = int(round(np.sqrt(vec.size)))
-    if d * d != vec.size:
-        raise ValueError("vector length %d is not a perfect square" % vec.size)
-    out = np.empty(d * d, dtype=complex)
-    out[_permutation(d)] = vec
-    return out.reshape(d, d)
 
 
 def _hermitian(op, name):

@@ -21,9 +21,9 @@ state's exit rates and so subtracts nothing: for non-negative rates p
 is accurate entrywise in the relative sense (O'Cinneide, Numer. Math.
 65, 109 (1993)), and the relative residual (L p)_n / (L_nn p_n), which
 is what s_d + v_ss + 1 equals, stays at rounding however slow a level's
-exits are.  rho_ss is their lift [p; K p], exact because M [p; K p] =
-[L p; 0], and its residual ||M_s rho_s|| on the population sector
-checks p, K and L against M's own block.  Neither step takes an
+exits are.  rho_ss is their lift diag(p) + K p, a d x d operator whose
+coherences K p sit on the population sector's fed coherences; it is
+exact because M [p; K p] = [L p; 0].  Neither step takes an
 eigendecomposition: only the coherence check reads modes, those of the
 size groups that hold a coherence-only sector (`Generator.modes`), plus
 the eigenvalues of the population sector's coherences, so on a diagonal
@@ -35,18 +35,16 @@ steady state, and on demand the curl flux and the split operators.
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from .flux import _real_rate_matrix, curl_flux, split_operators
-from .liouville import Generator, devectorize, vectorize
+from .liouville import Generator, _permutation
 
 __all__ = [
     "Analysis",
     "NonDecayingCoherenceError",
     "NonUniqueSteadyStateError",
-    "SteadyState",
     "analyze",
 ]
 
@@ -67,11 +65,6 @@ class NonDecayingCoherenceError(np.linalg.LinAlgError):
 
 class NonUniqueSteadyStateError(np.linalg.LinAlgError):
     """The generator has more than one stationary state."""
-
-
-class SteadyState(NamedTuple):
-    vector: np.ndarray
-    residual: float
 
 
 def _check_coherence_block(evals):
@@ -115,7 +108,9 @@ def _eliminate(generator):
             evals.append(generator.modes(group)[1][i[:, 0] >= d].ravel())
     if p < idx.size:
         evals.append(np.linalg.eigvals(block[p:, p:]))
-    _check_coherence_block(np.concatenate(evals))
+    # a one-level generator has no coherence to check
+    if evals:
+        _check_coherence_block(np.concatenate(evals))
     # populations in two sectors hold two stationary states
     if p < d:
         raise NonUniqueSteadyStateError(
@@ -196,43 +191,21 @@ def _populations(l_matrix):
 
 
 def _lift(generator, k_fed, x):
-    """[x; K x] for a population vector x, as a Liouville vector."""
-    v = np.zeros(generator.d ** 2, dtype=complex)
-    v[generator.population_sector[0]] = np.concatenate([x, k_fed @ x])
-    return v
-
-
-def _steady_state(generator, k_fed, l_matrix):
-    """Stationary density matrix of a generator, from its K and L.
-
-    Returns
-    -------
-    SteadyState
-        The lift [p; K p] of L's stationary populations, hermitized and
-        normalized to trace 1, together with the residual ||M_s rho_s||
-        on the population sector, the only sector it has entries in.
-
-    Raises
-    ------
-    NonUniqueSteadyStateError
-        If L has two closed classes.
-    """
+    """diag(x) + K x for a population vector x, as a (d, d) operator: K x
+    fills the population sector's fed coherences."""
     d = generator.d
-    idx, block = generator.population_sector
-    rho = devectorize(_lift(generator, k_fed, _populations(l_matrix)))
-    # K p is Hermitian up to rounding
-    v = vectorize(0.5 * (rho + rho.conj().T))
-    v = v / v[:d].sum().real
-    residual = float(np.linalg.norm(block @ v[idx]))
-    return SteadyState(vector=v, residual=residual)
+    op = np.diag(np.asarray(x, dtype=complex))
+    op.flat[_permutation(d)[generator.population_sector[0][d:]]] = k_fed @ x
+    return op
 
 
 @dataclass(frozen=True)
 class Analysis:
     """Everything the reduction derives from one generator.
 
-    `rho_ss` is the stationary state, the lift of L's populations, and
-    `populations` is its diagonal.
+    `rho_ss` is the stationary density matrix, a (d, d) Hermitian
+    operator of trace 1, the lift of L's populations, and `populations`
+    is its diagonal.
     `k_fed` holds K's rows on the population sector's coherences, the
     only rows that can be non-zero; `lift` reads them.  `flux` and
     `split` are computed on first use: they need strictly positive
@@ -242,11 +215,12 @@ class Analysis:
     generator: Generator
     k_fed: np.ndarray
     l_matrix: np.ndarray
-    rho_ss: SteadyState
+    rho_ss: np.ndarray
     populations: np.ndarray
 
     def lift(self, x):
-        """W x = [x; K x] for a population vector x, as a Liouville vector."""
+        """W x = diag(x) + K x for a population vector x, as a (d, d)
+        operator."""
         return _lift(self.generator, self.k_fed, x)
 
     @cached_property
@@ -265,9 +239,9 @@ def analyze(generator):
     steady state.
 
     K and L come from the elimination, the populations from L by GTH
-    state reduction, and rho_ss is their lift [p; K p]: with M_c
-    non-singular, M [p; K p] = [L p; 0], so the null spaces of M and L
-    correspond one to one.
+    state reduction, and rho_ss is their lift diag(p) + K p, hermitized
+    and normalized to trace 1: with M_c non-singular, M [p; K p] =
+    [L p; 0], so the null spaces of M and L correspond one to one.
 
     Raises
     ------
@@ -280,11 +254,14 @@ def analyze(generator):
         If L has imaginary parts above the IMAG_TOL rule.
     """
     k_fed, l_matrix = _eliminate(generator)
-    rho_ss = _steady_state(generator, k_fed, l_matrix)
+    rho = _lift(generator, k_fed, _populations(l_matrix))
+    # K p is Hermitian up to rounding
+    rho = 0.5 * (rho + rho.conj().T)
+    rho /= np.trace(rho).real
     return Analysis(
         generator=generator,
         k_fed=k_fed,
         l_matrix=l_matrix,
-        rho_ss=rho_ss,
-        populations=rho_ss.vector[:generator.d].real,
+        rho_ss=rho,
+        populations=np.diagonal(rho).real,
     )

@@ -28,11 +28,17 @@ comparison of the two, :func:`check_equilibrium_fdr`, runs only on
 models that :func:`~curlflux.flux.is_detailed_balanced` calls balanced,
 the one rule the flux report and `validate` also state.
 
-None of these superoperators is built as a d**2 x d**2 matrix: the row
-and the sources are O(d**3) operator products,
+None of these superoperators is built as a d**2 x d**2 matrix.  The
+steady state and the lifts W S_D rho_p and W V_ss rho_p are d x d
+operators (:class:`~curlflux.reduction.Analysis`), and Liouville
+vectors are formed only as the resolvent's row and sources, O(d**3)
+operator products:
 
     <<1| V_L = vectorize(V^T)     (<<1| V_L |X>> = Tr(V X)),
-    V_- |rho>> = vectorize(V rho - rho V),  V_L |rho>> = vectorize(V rho).
+    V_- |rho>> = vectorize(V rho - rho V),  V_L |rho>> = vectorize(V rho),
+
+the last one for the fluctuation side of :func:`check_equilibrium_fdr`
+alone.
 
 Every spectrum here is a set of matrix elements <<l| G(w) |r>> of the
 one resolvent.  G(w) is block diagonal over the sectors of M (see
@@ -60,7 +66,7 @@ from typing import Optional
 import numpy as np
 
 from .flux import is_detailed_balanced
-from .liouville import _hermitian, devectorize, vectorize
+from .liouville import _hermitian, vectorize
 
 __all__ = [
     "ResponseSpectrum",
@@ -69,7 +75,6 @@ __all__ = [
     "FdrReport",
     "linear_response_freq",
     "response_split",
-    "fluctuation_spectrum",
     "check_equilibrium_fdr",
 ]
 
@@ -220,26 +225,24 @@ def _sector_resolvent(generator, omegas, left, right):
     return -(poles @ weight).reshape(shape)
 
 
-def _row_and_sources(v, columns):
-    """<<1| V_L, and V_- x and V_L x for every Liouville column x.
+def _row_and_sources(v, states):
+    """<<1| V_L, and V_- X for every (d, d) operator X of `states`.
 
     Operator products, as the module docstring states: returns the row
-    vectorize(V^T) and two (d**2, k) arrays whose columns are
-    vectorize(V X - X V) and vectorize(V X).  The commutator splits X
-    into its diagonal p and coherences C, [V, X] = V * (p_m - p_n) +
-    [V, C]: near X ~ 1 the products V X and X V nearly cancel, and
-    subtracting them whole would round the small coherence part away.
-    A V that is not Hermitian raises ValueError.
+    vectorize(V^T) and a (d**2, k) array whose columns are
+    vectorize(V X - X V).  The commutator splits X into its diagonal p
+    and coherences C, [V, X] = V * (p_m - p_n) + [V, C]: near X ~ 1 the
+    products V X and X V nearly cancel, and subtracting them whole would
+    round the small coherence part away.  A V that is not Hermitian
+    raises ValueError.
     """
     v = _hermitian(v, "coupling")
-    xs = [devectorize(x) for x in np.asarray(columns).reshape(v.size, -1).T]
     kicked = []
-    for x in xs:
+    for x in states:
         p = np.diagonal(x)
         c = x - np.diag(p)
         kicked.append(vectorize(v * (p - p[:, None]) + (v @ c - c @ v)))
-    return (vectorize(v.T), np.column_stack(kicked),
-            np.column_stack([vectorize(v @ x) for x in xs]))
+    return vectorize(v.T), np.column_stack(kicked)
 
 
 def linear_response_freq(coupling, analysis, omegas):
@@ -254,7 +257,7 @@ def linear_response_freq(coupling, analysis, omegas):
         With r_eq_term and r_ne_term left as None.
     """
     omegas = np.asarray(omegas, dtype=float)
-    row, kicked, _ = _row_and_sources(coupling, analysis.rho_ss.vector)
+    row, kicked = _row_and_sources(coupling, [analysis.rho_ss])
     r_full = -1j * _sector_resolvent(analysis.generator, omegas, row,
                                      kicked)[:, 0, 0]
     return ResponseSpectrum(omega=omegas, r_full=r_full)
@@ -270,8 +273,8 @@ def response_split(coupling, analysis, omegas):
     analysis : Analysis
         The :func:`~curlflux.reduction.analyze` result of the generator:
         its steady state, its split operators s_d and v_ss, and its
-        `lift` W = I + K, which takes s_d p and v_ss p into Liouville
-        space.
+        `lift` W = I + K, which takes s_d p and v_ss p to the operators
+        W S_D rho_p and W V_ss rho_p.
     omegas : array_like of float
 
     Returns
@@ -281,29 +284,13 @@ def response_split(coupling, analysis, omegas):
         r_eq_term + r_ne_term == r_full up to rounding.
     """
     split, lift = analysis.split, analysis.lift
-    states = np.column_stack([analysis.rho_ss.vector] + [
-        lift(w * analysis.populations) for w in (split.s_d, split.v_ss)])
-    row, kicked, _ = _row_and_sources(coupling, states)
+    states = [analysis.rho_ss] + [lift(w * analysis.populations)
+                                  for w in (split.s_d, split.v_ss)]
+    row, kicked = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
     r = _sector_resolvent(analysis.generator, omegas, row, kicked)[:, 0, :]
     return ResponseSpectrum(omega=omegas, r_full=-1j * r[:, 0],
                             r_eq_term=1j * r[:, 1], r_ne_term=1j * r[:, 2])
-
-
-def fluctuation_spectrum(coupling, analysis, omegas):
-    """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt,
-    as a complex array over the grid `omegas`, in the steady state of
-    `analysis` (an :class:`~curlflux.reduction.Analysis`).
-
-    The two-time correlator is evaluated by the regression rule, so
-    S(w) = <<1| V_L G(w) V_L |rho_ss>>.  Unlike the commutator source of
-    the response, V_L rho_ss excites the stationary mode when V has a
-    static component along the steady state (<<1|V_L rho_ss>> = <V> != 0):
-    S(w) then carries the undamped pole i<V>^2/w, and a grid that holds
-    w = 0 raises ResolventSingularError.
-    """
-    row, _, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
-    return _sector_resolvent(analysis.generator, omegas, row, seeded)[:, 0, 0]
 
 
 @dataclass(frozen=True)
@@ -350,14 +337,17 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas):
             "the equilibrium fluctuation-dissipation relation does not "
             "apply" % violation
         )
-    row, kicked, seeded = _row_and_sources(coupling, analysis.rho_ss.vector)
+    row, kicked = _row_and_sources(coupling, [analysis.rho_ss])
+    # V_L rho_ss, the fluctuation side's source, of the coupling that
+    # _row_and_sources has found Hermitian
+    seeded = vectorize(np.asarray(coupling, dtype=complex) @ analysis.rho_ss)
     omegas = np.asarray(omegas, dtype=float)
     keep = omegas != 0.0
     if not np.all(keep):
         warnings.warn("skipping omega = 0 grid points (coth pole)")
     omegas = omegas[keep]
     g = _sector_resolvent(analysis.generator, np.concatenate([omegas, -omegas]),
-                          row, np.hstack([kicked, seeded]))[:, 0, :]
+                          row, np.column_stack([kicked, seeded]))[:, 0, :]
     n = omegas.size
     lhs = (1.0 / np.tanh(omegas / (2.0 * temperature))) * (-1j * g[:n, 0]).imag
     rhs = g[:n, 1] + g[n:, 1]

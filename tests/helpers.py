@@ -2,6 +2,7 @@
 
 import math
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from scipy.linalg import expm
@@ -13,18 +14,35 @@ from curlflux.liouville import (
     _hermitian,
     _permutation,
     _positions,
-    devectorize,
     sector_indices,
     vectorize,
 )
 from curlflux.reduction import (
     NonDecayingCoherenceError,
     NonUniqueSteadyStateError,
-    SteadyState,
     _eliminate,
     analyze,
 )
 from curlflux.response import _sector_resolvent
+
+
+class SteadyState(NamedTuple):
+    """A stationary state as a Liouville (or population) vector, with the
+    norm of the generator applied to it."""
+
+    vector: np.ndarray
+    residual: float
+
+
+def devectorize(vec):
+    """Inverse of :func:`curlflux.liouville.vectorize`."""
+    vec = np.asarray(vec, dtype=complex)
+    d = int(round(np.sqrt(vec.size)))
+    if d * d != vec.size:
+        raise ValueError("vector length %d is not a perfect square" % vec.size)
+    out = np.empty(d * d, dtype=complex)
+    out[_permutation(d)] = vec
+    return out.reshape(d, d)
 
 
 @lru_cache(maxsize=None)
@@ -220,13 +238,31 @@ def to_dense(generator):
 
 def steady_state(m):
     """SteadyState of a dense generator, by the library's route: the lift
-    of L's GTH populations."""
-    return analyze(generator_of(m)).rho_ss
+    of L's GTH populations, vectorized, and ||M rho||."""
+    v = vectorize(analyze(generator_of(m)).rho_ss)
+    return SteadyState(vector=v, residual=float(np.linalg.norm(m @ v)))
 
 
 def resolvent(m, omegas, left, right):
     """left . G(w) . right of a dense matrix, by the library's resolvent."""
     return _sector_resolvent(generator_of(m), omegas, left, right)
+
+
+def fluctuation_spectrum(coupling, analysis, omegas):
+    """One-sided fluctuation spectrum S(w) = int_0^inf e^{iwt} <V(t)V(0)> dt,
+    as a complex array over the grid `omegas`, in the steady state of
+    `analysis` (an :class:`~curlflux.reduction.Analysis`).
+
+    The two-time correlator is evaluated by the regression rule, so
+    S(w) = <<1| V_L G(w) V_L |rho_ss>>, by the library's resolvent.
+    Unlike the commutator source of the response, V_L rho_ss excites the
+    stationary mode when V has a static component along the steady state
+    (<<1|V_L rho_ss>> = <V> != 0): S(w) then carries the undamped pole
+    i<V>^2/w, and a grid that holds w = 0 raises ResolventSingularError.
+    """
+    v = _hermitian(coupling, "coupling")
+    return _sector_resolvent(analysis.generator, omegas, vectorize(v.T),
+                             vectorize(v @ analysis.rho_ss))[:, 0, 0]
 
 
 def _elimination(m):

@@ -52,8 +52,7 @@ class JunctionModel(Analysis):
 
     @property
     def coherence_e1e2(self):
-        pairs = list(index_pairs(3))
-        return complex(self.rho_ss.vector[pairs.index((1, 2))])
+        return complex(self.rho_ss[1, 2])
 
 
 def fermi_factors(params):

@@ -15,9 +15,9 @@ from curlflux import cli, config, liouville, reduction, response
 from curlflux.cli import main
 from curlflux.flux import reconstruct_flux
 from curlflux.reduction import analyze
-from curlflux.response import FdrReport, ResolventSingularError, fluctuation_spectrum
+from curlflux.response import FdrReport, ResolventSingularError
 
-from helpers import generator_of, thermal_two_level
+from helpers import fluctuation_spectrum, generator_of, thermal_two_level
 
 
 def bundled(name):

@@ -6,13 +6,14 @@ from scipy.linalg import expm
 
 from curlflux.config import _junction_model, load_config
 from curlflux.junction import JunctionParams, fermi_dirac
-from curlflux.liouville import devectorize, vectorize
+from curlflux.liouville import vectorize
 from curlflux.response import response_split
 
 from helpers import (
     build_liouvillian,
     dense_k,
     dense_raising,
+    devectorize,
     generator_blocks,
     index_pairs,
     to_dense,

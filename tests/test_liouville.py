@@ -16,7 +16,6 @@ from curlflux.liouville import (
     _permutation,
     _positions,
     build_generator,
-    devectorize,
     sector_indices,
     sector_labels,
     sector_modes,
@@ -30,6 +29,7 @@ from helpers import (
     commutator_superop,
     dense_k,
     dense_raising,
+    devectorize,
     generator_blocks,
     generator_of,
     index_pairs,

@@ -7,8 +7,7 @@ import curlflux.reduction as reduction
 from curlflux.cli import _analyze
 from curlflux.config import _junction_model, load_config
 from curlflux.junction import JunctionParams
-from curlflux.liouville import (DissipationChannel, build_generator,
-                                devectorize, vectorize)
+from curlflux.liouville import DissipationChannel, build_generator, vectorize
 from curlflux.reduction import (
     Analysis,
     NonDecayingCoherenceError,
@@ -130,7 +129,7 @@ def test_junction_steady_state_matches_long_time_propagation():
     rho0 = vectorize(np.diag([1.0, 0.0, 0.0]).astype(complex))
     horizon = 1e4 / model.params.gamma
     evolved = propagate(to_dense(model.generator), rho0, horizon)
-    assert np.abs(evolved - model.rho_ss.vector).max() < 1e-8
+    assert np.abs(evolved - vectorize(model.rho_ss)).max() < 1e-8
 
 
 def test_junction_detailed_balance_at_equal_fermi_factors():
@@ -196,7 +195,7 @@ def test_steady_state_properties_random_models():
 
 def _assert_matches_full_null_vector(m):
     ref = dense_steady_state(m).vector
-    rho = analyze(generator_of(m)).rho_ss
+    rho = steady_state(m)
     assert np.abs(rho.vector - ref).max() <= 1e-12 * np.abs(ref).max()
     assert rho.residual <= 1e-10
 
@@ -213,9 +212,13 @@ def test_analyze_steady_state_matches_full_generator_junction(mu):
 @pytest.mark.parametrize("dim", [3, 5, 8])
 def test_analyze_steady_state_matches_full_generator_random(dim):
     _, _, m = random_lindblad_model(np.random.default_rng(20 + dim), dim=dim)
+    # vectorize(rho_ss) is the dense generator's null vector
     _assert_matches_full_null_vector(m)
     analysis = analyze(generator_of(m))
-    rho = devectorize(analysis.rho_ss.vector)
+    rho = analysis.rho_ss
+    # the stationary density matrix as a d x d operator of trace 1
+    assert rho.shape == (dim, dim)
+    assert abs(np.trace(rho) - 1.0) <= dim * np.finfo(float).eps
     # K p alone is Hermitian only to rounding on these models
     assert np.array_equal(rho, rho.conj().T)
     assert np.array_equal(np.diag(rho), analysis.populations)
@@ -329,6 +332,14 @@ def test_analyze_refuses_disconnected_generator():
             analyze(generator_of(m))
 
 
+def test_analyze_takes_a_one_level_generator_as_its_own_steady_state():
+    # no coherence, so no coherence eigenvalue to check
+    analysis = analyze(build_generator(np.zeros((1, 1)), []))
+    assert np.array_equal(analysis.populations, [1.0])
+    assert np.array_equal(analysis.rho_ss, [[1.0]])
+    assert analysis.k_fed.shape == (0, 1)
+
+
 def test_analyze_refuses_non_decaying_coherence():
     with pytest.raises(NonDecayingCoherenceError, match="singular"):
         analyze(generator_of(build_liouvillian(np.eye(2, dtype=complex), [])))
@@ -389,7 +400,7 @@ def test_elimination_solves_only_coherences_that_share_a_sector_with_populations
 def test_junction_model_is_an_analysis():
     model = _analyze(_junction_model(JunctionParams(mu_1=1.0, mu_2=0.5)))
     assert isinstance(model, Analysis)
-    assert np.array_equal(model.populations, model.rho_ss.vector[:3].real)
+    assert np.array_equal(model.populations, vectorize(model.rho_ss)[:3].real)
 
 
 def relative_residual(analysis):
@@ -410,7 +421,7 @@ def test_steady_state_is_relatively_stationary_on_every_generator(case):
     analysis = analyze(gen)
     assert relative_residual(analysis) <= 1e-14
     ref = dense_steady_state(m).vector
-    assert (np.abs(analysis.rho_ss.vector - ref).max()
+    assert (np.abs(vectorize(analysis.rho_ss) - ref).max()
             <= 1e-12 * np.abs(ref).max())
 
 

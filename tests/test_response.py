@@ -23,7 +23,6 @@ from curlflux.response import (
     ResolventSingularError,
     ResponseSpectrum,
     check_equilibrium_fdr,
-    fluctuation_spectrum,
     linear_response_freq,
     response_split,
 )
@@ -33,6 +32,8 @@ from helpers import (
     commutator_superop,
     dense_k,
     dense_raising,
+    devectorize,
+    fluctuation_spectrum,
     generator_of,
     index_pairs,
     left_mult,
@@ -164,7 +165,7 @@ def oracle_id(key):
 @pytest.mark.parametrize("key", ORACLE_MODELS, ids=oracle_id)
 def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
-    m, rho = to_dense(analysis.generator), analysis.rho_ss.vector
+    m, rho = to_dense(analysis.generator), vectorize(analysis.rho_ss)
     d = analysis.populations.size
     pops, split = analysis.populations, analysis.split
     lift = np.vstack([np.eye(d), dense_k(analysis)])
@@ -173,7 +174,9 @@ def test_spectra_match_per_frequency_solves(key):
 
     # the row and sources against the dense superoperator oracles: the
     # row exactly, the sources to the rounding of a sum of 2d products
-    row, sources, seeded = _row_and_sources(v, columns)
+    states = [devectorize(x) for x in columns.T]
+    row, sources = _row_and_sources(v, states)
+    seeded = np.column_stack([vectorize(v @ x) for x in states])
     assert np.array_equal(row, trace_vector(d) @ left_mult(v))
     bound = 2 * d * np.finfo(float).eps * np.abs(v).max() * np.abs(columns).max(axis=0)
     assert np.all(np.abs(sources - commutator_superop(v) @ columns).max(axis=0) <= bound)
@@ -336,7 +339,7 @@ def test_frequency_response_matches_time_domain_fourier_transform():
     params = JunctionParams(mu_1=1.0, mu_2=0.5)
     model = build_junction(params)
     v = dipole_operator(params)
-    rho = model.rho_ss.vector
+    rho = vectorize(model.rho_ss)
     evals, evecs = np.linalg.eig(to_dense(model.generator))
     vinv = np.linalg.inv(evecs)
     kicked = vinv @ (commutator_superop(v) @ rho)

@@ -52,7 +52,7 @@ def test_outputs_gives_the_same_line_for_every_command_twice(capsys):
         [command, "0"] for command in outputs.COMMANDS]
 
 
-def test_reach_lists_fluctuation_spectrum_and_no_core_branch_of_the_walk():
+def test_reach_lists_singular_and_no_core_branch_of_the_walk():
     configs = resources.files("curlflux") / "configs"
     paths = sorted(str(p) for p in configs.iterdir() if p.name.endswith(".yaml"))
     assert len(paths) == 7
@@ -66,7 +66,7 @@ def test_reach_lists_fluctuation_spectrum_and_no_core_branch_of_the_walk():
         first, last = map(int, span.split("-"))
         missed.update((Path(path).name, n) for n in range(first, last + 1))
 
-    code = response.fluctuation_spectrum.__code__
+    code = response._singular.__code__
     body = {n for _, _, n in code.co_lines() if n and n > code.co_firstlineno}
     assert body and {("response.py", n) for n in body} <= missed
     source, first = inspect.getsourcelines(config._walk)

@@ -119,11 +119,12 @@ def render_flux_report(decomposition, splitops, labels, verdict, extra):
     """
     labels = list(labels)
     balanced, violation = verdict
+    # the matrices stay arrays: the writer formats them one row at a time
     report = {
         "states": labels,
-        "t_rate": decomposition.t_rate.tolist(),
-        "curl_flux": decomposition.c.tolist(),
-        "symmetric_part": decomposition.sym.tolist(),
+        "t_rate": decomposition.t_rate,
+        "curl_flux": decomposition.c,
+        "symmetric_part": decomposition.sym,
         "loops": [
             {"cycle": [labels[i] for i in cyc], "weight": w}
             for cyc, w in decomposition.loops
@@ -144,10 +145,14 @@ _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 def _dumps(value, pad="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
     dicts with string keys, lists, tuples, strings, numbers, booleans and
-    None; `pad` is the newline and indent of the enclosing level.
+    None, and for a float array as its nested lists (json.dumps with
+    default=numpy.ndarray.tolist); `pad` is the newline and indent of the
+    enclosing level.
 
     A list of floats, the bulk of a flux report, is joined in one pass
-    instead of going through the json module's Python-level encoder.
+    instead of going through the json module's Python-level encoder, and
+    an array becomes Python floats one row at a time, so a matrix is
+    never held as nested lists.
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
@@ -163,6 +168,11 @@ def _dumps(value, pad="\n"):
         text = float.__repr__(value)
         return _FLOAT_CONSTANTS.get(text, text)
     inner = pad + "  "
+    if isinstance(value, np.ndarray):
+        if value.ndim > 1:
+            return _layout([_floats(row.tolist(), inner + "  ", inner)
+                            for row in value], inner, pad)
+        value = value.tolist()
     if isinstance(value, dict):
         if not value:
             return "{}"
@@ -173,18 +183,23 @@ def _dumps(value, pad="\n"):
         if not value:
             return "[]"
         try:
-            items = list(map(float.__repr__, value))
+            return _floats(value, inner, pad)
         except TypeError:
             return _layout([_dumps(item, inner) for item in value], inner, pad)
-        text = _layout(items, inner, pad)
-        # neither a finite float's repr nor the layout holds an "n"; nan,
-        # inf and -inf do
-        if "n" in text:
-            text = _layout([_FLOAT_CONSTANTS.get(t, t) for t in items],
-                           inner, pad)
-        return text
     raise TypeError("Object of type %s is not JSON serializable"
                     % type(value).__name__)
+
+
+def _floats(values, inner, pad):
+    """The JSON array of a list of floats; TypeError if one is not a
+    float."""
+    items = list(map(float.__repr__, values))
+    text = _layout(items, inner, pad)
+    # neither a finite float's repr nor the layout holds an "n"; nan, inf
+    # and -inf do
+    if "n" in text:
+        text = _layout([_FLOAT_CONSTANTS.get(t, t) for t in items], inner, pad)
+    return text
 
 
 def _layout(items, inner, pad):
@@ -215,7 +230,7 @@ def cmd_spectrum(config, args):
 def cmd_flux(config, args):
     analysis = _analyze(config.model)
     pops = analysis.populations
-    verdict = is_detailed_balanced(analysis.l_matrix, pops)
+    verdict = is_detailed_balanced(analysis.rates, pops)
     extra = {"populations": list(map(float, pops))}
     if config.kind == "junction":
         # the one-sided loop flux e1 -> e2 (zero when the loop runs
@@ -282,7 +297,7 @@ def cmd_validate(config, args):
                  "%.2e" % residual)
     tr_err = abs(np.trace(rho).real - 1.0)
     ok &= _check("steady state trace", tr_err <= 1e-12, "%.2e" % tr_err)
-    rates = l_matrix.real
+    rates = analysis.rates
     rel = np.abs((rates @ pops) / (np.diagonal(rates) * pops)).max()
     ok &= _check("relative stationarity", rel <= 1e-14, "%.2e" % rel)
     lp = np.abs(l_matrix @ pops).max()
@@ -301,7 +316,7 @@ def cmd_validate(config, args):
     ok &= _check("loops reconstruct the flux", rec <= 1e-11, "%.2e" % rec)
     sv = np.abs(split.s_d + split.v_ss + 1.0).max()
     ok &= _check("split operators sum to -1", sv <= 1e-11, "%.2e" % sv)
-    balanced, violation = is_detailed_balanced(l_matrix, pops)
+    balanced, violation = is_detailed_balanced(rates, pops)
     print("%-42s %s (max violation %.3e)"
           % ("detailed balance", "yes" if balanced else "no", violation))
     if not ok:

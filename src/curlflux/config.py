@@ -74,12 +74,13 @@ YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _CORE = "tag:yaml.org,2002:"
 _STR, _SEQ, _MAP = _CORE + "str", _CORE + "seq", _CORE + "map"
+_FLOAT = _CORE + "float"
 _SAFE = SafeConstructor()
 # PyYAML's own converters, so 1_000, .inf, 0x1F and yes read as yaml.load
 # reads them; they keep no state
 _SCALARS = {
     _CORE + "int": _SAFE.construct_yaml_int,
-    _CORE + "float": _SAFE.construct_yaml_float,
+    _FLOAT: _SAFE.construct_yaml_float,
     _CORE + "bool": _SAFE.construct_yaml_bool,
     _CORE + "null": _SAFE.construct_yaml_null,
 }
@@ -106,6 +107,17 @@ def _walk(node, seen):
     if kind is ScalarNode:
         if tag == _STR:
             return node.value
+        if tag == _FLOAT and "_" not in node.value and ":" not in node.value:
+            # the converter strips underscores, reads a:b in base 60 and
+            # takes the sign off before float(); short of those, float()
+            # reads a finite value as it does, -0.0 included
+            try:
+                value = float(node.value)
+            except ValueError:     # .inf, .nan, or no number at all
+                pass
+            else:
+                if math.isfinite(value):
+                    return value
         if tag in _SCALARS:
             try:
                 return _SCALARS[tag](node)
@@ -185,20 +197,24 @@ class RunConfig:
     temperature: Optional[float]
 
 
-def _require(mapping, key, path):
+# The helpers below name a field by path % args, formatted only for the
+# error that reports it.
+
+def _require(mapping, key, path, *args):
     if key not in mapping:
-        raise ConfigError("missing required field '%s.%s'" % (path, key))
+        raise ConfigError("missing required field '%s.%s'" % (path % args, key))
     return mapping[key]
 
 
-def _check_keys(mapping, allowed, path):
+def _check_keys(mapping, allowed, path, *args):
+    """Refuse a mapping with a key outside the set `allowed`, or a value
+    that is not a mapping."""
     if not isinstance(mapping, dict):
-        raise ConfigError("'%s' must be a mapping, got %r" % (path, mapping))
-    extra = set(mapping) - set(allowed)
-    if extra:
-        raise ConfigError(
-            "unknown field(s) %s in '%s'" % (sorted(extra), path)
-        )
+        raise ConfigError("'%s' must be a mapping, got %r"
+                          % (path % args, mapping))
+    if not mapping.keys() <= allowed:
+        raise ConfigError("unknown field(s) %s in '%s'"
+                          % (sorted(mapping.keys() - allowed), path % args))
 
 
 def _list(mapping, key, path):
@@ -215,18 +231,44 @@ def _string(mapping, key, path, default):
     return value
 
 
-def _float(value, path):
+def _float(value, path, *args):
     try:
         if isinstance(value, bool):
             raise TypeError("YAML true/false is not a number")
         out = float(value)
     except (TypeError, ValueError):
-        raise ConfigError("field '%s' must be a number, got %r" % (path, value))
+        raise ConfigError("field '%s' must be a number, got %r"
+                          % (path % args, value))
     except OverflowError:   # an integer beyond the float range
-        raise ConfigError("field '%s' must be finite" % path)
+        raise ConfigError("field '%s' must be finite" % (path % args))
     if not math.isfinite(out):
-        raise ConfigError("field '%s' must be finite" % path)
+        raise ConfigError("field '%s' must be finite" % (path % args))
     return out
+
+
+_CHANNEL_KEYS = frozenset(("upper", "lower", "rate_up", "rate_down"))
+
+
+def _channel(ch, i, index):
+    """Entry i of model.generic.channels as a DissipationChannel; `index`
+    maps each level label to its position."""
+    path = "model.generic.channels[%d]"
+    _check_keys(ch, _CHANNEL_KEYS, path, i)
+    upper, lower = _require(ch, "upper", path, i), _require(ch, "lower", path, i)
+    ends = []
+    for label in (upper, lower):
+        try:
+            ends.append(index[label])
+        except (KeyError, TypeError):   # TypeError: a list or a mapping
+            raise ConfigError("%s: %r names no level" % (path % i, label)) from None
+    if upper == lower:
+        raise ConfigError("%s: upper and lower must differ" % (path % i))
+    rate_up = _float(_require(ch, "rate_up", path, i), path + ".rate_up", i)
+    rate_down = _float(_require(ch, "rate_down", path, i), path + ".rate_down", i)
+    try:
+        return DissipationChannel({tuple(ends): 1.0}, rate_up, rate_down)
+    except ValueError as exc:
+        raise ConfigError("%s: %s" % (path % i, exc))
 
 
 def _omega_grid(section):
@@ -284,7 +326,7 @@ def load_config(path):
                 "per-electrode exchange rates are not supported; the model "
                 "assumes a common 'gamma' for both electrodes"
             )
-        kwargs = {k: _float(v, "model.junction.%s" % k) for k, v in sect.items()}
+        kwargs = {k: _float(v, "model.junction.%s", k) for k, v in sect.items()}
         if "mu_1" not in kwargs or "mu_2" not in kwargs:
             raise ConfigError("model.junction requires mu_1 and mu_2")
         try:
@@ -300,25 +342,11 @@ def load_config(path):
         if not isinstance(levels, dict) or not levels:
             raise ConfigError("model.generic.levels must be a non-empty mapping")
         labels = tuple(levels.keys())
-        energies = [_float(levels[k], "model.generic.levels.%s" % k) for k in labels]
+        energies = [_float(levels[k], "model.generic.levels.%s", k) for k in labels]
         ham = np.diag(np.asarray(energies, dtype=complex))
-        channels = []
-        for i, ch in enumerate(_list(sect, "channels", "model.generic")):
-            path = "model.generic.channels[%d]" % i
-            _check_keys(ch, {"upper", "lower", "rate_up", "rate_down"}, path)
-            upper, lower = (_require(ch, key, path) for key in ("upper", "lower"))
-            for label in (upper, lower):
-                if label not in labels:
-                    raise ConfigError("%s: %r names no level" % (path, label))
-            if upper == lower:
-                raise ConfigError("%s: upper and lower must differ" % path)
-            raising = {(labels.index(upper), labels.index(lower)): 1.0}
-            rates = [_float(_require(ch, key, path), "%s.%s" % (path, key))
-                     for key in ("rate_up", "rate_down")]
-            try:
-                channels.append(DissipationChannel(raising, *rates))
-            except ValueError as exc:
-                raise ConfigError("%s: %s" % (path, exc))
+        index = {label: n for n, label in enumerate(labels)}
+        channels = [_channel(ch, i, index) for i, ch in
+                    enumerate(_list(sect, "channels", "model.generic"))]
         if not channels:
             # the probe couples the channels' level pairs
             raise ConfigError("model.generic.channels must list at least one "

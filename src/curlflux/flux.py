@@ -91,6 +91,13 @@ def _real_rate_matrix(l_matrix):
     return l_matrix
 
 
+def _currents(l_matrix, p):
+    """t[m, n] = L[n, m] p[m], the one-way currents, with a zero diagonal."""
+    t = l_matrix.T * p[:, None]
+    np.fill_diagonal(t, 0.0)
+    return t
+
+
 def curl_flux(l_matrix, populations):
     """Decompose the stationary currents of (L, p) into curl + symmetric parts.
 
@@ -120,8 +127,7 @@ def curl_flux(l_matrix, populations):
             "populations are not stationary: ||L p||_inf = %.3e > %.3e"
             % (resid, STATIONARY_TOL)
         )
-    t = l_matrix.T * p[:, None]  # t[m, n] = L[n, m] p[m]
-    np.fill_diagonal(t, 0.0)
+    t = _currents(l_matrix, p)
     sym = np.minimum(t, t.T)
     np.fill_diagonal(sym, 0.0)
     c = t - sym
@@ -257,9 +263,7 @@ def is_detailed_balanced(l_matrix, populations):
         Verdict (the violation at most BALANCE_TOL) and the maximum
         violation max_mn |t[m,n] - t[n,m]|.
     """
-    l_matrix = _real_rate_matrix(l_matrix)
-    p = np.asarray(populations, dtype=float)
-    t = l_matrix.T * p[:, None]
-    np.fill_diagonal(t, 0.0)
+    t = _currents(_real_rate_matrix(l_matrix),
+                  np.asarray(populations, dtype=float))
     violation = float(np.abs(t - t.T).max())
     return violation <= BALANCE_TOL, violation

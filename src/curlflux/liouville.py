@@ -17,11 +17,12 @@ diagonal Hamiltonian with population-to-population jumps gives the
 d x d rate block plus one 1 x 1 block per coherence; the junction gives
 blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 
-:func:`build_generator` finds the sectors from the supports of H_eff and
-of the jumps and scatters every term straight into its sector's dense
-block: M is never built as a d**2 x d**2 matrix, and the cost is
-O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.  A
-:class:`Generator` holds d and those blocks alone, equal sizes stacked
+:func:`build_generator` gathers the jumps in one pass over the
+channels, finds the sectors from the supports of H_eff and of the jumps
+and scatters every summed entry straight into its sector's dense block,
+all blocks in one buffer: M is never built as a d**2 x d**2 matrix, and
+the cost is O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.
+A :class:`Generator` holds d and those blocks alone, equal sizes stacked
 with the index arrays that name their sectors, reads the block of the
 sector that holds population 0 in place
 (`Generator.population_sector`), and finds the :func:`sector_modes`
@@ -35,6 +36,7 @@ product on d x d matrices.
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 
 import numpy as np
 
@@ -110,7 +112,8 @@ def _hermitian(op, name):
     max(1, max|A|); the ValueError names the operator."""
     op = np.asarray(op, dtype=complex)
     dev = np.abs(op - op.conj().T).max()
-    if dev > 1e-12 * max(1.0, np.abs(op).max()):
+    # the bound is at least 1e-12, so max|A| is read only above it
+    if dev > 1e-12 and dev > 1e-12 * np.abs(op).max():
         raise ValueError("%s is not Hermitian (max deviation %.3e)" % (name, dev))
     return op
 
@@ -122,7 +125,8 @@ class Generator:
     `blocks` holds one (idx, block) pair per sector size, smallest
     first: idx is the (count, size) :func:`sector_indices` array, whose
     rows each list one sector's indices in increasing order, and block
-    the (count, size, size) stack with block[r] = M[idx[r]][:, idx[r]].
+    the (count, size, size) stack with block[r] = M[idx[r]][:, idx[r]],
+    a view of the one buffer that holds every block.
     Every index of M lies in exactly one row of one idx, and every entry
     of M between two sectors is 0.  `_modes` keeps each group's
     :func:`sector_modes` once `modes` has found them.
@@ -149,15 +153,107 @@ class Generator:
         return self._modes[group]
 
 
-def _sector_places(indices, n):
-    """(group, row, position) of each of n indices in a stacked layout
-    such as :func:`sector_indices`: index indices[group][row, position]."""
-    places = np.empty((3, n), dtype=int)
-    for group, idx in enumerate(indices):
-        places[0, idx] = group
-        places[1, idx] = np.arange(idx.shape[0])[:, None]
-        places[2, idx] = np.arange(idx.shape[1])
-    return places
+def _jumps(channels, d):
+    """The entries of every jump of non-zero rate, gathered in their final
+    order in one pass over the channels: A+ of each channel in the
+    mapping's order, then its A- = A+^dag in row-major order, whose
+    (k, n) entry is conj(A+[n, k]).
+
+    Returns the rows n, columns k and values of the entries, each value
+    times its jump's rate, and every ordered pair (i, j) of entries of
+    one jump, i running slowest.
+    """
+    rates, sizes, keys, values = [], [], [], []
+    for ch in channels:
+        up = ch.raising
+        for row, col in up:
+            if not (0 <= row < d and 0 <= col < d):
+                raise ValueError("channel operator dimension mismatch")
+        if ch.rate_up != 0.0:
+            rates.append(ch.rate_up)
+            sizes.append(len(up))
+            keys.extend(up)
+            values.extend(up.values())
+        if ch.rate_down != 0.0:
+            rates.append(ch.rate_down)
+            sizes.append(len(up))
+            # by A+'s column, then its row
+            for (row, col), value in sorted(up.items(),
+                                            key=lambda e: e[0][::-1]):
+                keys.append((col, row))
+                # a complex conjugate: conj(1.0) has imaginary part -0.0
+                values.append(complex(value).conjugate())
+    n, k = np.fromiter(chain.from_iterable(keys), dtype=int,
+                       count=2 * len(keys)).reshape(-1, 2).T
+    vals = np.array(values, dtype=complex)
+    sizes = np.array(sizes, dtype=int)
+    # j runs over first[i], first[i] + 1, ... for each i
+    size = np.repeat(sizes, sizes)
+    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
+    i = np.repeat(np.arange(size.size), size)
+    j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
+    return n, k, vals, np.repeat(rates, sizes) * vals, i, j
+
+
+def _terms(h, channels):
+    """Every term of M at its flat index row * d**2 + col, in the order
+    they are summed: the two H_eff terms, then the jump products."""
+    d = h.shape[0]
+    n, k, vals, rated, i, j = _jumps(channels, d)
+    n_i, n_j, k_i, k_j = n[i], n[j], k[i], k[j]
+    # r J^dag J puts conj(J[n, k]) r J[n, l] at [k, l]
+    same = n_i == n_j
+    decay = np.zeros((d, d), dtype=complex)
+    np.add.at(decay, (k_i[same], k_j[same]),
+              vals[i][same].conj() * rated[j][same])
+    a, pos = -1j * (h - 0.5j * decay), _positions(d)
+    p, q = np.nonzero(a)
+    # a (x) 1 puts a[n, k] at [(n, m), (k, m)], 1 (x) conj(a) puts
+    # conj(a)[m, l] at [(n, m), (n, l)], r J (x) conj(J) puts r J[n, k]
+    # conj(J[m, l]) at [(n, m), (k, l)]
+    flat = np.concatenate([(pos[p] * d * d + pos[q]).ravel(),
+                           (pos.T[p] * d * d + pos.T[q]).ravel(),
+                           pos[n_i, n_j] * d * d + pos[k_i, k_j]])
+    coherent = a[p, q]
+    return flat, np.concatenate([
+        np.repeat(np.concatenate([coherent, coherent.conj()]), d),
+        rated[i] * vals[j].conj()])
+
+
+def _entries(h, channels):
+    """(rows, cols, values) of the non-zero entries of M: the terms at one
+    place summed in term order from 0, as np.add.at sums them."""
+    d = h.shape[0]
+    flat, terms = _terms(h, channels)
+    order = np.argsort(flat)
+    flat = flat[order]
+    new = np.empty(flat.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(flat[1:], flat[:-1], out=new[1:])
+    distinct, where = flat[new], np.empty_like(order)
+    where[order] = np.cumsum(new) - 1
+    # the real and imaginary parts of a complex sum add separately
+    sums = np.empty(distinct.size, dtype=complex)
+    sums.real = np.bincount(where, terms.real, distinct.size)
+    sums.imag = np.bincount(where, terms.imag, distinct.size)
+    live = sums != 0
+    return (*np.divmod(distinct[live], d * d), sums[live])
+
+
+def _blocks(labels, rows, cols, values):
+    """(idx, block) of each size group of the sectors of a labelling,
+    with each value scattered to its (row, col): the blocks lie one after
+    another in one buffer, in the order of :func:`_sector_layout`."""
+    order, size, groups = _sector_layout(labels)
+    # the index at place w of the order starts its row at start[w], and
+    # its sector's first index, its smallest, is at place[label]
+    place = np.empty_like(order)
+    place[order] = np.arange(order.size)
+    start = np.cumsum(size) - size
+    store = np.zeros(int(size.sum()), dtype=complex)
+    store[start[place[rows]] + place[cols] - place[labels[cols]]] = values
+    return [(idx, store[start[w]:start[w] + idx.size * idx.shape[1]]
+             .reshape(idx.shape + idx.shape[1:])) for w, idx in groups]
 
 
 def build_generator(hamiltonian, channels):
@@ -198,64 +294,9 @@ def build_generator(hamiltonian, channels):
     """
     h = _hermitian(hamiltonian, "Hamiltonian")
     d = h.shape[0]
-    keys = np.array([key for ch in channels for key in ch.raising],
-                    dtype=int).reshape(-1, 2)
-    if np.any((keys < 0) | (keys >= d)):
-        raise ValueError("channel operator dimension mismatch")
-    rates = np.array([(ch.rate_up, ch.rate_down) for ch in channels]).reshape(-1)
-    chan = np.repeat(np.arange(len(channels)), [len(ch.raising) for ch in channels])
-    n, k = keys.T
-    vals = np.array([v for ch in channels for v in ch.raising.values()],
-                    dtype=complex)
-    # jump 2c is A+ of channel c and jump 2c + 1 is A- = A+^dag, whose
-    # (k, n) entry is conj(A+[n, k]); A+'s entries are read in the
-    # mapping's order and A-'s in row-major order, and jumps of zero rate
-    # are skipped
-    down = np.lexsort((n, k, chan))
-    c = np.concatenate([2 * chan, 2 * chan[down] + 1])
-    n, k = np.concatenate([n, k[down]]), np.concatenate([k, n[down]])
-    vals = np.concatenate([vals, vals[down].conj()])
-    order = np.argsort(c, kind="stable")
-    order = order[rates[c[order]] != 0.0]
-    c, n, k, vals = c[order], n[order], k[order], vals[order]
-    rated = rates[c] * vals
-    # every ordered pair (i, j) of non-zero entries of one jump: j runs
-    # over first[i], first[i] + 1, ... for each i
-    first = np.searchsorted(c, c)
-    size = np.searchsorted(c, c, side="right") - first
-    i = np.repeat(np.arange(c.size), size)
-    j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
-    # r J^dag J puts conj(J[n, k]) r J[n, l] at [k, l]
-    same = n[i] == n[j]
-    decay = np.zeros((d, d), dtype=complex)
-    np.add.at(decay, (k[i][same], k[j][same]),
-              vals[i][same].conj() * rated[j][same])
-    a, pos = -1j * (h - 0.5j * decay), _positions(d)
-    p, q = np.nonzero(a)
-    # each term at its flat index row * d**2 + col: a (x) 1 puts a[n, k]
-    # at [(n, m), (k, m)], 1 (x) conj(a) puts conj(a)[m, l] at
-    # [(n, m), (n, l)], r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
-    # [(n, m), (k, l)]
-    flat = np.concatenate([(pos[p] * d * d + pos[q]).ravel(),
-                           (pos[:, p] * d * d + pos[:, q]).T.ravel(),
-                           pos[n[i], n[j]] * d * d + pos[k[i], k[j]]])
-    terms = np.concatenate([np.repeat(a[p, q], d), np.repeat(a[p, q].conj(), d),
-                            rated[i] * vals[j].conj()])
-    keys, where = np.unique(flat, return_inverse=True)
-    sums = np.zeros(keys.size, dtype=complex)
-    np.add.at(sums, where, terms)
-    live = sums != 0
-    rows, cols = np.divmod(keys[live], d * d)
-    sums = sums[live]
-    indices = sector_indices(sector_labels(d * d, rows, cols))
-    group, row, place = _sector_places(indices, d * d)
-    blocks = []
-    for g, idx in enumerate(indices):
-        block = np.zeros(idx.shape + idx.shape[1:], dtype=complex)
-        hit = group[rows] == g
-        block[row[rows[hit]], place[rows[hit]], place[cols[hit]]] = sums[hit]
-        blocks.append((idx, block))
-    return Generator(d, tuple(blocks))
+    rows, cols, values = _entries(h, channels)
+    labels = sector_labels(d * d, rows, cols)
+    return Generator(d, tuple(_blocks(labels, rows, cols, values)))
 
 
 def sector_labels(n, rows, cols):
@@ -266,7 +307,9 @@ def sector_labels(n, rows, cols):
     either direction, joins them, so the matrix is block diagonal over
     its sectors.
     """
-    label = np.arange(n)
+    # an entry on the diagonal joins nothing
+    off = rows != cols
+    rows, cols, label = rows[off], cols[off], np.arange(n)
     while True:
         # min-label propagation along both directions of every edge, then
         # pointer jumping; labels stay members of their own sector, so
@@ -278,6 +321,25 @@ def sector_labels(n, rows, cols):
             return label
 
 
+def _sector_layout(labels):
+    """(order, size, groups) of a labelling: every index in the order of
+    :func:`sector_indices` (sectors by size, then by smallest index, each
+    one's indices ascending), the size of each one's sector in that
+    order, and the (place, idx) of each size group, idx its (count, size)
+    index array and place the place of its first index in the order."""
+    n = labels.size
+    sizes = np.bincount(labels, minlength=n)    # a sector's size at its label
+    size = sizes[labels]
+    order = np.argsort(size * n + labels, kind="stable")
+    counts = np.bincount(sizes)                 # sectors of each size
+    groups, w = [], 0
+    for s in (np.flatnonzero(counts[1:]) + 1).tolist():
+        end = w + s * int(counts[s])
+        groups.append((w, order[w:end].reshape(-1, s)))
+        w = end
+    return order, size[order], groups
+
+
 def sector_indices(labels):
     """Indices of every sector of a labelling, equal sizes stacked.
 
@@ -286,11 +348,7 @@ def sector_indices(labels):
     increasing order.  The layout depends on the labels alone, so it is
     exact whatever the magnitudes of the entries.
     """
-    sizes = np.bincount(labels)
-    ordered = np.argsort(labels, kind="stable")
-    starts = np.cumsum(sizes) - sizes
-    return [ordered[starts[sizes == size][:, None] + np.arange(size)]
-            for size in np.flatnonzero(np.bincount(sizes)[1:]) + 1]
+    return [idx for _, idx in _sector_layout(labels)[2]]
 
 
 def sector_modes(idx, block):

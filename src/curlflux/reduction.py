@@ -205,7 +205,9 @@ class Analysis:
 
     `rho_ss` is the stationary density matrix, a (d, d) Hermitian
     operator of trace 1, the lift of L's populations, and `populations`
-    is its diagonal.
+    is its diagonal.  `rates` is L's real part, taken once by the
+    IMAG_TOL rule of :mod:`~curlflux.flux`; the flux, the split and the
+    CLI's balance verdicts read it.
     `k_fed` holds K's rows on the population sector's coherences, the
     only rows that can be non-zero; `lift` reads them.  `flux` and
     `split` are computed on first use: they need strictly positive
@@ -215,6 +217,7 @@ class Analysis:
     generator: Generator
     k_fed: np.ndarray
     l_matrix: np.ndarray
+    rates: np.ndarray
     rho_ss: np.ndarray
     populations: np.ndarray
 
@@ -226,12 +229,12 @@ class Analysis:
     @cached_property
     def flux(self):
         """FluxDecomposition of the stationary currents."""
-        return curl_flux(self.l_matrix, self.populations)
+        return curl_flux(self.rates, self.populations)
 
     @cached_property
     def split(self):
         """SplitOperators s_d and v_ss."""
-        return split_operators(self.l_matrix, self.populations, self.flux)
+        return split_operators(self.rates, self.populations, self.flux)
 
 
 def analyze(generator):
@@ -254,7 +257,8 @@ def analyze(generator):
         If L has imaginary parts above the IMAG_TOL rule.
     """
     k_fed, l_matrix = _eliminate(generator)
-    rho = _lift(generator, k_fed, _populations(l_matrix))
+    rates = _real_rate_matrix(l_matrix)
+    rho = _lift(generator, k_fed, _populations(rates))
     # K p is Hermitian up to rounding
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -262,6 +266,7 @@ def analyze(generator):
         generator=generator,
         k_fed=k_fed,
         l_matrix=l_matrix,
+        rates=rates,
         rho_ss=rho,
         populations=np.diagonal(rho).real,
     )

@@ -99,6 +99,8 @@ def test_per_electrode_gamma_is_rejected(tmp_path, capsys):
 GENERIC = ("model:\n  type: generic\n  generic:\n    levels: {a: 0.0, b: 1.0}\n"
            "    channels:\n      - {upper: b, lower: a, rate_up: 0.01, rate_down: 0.02}\n")
 OMEGA = "sweep:\n  omega: {min: 0.9, max: 1.1, points: 3}\n"
+# a second channel, to follow GENERIC's
+CHANNEL = "      - {upper: b, lower: a, rate_up: 0.01, rate_down: 0.02}\n"
 JUNCTION = "model:\n  type: junction\n  junction: {mu_1: 1.0, mu_2: 0.5}\n"
 
 # schema rules, each with a phrase of the message that names it
@@ -141,6 +143,29 @@ REFUSALS = {
                        "a collection as a mapping key (line 4)"),
     "deep-nesting": (GENERIC + OMEGA + "output: %s%s\n" % ("[" * 3000, "]" * 3000),
                      "nesting deeper than the recursion limit"),
+    # each channel-level refusal, whole, on the second channel
+    "channel-missing-rate-down": (
+        GENERIC + CHANNEL.replace(", rate_down: 0.02", "") + OMEGA,
+        "config error: missing required field "
+        "'model.generic.channels[1].rate_down'\n"),
+    "channel-unknown-key": (
+        GENERIC + CHANNEL.replace("}", ", rate: 0.1}") + OMEGA,
+        "config error: unknown field(s) ['rate'] in "
+        "'model.generic.channels[1]'\n"),
+    "channel-not-a-mapping": (
+        GENERIC + "      - [b, a]\n" + OMEGA,
+        "config error: 'model.generic.channels[1]' must be a mapping, "
+        "got ['b', 'a']\n"),
+    "channel-list-label": (
+        GENERIC + CHANNEL.replace("upper: b", "upper: [b]") + OMEGA,
+        "config error: model.generic.channels[1]: ['b'] names no level\n"),
+    "channel-number-label": (
+        GENERIC + CHANNEL.replace("lower: a", "lower: 2") + OMEGA,
+        "config error: model.generic.channels[1]: 2 names no level\n"),
+    "channel-word-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: abc") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be a "
+        "number, got 'abc'\n"),
 }
 
 

@@ -47,6 +47,11 @@ HANDWRITTEN = {
                       "l: 'quoted'\nm: Off\nn: null\n",
     "explicit-core-tags": "a: !!str 1\nb: !!float 2\nc: !!int '3'\n"
                           "d: !!seq [1]\ne: !!map {f: 4}\n",
+    # the spellings a float() read of !!float must keep: underscores, a
+    # sign (+.5 is a string), -0.0, an exponent, explicit tags with a
+    # bare exponent, padding and inf
+    "float-spellings": "a: 1_0.5\nb: 1__0.5\nc: +.5\nd: -0.0\ne: 1.5E+3\n"
+                       "f: !!float 1e5\ng: !!float ' 2.5 '\nh: !!float inf\n",
     "empty": "",
     "comment-only": "# nothing\n",
     "two-documents": "a: 1\n---\nb: 2\n",

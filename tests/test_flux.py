@@ -1,10 +1,13 @@
 import itertools
 import json
+import random
+import tracemalloc
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -33,7 +36,7 @@ from helpers import (
     rate_steady_state,
 )
 from junction_oracles import build_junction
-from test_liouville import generator_inputs
+from test_liouville import _bench_workloads, generator_inputs
 
 # every bundled and bench/reference run file
 RUN_FILES = sorted(
@@ -389,7 +392,8 @@ def test_flux_report_is_deterministic_json():
 def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
     # every bundled and bench/reference run file, one report each:
     # the report the CLI writes is json.dumps(report, indent=2,
-    # sort_keys=True) of the report it built
+    # sort_keys=True) of the report it built, whose matrices are arrays
+    # that json.dumps writes as their nested lists
     reports = []
     write = cli._dumps
 
@@ -399,7 +403,8 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
             # the writer's own recursion into a nested value
             return text
         reports.append(report)
-        assert text == json.dumps(report, indent=2, sort_keys=True)
+        assert text == json.dumps(report, indent=2, sort_keys=True,
+                                  default=np.ndarray.tolist)
         return text
 
     monkeypatch.setattr(cli, "_dumps", recorded)
@@ -426,3 +431,28 @@ def test_json_writer_spells_special_values_like_the_json_module():
                 "populations", "tail"):
         assert json.dumps(report[key]) == json.dumps(extra[key])
     assert cli._dumps(extra) == json.dumps(extra, indent=2, sort_keys=True)
+
+
+def test_flux_report_renders_its_matrices_a_row_at_a_time(tmp_path):
+    # the bench's d = 128 ladder (seed 3): its 0.6 MB report peaks at
+    # about three copies of the text (the entries, their join and the
+    # bracketed whole); holding the three matrices as nested lists, one
+    # float object per entry, peaks near six
+    model, _ = _bench_workloads().ladder_model(random.Random(3), 128)
+    doc = {"model": dict(type="generic", **model),
+           "sweep": {"omega": {"values": [1.0]}}}
+    path = tmp_path / "ladder128.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    config = load_config(str(path))
+    analysis = _analyze(config.model)
+    args = (analysis.flux, analysis.split, config.model.labels, (False, 0.5),
+            {"populations": analysis.populations.tolist()})
+    tracemalloc.start()
+    try:
+        text = render_flux_report(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(text) > 5e5
+    assert peak < 4 * len(text), "peak %.2f MB for a %.2f MB report" % (
+        peak / 1e6, len(text) / 1e6)

@@ -5,11 +5,9 @@ __version__ = "0.1.0"
 
 from .flux import (
     FluxDecomposition,
-    SplitOperators,
     curl_flux,
     is_detailed_balanced,
     loop_decomposition,
-    split_operators,
 )
 from .junction import JunctionParams, fermi_dirac
 from .liouville import (

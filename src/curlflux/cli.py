@@ -102,13 +102,12 @@ def spectrum_to_csv(spectrum, omega_text):
                 spectrum.r_full.real, spectrum.r_full.imag, eq, ne)
 
 
-def render_flux_report(decomposition, splitops, labels, verdict, extra):
+def render_flux_report(decomposition, labels, verdict, extra):
     """Serialize a flux decomposition as a deterministic JSON document.
 
     Parameters
     ----------
     decomposition : FluxDecomposition
-    splitops : SplitOperators
     labels : sequence of str
         State names, one per state, used for loops.
     verdict : (bool, float)
@@ -129,8 +128,8 @@ def render_flux_report(decomposition, splitops, labels, verdict, extra):
             {"cycle": [labels[i] for i in cyc], "weight": w}
             for cyc, w in decomposition.loops
         ],
-        "s_d": splitops.s_d.tolist(),
-        "v_ss": splitops.v_ss.tolist(),
+        "s_d": decomposition.s_d.tolist(),
+        "v_ss": decomposition.v_ss.tolist(),
         "detailed_balance": balanced,
         "max_violation": violation,
     }
@@ -245,8 +244,8 @@ def cmd_flux(config, args):
             im_coherence_e1e2=coh.imag,
             flux_coherence_ratio=None if at_rounding else flux_j / coh.imag,
         )
-    report = render_flux_report(analysis.flux, analysis.split,
-                                config.model.labels, verdict, extra)
+    report = render_flux_report(analysis.flux, config.model.labels, verdict,
+                                extra)
     _write(config, args, "_flux.json", report)
     print("detailed balance: %s (max violation %.6e)" % verdict)
 
@@ -284,7 +283,7 @@ def cmd_validate(config, args):
     ok = True
     analysis = _analyze(config.model)
     l_matrix = analysis.l_matrix
-    decomp, split = analysis.flux, analysis.split
+    decomp = analysis.flux
     rho, pops = analysis.rho_ss, analysis.populations
     d = pops.size
     # only the population sector has population rows
@@ -314,7 +313,7 @@ def cmd_validate(config, args):
     ok &= _check("curl flux divergence free", div <= 1e-11, "%.2e" % div)
     rec = np.abs(reconstruct_flux(decomp.loops, d) - c).max()
     ok &= _check("loops reconstruct the flux", rec <= 1e-11, "%.2e" % rec)
-    sv = np.abs(split.s_d + split.v_ss + 1.0).max()
+    sv = np.abs(decomp.s_d + decomp.v_ss + 1.0).max()
     ok &= _check("split operators sum to -1", sv <= 1e-11, "%.2e" % sv)
     balanced, violation = is_detailed_balanced(rates, pops)
     print("%-42s %s (max violation %.3e)"

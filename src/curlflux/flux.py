@@ -9,12 +9,13 @@ superposition of directed loop fluxes; the loops are extracted by
 deterministic iterative cycle cancellation, a walk over one ascending
 successor list per node of the flux support, in O(nnz) memory.
 
-The diagonal operators derived from the decomposition,
+The same record holds the diagonal operators of the split, the
+decomposition read state by state,
 
     s_d[n] = sum_k min(L[n,k] p[k] / p[n], L[k,n]) / L[n,n]
     v_ss[n] = sum_k c[k, n] / (L[n,n] p[n])
 
-satisfy s_d + v_ss = -1 entrywise and enter the equilibrium /
+which satisfy s_d + v_ss = -1 entrywise and enter the equilibrium /
 nonequilibrium split of the linear response.  v_ss vanishes exactly when
 detailed balance holds.
 
@@ -28,12 +29,10 @@ import numpy as np
 
 __all__ = [
     "FluxDecomposition",
-    "SplitOperators",
     "NonStationaryError",
     "curl_flux",
     "loop_decomposition",
     "reconstruct_flux",
-    "split_operators",
     "is_detailed_balanced",
 ]
 
@@ -57,24 +56,21 @@ class NonStationaryError(ValueError):
 
 @dataclass(frozen=True)
 class FluxDecomposition:
-    """Stationary current matrix and its curl/symmetric split.
+    """Stationary current matrix, its curl/symmetric split and the
+    diagonal operators of that split.
 
     All matrices are (d, d) real with the convention that entry [m, n]
     is the flow from state m into state n. `loops` is a list of
     (cycle, weight) pairs, each cycle a tuple of state indices traversed
     in flow direction (closing edge back to the first node implied).
+    `s_d` and `v_ss` are the (d,) diagonals of the detailed-balance and
+    flux parts of the identity s_d + v_ss = -1.
     """
 
     t_rate: np.ndarray
     c: np.ndarray
     sym: np.ndarray
     loops: tuple
-
-
-@dataclass(frozen=True)
-class SplitOperators:
-    """Diagonals of the detailed-balance and flux parts of the identity."""
-
     s_d: np.ndarray
     v_ss: np.ndarray
 
@@ -113,6 +109,13 @@ def curl_flux(l_matrix, populations):
     Returns
     -------
     FluxDecomposition
+        With the normalization L[n,n] p[n] = -(sum_k c[k,n] + sym-in),
+        its s_d + v_ss = -1 exactly at stationarity.
+
+    Raises
+    ------
+    ValueError
+        If a population is not positive or a state has no exit rate.
     """
     l_matrix = _real_rate_matrix(l_matrix)
     p = np.asarray(populations, dtype=float)
@@ -127,12 +130,23 @@ def curl_flux(l_matrix, populations):
             "populations are not stationary: ||L p||_inf = %.3e > %.3e"
             % (resid, STATIONARY_TOL)
         )
+    diag = np.diagonal(l_matrix)
+    if np.any(diag == 0):
+        raise ValueError("singular diagonal: zero exit rate")
+    # t, and so sym, c and c.T, have zero diagonals
     t = _currents(l_matrix, p)
     sym = np.minimum(t, t.T)
-    np.fill_diagonal(sym, 0.0)
     c = t - sym
-    loops = loop_decomposition(c)
-    return FluxDecomposition(t_rate=t, c=c, sym=sym, loops=tuple(loops))
+    # the [n, k] terms of s_d, with L's diagonal kept out
+    balanced = np.where(~np.eye(d, dtype=bool),
+                        np.minimum(l_matrix * p / p[:, None], l_matrix.T), 0.0)
+    # a left-to-right sum over k: accumulate adds one k at a time, where
+    # numpy's pairwise sum would round differently
+    s_sum = np.add.accumulate(balanced, axis=1)[:, -1]
+    v_sum = np.add.accumulate(c.T, axis=1)[:, -1]
+    return FluxDecomposition(t_rate=t, c=c, sym=sym,
+                             loops=tuple(loop_decomposition(c)),
+                             s_d=s_sum / diag, v_ss=v_sum / (diag * p))
 
 
 def loop_decomposition(c):
@@ -220,38 +234,6 @@ def reconstruct_flux(loops, dim):
         for i, j in zip(cycle, cycle[1:] + cycle[:1]):
             c[i, j] += weight
     return c
-
-
-def split_operators(l_matrix, populations, decomposition):
-    """Diagonal operators splitting the steady state into balanced and
-    flux-carrying parts.
-
-    Returns
-    -------
-    SplitOperators
-        With the normalization L[n,n] p[n] = -(sum_k c[k,n] + sym-in),
-        the entries satisfy s_d + v_ss = -1 exactly at stationarity.
-
-    Raises
-    ------
-    ValueError
-        If any population or diagonal rate vanishes.
-    """
-    l_matrix = _real_rate_matrix(l_matrix)
-    p = np.asarray(populations, dtype=float)
-    d = p.size
-    diag = np.diag(l_matrix)
-    if np.any(p == 0) or np.any(diag == 0):
-        raise ValueError("singular diagonal: zero population or zero exit rate")
-    off = ~np.eye(d, dtype=bool)
-    # [n, k] terms of both sums, 0.0 at k == n
-    balanced = np.where(off, np.minimum(l_matrix * p / p[:, None], l_matrix.T), 0.0)
-    inflow = np.where(off, decomposition.c.T, 0.0)
-    # a left-to-right sum over k: accumulate adds one k at a time, where
-    # numpy's pairwise sum would round differently
-    s_sum = np.add.accumulate(balanced, axis=1)[:, -1]
-    v_sum = np.add.accumulate(inflow, axis=1)[:, -1]
-    return SplitOperators(s_d=s_sum / diag, v_ss=v_sum / (diag * p))
 
 
 def is_detailed_balanced(l_matrix, populations):

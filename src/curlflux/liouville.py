@@ -149,7 +149,7 @@ class Generator:
     def modes(self, group):
         """The :func:`sector_modes` of blocks[group], found on first use."""
         if group not in self._modes:
-            self._modes[group] = sector_modes(*self.blocks[group])
+            self._modes[group] = sector_modes(self.blocks[group][1])
         return self._modes[group]
 
 
@@ -351,17 +351,16 @@ def sector_indices(labels):
     return [idx for _, idx in _sector_layout(labels)[2]]
 
 
-def sector_modes(idx, block):
+def sector_modes(block):
     """Eigendecomposition of one size group of a :class:`Generator`'s
-    sectors, given as its (idx, block) pair.
+    sectors, given as its (count, size, size) block stack.
 
-    Returns (idx, lam, vecs): for each row r, M[idx_r, idx_r] @ vecs[r] =
+    Returns (lam, vecs): for each sector r, block[r] @ vecs[r] =
     vecs[r] * lam[r], with lam a (count, size) stack of eigenvalues and
     vecs a (count, size, size) stack of eigenvectors.  Sizes above 1 take
     one batched numpy.linalg.eig; a 1 x 1 sector is its own eigenvalue,
     with eigenvector 1 (a read-only view), and needs no call.
     """
-    if idx.shape[1] == 1:
-        return idx, block[:, 0], np.broadcast_to(np.ones(1, complex),
-                                                 block.shape)
-    return (idx, *np.linalg.eig(block))
+    if block.shape[1] == 1:
+        return block[:, 0], np.broadcast_to(np.ones(1, complex), block.shape)
+    return np.linalg.eig(block)

@@ -30,7 +30,7 @@ the eigenvalues of the population sector's coherences, so on a diagonal
 Hamiltonian no command diagonalizes the d x d rate block.
 
 `analyze` chains the whole reduction for one generator: K and L, the
-steady state, and on demand the curl flux and the split operators.
+steady state, and on demand the curl flux with its split operators.
 """
 
 from dataclasses import dataclass
@@ -38,7 +38,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .flux import _real_rate_matrix, curl_flux, split_operators
+from .flux import _real_rate_matrix, curl_flux
 from .liouville import Generator, _permutation
 
 __all__ = [
@@ -105,7 +105,7 @@ def _eliminate(generator):
         # rows run in order of their smallest index, so a group holds a
         # coherence-only sector when its last row does
         if i[-1, 0] >= d:
-            evals.append(generator.modes(group)[1][i[:, 0] >= d].ravel())
+            evals.append(generator.modes(group)[0][i[:, 0] >= d].ravel())
     if p < idx.size:
         evals.append(np.linalg.eigvals(block[p:, p:]))
     # a one-level generator has no coherence to check
@@ -153,10 +153,9 @@ def _reduce(a):
     return None
 
 
-def _populations(l_matrix):
-    """Stationary populations of a rate matrix L (columns summing to zero),
-    normalized to sum 1, by GTH state reduction on L's real part (the
-    IMAG_TOL rule of :mod:`~curlflux.flux`).
+def _populations(rates):
+    """Stationary populations of a real rate matrix L (columns summing to
+    zero), normalized to sum 1, by GTH state reduction.
 
     With p_0 = 1, back substitution gives p_n = sum_(k<n) p_k a[k, n].
     A zero pivot at state n means that n cannot reach the states before
@@ -170,7 +169,6 @@ def _populations(l_matrix):
     NonUniqueSteadyStateError
         If L has two closed classes.
     """
-    rates = _real_rate_matrix(l_matrix)
     order = np.arange(rates.shape[0])
     a = np.array(rates.T)
     n = _reduce(a)
@@ -206,12 +204,13 @@ class Analysis:
     `rho_ss` is the stationary density matrix, a (d, d) Hermitian
     operator of trace 1, the lift of L's populations, and `populations`
     is its diagonal.  `rates` is L's real part, taken once by the
-    IMAG_TOL rule of :mod:`~curlflux.flux`; the flux, the split and the
+    IMAG_TOL rule of :mod:`~curlflux.flux`; the flux record and the
     CLI's balance verdicts read it.
     `k_fed` holds K's rows on the population sector's coherences, the
-    only rows that can be non-zero; `lift` reads them.  `flux` and
-    `split` are computed on first use: they need strictly positive
-    populations, which the response spectra do not.
+    only rows that can be non-zero; `lift` reads them.  `flux`, the one
+    record of the curl flux and its split operators, is computed on
+    first use: it needs strictly positive populations and non-zero exit
+    rates, which the response spectra do not.
     """
 
     generator: Generator
@@ -228,13 +227,9 @@ class Analysis:
 
     @cached_property
     def flux(self):
-        """FluxDecomposition of the stationary currents."""
+        """FluxDecomposition of the stationary currents, with s_d and
+        v_ss."""
         return curl_flux(self.rates, self.populations)
-
-    @cached_property
-    def split(self):
-        """SplitOperators s_d and v_ss."""
-        return split_operators(self.rates, self.populations, self.flux)
 
 
 def analyze(generator):

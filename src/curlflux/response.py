@@ -172,7 +172,7 @@ def _sector_resolvent(generator, omegas, left, right):
         hit = reads[idx].any(axis=1) & feeds[idx].any(axis=1)
         if not hit.any():
             continue
-        _, lam, vecs = generator.modes(group)
+        lam, vecs = generator.modes(group)
         idx, vecs = idx[hit], vecs[hit]
         touched.append((idx, block, hit))
         evals.append(lam[hit].ravel())
@@ -272,9 +272,9 @@ def response_split(coupling, analysis, omegas):
         The Hermitian V, probed and observed.
     analysis : Analysis
         The :func:`~curlflux.reduction.analyze` result of the generator:
-        its steady state, its split operators s_d and v_ss, and its
-        `lift` W = I + K, which takes s_d p and v_ss p to the operators
-        W S_D rho_p and W V_ss rho_p.
+        its steady state, the split operators s_d and v_ss of its flux
+        record, and its `lift` W = I + K, which takes s_d p and v_ss p
+        to the operators W S_D rho_p and W V_ss rho_p.
     omegas : array_like of float
 
     Returns
@@ -283,9 +283,9 @@ def response_split(coupling, analysis, omegas):
         r_full, r_eq_term and r_ne_term, with
         r_eq_term + r_ne_term == r_full up to rounding.
     """
-    split, lift = analysis.split, analysis.lift
+    flux, lift = analysis.flux, analysis.lift
     states = [analysis.rho_ss] + [lift(w * analysis.populations)
-                                  for w in (split.s_d, split.v_ss)]
+                                  for w in (flux.s_d, flux.v_ss)]
     row, kicked = _row_and_sources(coupling, states)
     omegas = np.asarray(omegas, dtype=float)
     r = _sector_resolvent(analysis.generator, omegas, row, kicked)[:, 0, :]

@@ -96,7 +96,7 @@ def test_criterion_02_equilibrium_collapse_zero_bias():
         assert np.abs(t_ne).max() <= 1e-12, (
             "max |T_ne| = %.3e" % np.abs(t_ne).max()
         )
-        v_norm = np.abs(model.split.v_ss).max()
+        v_norm = np.abs(model.flux.v_ss).max()
         assert v_norm <= 1e-12, (
             "||v_ss||_inf = %.3e at zero bias: the junction is not detailed "
             "balanced there (reverse loop weight %.3e from the symmetric "

@@ -373,22 +373,54 @@ def test_fdr_check_refuses_driven_junction(text, tmp_path, capsys):
     assert "not detailed balanced" in err and "violation" in err
 
 
-def test_unpopulated_level_fails_only_the_flux_commands(tmp_path, capsys):
-    # no uphill rate leaves e empty: the response needs no curl flux
-    cfg = tmp_path / "cold.yaml"
-    cfg.write_text(
-        "model:\n  type: generic\n  generic:\n    temperature: 0.3\n"
+# no uphill rate leaves e empty
+COLD = ("model:\n  type: generic\n  generic:\n    temperature: 0.3\n"
         "    levels: {g: 0.0, e: 1.0}\n"
         "    channels:\n"
         "      - {upper: e, lower: g, rate_up: 0.0, rate_down: 0.02}\n"
         "sweep:\n  omega: {values: [0.5, 1.0]}\n"
-        "output: {directory: out, prefix: cold}\n"
-    )
+        "output: {directory: out, prefix: cold}\n")
+
+
+def test_unpopulated_level_fails_only_the_flux_commands(tmp_path, capsys):
+    # the response needs no curl flux
+    cfg = tmp_path / "cold.yaml"
+    cfg.write_text(COLD)
     for command in ("spectrum", "fdr-check"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 0
     for command in ("flux", "validate"):
         assert main([command, "--config", str(cfg), "--out", str(tmp_path)]) == 3
     assert "strictly positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, name, builds", [
+    ("flux", "fig2a.yaml", 1),
+    ("validate", "fig2a.yaml", 1),
+    # one flux record per bias point, whose s_d and v_ss split its spectrum
+    ("spectrum", "fig2a.yaml", 5),
+    # a generic spectrum is not split and fdr-check reads only the balance
+    # verdict, so neither needs the record, which an empty level refuses
+    ("spectrum", "flux_fivelevel.yaml", 0),
+    ("spectrum", "cold", 0),
+    ("fdr-check", "fdr_twolevel.yaml", 0),
+    ("fdr-check", "cold", 0),
+])
+def test_each_command_builds_the_flux_record_only_where_it_reads_it(
+        tmp_path, monkeypatch, command, name, builds):
+    path = bundled(name)
+    if name == "cold":
+        path = tmp_path / "cold.yaml"
+        path.write_text(COLD)
+    calls = []
+    real = reduction.curl_flux
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(reduction, "curl_flux", counted)
+    assert main([command, "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert len(calls) == builds
 
 
 @pytest.mark.parametrize("channels, spectrum_code, message", [

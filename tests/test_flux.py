@@ -22,7 +22,6 @@ from curlflux.flux import (
     is_detailed_balanced,
     loop_decomposition,
     reconstruct_flux,
-    split_operators,
 )
 from curlflux.junction import JUNCTION_LABELS, JunctionParams
 from curlflux.reduction import analyze
@@ -244,10 +243,8 @@ def test_imaginary_rates_are_refused_above_the_rounding_bound():
     bound = IMAG_TOL * np.abs(l).max()
     pattern = np.array([[1.0, -1.0, 0.0], [0.0, 1.0, -1.0], [-1.0, 0.0, 1.0]])
     decomp = curl_flux(l, p)
-    split = split_operators(l, p, decomp)
     calls = (
         lambda m: curl_flux(m, p),
-        lambda m: split_operators(m, p, decomp),
         lambda m: is_detailed_balanced(m, p),
     )
     for call in calls:
@@ -258,30 +255,29 @@ def test_imaginary_rates_are_refused_above_the_rounding_bound():
     for field in ("t_rate", "c", "sym"):
         assert np.array_equal(getattr(got, field), getattr(decomp, field))
     assert got.loops == decomp.loops
-    got = split_operators(below, p, decomp)
-    assert np.array_equal(got.s_d, split.s_d)
-    assert np.array_equal(got.v_ss, split.v_ss)
+    assert np.array_equal(got.s_d, decomp.s_d)
+    assert np.array_equal(got.v_ss, decomp.v_ss)
     assert is_detailed_balanced(below, p) == is_detailed_balanced(l, p)
 
 def test_split_operators_at_detailed_balance():
     rng = np.random.default_rng(23)
     l, p = reversible_pair(rng, 4)
-    split = split_operators(l, p, curl_flux(l, p))
-    assert np.abs(split.v_ss).max() < 1e-12
-    assert np.allclose(split.s_d, -1.0, atol=1e-12)
+    decomp = curl_flux(l, p)
+    assert np.abs(decomp.v_ss).max() < 1e-12
+    assert np.allclose(decomp.s_d, -1.0, atol=1e-12)
 
 
 def test_split_operators_three_cycle_hand_values():
     l, p = three_cycle()
-    split = split_operators(l, p, curl_flux(l, p))
+    decomp = curl_flux(l, p)
     # inflow flux 2 at each node, exit rate 12, population 1/3
-    assert np.allclose(split.v_ss, 2.0 / (-12.0 * (1.0 / 3.0)), atol=1e-14)
-    assert np.allclose(split.s_d + split.v_ss, -1.0, atol=1e-14)
+    assert np.allclose(decomp.v_ss, 2.0 / (-12.0 * (1.0 / 3.0)), atol=1e-14)
+    assert np.allclose(decomp.s_d + decomp.v_ss, -1.0, atol=1e-14)
 
 
 def test_split_operators_junction_completeness():
     model = build_junction(JunctionParams(mu_1=1.3, mu_2=0.7))
-    assert np.abs(model.split.s_d + model.split.v_ss + 1.0).max() < 1e-12
+    assert np.abs(model.flux.s_d + model.flux.v_ss + 1.0).max() < 1e-12
 
 
 def per_state_split_operators(l, p, c):
@@ -305,16 +301,15 @@ def test_split_operators_equal_per_state_sums_bit_for_bit():
         l = analyze(generator_of(random_lindblad_model(rng, dim)[2])).l_matrix.real
         pairs.append((l, rate_steady_state(l).vector))
     for l, p in pairs:
-        decomposition = curl_flux(l, p)
-        got = split_operators(l, p, decomposition)
-        s_d, v_ss = per_state_split_operators(l, p, decomposition.c)
+        got = curl_flux(l, p)
+        s_d, v_ss = per_state_split_operators(l, p, got.c)
         assert np.array_equal(got.s_d, s_d) and np.array_equal(got.v_ss, v_ss)
 
 
 def test_split_operators_reject_singular_diagonal():
     l = np.zeros((2, 2))
     with pytest.raises(ValueError, match="singular"):
-        split_operators(l, np.array([0.5, 0.5]), curl_flux(np.zeros((2, 2)), np.array([0.5, 0.5])))
+        curl_flux(l, np.array([0.5, 0.5]))
 
 
 def test_detailed_balance_violation_equals_loop_flux():
@@ -336,7 +331,7 @@ def test_flux_sector_vanishes_continuously_at_balance():
     # grows monotonically beyond it
     def v_norm(dmu):
         model = build_junction(JunctionParams(mu_1=1 + dmu, mu_2=1 - dmu))
-        return np.abs(model.split.v_ss).max()
+        return np.abs(model.flux.v_ss).max()
 
     approach = [v_norm(d) for d in (0.0, 0.02, 0.04, 0.055, 0.06)]
     assert all(a > b for a, b in zip(approach, approach[1:]))
@@ -367,17 +362,16 @@ def test_flux_axioms_random_property_suite():
         assert np.abs(c.sum(axis=0) - c.sum(axis=1)).max() < 1e-11
         assert np.abs(decomp.t_rate - (c + decomp.sym)).max() < 1e-15
         assert np.abs(reconstruct_flux(decomp.loops, dim) - c).max() < 1e-11
-        split = split_operators(l, p, decomp)
-        assert np.abs(split.s_d + split.v_ss + 1.0).max() < 1e-11
+        assert np.abs(decomp.s_d + decomp.v_ss + 1.0).max() < 1e-11
 
 
 def test_flux_report_is_deterministic_json():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8))
     verdict = is_detailed_balanced(model.l_matrix, model.populations)
-    text1 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
+    text1 = render_flux_report(model.flux, labels=JUNCTION_LABELS,
                                verdict=verdict,
                                extra={"loop_flux_j": model.flux_j})
-    text2 = render_flux_report(model.flux, model.split, labels=JUNCTION_LABELS,
+    text2 = render_flux_report(model.flux, labels=JUNCTION_LABELS,
                                verdict=verdict,
                                extra={"loop_flux_j": model.flux_j})
     assert text1 == text2
@@ -417,12 +411,11 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
 
 def test_json_writer_spells_special_values_like_the_json_module():
     decomp = curl_flux(*three_cycle())
-    split = split_operators(*three_cycle(), decomp)
     extra = {"flux_coherence_ratio": None, "im_coherence_e1e2": -0.0,
              "loop_flux_j": float("nan"), "populations": [1.0, float("inf")],
              "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
              "nested": [[], {}, [[float("nan")]], (1.5,)]}
-    text = render_flux_report(decomp, split, labels=["a", "b", "c"],
+    text = render_flux_report(decomp, labels=["a", "b", "c"],
                               verdict=is_detailed_balanced(*three_cycle()),
                               extra=extra)
     report = json.loads(text)
@@ -445,7 +438,7 @@ def test_flux_report_renders_its_matrices_a_row_at_a_time(tmp_path):
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     config = load_config(str(path))
     analysis = _analyze(config.model)
-    args = (analysis.flux, analysis.split, config.model.labels, (False, 0.5),
+    args = (analysis.flux, config.model.labels, (False, 0.5),
             {"populations": analysis.populations.tolist()})
     tracemalloc.start()
     try:

@@ -167,10 +167,10 @@ def test_spectra_match_per_frequency_solves(key):
     analysis, v, omegas = oracle_model(key)
     m, rho = to_dense(analysis.generator), vectorize(analysis.rho_ss)
     d = analysis.populations.size
-    pops, split = analysis.populations, analysis.split
+    pops, flux = analysis.populations, analysis.flux
     lift = np.vstack([np.eye(d), dense_k(analysis)])
     columns = np.column_stack(
-        [rho, lift @ (split.s_d * pops), lift @ (split.v_ss * pops)])
+        [rho, lift @ (flux.s_d * pops), lift @ (flux.v_ss * pops)])
 
     # the row and sources against the dense superoperator oracles: the
     # row exactly, the sources to the rounding of a sum of 2d products
@@ -441,10 +441,10 @@ def test_split_identities_hold_on_every_generator(case, seed):
     # s_d + v_ss + 1 = (L p)_n / (L_nn p_n), the steady state's relative
     # residual, which is not at rounding on a level populated ~1e-13
     analysis = analyze(case[0])
-    split, pops = analysis.split, analysis.populations
+    flux, pops = analysis.flux, analysis.populations
     l_matrix = analysis.l_matrix.real
     residual = (l_matrix @ pops) / (np.diag(l_matrix) * pops)
-    assert np.abs(split.s_d + split.v_ss + 1.0 - residual).max() <= 1e-11
+    assert np.abs(flux.s_d + flux.v_ss + 1.0 - residual).max() <= 1e-11
     d = pops.size
     a = np.random.default_rng(seed).normal(size=(2, d, d))
     coupling = (a[0] + 1j * a[1]) + (a[0] + 1j * a[1]).conj().T
@@ -613,7 +613,7 @@ def test_ladder_pipeline_at_d32_allocates_no_dense_generator():
     tracemalloc.start()
     try:
         analysis = analyze(build_generator(h, channels))
-        assert analysis.flux.loops and analysis.split.v_ss.size == 32
+        assert analysis.flux.loops and analysis.flux.v_ss.size == 32
         response_split(v, analysis, omegas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
@@ -630,7 +630,7 @@ def test_ladder_pipeline_at_d64_keeps_k_to_its_fed_rows():
     tracemalloc.start()
     try:
         analysis = analyze(build_generator(h, channels))
-        assert analysis.flux.loops and analysis.split.v_ss.size == 64
+        assert analysis.flux.loops and analysis.flux.v_ss.size == 64
         response_split(v, analysis, omegas)
         peak = tracemalloc.get_traced_memory()[1]
     finally:

@@ -50,11 +50,17 @@ holds nothing else.  An alias, a merge key '<<', any other tag (!!set,
 !!binary, a timestamp, !foo, !!str on a collection), a collection as a
 key, a scalar its tag's converter cannot read and nesting past the
 recursion limit are each a ConfigError that names the construct and,
-but for the nesting, its line.
+but for the nesting, its line.  The composer tags the nodes through
+`_tabled(YAML_LOADER)`, which reads PyYAML's table of implicit tags once
+and gives each node the tag PyYAML's own resolver gives it.
+
+A level key that is not a string is a ConfigError too: a channel end
+names its level by equality, by which true, 1 and 1.0 are one key.
 """
 
 import math
 from dataclasses import dataclass, fields, replace
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -67,9 +73,10 @@ from .liouville import DissipationChannel
 
 __all__ = ["ConfigError", "RunConfig", "Model", "load_config"]
 
-# libyaml's safe loader, when PyYAML has it: yaml.load of a 2.3 kB d = 12
-# ladder file took 1.0-1.3 ms with it against 9.1-9.9 ms without, about 8x
-# (timeit, best of 7, 2-core x86-64 host)
+# libyaml's safe loader, when PyYAML has it: composing and walking a
+# 2.3 kB d = 12 ladder file, both loaders tabled, took 0.38 ms with it
+# against 5.0 ms with the pure-Python SafeLoader, about 13x (timeit, best
+# of 7, 2-core x86-64 host)
 YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 _CORE = "tag:yaml.org,2002:"
@@ -84,6 +91,49 @@ _SCALARS = {
     _CORE + "bool": _SAFE.construct_yaml_bool,
     _CORE + "null": _SAFE.construct_yaml_null,
 }
+
+
+@lru_cache(maxsize=None)
+def _tabled(base):
+    """The loader class `base` with its implicit tags read from one table.
+
+    Resolver.resolve, which the composer calls on every node, looks up
+    the resolvers of a scalar's first character and joins them to the
+    wildcard ones each time.  Here PyYAML's own yaml_implicit_resolvers
+    are read once: each first character, the empty string included, maps
+    to its (tag, regexp) pairs followed by the wildcard pairs, in the
+    order resolve tries them, and any other character to the wildcard
+    pairs alone.  A loader without path resolvers, as every safe loader
+    is, tags a collection or a non-implicit scalar by its kind alone, so
+    the node path that descend_resolver and ascend_resolver keep is never
+    read, and they do nothing."""
+    assert not base.yaml_path_resolvers, "the table has no node paths"
+    implicit = base.yaml_implicit_resolvers
+    wildcard = tuple(implicit.get(None, ()))
+    table = {first: tuple(pairs) + wildcard
+             for first, pairs in implicit.items() if first is not None}
+    default = {ScalarNode: base.DEFAULT_SCALAR_TAG,
+               SequenceNode: base.DEFAULT_SEQUENCE_TAG,
+               MappingNode: base.DEFAULT_MAPPING_TAG}
+
+    class Loader(base):
+        def resolve(self, kind, value, implicit):
+            if kind is ScalarNode and implicit[0]:
+                for tag, regexp in table.get(value[:1], wildcard):
+                    if regexp.match(value):
+                        return tag
+            return default[kind]
+
+        def descend_resolver(self, current_node, current_index):
+            pass
+
+        def ascend_resolver(self):
+            pass
+
+    return Loader
+
+
+_tabled(YAML_LOADER)    # the table is read at import
 
 
 def _refusal(message, node):
@@ -147,7 +197,7 @@ def _load_yaml(fh):
     """What yaml.load(fh, Loader=YAML_LOADER) gives, from one parse, for a
     document of core scalars, lists and mappings."""
     try:
-        root = yaml.compose(fh, Loader=YAML_LOADER)
+        root = yaml.compose(fh, Loader=_tabled(YAML_LOADER))
         return None if root is None else _walk(root, set())
     except RecursionError:
         # in the pure-Python composer, or in the walk
@@ -246,29 +296,43 @@ def _float(value, path, *args):
     return out
 
 
+_CHANNEL = "model.generic.channels[%d]"
 _CHANNEL_KEYS = frozenset(("upper", "lower", "rate_up", "rate_down"))
 
 
 def _channel(ch, i, index):
     """Entry i of model.generic.channels as a DissipationChannel; `index`
-    maps each level label to its position."""
-    path = "model.generic.channels[%d]"
-    _check_keys(ch, _CHANNEL_KEYS, path, i)
-    upper, lower = _require(ch, "upper", path, i), _require(ch, "lower", path, i)
-    ends = []
-    for label in (upper, lower):
-        try:
-            ends.append(index[label])
-        except (KeyError, TypeError):   # TypeError: a list or a mapping
-            raise ConfigError("%s: %r names no level" % (path % i, label)) from None
-    if upper == lower:
-        raise ConfigError("%s: upper and lower must differ" % (path % i))
-    rate_up = _float(_require(ch, "rate_up", path, i), path + ".rate_up", i)
-    rate_down = _float(_require(ch, "rate_down", path, i), path + ".rate_down", i)
+    maps each level label to its position.  The checks run inline, in the
+    helpers' order, and a field's path is formatted only for the error
+    that names it."""
+    if type(ch) is not dict or not ch.keys() <= _CHANNEL_KEYS:
+        _check_keys(ch, _CHANNEL_KEYS, _CHANNEL, i)
     try:
-        return DissipationChannel({tuple(ends): 1.0}, rate_up, rate_down)
+        labels = ch["upper"], ch["lower"]
+    except KeyError as missing:
+        raise ConfigError("missing required field '%s.%s'"
+                          % (_CHANNEL % i, missing.args[0])) from None
+    try:
+        ends = index[labels[0]], index[labels[1]]
+    except (KeyError, TypeError):   # TypeError: a list or a mapping
+        # report the first end that names no level: only a string can name
+        # one, and `in` would fail on a list
+        upper_known = type(labels[0]) is str and labels[0] in index
+        label = labels[1] if upper_known else labels[0]
+        raise ConfigError("%s: %r names no level" % (_CHANNEL % i, label)) from None
+    if ends[0] == ends[1]:
+        raise ConfigError("%s: upper and lower must differ" % (_CHANNEL % i))
+    rate_up, rate_down = ch.get("rate_up"), ch.get("rate_down")
+    if not (type(rate_up) is type(rate_down) is float
+            and math.isfinite(rate_up) and math.isfinite(rate_down)):
+        # a missing, non-float or non-finite rate, refused or converted
+        rate_up, rate_down = (
+            _float(_require(ch, key, _CHANNEL, i), _CHANNEL + "." + key, i)
+            for key in ("rate_up", "rate_down"))
+    try:
+        return DissipationChannel({ends: 1.0}, rate_up, rate_down)
     except ValueError as exc:
-        raise ConfigError("%s: %s" % (path % i, exc))
+        raise ConfigError("%s: %s" % (_CHANNEL % i, exc))
 
 
 def _omega_grid(section):
@@ -342,6 +406,11 @@ def load_config(path):
         if not isinstance(levels, dict) or not levels:
             raise ConfigError("model.generic.levels must be a non-empty mapping")
         labels = tuple(levels.keys())
+        for label in labels:
+            # a channel end names a level by equality, where true == 1 == 1.0
+            if type(label) is not str:
+                raise ConfigError("model.generic.levels: level key %r is not "
+                                  "a string" % (label,))
         energies = [_float(levels[k], "model.generic.levels.%s", k) for k in labels]
         ham = np.diag(np.asarray(energies, dtype=complex))
         index = {label: n for n, label in enumerate(labels)}

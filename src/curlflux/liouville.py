@@ -46,7 +46,6 @@ __all__ = [
     "Generator",
     "build_generator",
     "sector_labels",
-    "sector_indices",
     "sector_modes",
 ]
 
@@ -123,8 +122,8 @@ class Generator:
     """The generator M of d rho/dt = M vec(rho), held as its sectors.
 
     `blocks` holds one (idx, block) pair per sector size, smallest
-    first: idx is the (count, size) :func:`sector_indices` array, whose
-    rows each list one sector's indices in increasing order, and block
+    first: idx is the (count, size) index array of :func:`_sector_layout`,
+    whose rows each list one sector's indices in increasing order, and block
     the (count, size, size) stack with block[r] = M[idx[r]][:, idx[r]],
     a view of the one buffer that holds every block.
     Every index of M lies in exactly one row of one idx, and every entry
@@ -322,11 +321,13 @@ def sector_labels(n, rows, cols):
 
 
 def _sector_layout(labels):
-    """(order, size, groups) of a labelling: every index in the order of
-    :func:`sector_indices` (sectors by size, then by smallest index, each
-    one's indices ascending), the size of each one's sector in that
-    order, and the (place, idx) of each size group, idx its (count, size)
-    index array and place the place of its first index in the order."""
+    """(order, size, groups) of a labelling: every index in sector order
+    (sectors by size, then by smallest index, each one's indices
+    ascending), the size of each one's sector in that order, and the
+    (place, idx) of each size group, idx its (count, size) index array,
+    whose rows hold one sector's indices each, and place the place of its
+    first index in the order.  The layout depends on the labels alone, so
+    it is exact whatever the magnitudes of the entries."""
     n = labels.size
     sizes = np.bincount(labels, minlength=n)    # a sector's size at its label
     size = sizes[labels]
@@ -338,17 +339,6 @@ def _sector_layout(labels):
         groups.append((w, order[w:end].reshape(-1, s)))
         w = end
     return order, size[order], groups
-
-
-def sector_indices(labels):
-    """Indices of every sector of a labelling, equal sizes stacked.
-
-    Returns one (count, size) integer array per distinct sector size,
-    smallest first, whose rows hold the indices of one sector in
-    increasing order.  The layout depends on the labels alone, so it is
-    exact whatever the magnitudes of the entries.
-    """
-    return [idx for _, idx in _sector_layout(labels)[2]]
 
 
 def sector_modes(block):

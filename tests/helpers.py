@@ -14,7 +14,7 @@ from curlflux.liouville import (
     _hermitian,
     _permutation,
     _positions,
-    sector_indices,
+    _sector_layout,
     vectorize,
 )
 from curlflux.reduction import (
@@ -32,6 +32,13 @@ class SteadyState(NamedTuple):
 
     vector: np.ndarray
     residual: float
+
+
+def sector_indices(labels):
+    """Indices of every sector of a labelling, equal sizes stacked: one
+    (count, size) integer array per distinct sector size, smallest first,
+    whose rows hold the indices of one sector in increasing order."""
+    return [idx for _, idx in _sector_layout(labels)[2]]
 
 
 def devectorize(vec):

@@ -166,6 +166,14 @@ REFUSALS = {
         GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: abc") + OMEGA,
         "config error: field 'model.generic.channels[1].rate_up' must be a "
         "number, got 'abc'\n"),
+    # by equality true, no and 1.0 would name the levels 1, 0 and 1
+    "integer-level-keys": (
+        "model:\n  type: generic\n  generic:\n"
+        "    levels: {0: 0.0, 1: 1.0, 2: 1.7}\n    channels:\n"
+        "      - {upper: true, lower: no, rate_up: 0.01, rate_down: 0.02}\n"
+        "      - {upper: 2, lower: 1.0, rate_up: 0.03, rate_down: 0.01}\n"
+        "      - {upper: 2, lower: 0, rate_up: 0.01, rate_down: 0.04}\n" + OMEGA,
+        "config error: model.generic.levels: level key 0 is not a string\n"),
 }
 
 

@@ -6,6 +6,7 @@ import io
 import random
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import pytest
 import yaml
@@ -173,6 +174,97 @@ documents = st.recursive(
 def test_dumped_core_documents_load_as_yaml_load_loads_them(loader, doc, flow):
     text = yaml.safe_dump(doc, default_flow_style=flow, sort_keys=False)
     assert_loads_like_yaml_load(loader, text)
+
+
+def nodes(root):
+    """Each node of a composed graph, depth first, as (type, tag, value,
+    style, start line), the value of a collection as its length, and a
+    node met again through an alias as the position of its first entry."""
+    out, stack, seen = [], [root], {}
+    while stack:
+        node = stack.pop()
+        if node is None:
+            continue
+        if isinstance(node, tuple):     # a mapping's (key, value) pair
+            stack.extend(reversed(node))
+            continue
+        if id(node) in seen:
+            out.append(seen[id(node)])
+            continue
+        seen[id(node)] = len(out)
+        value = node.value
+        if isinstance(node, yaml.ScalarNode):
+            out.append((type(node), node.tag, value, node.style,
+                        node.start_mark.line))
+        else:
+            out.append((type(node), node.tag, len(value), None,
+                        node.start_mark.line))
+            stack.extend(reversed(value))
+    return out
+
+
+def assert_tagged_as_pyyaml(loader, text):
+    """The tabled loader over `loader` composes `text` node for node as
+    `loader` itself, with PyYAML's Resolver.resolve, does.  Under
+    yaml.SafeLoader that oracle is pure Python, resolver and composer.
+    libyaml's composer is its own oracle: it tags '!' on an empty scalar
+    str where PyYAML's tags it null, whatever the resolver."""
+    def compose_with(cls):
+        return outcome(lambda fh: nodes(yaml.compose(fh, Loader=cls)), text)
+
+    got, want = compose_with(config._tabled(loader)), compose_with(loader)
+    if isinstance(want, Exception):
+        assert (type(got), str(got)) == (type(want), str(want))
+    else:
+        assert got == want
+
+
+def run_file_texts(tmp_path):
+    """The bundled run files and the bench's seed-3 inputs of every
+    workload, each as text."""
+    configs = resources.files("curlflux") / "configs"
+    paths = {p for p in configs.iterdir() if p.name.endswith(".yaml")}
+    workloads = _bench_workloads()
+    for name in workloads.WORKLOADS:
+        spec = workloads.generate(name, 3, str(tmp_path / name))
+        paths |= {Path(op["argv"][2]) for op in [spec["warmup"]] + spec["batch"]}
+    return [p.read_text() for p in sorted(paths, key=str)]
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+def test_the_tabled_resolver_tags_every_document_as_pyyaml(loader, tmp_path):
+    texts = run_file_texts(tmp_path)
+    # bundled, then cli_cold, junction_sweep, ladder_flux, ladder_spectrum
+    assert len(texts) == 7 + 4 + 7 + 8 + 4
+    texts += list(HANDWRITTEN.values())
+    texts += [text for text, *_ in UNSUPPORTED.values()]
+    texts += [text for text, *_ in DUPLICATES.values()]
+    for text in texts:
+        assert_tagged_as_pyyaml(loader, text)
+
+
+# plain scalars: texts of the characters PyYAML's implicit-resolver
+# regexes read and the letters of the words they match, texts each of
+# those regexes matches, and such a match with one character put before
+# or after it, which it may or may not still match
+READ = "0123456789+-._:~<= eExXoObBT" + "yesnoontruefalsenullinfnan"
+CHARACTERS = sorted(set(READ.lower() + READ.upper()))
+matches = st.one_of([st.from_regex(regexp) for regexp in dict.fromkeys(
+    regexp for pairs in yaml.SafeLoader.yaml_implicit_resolvers.values()
+    for _, regexp in pairs)])
+near = st.tuples(st.sampled_from(CHARACTERS), matches, st.booleans()).map(
+    lambda t: t[1] + t[0] if t[2] else t[0] + t[1])
+plain = st.text(alphabet=CHARACTERS, max_size=10) | matches | near
+
+
+@pytest.mark.parametrize("loader", LOADERS, ids=lambda c: c.__name__)
+@settings(max_examples=500, deadline=None, derandomize=True)
+@given(text=plain)
+def test_the_tabled_resolver_tags_plain_scalars_as_pyyaml(loader, text):
+    assert_tagged_as_pyyaml(loader, text)
+    assert_tagged_as_pyyaml(loader, "v: %s\n" % text)
+    # quoted, the same text is a str
+    assert_tagged_as_pyyaml(loader, "v: '%s'\n" % text.replace("'", "''"))
 
 
 def test_run_files_are_composed_once_and_walked_without_pyyaml_constructing(

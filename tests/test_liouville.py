@@ -16,7 +16,6 @@ from curlflux.liouville import (
     _permutation,
     _positions,
     build_generator,
-    sector_indices,
     sector_labels,
     sector_modes,
     vectorize,
@@ -41,6 +40,7 @@ from helpers import (
     random_ladder_model,
     random_lindblad_model,
     right_mult,
+    sector_indices,
     sectors,
     to_dense,
     trace_vector,

@@ -23,9 +23,29 @@ Several calls of :func:`main` in one interpreter share one parser, built
 by the first; each looks up its ``cmd_<name>`` function when it runs.
 
 This is the one module that turns numbers into text; the library
-returns arrays and records.  Every CSV value is written at '%.17g', and
-a sweep's frequency column is formatted once and shared by all of its
-CSVs, which are written through the same row writer as fdr-check's.
+returns arrays and records.  Every CSV value is written as its '%.17g'
+text, byte for byte, by one numpy writer that `spectrum` and
+`fdr-check` share; a sweep's frequency column is formatted once and
+shared by all of its CSVs.  The writer lays each value out as a
+fixed-width cell of NUL-padded bytes, and one
+``tobytes().translate(None, b"\\0")`` turns the rows x columns block of
+cells into the text.  For a finite non-zero |x| in (1e-280, 1e280) it
+takes k = floor(log10|x|) and forms y = |x| 10**(16 - k) as a
+double-double: Dekker's exact product of |x| with the double nearest
+10**(16 - k), plus |x| times that power's exactly rounded remainder.
+For y in [1e16, 1e17] that sum is within 4e-15 of the exact product
+(the power's remainder, the product with it and the sum each round
+once, at 1.2e-15, 0.9e-15 and 1.8e-15 at most; the product with the
+nearest double is exact), so rounding it to an integer N gives the
+correctly rounded 17 digits (k stepped once where log10 was a decade
+off, and N = 1e17 read as 1e16 a decade up) unless the fractional part
+of y lies within that error of a half.  Every value whose fractional part
+is within 1e-6 of 0.5, and nan, +-inf and every |x| outside the range,
+is written by '%.17g' % x itself, the one other path; zeros are written
+as "0" and "-0" directly.  The tables of the writer (the double-double
+powers of ten, each computed from Python integers on first use, and the
+digit chunks of 0..9999) are built by the first CSV, so a command that
+writes none pays nothing for them.
 The flux report's bytes equal ``json.dumps(report, indent=2,
 sort_keys=True)``, and its balance verdict is the one
 :func:`~curlflux.flux.is_detailed_balanced` gives the `flux` command,
@@ -72,20 +92,185 @@ def _write(config, args, suffix, text):
     print("wrote %s" % path)
 
 
+# The CSV writer lays each value out as one cell of six 64-bit words,
+# 48 bytes: word 0 holds the sign, a "0.000" prefix and the first digit
+# with the point slot after it, words 1-4 the other 16 digits each with
+# its slot, and word 5 the exponent in bytes 0-4 and the separator in
+# byte 7; every unused byte is NUL.  The decimal exponents k of the exact
+# path stay within [_K_MIN, _K_MAX], one step beyond 1e+-280 on each
+# side, so no product below overflows or goes subnormal.
+_K_MIN, _K_MAX = -282, 281
+_SPLIT = 134217729.0            # 2**27 + 1, Dekker's splitter for doubles
+
+
+def _words(texts):
+    """The 64-bit words whose bytes are the NUL-padded `texts`."""
+    data = "".join(text.ljust(8, "\0") for text in texts).encode()
+    return np.frombuffer(data, np.uint64)
+
+
+@functools.cache
+def _tables():
+    """The writer's tables, built by the first CSV so that no other
+    command pays for them.
+
+    powers
+        Rows hi, hi's two Dekker halves and lo of the double-double
+        10**(16 - k), one column per k; NaN until first used.
+    heads, tails
+        Word 0 without its digit, by sign (outer) and k, and word 5, by k.
+    leads, chunks
+        The digit word of 0..9 (bytes 6-7 of word 0) and of 0..9999
+        (four digits, each followed by its point slot, held as ".").
+    zeros
+        The number of trailing zero digits of 0..9999 (4 for 0).
+    forms
+        Row 18 * j + p masks a cell to keep digits 0..j and, for p < 17,
+        the point slot after digit p.
+    """
+    powers = np.full((4, _K_MAX - _K_MIN + 1), np.nan)
+    k = np.arange(_K_MIN, _K_MAX + 1)
+    # the prefix of k = -1..-4 is "0." and -k - 1 zeros
+    prefixes = _words(sign + ("0." + "0" * (n - 1) if n else "")
+                      for sign in ("", "-") for n in range(5))
+    heads = prefixes.reshape(2, 5).take(np.where((k >= -4) & (k < 0), -k, 0),
+                                        axis=1).ravel()
+    tails = _words("" if -4 <= e <= 16 else "e%+03d" % e for e in k.tolist())
+    leads = _words("\0" * 6 + "%d." % i for i in range(10))
+    digits = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    chunks = np.full((10, 10, 10, 10, 8), ord("."), np.uint8)
+    chunks[..., 0] = digits[:, None, None, None]
+    chunks[..., 2] = digits[:, None, None]
+    chunks[..., 4] = digits[:, None]
+    chunks[..., 6] = digits
+    zeros = np.zeros((10, 10, 10, 10), np.int8)
+    zeros[..., 0] = 1
+    zeros[..., 0, 0] = 2
+    zeros[:, 0, 0, 0] = 3
+    zeros[0, 0, 0, 0] = 4
+    j, p = np.divmod(np.arange(17 * 18), 18)
+    forms = np.full((17 * 18, 24, 2), 0xFF, np.uint8)
+    forms[:, 3:20, 0] = 0xFF * (np.arange(17) <= j[:, None])
+    forms[:, 3:20, 1] = 0xFF * (np.arange(17) == p[:, None])
+    return (powers, heads, tails, leads, chunks.view(np.uint64).ravel(),
+            zeros.ravel(), forms.reshape(17 * 18, 48).view(np.uint64))
+
+
+def _fill_powers(powers, columns):
+    """Write 10**(16 - k) as a double-double into each of `columns`,
+    exactly rounded from Python integers."""
+    for column in columns:
+        m = 16 - (column + _K_MIN)
+        num, den = (10 ** m, 1) if m >= 0 else (1, 10 ** -m)
+        hi = num / den
+        hi_num, hi_den = hi.as_integer_ratio()
+        lo = (num * hi_den - hi_num * den) / (den * hi_den)
+        head = _SPLIT * hi
+        head -= head - hi
+        powers[:, column] = hi, head, hi - head, lo
+
+
+def _scale(a, a_head, a_tail, k, powers):
+    """Round y = a * 10**(16 - k) to the nearest integer N.
+
+    y is a double-double: Dekker's exact product of a with the power's
+    hi part, plus a times its lo part, within 4e-15 of the exact
+    product for y up to 1e17.  Returns N, the fractional part of y and
+    the step of k that puts y in [1e16, 1e17 + 0.5): 0 where it is there
+    already."""
+    column = k - _K_MIN
+    hi, b_head, b_tail, lo = powers.take(column, axis=1)
+    if np.isnan(hi).any():
+        _fill_powers(powers, set(column[np.isnan(hi)].tolist()))
+        hi, b_head, b_tail, lo = powers.take(column, axis=1)
+    p = a * hi
+    t = ((((a_head * b_head - p) + a_head * b_tail) + a_tail * b_head)
+         + a_tail * b_tail) + a * lo
+    y_hi = p + t
+    y_lo = t - (y_hi - p)
+    whole = np.floor(y_lo)
+    frac = y_lo - whole
+    floor = y_hi.astype(np.int64) + whole.astype(np.int64)
+    n = floor + (frac > 0.5)
+    return n, frac, (n > 10 ** 17).view(np.int8) - (floor < 10 ** 16)
+
+
 def _format_column(values):
-    """'%.17g' text of each value: full double precision, so the files
-    are usable as regression goldens.  A sweep's frequency column is
-    formatted once and shared by all its CSVs."""
-    return list(map("%.17g".__mod__, values.tolist()))
+    """The '%.17g' text of each float in `values`, flattened in C order,
+    as one cell (a row of six 64-bit words) per value, the separator
+    byte left NUL.  A sweep's frequency column is formatted once and
+    shared by all its CSVs.
+
+    A value takes the exact path of the module docstring, or '%.17g' % x
+    where that path cannot decide its digits.
+    """
+    x = np.asarray(values, dtype=float).ravel()
+    powers, heads, tails, leads, chunks, zeros, forms = _tables()
+    a = np.abs(x)
+    ok = (a > 1e-280) & (a < 1e280)
+    zero = a == 0
+    a = np.where(ok, a, 1.0)
+    a_head = _SPLIT * a
+    a_head -= a_head - a
+    a_tail = a - a_head
+    k = np.floor(np.log10(a)).astype(np.int64)
+    n, frac, step = _scale(a, a_head, a_tail, k, powers)
+    if step.any():
+        k += step
+        n, frac, step = _scale(a, a_head, a_tail, k, powers)
+    top = n == 10 ** 17
+    n[top] = 10 ** 16
+    k += top
+    n[zero] = 0
+    k[zero] = 0
+    slow = ~(ok | zero) | (step != 0) | (np.abs(frac - 0.5) < 1e-6)
+    # the leading digit, then four chunks of four digits
+    high = n // 10 ** 8
+    low = n - high * 10 ** 8
+    lead = high // 10 ** 8
+    high -= lead * 10 ** 8
+    quads = np.empty((4, x.size), np.int64)
+    quads[0] = high // 10 ** 4
+    quads[1] = high - quads[0] * 10 ** 4
+    quads[2] = low // 10 ** 4
+    quads[3] = low - quads[2] * 10 ** 4
+    # the last non-zero digit, from the trailing zeros of the chunks
+    trailing = zeros.take(quads)
+    last = 16 - trailing[3]
+    for i in (2, 1, 0):
+        last -= (last == 4 * i + 4) * trailing[i]
+    # fixed notation for -4 <= k <= 16, the point after digit k (k >= 0)
+    fixed = (k >= -4) & (k <= 16)
+    point = np.where(fixed, k, 0)
+    dot = np.where((last > point) & (point >= 0), point, 17)
+    column = k - _K_MIN
+    cells = np.empty((x.size, 6), np.uint64)
+    cells[:, 0] = (heads.take(np.signbit(x) * (_K_MAX - _K_MIN + 1) + column)
+                   | leads.take(lead))
+    cells[:, 1:5] = chunks.take(quads.T)
+    cells[:, 5] = tails.take(column)
+    cells &= forms.take(18 * np.maximum(last, point) + dot, axis=0)
+    text = cells.view(np.uint8)
+    for i in np.flatnonzero(slow).tolist():
+        cell = ("%.17g" % x[i]).encode().ljust(47, b"\0")
+        text[i, :47] = np.frombuffer(cell, np.uint8)
+    return cells
 
 
 def _csv(header, first, *columns):
-    """CSV text: the header line, then one row per entry of `first`
+    """CSV text: the header line, then one row per cell of `first`
     (already formatted, see :func:`_format_column`) followed by the
-    matching entries of each float column at '%.17g'."""
-    template = "%s" + ",%.17g" * len(columns) + "\n"
-    rows = zip(first, *(c.tolist() for c in columns), strict=True)
-    return header + "\n" + "".join(map(template.__mod__, rows))
+    matching entries of each float column at '%.17g'.
+
+    The rows x columns block of cells becomes the text in one pass that
+    drops its NUL bytes."""
+    rows = _format_column(np.stack(columns, axis=1))
+    rows = rows.reshape(-1, len(columns), 6)
+    block = np.concatenate([first[:, None], rows], axis=1)
+    separators = block.view(np.uint8)[:, :, -1]
+    separators[:, :-1] = ord(",")
+    separators[:, -1] = ord("\n")
+    return header + "\n" + block.tobytes().translate(None, b"\0").decode()
 
 
 def spectrum_to_csv(spectrum, omega_text):
@@ -177,7 +362,7 @@ def _dumps(value, pad="\n"):
             return "{}"
         items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
                  for key, item in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + pad + "}"
+        return _layout(items, inner, pad, "{}")
     if isinstance(value, (list, tuple)):
         if not value:
             return "[]"
@@ -192,20 +377,24 @@ def _dumps(value, pad="\n"):
 def _floats(values, inner, pad):
     """The JSON array of a list of floats; TypeError if one is not a
     float."""
-    items = list(map(float.__repr__, values))
-    text = _layout(items, inner, pad)
+    text = _layout(list(map(float.__repr__, values)), inner, pad)
     # neither a finite float's repr nor the layout holds an "n"; nan, inf
     # and -inf do
     if "n" in text:
-        text = _layout([_FLOAT_CONSTANTS.get(t, t) for t in items], inner, pad)
+        text = _layout([_FLOAT_CONSTANTS.get(t, t)
+                        for t in map(float.__repr__, values)], inner, pad)
     return text
 
 
-def _layout(items, inner, pad):
-    """The JSON array of the encoded `items`, one per line."""
-    # the joined items stay a temporary: binding them to a name while the
-    # brackets are added raised a d = 512 flux report's peak RSS by 3 MB
-    return "[" + inner + ("," + inner).join(items) + pad + "]"
+def _layout(items, inner, pad, brackets="[]"):
+    """The JSON array, or with `brackets` "{}" the object, of the
+    encoded `items`, one per line.
+
+    The brackets join the first and the last item in place, so the text
+    is joined in one pass: its peak is the items plus the text."""
+    items[0] = brackets[0] + inner + items[0]
+    items[-1] += pad + brackets[1]
+    return ("," + inner).join(items)
 
 
 def _analyze(model):

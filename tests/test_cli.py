@@ -3,12 +3,15 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from importlib import resources
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import curlflux
 from curlflux import cli, config, liouville, reduction, response
@@ -350,6 +353,101 @@ def test_fdr_csv_bytes_match_per_row_formatter(tmp_path, monkeypatch):
     expected = "\n".join(lines) + "\n"
     assert "-0," in expected
     assert (tmp_path / "fdr_twolevel_fdr.csv").read_bytes() == expected.encode()
+
+
+def per_value_csv(*columns):
+    """The oracle: the CSV text of float columns, '%.17g' % v one value at
+    a time."""
+    rows = zip(*(np.asarray(c, dtype=float).tolist() for c in columns))
+    return "h\n" + "".join(",".join("%.17g" % v for v in row) + "\n"
+                           for row in rows)
+
+
+def writer_csv(*columns):
+    """The same text through the CLI's writer, the first column shared as
+    a sweep's frequency column is."""
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    return cli._csv("h", cli._format_column(columns[0]), *columns[1:])
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(st.lists(st.floats(allow_nan=True, allow_infinity=True,
+                          allow_subnormal=True), min_size=1, max_size=40))
+def test_the_csv_writer_matches_the_per_value_formatter(values):
+    column = np.array(values)
+    assert writer_csv(column, column[::-1]) == per_value_csv(column,
+                                                            column[::-1])
+
+
+def _powers_of_ten():
+    """Each double nearest 10**e, e = -300..300, and both its neighbours."""
+    powers = np.array([float("1e%d" % e) for e in range(-300, 301)])
+    return np.concatenate([np.nextafter(powers, 0.0), powers,
+                           np.nextafter(powers, np.inf)])
+
+
+# the layout edges: k = -5 and -4 (the last exponent form and the first
+# fixed one, with the prefixes 0.000 to 0.), k = 16 and 17, and values
+# whose trailing zeros reach the point or stop short of it
+LAYOUT_EDGES = [1.5e-5, 9.99e-5, 1e-4, 1.5e-4, 1.2e-3, 0.012, 1.0, 100.0,
+                123456.0, 1.5e16, 9.99e16, 1e16, 12345678901234568.0, 1.5e17,
+                1e17, 1.2345678901234567e-5, 0.00012345678901234567,
+                2.5e-280, 9e279]
+# exact ties of the 17-digit rounding and a value that is not one
+TIES = [1234567890123456.75, -1234567890123456.25, 0.5]
+# nan, the infinities, zeros, subnormals and the edges of (1e-280, 1e280)
+SPECIALS = [np.nan, -np.nan, np.inf, -np.inf, 0.0, -0.0, 5e-324,
+            2.2250738585072014e-308, 1e-280, 1e280, 1.7976931348623157e308]
+
+
+def test_the_csv_writer_matches_the_formatter_on_every_branch(monkeypatch):
+    values = np.concatenate([_powers_of_ten(), LAYOUT_EDGES, TIES, SPECIALS])
+    values = np.concatenate([values, -values])
+    # the list takes every branch: log10 gives some k a decade off, so
+    # each writer call steps k once and then has no step left
+    steps = []
+    scale = cli._scale
+
+    def recorded(*args):
+        result = scale(*args)
+        steps.append(bool(result[2].any()))
+        return result
+
+    monkeypatch.setattr(cli, "_scale", recorded)
+    assert writer_csv(values, values) == per_value_csv(values, values)
+    assert steps == [True, False] * 2
+    # some powers of ten round up to 10**17 (the nearest double lies
+    # below 10**e, within half a unit of the 17th digit)
+    assert any(Decimal(float("1e%d" % e)) < Decimal(10) ** e
+               and "%.17g" % float("1e%d" % e) == "1e%+03d" % e
+               for e in range(-300, 301))
+    # the first two ties are exact: y ends in .5
+    for tie in TIES[:2]:
+        y = abs(Decimal(tie)) * 10
+        assert y % 1 == Decimal("0.5"), tie
+    # one CSV whose columns mix all of the above
+    mixed = np.random.default_rng(5).permutation(values)
+    assert (writer_csv(mixed, values, mixed[::-1])
+            == per_value_csv(mixed, values, mixed[::-1]))
+
+
+def test_the_csv_tables_are_built_by_the_first_csv_alone(tmp_path):
+    # import, flux and validate write no CSV, so a cold call of either
+    # pays nothing for the writer's tables; spectrum builds them
+    code = "\n".join([
+        "import sys",
+        "from curlflux import cli",
+        "built = [cli._tables.cache_info().currsize]",
+        "for command in ('flux', 'validate', 'spectrum'):",
+        "    cli.main([command, '--config', sys.argv[2], '--out', sys.argv[1]])",
+        "    built.append(cli._tables.cache_info().currsize)",
+        "print(built)",
+    ])
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path),
+         bundled("flux_fivelevel.yaml")],
+        env=fresh_env(), check=True, capture_output=True, text=True).stdout
+    assert out.strip().splitlines()[-1] == "[0, 0, 0, 1]"
 
 
 # a thermal ladder whose a-c channel misses balance by a violation of

@@ -15,9 +15,10 @@ fluctuation-dissipation comparison (and refuses driven models);
 Every command works on the :func:`~curlflux.reduction.analyze` result of
 the configured :class:`~curlflux.config.Model`, or of each spectrum
 point, and probes it through the model's own coupling; junction and
-generic run files give the same record.  Two outputs still depend on the
-run file's `model.type`: only the junction's spectra are split, and only
-its flux report adds the loop flux and the e1-e2 coherence.
+generic run files give the same record.  Only `spectrum` reads the run
+file's `model.type` to choose what it computes: it splits the
+junction's spectra alone (`validate` names the kind in its summary
+line).  The flux report has the same keys for every model.
 
 Several calls of :func:`main` in one interpreter share one parser, built
 by the first; each looks up its ``cmd_<name>`` function when it runs.
@@ -287,25 +288,40 @@ def spectrum_to_csv(spectrum, omega_text):
                 spectrum.r_full.real, spectrum.r_full.imag, eq, ne)
 
 
-def render_flux_report(decomposition, labels, verdict, extra):
-    """Serialize a flux decomposition as a deterministic JSON document.
+def render_flux_report(analysis, labels, verdict):
+    """Serialize the flux record and steady state of an Analysis as a
+    deterministic JSON document, with the same keys for every model.
 
     Parameters
     ----------
-    decomposition : FluxDecomposition
+    analysis : Analysis
     labels : sequence of str
-        State names, one per state, used for loops.
+        State names, one per state, used for loops and coherences.
     verdict : (bool, float)
         The :func:`~curlflux.flux.is_detailed_balanced` pair, written as
         detailed_balance and max_violation.
-    extra : dict
-        Additional top-level entries (e.g. model-specific scalars).
+
+    `coherences` lists each exactly non-zero rho_ss[n, m] with n < m, in
+    row-major order, as its level pair and its real and imaginary parts.
     """
     labels = list(labels)
     balanced, violation = verdict
+    decomposition = analysis.flux
+    rho = analysis.rho_ss
+    # the entries above the diagonal from the non-zero ones: no d x d
+    # temporary, as np.triu would make
+    rows, cols = np.nonzero(rho)
+    upper = rows < cols
+    rows, cols = rows[upper], cols[upper]
     # the matrices stay arrays: the writer formats them one row at a time
     report = {
         "states": labels,
+        "populations": analysis.populations.tolist(),
+        "coherences": [
+            {"pair": [labels[n], labels[m]], "re": z.real, "im": z.imag}
+            for n, m, z in zip(rows.tolist(), cols.tolist(),
+                               rho[rows, cols].tolist())
+        ],
         "t_rate": decomposition.t_rate,
         "curl_flux": decomposition.c,
         "symmetric_part": decomposition.sym,
@@ -318,7 +334,6 @@ def render_flux_report(decomposition, labels, verdict, extra):
         "detailed_balance": balanced,
         "max_violation": violation,
     }
-    report.update(extra)
     return _dumps(report)
 
 
@@ -417,25 +432,9 @@ def cmd_spectrum(config, args):
 
 def cmd_flux(config, args):
     analysis = _analyze(config.model)
-    pops = analysis.populations
-    verdict = is_detailed_balanced(analysis.rates, pops)
-    extra = {"populations": list(map(float, pops))}
-    if config.kind == "junction":
-        # the one-sided loop flux e1 -> e2 (zero when the loop runs
-        # backwards) and the stationary coherence rho_e1e2
-        flux_j = float(analysis.flux.c[1, 2])
-        rho = analysis.rho_ss
-        coh = complex(rho[1, 2])
-        # Im rho_e1e2 at rounding level (detailed balance) has no ratio
-        at_rounding = abs(coh.imag) <= 1e-12 * np.abs(rho).max()
-        extra.update(
-            loop_flux_j=flux_j,
-            im_coherence_e1e2=coh.imag,
-            flux_coherence_ratio=None if at_rounding else flux_j / coh.imag,
-        )
-    report = render_flux_report(analysis.flux, config.model.labels, verdict,
-                                extra)
-    _write(config, args, "_flux.json", report)
+    verdict = is_detailed_balanced(analysis.rates, analysis.populations)
+    _write(config, args, "_flux.json",
+           render_flux_report(analysis, config.model.labels, verdict))
     print("detailed balance: %s (max violation %.6e)" % verdict)
 
 

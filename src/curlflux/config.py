@@ -9,7 +9,8 @@ record: state labels, Hamiltonian, channels and the probe coupling
 ``scale * (A + A^dag)``, with A the sum of the channels' raising
 operators, each one unit entry |upper><lower|, and the junction's dipole
 as the scale (1 for a generic model).  The kind,
-read from `model.type`, is kept as `RunConfig.kind`.
+read from `model.type`, is kept as `RunConfig.kind`; of the commands,
+only `spectrum` reads it, to split the junction's spectra alone.
 
 A run file has three sections::
 

@@ -269,7 +269,8 @@ def test_flux_report_junction(tmp_path):
     assert main(["flux", "--config", bundled("fig2a.yaml"), "--out", str(out)]) == 0
     data = json.loads(read(out / "fig2a_flux.json"))
     assert data["states"] == ["g", "e1", "e2"]
-    assert "loop_flux_j" in data and "flux_coherence_ratio" in data
+    # the driven junction's one stationary coherence
+    assert [entry["pair"] for entry in data["coherences"]] == [["e1", "e2"]]
     assert data["detailed_balance"] is False
 
 
@@ -295,8 +296,9 @@ def test_flux_report_balanced_junction(tmp_path, capsys):
                  "--out", str(out)]) == 0
     data = json.loads(read(out / "junction_balanced_flux.json"))
     assert data["detailed_balance"] is True
-    assert data["loop_flux_j"] == 0.0
-    assert data["flux_coherence_ratio"] is None
+    # rho_e1e2 is exactly 0 at balance, and so is the e1 -> e2 loop flux
+    assert data["coherences"] == []
+    assert data["curl_flux"][1][2] == 0.0
     assert data["loops"] == []
     assert "detailed balance: True" in capsys.readouterr().out
 
@@ -314,13 +316,16 @@ def test_the_kind_comes_from_model_type_not_from_the_labels(tmp_path):
     out = tmp_path / "out"
     for command in ("spectrum", "flux", "validate"):
         assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    assert main(["flux", "--config", bundled("fig2a.yaml"), "--out",
+                 str(out)]) == 0
     rows = read(out / "gee_spectrum.csv").strip().split("\n")[1:]
     assert len(rows) == 31
     assert all(row.split(",")[3:] == ["0", "0"] for row in rows)
     report = json.loads(read(out / "gee_flux.json"))
     assert report["states"] == ["g", "e1", "e2"]
-    assert not {"loop_flux_j", "im_coherence_e1e2",
-                "flux_coherence_ratio"} & set(report)
+    # one report schema for every model
+    assert set(report) == set(json.loads(read(out / "fig2a_flux.json")))
+    assert report["coherences"] == []
 
 
 def test_fdr_check_thermal_two_level(tmp_path, capsys):

@@ -368,12 +368,8 @@ def test_flux_axioms_random_property_suite():
 def test_flux_report_is_deterministic_json():
     model = build_junction(JunctionParams(mu_1=1.2, mu_2=0.8))
     verdict = is_detailed_balanced(model.l_matrix, model.populations)
-    text1 = render_flux_report(model.flux, labels=JUNCTION_LABELS,
-                               verdict=verdict,
-                               extra={"loop_flux_j": model.flux_j})
-    text2 = render_flux_report(model.flux, labels=JUNCTION_LABELS,
-                               verdict=verdict,
-                               extra={"loop_flux_j": model.flux_j})
+    text1 = render_flux_report(model, JUNCTION_LABELS, verdict)
+    text2 = render_flux_report(model, JUNCTION_LABELS, verdict)
     assert text1 == text2
     data = json.loads(text1)
     assert data["states"] == ["g", "e1", "e2"]
@@ -383,54 +379,53 @@ def test_flux_report_is_deterministic_json():
     assert data["loops"][0]["weight"] == pytest.approx(model.flux_j)
 
 
-def test_flux_report_bytes_equal_the_json_module(tmp_path, monkeypatch):
-    # every bundled and bench/reference run file, one report each:
-    # the report the CLI writes is json.dumps(report, indent=2,
-    # sort_keys=True) of the report it built, whose matrices are arrays
-    # that json.dumps writes as their nested lists
-    reports = []
-    write = cli._dumps
-
-    def recorded(report, *pad):
-        text = write(report, *pad)
-        if pad:
-            # the writer's own recursion into a nested value
-            return text
-        reports.append(report)
-        assert text == json.dumps(report, indent=2, sort_keys=True,
-                                  default=np.ndarray.tolist)
-        return text
-
-    monkeypatch.setattr(cli, "_dumps", recorded)
-    for path in RUN_FILES:
-        assert main(["flux", "--config", path, "--out", str(tmp_path)]) == 0
-    assert len(reports) == len(RUN_FILES) == 11
-    # the junction reports hold a null ratio at the balanced point
-    assert any(r.get("flux_coherence_ratio", 0.0) is None for r in reports)
+def test_flux_report_bytes_equal_the_json_module(tmp_path):
+    # every bundled and bench/reference run file, one report each: the
+    # text the CLI writes is json.dumps(report, indent=2, sort_keys=True)
+    # of the report it holds
+    texts = []
+    for i, path in enumerate(RUN_FILES):
+        out = tmp_path / str(i)
+        assert main(["flux", "--config", path, "--out", str(out)]) == 0
+        (written,) = out.glob("*_flux.json")
+        texts.append(written.read_text())
+    assert len(texts) == len(RUN_FILES) == 11
+    for text in texts:
+        assert text == json.dumps(json.loads(text), indent=2, sort_keys=True)
 
 
 def test_json_writer_spells_special_values_like_the_json_module():
-    decomp = curl_flux(*three_cycle())
-    extra = {"flux_coherence_ratio": None, "im_coherence_e1e2": -0.0,
-             "loop_flux_j": float("nan"), "populations": [1.0, float("inf")],
-             "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
-             "nested": [[], {}, [[float("nan")]], (1.5,)]}
-    text = render_flux_report(decomp, labels=["a", "b", "c"],
-                              verdict=is_detailed_balanced(*three_cycle()),
-                              extra=extra)
+    values = {"null": None, "negative_zero": -0.0, "nan": float("nan"),
+              "populations": [1.0, float("inf")],
+              "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
+              "nested": [[], {}, [[float("nan")]], (1.5,)]}
+    text = cli._dumps(values)
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, sort_keys=True)
-    for key in ("flux_coherence_ratio", "im_coherence_e1e2", "loop_flux_j",
-                "populations", "tail"):
-        assert json.dumps(report[key]) == json.dumps(extra[key])
-    assert cli._dumps(extra) == json.dumps(extra, indent=2, sort_keys=True)
+    for key in ("null", "negative_zero", "nan", "populations", "tail"):
+        assert json.dumps(report[key]) == json.dumps(values[key])
+    assert text == json.dumps(values, indent=2, sort_keys=True)
+
+
+def test_flux_report_lists_every_nonzero_coherence_in_row_major_order():
+    # a coherent four-level model, whose steady state has every coherence
+    rng = np.random.default_rng(31)
+    analysis = analyze(generator_of(random_lindblad_model(rng, 4)[2]))
+    labels = ["a", "b", "c", "d"]
+    report = json.loads(render_flux_report(analysis, labels, (False, 0.0)))
+    rho = analysis.rho_ss
+    assert report["coherences"] == [
+        {"pair": [labels[n], labels[m]], "re": rho[n, m].real,
+         "im": rho[n, m].imag}
+        for n in range(4) for m in range(n + 1, 4)
+    ]
 
 
 def test_flux_report_renders_its_matrices_a_row_at_a_time(tmp_path):
     # the bench's d = 128 ladder (seed 3): its 0.6 MB report peaks at
-    # about three copies of the text (the entries, their join and the
-    # bracketed whole); holding the three matrices as nested lists, one
-    # float object per entry, peaks near six
+    # about two copies of the text (the entries and their join), so the
+    # bound fails a third copy, such as the brackets added to the joined
+    # text, and the matrices held as nested lists, which peak near six
     model, _ = _bench_workloads().ladder_model(random.Random(3), 128)
     doc = {"model": dict(type="generic", **model),
            "sweep": {"omega": {"values": [1.0]}}}
@@ -438,14 +433,14 @@ def test_flux_report_renders_its_matrices_a_row_at_a_time(tmp_path):
     path.write_text(yaml.safe_dump(doc, sort_keys=False))
     config = load_config(str(path))
     analysis = _analyze(config.model)
-    args = (analysis.flux, config.model.labels, (False, 0.5),
-            {"populations": analysis.populations.tolist()})
+    # the flux record is built on first use: before the trace, not in it
+    analysis.flux
     tracemalloc.start()
     try:
-        text = render_flux_report(*args)
+        text = render_flux_report(analysis, config.model.labels, (False, 0.5))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert len(text) > 5e5
-    assert peak < 4 * len(text), "peak %.2f MB for a %.2f MB report" % (
+    assert peak < 2.5 * len(text), "peak %.2f MB for a %.2f MB report" % (
         peak / 1e6, len(text) / 1e6)

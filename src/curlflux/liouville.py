@@ -11,17 +11,22 @@ The generator M is a Lindblad form assembled from a Hermitian
 Hamiltonian plus a list of dissipation channels, each channel acting
 independently (fully secular form: no cross terms between channels).  It
 splits into invariant blocks, its sectors: the connected components of
-its exact non-zero pattern (the weak U(1) symmetry of Buca & Prosen,
+the places its terms reach, a sum that cancels to exactly 0 included
+(the weak U(1) symmetry of Buca & Prosen,
 NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A
 diagonal Hamiltonian with population-to-population jumps gives the
 d x d rate block plus one 1 x 1 block per coherence; the junction gives
 blocks of 5, 2 and 2; a dense Hamiltonian gives one.
 
 :func:`build_generator` gathers the jumps in one pass over the
-channels, finds the sectors from the supports of H_eff and of the jumps
-and scatters every summed entry straight into its sector's dense block,
-all blocks in one buffer: M is never built as a d**2 x d**2 matrix, and
-the cost is O(nnz(H_eff) d + sum_c nnz_c**2) plus the blocks themselves.
+channels and forms M's terms as its Kronecker sum: the diagonal of the
+two H_eff terms by one outer sum, each off-diagonal entry of H_eff at
+its 2d places, then the jump products.  The supports of the
+off-diagonal terms give the sectors, and the terms go straight into
+their sector's dense block, the diagonal set and the rest added in
+order, all blocks in one buffer: M is never built as a d**2 x d**2
+matrix, no term is sorted, and the cost is O(d**2 + nnz_off(H_eff) d +
+sum_c nnz_c**2) plus the blocks themselves.
 A :class:`Generator` holds d and those blocks alone, equal sizes stacked
 with the index arrays that name their sectors, reads the block of the
 sector that holds population 0 in place
@@ -195,8 +200,11 @@ def _jumps(channels, d):
 
 
 def _terms(h, channels):
-    """Every term of M at its flat index row * d**2 + col, in the order
-    they are summed: the two H_eff terms, then the jump products."""
+    """M's terms, with a = -i H_eff: its diagonal, the d**2 sums
+    (0 + a[n, n]) + conj(a[m, m]) at (n, m) in index order, then the
+    (rows, cols, terms) added after it, in the order they are summed:
+    each off-diagonal a[p, q] at its 2d places, then the products of the
+    entries of each jump."""
     d = h.shape[0]
     n, k, vals, rated, i, j = _jumps(channels, d)
     n_i, n_j, k_i, k_j = n[i], n[j], k[i], k[j]
@@ -207,42 +215,26 @@ def _terms(h, channels):
               vals[i][same].conj() * rated[j][same])
     a, pos = -1j * (h - 0.5j * decay), _positions(d)
     p, q = np.nonzero(a)
-    # a (x) 1 puts a[n, k] at [(n, m), (k, m)], 1 (x) conj(a) puts
-    # conj(a)[m, l] at [(n, m), (n, l)], r J (x) conj(J) puts r J[n, k]
-    # conj(J[m, l]) at [(n, m), (k, l)]
-    flat = np.concatenate([(pos[p] * d * d + pos[q]).ravel(),
-                           (pos.T[p] * d * d + pos.T[q]).ravel(),
-                           pos[n_i, n_j] * d * d + pos[k_i, k_j]])
-    coherent = a[p, q]
-    return flat, np.concatenate([
-        np.repeat(np.concatenate([coherent, coherent.conj()]), d),
+    p, q = p[p != q], q[p != q]
+    # a (x) 1 puts a[p, q] at [(p, m), (q, m)] and 1 (x) conj(a) puts
+    # conj(a[p, q]) at [(m, p), (m, q)], so off M's diagonal no two of
+    # them meet; r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
+    # [(n, m), (k, l)]
+    diagonal, coherent = a.diagonal(), a[p, q]
+    rows = np.concatenate([pos[p].ravel(), pos.T[p].ravel(), pos[n_i, n_j]])
+    cols = np.concatenate([pos[q].ravel(), pos.T[q].ravel(), pos[k_i, k_j]])
+    # 0.0 + turns a -0.0 part to 0.0, as a sum from 0 does
+    outer = (0.0 + diagonal)[:, None] + diagonal.conj()
+    return outer.ravel()[_permutation(d)], rows, cols, np.concatenate([
+        np.repeat(coherent, d), np.repeat(coherent.conj(), d),
         rated[i] * vals[j].conj()])
 
 
-def _entries(h, channels):
-    """(rows, cols, values) of the non-zero entries of M: the terms at one
-    place summed in term order from 0, as np.add.at sums them."""
-    d = h.shape[0]
-    flat, terms = _terms(h, channels)
-    order = np.argsort(flat)
-    flat = flat[order]
-    new = np.empty(flat.size, dtype=bool)
-    new[:1] = True
-    np.not_equal(flat[1:], flat[:-1], out=new[1:])
-    distinct, where = flat[new], np.empty_like(order)
-    where[order] = np.cumsum(new) - 1
-    # the real and imaginary parts of a complex sum add separately
-    sums = np.empty(distinct.size, dtype=complex)
-    sums.real = np.bincount(where, terms.real, distinct.size)
-    sums.imag = np.bincount(where, terms.imag, distinct.size)
-    live = sums != 0
-    return (*np.divmod(distinct[live], d * d), sums[live])
-
-
-def _blocks(labels, rows, cols, values):
-    """(idx, block) of each size group of the sectors of a labelling,
-    with each value scattered to its (row, col): the blocks lie one after
-    another in one buffer, in the order of :func:`_sector_layout`."""
+def _blocks(labels, diagonal, rows, cols, terms):
+    """(idx, block) of each size group of the sectors of a labelling: the
+    diagonal set, index by index, then each term added at its (row, col)
+    in order, as np.add.at adds them.  The blocks lie one after another
+    in one buffer, in the order of :func:`_sector_layout`."""
     order, size, groups = _sector_layout(labels)
     # the index at place w of the order starts its row at start[w], and
     # its sector's first index, its smallest, is at place[label]
@@ -250,7 +242,9 @@ def _blocks(labels, rows, cols, values):
     place[order] = np.arange(order.size)
     start = np.cumsum(size) - size
     store = np.zeros(int(size.sum()), dtype=complex)
-    store[start[place[rows]] + place[cols] - place[labels[cols]]] = values
+    store[start[place] + place - place[labels]] = diagonal
+    np.add.at(store, start[place[rows]] + place[cols] - place[labels[cols]],
+              terms)
     return [(idx, store[start[w]:start[w] + idx.size * idx.shape[1]]
              .reshape(idx.shape + idx.shape[1:])) for w, idx in groups]
 
@@ -272,14 +266,19 @@ def build_generator(hamiltonian, channels):
         M rho = -i H_eff rho + i rho H_eff^dag + sum_c r_c J_c rho J_c^dag,
 
     i.e. M = -i H_eff (x) 1 + 1 (x) conj(-i H_eff) + sum_c r_c J_c (x)
-    conj(J_c) in row-major order.  Each term is listed at its (row, col)
-    in the package order: the non-zero entries of the two H_eff terms, d
-    each per entry of H_eff, then the products of the non-zero entries of
-    each jump, sum_c nnz_c**2.  Duplicates are summed in that order, and
-    the non-zero sums join their row and column into one sector
-    (:func:`sector_labels`), so the sectors are exact and M is block
-    diagonal over them.  Trace preservation (<<1| M = 0) holds by
-    construction.
+    conj(J_c) in row-major order.  With a = -i H_eff, the two Kronecker
+    terms meet only on M's diagonal, which one outer sum forms as
+    (0 + a[n, n]) + conj(a[m, m]) at (n, m); each off-diagonal a[p, q]
+    has 2d places of its own, d per term.  The products of the non-zero
+    entries of each jump, sum_c nnz_c**2, are added after them by one
+    np.add.at in channel order, so every entry is summed from 0 in one
+    fixed order and nothing is sorted: the cost is O(d**2 + nnz_off(H_eff)
+    d + sum_c nnz_c**2) plus the blocks.  Each off-diagonal H_eff place
+    and each jump product joins its row and column into one sector
+    (:func:`sector_labels`), so M is block diagonal over the sectors.
+    They come from the supports of the terms, not from the sums: terms
+    that cancel to exactly 0 still join their sectors.  Trace
+    preservation (<<1| M = 0) holds by construction.
 
     Parameters
     ----------
@@ -293,9 +292,9 @@ def build_generator(hamiltonian, channels):
     """
     h = _hermitian(hamiltonian, "Hamiltonian")
     d = h.shape[0]
-    rows, cols, values = _entries(h, channels)
+    diagonal, rows, cols, terms = _terms(h, channels)
     labels = sector_labels(d * d, rows, cols)
-    return Generator(d, tuple(_blocks(labels, rows, cols, values)))
+    return Generator(d, tuple(_blocks(labels, diagonal, rows, cols, terms)))
 
 
 def sector_labels(n, rows, cols):

@@ -171,6 +171,13 @@ def assert_matches_per_channel_oracle(h, channels):
     assert np.abs(m - oracle).max() <= 1e-14 * np.abs(oracle).max()
 
 
+def assert_equals_the_dense_build(h, channels):
+    # bit for bit: the terms at each place are summed from 0 in the same
+    # order, the jump products of multi-entry jumps included
+    assert np.array_equal(to_dense(build_generator(h, channels)),
+                          build_liouvillian(h, channels))
+
+
 def random_complex(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
 
@@ -184,6 +191,7 @@ def test_builder_matches_per_channel_oracle_dense_complex_jumps():
             for _ in range(3)
         ]
         assert_matches_per_channel_oracle(h, channels)
+        assert_equals_the_dense_build(h, channels)
 
 
 def test_builder_matches_per_channel_oracle_mixed_sparsity_jumps():
@@ -197,8 +205,9 @@ def test_builder_matches_per_channel_oracle_mixed_sparsity_jumps():
             rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
         channels.append(channel(raising.reshape(5, 5),
                                 *rng.uniform(0.01, 1.0, size=2)))
-    assert_matches_per_channel_oracle(h, channels)
-    assert_matches_per_channel_oracle(h, channels[::-1])
+    for order in (channels, channels[::-1]):
+        assert_matches_per_channel_oracle(h, order)
+        assert_equals_the_dense_build(h, order)
 
 
 def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
@@ -208,8 +217,9 @@ def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
         channel(random_complex(rng, 4), 0.0, 0.3),
         channel(random_complex(rng, 4), 0.2, 0.7),
     ]
-    assert_matches_per_channel_oracle(h, channels)
-    assert_matches_per_channel_oracle(h, [])
+    for chs in (channels, []):
+        assert_matches_per_channel_oracle(h, chs)
+        assert_equals_the_dense_build(h, chs)
     assert np.array_equal(to_dense(build_generator(h, [])), -1j * commutator_superop(h))
 
 

@@ -5,12 +5,14 @@ one model that `flux`, `fdr-check` and `validate` analyze, and whose
 `points` are the (tag, model) pairs that `spectrum` writes one CSV each
 for: every junction bias point, or the generic model as the one point
 'spectrum'.  Both kinds of run file give the same :class:`Model`
-record: state labels, Hamiltonian, channels and the probe coupling
-``scale * (A + A^dag)``, with A the sum of the channels' raising
-operators, each one unit entry |upper><lower|, and the junction's dipole
-as the scale (1 for a generic model).  The kind,
-read from `model.type`, is kept as `RunConfig.kind`; of the commands,
-only `spectrum` reads it, to split the junction's spectra alone.
+record: state labels, Hamiltonian, channels and the probe's scale, the
+junction's dipole or 1 for a generic model.  Its `coupling`, the probe
+``scale * (A + A^dag)`` with A the sum of the channels' raising
+operators, each one unit entry |upper><lower|, is formed when a command
+reads it, so a record that no command probes holds no d x d probe.
+The kind, read from `model.type`, is kept as `RunConfig.kind`; of the
+commands, only `spectrum` reads it, to split the junction's spectra
+alone.
 
 A run file has three sections::
 
@@ -213,28 +215,28 @@ class ConfigError(ValueError):
 @dataclass(frozen=True)
 class Model:
     """One model: its state labels, Hermitian Hamiltonian, dissipation
-    channels and Hermitian probe coupling."""
+    channels and the scale of its probe."""
 
     labels: tuple
     hamiltonian: np.ndarray
     channels: tuple
-    coupling: np.ndarray
+    scale: float
 
-
-def _model(labels, hamiltonian, channels, scale=1.0):
-    """The Model probed by scale * (A + A^dag), A the sum of the channels'
-    raising operators."""
-    a = np.zeros((len(labels),) * 2, dtype=complex)
-    for ch in channels:
-        for (row, col), value in ch.raising.items():
-            a[row, col] += value
-    return Model(labels, hamiltonian, tuple(channels), scale * (a + a.conj().T))
+    @property
+    def coupling(self):
+        """The Hermitian probe scale * (A + A^dag), A the sum of the
+        channels' raising operators, formed on each read."""
+        a = np.zeros((len(self.labels),) * 2, dtype=complex)
+        for ch in self.channels:
+            for (row, col), value in ch.raising.items():
+                a[row, col] += value
+        return self.scale * (a + a.conj().T)
 
 
 def _junction_model(params):
     """The Model of one junction parameter set, probed through its dipole."""
-    return _model(JUNCTION_LABELS, *hamiltonian_and_channels(params),
-                  params.dipole)
+    return Model(JUNCTION_LABELS, *hamiltonian_and_channels(params),
+                 params.dipole)
 
 
 @dataclass(frozen=True)
@@ -283,6 +285,8 @@ def _string(mapping, key, path, default):
 
 
 def _float(value, path, *args):
+    if type(value) is float and math.isfinite(value):
+        return value
     try:
         if isinstance(value, bool):
             raise TypeError("YAML true/false is not a number")
@@ -303,16 +307,10 @@ _CHANNEL_KEYS = frozenset(("upper", "lower", "rate_up", "rate_down"))
 
 def _channel(ch, i, index):
     """Entry i of model.generic.channels as a DissipationChannel; `index`
-    maps each level label to its position.  The checks run inline, in the
-    helpers' order, and a field's path is formatted only for the error
-    that names it."""
-    if type(ch) is not dict or not ch.keys() <= _CHANNEL_KEYS:
-        _check_keys(ch, _CHANNEL_KEYS, _CHANNEL, i)
-    try:
-        labels = ch["upper"], ch["lower"]
-    except KeyError as missing:
-        raise ConfigError("missing required field '%s.%s'"
-                          % (_CHANNEL % i, missing.args[0])) from None
+    maps each level label to its position."""
+    _check_keys(ch, _CHANNEL_KEYS, _CHANNEL, i)
+    labels = (_require(ch, "upper", _CHANNEL, i),
+              _require(ch, "lower", _CHANNEL, i))
     try:
         ends = index[labels[0]], index[labels[1]]
     except (KeyError, TypeError):   # TypeError: a list or a mapping
@@ -323,13 +321,10 @@ def _channel(ch, i, index):
         raise ConfigError("%s: %r names no level" % (_CHANNEL % i, label)) from None
     if ends[0] == ends[1]:
         raise ConfigError("%s: upper and lower must differ" % (_CHANNEL % i))
-    rate_up, rate_down = ch.get("rate_up"), ch.get("rate_down")
-    if not (type(rate_up) is type(rate_down) is float
-            and math.isfinite(rate_up) and math.isfinite(rate_down)):
-        # a missing, non-float or non-finite rate, refused or converted
-        rate_up, rate_down = (
-            _float(_require(ch, key, _CHANNEL, i), _CHANNEL + "." + key, i)
-            for key in ("rate_up", "rate_down"))
+    rate_up = _float(_require(ch, "rate_up", _CHANNEL, i),
+                     "model.generic.channels[%d].rate_up", i)
+    rate_down = _float(_require(ch, "rate_down", _CHANNEL, i),
+                       "model.generic.channels[%d].rate_down", i)
     try:
         return DissipationChannel({ends: 1.0}, rate_up, rate_down)
     except ValueError as exc:
@@ -425,7 +420,7 @@ def load_config(path):
             temperature = _float(sect["temperature"], "model.generic.temperature")
             if temperature <= 0:
                 raise ConfigError("model.generic.temperature must be positive")
-        params = _model(labels, ham, channels)
+        params = Model(labels, ham, tuple(channels), 1.0)
     else:
         raise ConfigError("model.type must be 'junction' or 'generic'")
 

@@ -203,9 +203,10 @@ class Analysis:
 
     `rho_ss` is the stationary density matrix, a (d, d) Hermitian
     operator of trace 1, the lift of L's populations, and `populations`
-    is its diagonal.  `rates` is L's real part, taken once by the
-    IMAG_TOL rule of :mod:`~curlflux.flux`; the flux record and the
-    CLI's balance verdicts read it.
+    is its diagonal.  `l_matrix` is L, held once and real: its imaginary
+    part is dropped by the IMAG_TOL rule of :mod:`~curlflux.flux`.  The
+    flux record, the CLI's balance verdicts and checks, and the fdr
+    check read it.
     `k_fed` holds K's rows on the population sector's coherences, the
     only rows that can be non-zero; `lift` reads them.  `flux`, the one
     record of the curl flux and its split operators, is computed on
@@ -216,7 +217,6 @@ class Analysis:
     generator: Generator
     k_fed: np.ndarray
     l_matrix: np.ndarray
-    rates: np.ndarray
     rho_ss: np.ndarray
     populations: np.ndarray
 
@@ -229,7 +229,7 @@ class Analysis:
     def flux(self):
         """FluxDecomposition of the stationary currents, with s_d and
         v_ss."""
-        return curl_flux(self.rates, self.populations)
+        return curl_flux(self.l_matrix, self.populations)
 
 
 def analyze(generator):
@@ -252,8 +252,8 @@ def analyze(generator):
         If L has imaginary parts above the IMAG_TOL rule.
     """
     k_fed, l_matrix = _eliminate(generator)
-    rates = _real_rate_matrix(l_matrix)
-    rho = _lift(generator, k_fed, _populations(rates))
+    l_matrix = _real_rate_matrix(l_matrix)
+    rho = _lift(generator, k_fed, _populations(l_matrix))
     # K p is Hermitian up to rounding
     rho = 0.5 * (rho + rho.conj().T)
     rho /= np.trace(rho).real
@@ -261,7 +261,6 @@ def analyze(generator):
         generator=generator,
         k_fed=k_fed,
         l_matrix=l_matrix,
-        rates=rates,
         rho_ss=rho,
         populations=np.diagonal(rho).real,
     )

@@ -329,7 +329,7 @@ def check_equilibrium_fdr(coupling, analysis, temperature, omegas):
     NotDetailedBalancedError
         With the measured violation, if the generator carries flux.
     """
-    balanced, violation = is_detailed_balanced(analysis.rates,
+    balanced, violation = is_detailed_balanced(analysis.l_matrix,
                                                analysis.populations)
     if not balanced:
         raise NotDetailedBalancedError(

@@ -169,6 +169,56 @@ REFUSALS = {
         GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: abc") + OMEGA,
         "config error: field 'model.generic.channels[1].rate_up' must be a "
         "number, got 'abc'\n"),
+    "channel-missing-upper": (
+        GENERIC + CHANNEL.replace("upper: b, ", "") + OMEGA,
+        "config error: missing required field "
+        "'model.generic.channels[1].upper'\n"),
+    "channel-missing-lower": (
+        GENERIC + CHANNEL.replace("lower: a, ", "") + OMEGA,
+        "config error: missing required field "
+        "'model.generic.channels[1].lower'\n"),
+    "channel-missing-rate-up": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01, ", "") + OMEGA,
+        "config error: missing required field "
+        "'model.generic.channels[1].rate_up'\n"),
+    # the upper end is reported when neither names a level
+    "channel-two-unknown-labels": (
+        GENERIC + CHANNEL.replace("upper: b", "upper: x")
+        .replace("lower: a", "lower: y") + OMEGA,
+        "config error: model.generic.channels[1]: 'x' names no level\n"),
+    "channel-null-label": (
+        GENERIC + CHANNEL.replace("lower: a", "lower: null") + OMEGA,
+        "config error: model.generic.channels[1]: None names no level\n"),
+    "channel-null-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: null") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be a "
+        "number, got None\n"),
+    "channel-boolean-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: true") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be a "
+        "number, got True\n"),
+    "channel-inf-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: .inf") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be "
+        "finite\n"),
+    "channel-nan-rate": (
+        GENERIC + CHANNEL.replace("rate_down: 0.02", "rate_down: .nan") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_down' must be "
+        "finite\n"),
+    # a string to YAML, which float() reads as inf
+    "channel-overflowing-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: 1e400") + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be "
+        "finite\n"),
+    "channel-huge-integer-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: 1" + "0" * 399)
+        + OMEGA,
+        "config error: field 'model.generic.channels[1].rate_up' must be "
+        "finite\n"),
+    "channel-negative-rate": (
+        GENERIC + CHANNEL.replace("rate_up: 0.01", "rate_up: -0.1") + OMEGA,
+        "config error: model.generic.channels[1]: channel rates must be "
+        "non-negative\n"),
     # by equality true, no and 1.0 would name the levels 1, 0 and 1
     "integer-level-keys": (
         "model:\n  type: generic\n  generic:\n"
@@ -228,6 +278,21 @@ def test_malformed_run_files_are_config_errors(tmp_path, capsys, text, message):
     assert main(["spectrum", "--config", str(cfg), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "config error" in err and message in err
+
+
+@pytest.mark.parametrize("rate_up, rate_down, want", [
+    ("1", "2", (1.0, 2.0)),
+    ("0x10", "1_0.5", (16.0, 10.5)),
+    ("-0.0", "0.0", (-0.0, 0.0)),
+])
+def test_rate_spellings_build_float_channels(tmp_path, rate_up, rate_down, want):
+    cfg = tmp_path / "rates.yaml"
+    cfg.write_text(GENERIC + CHANNEL.replace("0.01", rate_up)
+                   .replace("0.02", rate_down) + OMEGA)
+    ch = config.load_config(str(cfg)).model.channels[1]
+    assert ch.raising == {(1, 0): 1.0}
+    # repr tells -0.0 from 0.0 and an int from a float
+    assert (repr(ch.rate_up), repr(ch.rate_down)) == tuple(map(repr, want))
 
 
 def test_fdr_check_refuses_unequal_electrode_temperatures(tmp_path, capsys):

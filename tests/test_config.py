@@ -1,6 +1,6 @@
 """The run-file loader gives what yaml.load gives on core scalars, lists
 and mappings, refuses any other YAML, under either loader, and holds
-each channel at its support."""
+each channel at its support and no probe."""
 
 import io
 import random
@@ -8,6 +8,7 @@ import tracemalloc
 from importlib import resources
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 from yaml.constructor import SafeConstructor
 
 from curlflux import config
+from helpers import dense_raising
 from test_liouville import _bench_workloads
 
 LOADERS = [yaml.SafeLoader] + (
@@ -305,3 +307,27 @@ def test_loading_a_d128_ladder_holds_no_dense_channel(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak < 4e6, "peak traced allocation %.2f MB" % (peak / 1e6)
+
+
+def test_loading_a_d256_ladder_holds_h_and_no_probe(tmp_path):
+    # the bench's d = 256 ladder (seed 3): of the dense d x d arrays only
+    # H, 1 MB, is held once load_config returns; the probe is formed when
+    # a command reads `coupling`
+    d = 256
+    model, top = _bench_workloads().ladder_model(random.Random(3), d)
+    doc = {"model": dict(type="generic", **model),
+           "sweep": {"omega": {"min": 0.05, "max": top + 0.1, "points": 401}},
+           "output": {"directory": "out", "prefix": "ladder256"}}
+    path = tmp_path / "ladder256.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    tracemalloc.start()
+    try:
+        run = config.load_config(str(path))
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert held < 1.5 * d * d * 16, "held %.2f MB" % (held / 1e6)
+    assert run.model.hamiltonian.shape == (d, d)
+    a = sum(dense_raising(ch, d) for ch in run.model.channels)
+    assert np.array_equal(run.model.coupling,
+                          run.model.scale * (a + a.conj().T))

@@ -437,7 +437,7 @@ def test_state_reduction_in_panels_matches_one_panel(monkeypatch, dim, panel):
     # same terms summed in another order, so the populations agree entry
     # by entry with a reduction that updates every state state by state
     h, channels, _ = random_ladder(np.random.default_rng(60 + dim), dim)
-    rates = analyze(build_generator(h, channels)).rates
+    rates = analyze(build_generator(h, channels)).l_matrix
     monkeypatch.setattr(reduction, "_PANEL", panel)
     blocked = reduction._populations(rates)
     monkeypatch.setattr(reduction, "_PANEL", dim)

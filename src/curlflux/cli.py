@@ -343,10 +343,10 @@ _FLOAT_CONSTANTS = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
 
 def _dumps(value, pad="\n"):
     """json.dumps(value, indent=2, sort_keys=True), byte for byte, for
-    dicts with string keys, lists, tuples, strings, numbers, booleans and
-    None, and for a float array as its nested lists (json.dumps with
-    default=numpy.ndarray.tolist); `pad` is the newline and indent of the
-    enclosing level.
+    what a flux report holds: non-empty dicts with string keys, lists,
+    strings, floats and booleans, and a 2-D float array as its nested
+    lists (json.dumps with default=numpy.ndarray.tolist); `pad` is the
+    newline and indent of the enclosing level.
 
     A list of floats, the bulk of a flux report, is joined in one pass
     instead of going through the json module's Python-level encoder, and
@@ -355,30 +355,22 @@ def _dumps(value, pad="\n"):
     """
     if isinstance(value, str):
         return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
     if value is True:
         return "true"
     if value is False:
         return "false"
-    if isinstance(value, int):
-        return int.__repr__(value)
     if isinstance(value, float):
         text = float.__repr__(value)
         return _FLOAT_CONSTANTS.get(text, text)
     inner = pad + "  "
     if isinstance(value, np.ndarray):
-        if value.ndim > 1:
-            return _layout([_floats(row.tolist(), inner + "  ", inner)
-                            for row in value], inner, pad)
-        value = value.tolist()
+        return _layout([_floats(row.tolist(), inner + "  ", inner)
+                        for row in value], inner, pad)
     if isinstance(value, dict):
-        if not value:
-            return "{}"
         items = [encode_basestring_ascii(key) + ": " + _dumps(item, inner)
                  for key, item in sorted(value.items())]
         return _layout(items, inner, pad, "{}")
-    if isinstance(value, (list, tuple)):
+    if isinstance(value, list):
         if not value:
             return "[]"
         try:

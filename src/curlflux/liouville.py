@@ -4,8 +4,10 @@ A density matrix on a d-dimensional Hilbert space becomes a vector of
 length d**2.  This module fixes the index convention used everywhere in
 the package: the d population entries |nn>> come first (in basis
 order), followed by the d**2 - d coherence entries |nm>>, n != m, in
-row-major (n, m) order, found by index arithmetic on the row-major
-flat indices n*d + m.  The inner product is <<A|B>> = Tr(A^dag B).
+row-major (n, m) order.  The order is computed where it is read, from
+views of the matrix or from the row-major flat indices n*d + m: no
+index map of it is held or cached.  The inner product is
+<<A|B>> = Tr(A^dag B).
 
 The generator M is a Lindblad form assembled from a Hermitian
 Hamiltonian plus a list of dissipation channels, each channel acting
@@ -40,7 +42,6 @@ product on d x d matrices.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import chain
 
 import numpy as np
@@ -77,24 +78,9 @@ class DissipationChannel:
             raise ValueError("channel rates must be non-negative")
 
 
-@lru_cache(maxsize=None)
-def _permutation(dim):
-    # position i of our ordering holds row-major entry n*dim + m: the
-    # diagonal entries n*(dim + 1) first, then the rest in row-major order
-    diagonal = np.arange(0, dim * dim, dim + 1)
-    return np.concatenate([diagonal, np.delete(np.arange(dim * dim), diagonal)])
-
-
-@lru_cache(maxsize=None)
-def _positions(dim):
-    # [n, m] holds the position of |nm>> in our ordering
-    pos = np.empty(dim * dim, dtype=int)
-    pos[_permutation(dim)] = np.arange(dim * dim)
-    return pos.reshape(dim, dim)
-
-
 def vectorize(rho):
-    """Flatten a density matrix into a population-first Liouville vector.
+    """Flatten a density matrix into a population-first Liouville vector:
+    its diagonal, then its off-diagonal entries in row-major order.
 
     Parameters
     ----------
@@ -108,7 +94,20 @@ def vectorize(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError("expected a square matrix, got shape %r" % (rho.shape,))
-    return rho.reshape(-1)[_permutation(rho.shape[0])]
+    # after the first entry, the row-major entries fall into d - 1 rows
+    # of d + 1, each ending on a diagonal entry
+    d = rho.shape[0]
+    return np.concatenate(
+        (rho.diagonal(), rho.reshape(-1)[1:].reshape(d - 1, d + 1)[:, :d]),
+        axis=None)
+
+
+def _position(flat, d):
+    """Position in the package order of the row-major flat index
+    f = n*d + m: n on the diagonal, else d plus f less the n + [m > n]
+    diagonal entries before it."""
+    n, m = np.divmod(flat, d)
+    return np.where(n == m, n, d + flat - n - (m > n))
 
 
 def _hermitian(op, name):
@@ -213,19 +212,22 @@ def _terms(h, channels):
     decay = np.zeros((d, d), dtype=complex)
     np.add.at(decay, (k_i[same], k_j[same]),
               vals[i][same].conj() * rated[j][same])
-    a, pos = -1j * (h - 0.5j * decay), _positions(d)
+    a = -1j * (h - 0.5j * decay)
     p, q = np.nonzero(a)
     p, q = p[p != q], q[p != q]
     # a (x) 1 puts a[p, q] at [(p, m), (q, m)] and 1 (x) conj(a) puts
     # conj(a[p, q]) at [(m, p), (m, q)], so off M's diagonal no two of
     # them meet; r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
-    # [(n, m), (k, l)]
+    # [(n, m), (k, l)]; each place as its row-major flat index n*d + m,
+    # the rows in row 0 and the columns in row 1
+    ends, m = np.array((p, q))[:, :, None], np.arange(d)
+    rows, cols = _position(np.concatenate([
+        (ends * d + m).reshape(2, -1), (m * d + ends).reshape(2, -1),
+        [n_i * d + n_j, k_i * d + k_j]], axis=1), d)
     diagonal, coherent = a.diagonal(), a[p, q]
-    rows = np.concatenate([pos[p].ravel(), pos.T[p].ravel(), pos[n_i, n_j]])
-    cols = np.concatenate([pos[q].ravel(), pos.T[q].ravel(), pos[k_i, k_j]])
     # 0.0 + turns a -0.0 part to 0.0, as a sum from 0 does
     outer = (0.0 + diagonal)[:, None] + diagonal.conj()
-    return outer.ravel()[_permutation(d)], rows, cols, np.concatenate([
+    return vectorize(outer), rows, cols, np.concatenate([
         np.repeat(coherent, d), np.repeat(coherent.conj(), d),
         rated[i] * vals[j].conj()])
 

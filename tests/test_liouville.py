@@ -13,8 +13,6 @@ from curlflux.config import load_config
 from curlflux.flux import is_detailed_balanced, reconstruct_flux
 from curlflux.liouville import (
     DissipationChannel,
-    _permutation,
-    _positions,
     build_generator,
     sector_labels,
     sector_modes,
@@ -37,6 +35,7 @@ from helpers import (
     propagate,
     random_density_matrix,
     random_hermitian,
+    random_ladder,
     random_ladder_model,
     random_lindblad_model,
     right_mult,
@@ -78,22 +77,24 @@ def test_vectorize_roundtrip_is_exact():
 
 def test_permutation_is_the_population_first_order():
     for dim in (1, 2, 3, 5, 8):
-        assert _permutation(dim).tolist() == [
+        assert vectorize(np.arange(dim * dim).reshape(dim, dim)).tolist() == [
             n * dim + m for n, m in index_pairs(dim)]
 
 
 def test_the_liouville_order_holds_no_per_index_objects():
-    # the two d**2 index arrays take 4.2 MB at d = 512; d**2 Python
-    # tuples of the order would take about 25 MB
-    _permutation.cache_clear()
-    _positions.cache_clear()
+    # a diagonal d = 509 ladder, a size no other test builds: once the
+    # generator and the vector are dropped, nothing of the order stays
+    # held (two d**2 int64 index maps would hold 4.2 MB)
+    h, channels, _ = random_ladder(np.random.default_rng(509), 509)
     tracemalloc.start()
     try:
-        _positions(512)
-        held = tracemalloc.get_traced_memory()[0]
+        before = tracemalloc.get_traced_memory()[0]
+        generator, vec = build_generator(h, channels), vectorize(h)
+        del generator, vec
+        held = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
-    assert held < 8e6, "held traced allocation %.2f MB" % (held / 1e6)
+    assert held < 5e5, "held traced allocation %.2f MB" % (held / 1e6)
 
 
 def test_inner_product_trace_normalization():

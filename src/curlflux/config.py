@@ -7,9 +7,9 @@ for: every junction bias point, or the generic model as the one point
 'spectrum'.  Both kinds of run file give the same :class:`Model`
 record: state labels, Hamiltonian, channels and the probe's scale, the
 junction's dipole or 1 for a generic model.  Its `coupling`, the probe
-``scale * (A + A^dag)`` with A the sum of the channels' raising
-operators, each one unit entry |upper><lower|, is formed when a command
-reads it, so a record that no command probes holds no d x d probe.
+``scale * (A + A^dag)`` with A the sum of the channels' upward jumps
+|upper><lower|, is formed when a command reads it, so a record that no
+command probes holds no d x d probe.
 The kind, read from `model.type`, is kept as `RunConfig.kind`; of the
 commands, only `spectrum` reads it, to split the junction's spectra
 alone.
@@ -225,11 +225,10 @@ class Model:
     @property
     def coupling(self):
         """The Hermitian probe scale * (A + A^dag), A the sum of the
-        channels' raising operators, formed on each read."""
+        channels' upward jumps |upper><lower|, formed on each read."""
         a = np.zeros((len(self.labels),) * 2, dtype=complex)
         for ch in self.channels:
-            for (row, col), value in ch.raising.items():
-                a[row, col] += value
+            a[ch.upper, ch.lower] += 1.0
         return self.scale * (a + a.conj().T)
 
 
@@ -326,7 +325,7 @@ def _channel(ch, i, index):
     rate_down = _float(_require(ch, "rate_down", _CHANNEL, i),
                        "model.generic.channels[%d].rate_down", i)
     try:
-        return DissipationChannel({ends: 1.0}, rate_up, rate_down)
+        return DissipationChannel(*ends, rate_up, rate_down)
     except ValueError as exc:
         raise ConfigError("%s: %s" % (_CHANNEL % i, exc))
 

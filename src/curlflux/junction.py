@@ -97,9 +97,7 @@ def hamiltonian_and_channels(params):
     f1 = fermi_dirac(params.omega_e1g, params.mu_1, params.t_1)
     f2 = fermi_dirac(params.omega_e2g, params.mu_2, params.t_2)
     channels = (
-        DissipationChannel({(1, 0): 1.0}, params.gamma * f1,
-                           params.gamma * (1 - f1)),
-        DissipationChannel({(2, 0): 1.0}, params.gamma * f2,
-                           params.gamma * (1 - f2)),
+        DissipationChannel(1, 0, params.gamma * f1, params.gamma * (1 - f1)),
+        DissipationChannel(2, 0, params.gamma * f2, params.gamma * (1 - f2)),
     )
     return hamiltonian, channels

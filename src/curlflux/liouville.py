@@ -10,25 +10,25 @@ index map of it is held or cached.  The inner product is
 <<A|B>> = Tr(A^dag B).
 
 The generator M is a Lindblad form assembled from a Hermitian
-Hamiltonian plus a list of dissipation channels, each channel acting
-independently (fully secular form: no cross terms between channels).  It
-splits into invariant blocks, its sectors: the connected components of
-the places its terms reach, a sum that cancels to exactly 0 included
-(the weak U(1) symmetry of Buca & Prosen,
-NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).  A
-diagonal Hamiltonian with population-to-population jumps gives the
-d x d rate block plus one 1 x 1 block per coherence; the junction gives
-blocks of 5, 2 and 2; a dense Hamiltonian gives one.
+Hamiltonian plus a list of dissipation channels, each a level pair with
+a jump up and a jump down, acting independently (fully secular form: no
+cross terms between channels).  It splits into invariant blocks, its
+sectors: the connected components of the places its terms reach, a sum
+that cancels to exactly 0 included (the weak U(1) symmetry of Buca &
+Prosen, NJP 14, 073007 (2012); Albert & Jiang, PRA 89, 022118 (2014)).
+A diagonal Hamiltonian gives the d x d rate block plus one 1 x 1 block
+per coherence; the junction gives blocks of 5, 2 and 2; a dense
+Hamiltonian gives one.
 
 :func:`build_generator` gathers the jumps in one pass over the
 channels and forms M's terms as its Kronecker sum: the diagonal of the
-two H_eff terms by one outer sum, each off-diagonal entry of H_eff at
-its 2d places, then the jump products.  The supports of the
+two H_eff terms by one outer sum, each off-diagonal entry of H at its
+2d places, then one population term per jump.  The supports of the
 off-diagonal terms give the sectors, and the terms go straight into
 their sector's dense block, the diagonal set and the rest added in
 order, all blocks in one buffer: M is never built as a d**2 x d**2
-matrix, no term is sorted, and the cost is O(d**2 + nnz_off(H_eff) d +
-sum_c nnz_c**2) plus the blocks themselves.
+matrix, no term is sorted, and the cost is O(d**2 + nnz_off(H) d +
+channels) plus the blocks themselves.
 A :class:`Generator` holds d and those blocks alone, equal sizes stacked
 with the index arrays that name their sectors, reads the block of the
 sector that holds population 0 in place
@@ -41,8 +41,9 @@ rate block.  Every other superoperator is applied as an operator
 product on d x d matrices.
 """
 
+import math
+import operator
 from dataclasses import dataclass, field
-from itertools import chain
 
 import numpy as np
 
@@ -58,24 +59,31 @@ __all__ = [
 
 @dataclass(frozen=True)
 class DissipationChannel:
-    """One secular dissipation channel.
+    """One secular dissipation channel between two levels.
 
-    `raising` is the operator A+ taking the lower state of the channel to
-    the upper one, held as its support: the mapping {(row, col): value}
-    of its non-zero entries, kept as a dict of its own and read in the
-    mapping's order.  The downward operator is its adjoint.  `rate_up`
-    and `rate_down` are the population transition rates (probability per
-    unit time).
+    Its upward jump A+ = |upper><lower| acts at `rate_up` and its
+    downward jump A- = A+^dag = |lower><upper| at `rate_down`, the
+    population transition rates (probability per unit time).  `upper`
+    and `lower` are level indices, equal for a dephasing channel.
     """
 
-    raising: dict
+    upper: int
+    lower: int
     rate_up: float
     rate_down: float
 
     def __post_init__(self):
-        object.__setattr__(self, "raising", dict(self.raising))
-        if self.rate_up < 0 or self.rate_down < 0:
-            raise ValueError("channel rates must be non-negative")
+        try:
+            operator.index(self.upper), operator.index(self.lower)
+        except TypeError:
+            raise ValueError("channel levels must be integers, got %r and %r"
+                             % (self.upper, self.lower)) from None
+        # a NaN fails every comparison
+        if not (0.0 <= self.rate_up < math.inf
+                and 0.0 <= self.rate_down < math.inf):
+            negative = self.rate_up < 0 or self.rate_down < 0
+            raise ValueError("channel rates must be "
+                             + ("non-negative" if negative else "finite"))
 
 
 def vectorize(rho):
@@ -157,79 +165,52 @@ class Generator:
 
 
 def _jumps(channels, d):
-    """The entries of every jump of non-zero rate, gathered in their final
-    order in one pass over the channels: A+ of each channel in the
-    mapping's order, then its A- = A+^dag in row-major order, whose
-    (k, n) entry is conj(A+[n, k]).
-
-    Returns the rows n, columns k and values of the entries, each value
-    times its jump's rate, and every ordered pair (i, j) of entries of
-    one jump, i running slowest.
-    """
-    rates, sizes, keys, values = [], [], [], []
+    """The rows n, columns k and rates of every jump |n><k| of non-zero
+    rate, in one pass over the channels: A+ of each channel, then its A-."""
+    ends, rates = [], []
     for ch in channels:
-        up = ch.raising
-        for row, col in up:
-            if not (0 <= row < d and 0 <= col < d):
-                raise ValueError("channel operator dimension mismatch")
+        if not (0 <= ch.upper < d and 0 <= ch.lower < d):
+            raise ValueError("channel operator dimension mismatch")
         if ch.rate_up != 0.0:
+            ends.append((ch.upper, ch.lower))
             rates.append(ch.rate_up)
-            sizes.append(len(up))
-            keys.extend(up)
-            values.extend(up.values())
         if ch.rate_down != 0.0:
+            ends.append((ch.lower, ch.upper))
             rates.append(ch.rate_down)
-            sizes.append(len(up))
-            # by A+'s column, then its row
-            for (row, col), value in sorted(up.items(),
-                                            key=lambda e: e[0][::-1]):
-                keys.append((col, row))
-                # a complex conjugate: conj(1.0) has imaginary part -0.0
-                values.append(complex(value).conjugate())
-    n, k = np.fromiter(chain.from_iterable(keys), dtype=int,
-                       count=2 * len(keys)).reshape(-1, 2).T
-    vals = np.array(values, dtype=complex)
-    sizes = np.array(sizes, dtype=int)
-    # j runs over first[i], first[i] + 1, ... for each i
-    size = np.repeat(sizes, sizes)
-    first = np.repeat(np.cumsum(sizes) - sizes, sizes)
-    i = np.repeat(np.arange(size.size), size)
-    j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
-    return n, k, vals, np.repeat(rates, sizes) * vals, i, j
+    n, k = np.array(ends, dtype=int).reshape(-1, 2).T
+    return n, k, np.array(rates, dtype=float)
 
 
 def _terms(h, channels):
     """M's terms, with a = -i H_eff: its diagonal, the d**2 sums
     (0 + a[n, n]) + conj(a[m, m]) at (n, m) in index order, then the
     (rows, cols, terms) added after it, in the order they are summed:
-    each off-diagonal a[p, q] at its 2d places, then the products of the
-    entries of each jump."""
+    each off-diagonal a[p, q] = -i h[p, q] at its 2d places, then each
+    jump's rate."""
     d = h.shape[0]
-    n, k, vals, rated, i, j = _jumps(channels, d)
-    n_i, n_j, k_i, k_j = n[i], n[j], k[i], k[j]
-    # r J^dag J puts conj(J[n, k]) r J[n, l] at [k, l]
-    same = n_i == n_j
-    decay = np.zeros((d, d), dtype=complex)
-    np.add.at(decay, (k_i[same], k_j[same]),
-              vals[i][same].conj() * rated[j][same])
-    a = -1j * (h - 0.5j * decay)
-    p, q = np.nonzero(a)
+    n, k, rates = _jumps(channels, d)
+    # a jump J = |n><k| at rate r adds r J^dag J = r |k><k| to Gamma, so
+    # H_eff = H - (i/2) Gamma differs from H on its diagonal alone
+    diagonal = -1j * (h.diagonal() - 0.5j * np.bincount(k, rates, d))
+    p, q = np.nonzero(h)
     p, q = p[p != q], q[p != q]
     # a (x) 1 puts a[p, q] at [(p, m), (q, m)] and 1 (x) conj(a) puts
     # conj(a[p, q]) at [(m, p), (m, q)], so off M's diagonal no two of
-    # them meet; r J (x) conj(J) puts r J[n, k] conj(J[m, l]) at
-    # [(n, m), (k, l)]; each place as its row-major flat index n*d + m,
-    # the rows in row 0 and the columns in row 1
+    # them meet; each place as its row-major flat index p*d + m, the rows
+    # in row 0 and the columns in row 1
     ends, m = np.array((p, q))[:, :, None], np.arange(d)
     rows, cols = _position(np.concatenate([
-        (ends * d + m).reshape(2, -1), (m * d + ends).reshape(2, -1),
-        [n_i * d + n_j, k_i * d + k_j]], axis=1), d)
-    diagonal, coherent = a.diagonal(), a[p, q]
+        (ends * d + m).reshape(2, -1), (m * d + ends).reshape(2, -1)],
+        axis=1), d)
+    coherent = -1j * h[p, q]
     # 0.0 + turns a -0.0 part to 0.0, as a sum from 0 does
     outer = (0.0 + diagonal)[:, None] + diagonal.conj()
-    return vectorize(outer), rows, cols, np.concatenate([
-        np.repeat(coherent, d), np.repeat(coherent.conj(), d),
-        rated[i] * vals[j].conj()])
+    # r J (x) conj(J) puts r at [(n, n), (k, k)], population positions
+    # n and k; a rate r joins the terms as the complex (r, +0.0)
+    return (vectorize(outer), np.concatenate([rows, n]),
+            np.concatenate([cols, k]), np.concatenate([
+                np.repeat(coherent, d), np.repeat(coherent.conj(), d),
+                rates]))
 
 
 def _blocks(labels, diagonal, rows, cols, terms):
@@ -255,28 +236,30 @@ def build_generator(hamiltonian, channels):
     """Assemble the generator M of d rho/dt = M vec(rho) as its sectors.
 
     The coherent part is i[rho, H]; every channel contributes two jumps,
-    J = A+ at rate_up and J = A- = A+^dag at rate_down, each with the
-    dissipator r (J rho J^dag - {J^dag J, rho}/2), so that rate_up /
-    rate_down are the population transfer rates between the two states
-    the channel connects.  Jumps with zero rate are skipped.  Collecting
-    the anticommutators into the effective Hamiltonian
+    J = A+ = |upper><lower| at rate_up and J = A- = A+^dag at rate_down,
+    each with the dissipator r (J rho J^dag - {J^dag J, rho}/2), so that
+    rate_up / rate_down are the population transfer rates between the two
+    levels.  Jumps with zero rate are skipped.  A jump J = |n><k| has
+    J^dag J = |k><k|, so collecting the anticommutators gives the
+    effective Hamiltonian
 
-        H_eff = H - (i/2) sum_c r_c J_c^dag J_c
+        H_eff = H - (i/2) Gamma,
 
-    (summed jump by jump, row by row, over the non-zero entries) gives
+    Gamma the diagonal whose entry k sums the rates of the jumps out of
+    level k, jump by jump, and
 
         M rho = -i H_eff rho + i rho H_eff^dag + sum_c r_c J_c rho J_c^dag,
 
     i.e. M = -i H_eff (x) 1 + 1 (x) conj(-i H_eff) + sum_c r_c J_c (x)
     conj(J_c) in row-major order.  With a = -i H_eff, the two Kronecker
     terms meet only on M's diagonal, which one outer sum forms as
-    (0 + a[n, n]) + conj(a[m, m]) at (n, m); each off-diagonal a[p, q]
-    has 2d places of its own, d per term.  The products of the non-zero
-    entries of each jump, sum_c nnz_c**2, are added after them by one
-    np.add.at in channel order, so every entry is summed from 0 in one
-    fixed order and nothing is sorted: the cost is O(d**2 + nnz_off(H_eff)
-    d + sum_c nnz_c**2) plus the blocks.  Each off-diagonal H_eff place
-    and each jump product joins its row and column into one sector
+    (0 + a[n, n]) + conj(a[m, m]) at (n, m); each off-diagonal a[p, q] =
+    -i h[p, q] has 2d places of its own, d per term.  Each jump's term,
+    its rate at the population entry [(n, n), (k, k)], is added after
+    them by one np.add.at in channel order, so every entry is summed from
+    0 in one fixed order and nothing is sorted: the cost is O(d**2 +
+    nnz_off(H) d + channels) plus the blocks.  Each off-diagonal H place
+    and each jump term joins its row and column into one sector
     (:func:`sector_labels`), so M is block diagonal over the sectors.
     They come from the supports of the terms, not from the sums: terms
     that cancel to exactly 0 still join their sectors.  Trace

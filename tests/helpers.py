@@ -100,20 +100,11 @@ def generator_blocks(m):
     return m[:d, :d], m[:d, d:], m[d:, :d], m[d:, d:]
 
 
-def channel(dense, up, down):
-    """The DissipationChannel of a dense raising operator: its non-zero
-    entries, in row-major order."""
-    dense = np.asarray(dense, dtype=complex)
-    return DissipationChannel(
-        {(int(n), int(k)): dense[n, k] for n, k in zip(*np.nonzero(dense))},
-        up, down)
-
-
 def dense_raising(ch, d):
-    """The raising operator of a channel as a dense (d, d) matrix."""
+    """The upward jump |upper><lower| of a channel as a dense (d, d)
+    matrix."""
     a = np.zeros((d, d), dtype=complex)
-    for (row, col), value in ch.raising.items():
-        a[row, col] = value
+    a[ch.upper, ch.lower] = 1.0
     return a
 
 
@@ -191,8 +182,8 @@ def _jumps(hamiltonian, channels):
 def build_liouvillian(hamiltonian, channels):
     """The generator as one dense (d**2, d**2) matrix in the package
     order: each term scattered into a zeroed matrix, the two H_eff terms
-    as d**3 entries each, then the products of the non-zero entries of
-    each jump."""
+    as d**3 entries each, then the product of each jump's one non-zero
+    entry."""
     h, jumps, rates, h_eff = _jumps(_hermitian(hamiltonian, "Hamiltonian"), channels)
     d = h.shape[0]
     # pos[n, m] is the position of |nm>> in the package order
@@ -202,16 +193,11 @@ def build_liouvillian(hamiltonian, channels):
     # conj(a)[m, l] at [(n, m), (n, l)]
     m[pos[:, None, :], pos[None, :, :]] = a[:, :, None]
     m[pos[:, :, None], pos[:, None, :]] += a.conj()
-    # r J (x) conj(J) adds r J[n, k] conj(J[m, l]) at [(n, m), (k, l)], for
-    # each ordered pair (i, j) of non-zero entries of one jump
+    # r J (x) conj(J) adds r J[n, k] conj(J[n, k]) at [(n, n), (k, k)] for
+    # the one non-zero entry J[n, k] of each jump
     c, n, k = np.nonzero(jumps)
-    first = np.searchsorted(c, c)
-    size = np.searchsorted(c, c, side="right") - first
-    i = np.repeat(np.arange(c.size), size)
-    j = first[i] + np.arange(i.size) - np.repeat(np.cumsum(size) - size, size)
     vals = jumps[c, n, k]
-    np.add.at(m, (pos[n[i], n[j]], pos[k[i], k[j]]),
-              (rates[c] * vals)[i] * vals[j].conj())
+    np.add.at(m, (pos[n, n], pos[k, k]), rates[c] * vals * vals.conj())
     return m
 
 
@@ -393,7 +379,7 @@ def random_lindblad_model(rng, dim=3, coupling=0.05, gamma=0.1):
     channels = []
     for i in range(dim - 1):
         channels.append(DissipationChannel(
-            {(i + 1, i): 1.0},
+            i + 1, i,
             gamma * rng.uniform(0.2, 1.0),
             gamma * rng.uniform(0.2, 1.0),
         ))
@@ -423,7 +409,7 @@ def random_ladder(rng, dim):
     channels = []
     for upper, lower in pairs:
         up, down = 0.002 * 25.0 ** rng.random(2)
-        channels.append(DissipationChannel({(upper, lower): 1.0}, up, down))
+        channels.append(DissipationChannel(upper, lower, up, down))
     return h, channels, energies[-1]
 
 
@@ -431,7 +417,7 @@ def thermal_two_level(omega0=1.0, temperature=0.3, gamma=0.02):
     """Detailed-balanced two-level model; returns (M, V, populations)."""
     h = np.diag([0.0, omega0]).astype(complex)
     up = gamma * np.exp(-omega0 / temperature)
-    m = build_liouvillian(h, [DissipationChannel({(1, 0): 1.0}, up, gamma)])
+    m = build_liouvillian(h, [DissipationChannel(1, 0, up, gamma)])
     v = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     p_e = up / (up + gamma)
     return m, v, np.array([1.0 - p_e, p_e])

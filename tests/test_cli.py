@@ -290,7 +290,7 @@ def test_rate_spellings_build_float_channels(tmp_path, rate_up, rate_down, want)
     cfg.write_text(GENERIC + CHANNEL.replace("0.01", rate_up)
                    .replace("0.02", rate_down) + OMEGA)
     ch = config.load_config(str(cfg)).model.channels[1]
-    assert ch.raising == {(1, 0): 1.0}
+    assert (ch.upper, ch.lower) == (1, 0)
     # repr tells -0.0 from 0.0 and an int from a float
     assert (repr(ch.rate_up), repr(ch.rate_down)) == tuple(map(repr, want))
 

@@ -22,7 +22,6 @@ from curlflux.junction import JunctionParams
 from curlflux.reduction import analyze
 from helpers import (
     build_liouvillian,
-    channel,
     commutator_superop,
     dense_k,
     dense_raising,
@@ -142,7 +141,7 @@ def test_left_mult_flips_ground_state_projector():
 def test_two_level_decay_structure():
     omega, gamma = 1.3, 0.08
     h = np.diag([0.0, omega]).astype(complex)
-    m = to_dense(build_generator(h, [DissipationChannel({(1, 0): 1.0}, 0.0, gamma)]))
+    m = to_dense(build_generator(h, [DissipationChannel(1, 0, 0.0, gamma)]))
     # population block: gain/loss at rate gamma
     assert np.allclose(m[:2, :2], [[0.0, gamma], [0.0, -gamma]])
     # coherence slots (g,e) and (e,g): decay gamma/2, frequencies +-omega
@@ -174,54 +173,30 @@ def assert_matches_per_channel_oracle(h, channels):
 
 def assert_equals_the_dense_build(h, channels):
     # bit for bit: the terms at each place are summed from 0 in the same
-    # order, the jump products of multi-entry jumps included
+    # order, several jumps at one population entry included
     assert np.array_equal(to_dense(build_generator(h, channels)),
                           build_liouvillian(h, channels))
 
 
-def random_complex(rng, dim):
-    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-
-
-def test_builder_matches_per_channel_oracle_dense_complex_jumps():
+def test_builder_matches_per_channel_oracle_on_random_level_pairs():
+    # random level pairs as numpy integers, upper == lower (dephasing) and
+    # repeated pairs among them, about a quarter of the rates 0, both
+    # channel orders and no channels at all
     rng = np.random.default_rng(8)
     for dim in (2, 3, 5, 8):
         h = random_hermitian(rng, dim)
         channels = [
-            channel(random_complex(rng, dim), *rng.uniform(0.01, 1.0, size=2))
-            for _ in range(3)
-        ]
-        assert_matches_per_channel_oracle(h, channels)
-        assert_equals_the_dense_build(h, channels)
-
-
-def test_builder_matches_per_channel_oracle_mixed_sparsity_jumps():
-    # jumps with 1, 3, 2 and 25 non-zero entries side by side
-    rng = np.random.default_rng(10)
-    h = random_hermitian(rng, 5)
-    channels = []
-    for nnz in (1, 3, 2, 25):
-        raising = np.zeros(25, dtype=complex)
-        raising[rng.choice(25, size=nnz, replace=False)] = (
-            rng.normal(size=nnz) + 1j * rng.normal(size=nnz))
-        channels.append(channel(raising.reshape(5, 5),
-                                *rng.uniform(0.01, 1.0, size=2)))
-    for order in (channels, channels[::-1]):
-        assert_matches_per_channel_oracle(h, order)
-        assert_equals_the_dense_build(h, order)
-
-
-def test_builder_matches_per_channel_oracle_zero_rate_and_no_channels():
-    rng = np.random.default_rng(9)
-    h = random_hermitian(rng, 4)
-    channels = [
-        channel(random_complex(rng, 4), 0.0, 0.3),
-        channel(random_complex(rng, 4), 0.2, 0.7),
-    ]
-    for chs in (channels, []):
-        assert_matches_per_channel_oracle(h, chs)
-        assert_equals_the_dense_build(h, chs)
-    assert np.array_equal(to_dense(build_generator(h, [])), -1j * commutator_superop(h))
+            DissipationChannel(*rng.integers(dim, size=2),
+                               *rng.uniform(0.01, 1.0, size=2)
+                               * (rng.random(2) > 0.25))
+            for _ in range(2 * dim)]
+        assert any(ch.upper == ch.lower for ch in channels)
+        assert any(0.0 in (ch.rate_up, ch.rate_down) for ch in channels)
+        for chs in (channels, channels[::-1], []):
+            assert_matches_per_channel_oracle(h, chs)
+            assert_equals_the_dense_build(h, chs)
+        assert np.array_equal(to_dense(build_generator(h, [])),
+                              -1j * commutator_superop(h))
 
 
 def test_builder_matches_per_channel_oracle_on_junction():
@@ -250,7 +225,24 @@ def test_builder_rejects_mismatched_channel_dimension():
     # negative indices too, which numpy indexing would wrap silently
     for key in ((3, 0), (-1, 0), (0, 3), (0, -1)):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            build_generator(np.eye(3), [DissipationChannel({key: 1.0}, 0.1, 0.1)])
+            build_generator(np.eye(3), [DissipationChannel(*key, 0.1, 0.1)])
+
+
+@pytest.mark.parametrize("upper, lower", [(1.5, 0), (1, "0"), ("1", 0)],
+                         ids=["float-upper", "str-lower", "str-upper"])
+def test_channel_rejects_a_level_that_is_not_an_integer(upper, lower):
+    # int() would read 1.5 as level 1 and "1" as level 1
+    with pytest.raises(ValueError, match="channel levels must be integers"):
+        DissipationChannel(upper, lower, 0.1, 0.2)
+
+
+@pytest.mark.parametrize("rate, message", [
+    (float("nan"), "finite"), (float("inf"), "finite"),
+    (-1.0, "non-negative"), (-1, "non-negative")])
+def test_channel_rejects_an_infinite_nan_or_negative_rate(rate, message):
+    for rates in ((rate, 0.2), (0.2, rate)):
+        with pytest.raises(ValueError, match="channel rates must be " + message):
+            DissipationChannel(1, 0, *rates)
 
 
 def test_builder_rejects_non_hermitian_hamiltonian():
@@ -282,7 +274,7 @@ def test_thermal_rates_admit_gibbs_stationary_state():
             base = rng.uniform(0.02, 0.2)
             omega_ij = energies[j] - energies[i]
             channels.append(DissipationChannel(
-                {(j, i): 1.0}, base * np.exp(-omega_ij / temperature), base
+                j, i, base * np.exp(-omega_ij / temperature), base
             ))
     m = to_dense(build_generator(h, channels))
     gibbs = np.exp(-energies / temperature)

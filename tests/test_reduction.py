@@ -229,8 +229,7 @@ def _rate_graph(energies, edges):
     # rate_down) edge
     channels = []
     for lower, upper, rate_up, rate_down in edges:
-        channels.append(DissipationChannel({(upper, lower): 1.0}, rate_up,
-                                           rate_down))
+        channels.append(DissipationChannel(upper, lower, rate_up, rate_down))
     return build_liouvillian(np.diag(energies).astype(complex), channels)
 
 

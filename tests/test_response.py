@@ -229,7 +229,7 @@ def test_resolvent_ignores_an_undamped_sector_the_pair_does_not_reach():
     # with poles at +-0.9 on the grid, and their populations sit at 0
     energies = np.array([0.0, 1.0, 1.7, 2.6])
     m = build_liouvillian(np.diag(energies),
-                          [DissipationChannel({(1, 0): 1.0}, 0.02, 0.05)])
+                          [DissipationChannel(1, 0, 0.02, 0.05)])
     v = np.zeros((4, 4), dtype=complex)
     v[0, 1] = v[1, 0] = 1.0
     rho = vectorize(np.diag([5.0, 2.0, 0.0, 0.0]) / 7.0)
@@ -403,7 +403,7 @@ def test_split_collapses_at_detailed_balance_thermal_ladder():
     for i in range(2):
         omega_ij = energies[i + 1] - energies[i]
         channels.append(DissipationChannel(
-            {(i + 1, i): 1.0}, 0.05 * np.exp(-omega_ij / temperature), 0.05
+            i + 1, i, 0.05 * np.exp(-omega_ij / temperature), 0.05
         ))
     m = build_liouvillian(h, channels)
     v = np.zeros((3, 3), dtype=complex)

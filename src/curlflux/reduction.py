@@ -21,13 +21,15 @@ state's exit rates and so subtracts nothing: for non-negative rates p
 is accurate entrywise in the relative sense (O'Cinneide, Numer. Math.
 65, 109 (1993)), and the relative residual (L p)_n / (L_nn p_n), which
 is what s_d + v_ss + 1 equals, stays at rounding however slow a level's
-exits are.  rho_ss is their lift diag(p) + K p, a d x d operator whose
-coherences K p sit on the population sector's fed coherences; it is
-exact because M [p; K p] = [L p; 0].  Neither step takes an
-eigendecomposition: only the coherence check reads modes, those of the
-size groups that hold a coherence-only sector (`Generator.modes`), plus
-the eigenvalues of the population sector's coherences, so on a diagonal
-Hamiltonian no command diagonalizes the d x d rate block.
+exits are.  It eliminates the states from the last one down by
+recursive halving, so nearly all its work is matrix products.  rho_ss
+is their lift diag(p) + K p, a d x d operator whose coherences K p sit
+on the population sector's fed coherences; it is exact because
+M [p; K p] = [L p; 0].  Neither step takes an eigendecomposition: only
+the coherence check reads modes, those of the size groups that hold a
+coherence-only sector (`Generator.modes`), plus the eigenvalues of the
+population sector's coherences, so on a diagonal Hamiltonian no command
+diagonalizes the d x d rate block.
 
 `analyze` chains the whole reduction for one generator: K and L, the
 steady state, and on demand the curl flux with its split operators.
@@ -51,11 +53,6 @@ __all__ = [
 # a coherence eigenvalue of magnitude at most COHERENCE_TOL * max(1,
 # max |eigenvalue|) does not decay
 COHERENCE_TOL = 1e-12
-# states the state reduction eliminates one by one before the states
-# below them take their updates in one matrix product: 32 takes 0.05 s
-# at d = 512 and 0.44 s at d = 1024, where 16 takes 0.04 and 0.55 s and
-# 64 takes 0.07 and 0.55 s (2 cores, BLAS on 1 thread)
-_PANEL = 32
 
 
 class NonDecayingCoherenceError(np.linalg.LinAlgError):
@@ -122,34 +119,36 @@ def _eliminate(generator):
     return -x, block[:d, :d] - block[:d, d:] @ x
 
 
-def _reduce(a):
-    """Eliminate the states d - 1, ..., 1 of a (d, d) rate array in place,
+def _reduce(a, lo, hi):
+    """Eliminate the states hi - 1, ..., lo of a rate array in place,
     a[m, n] the rate from m to n (its diagonal is never read), and return
     the first state whose pivot is 0, or None.
 
     Eliminating n divides a[:n, n] by its pivot, the sum of n's rates to
     the states below it, and adds a[i, n] a[n, j] to the rate from i to j
     for every i, j below n: the rates of the chain censored to 0..n-1.
-    The states run in panels of _PANEL.  Inside a panel its states' rows
-    and columns take the updates state by state; the block of the states
-    below the panel takes their sum afterwards in one matrix product, the
-    same terms summed in another order.
+    One state is eliminated by its division alone.  A range reduces its
+    upper half, adds that half's updates to the rows a[lo:mid, :mid] and
+    the columns a[:lo, lo:mid] of its lower half in one matrix product
+    each, and then reduces its lower half; the updates of the states
+    below lo, a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo], are left to
+    the caller.  So nearly all the work runs in large products (recursive
+    blocking: Gustavson, IBM J. Res. Dev. 41, 737 (1997)), the terms of
+    the state-by-state elimination summed in another order.
     """
-    top = a.shape[0]
-    while top > 1:
-        low = max(top - _PANEL, 0)
-        for n in range(top - 1, max(low, 1) - 1, -1):
-            pivot = a[n, :n].sum()
-            if pivot == 0.0:
-                return n
-            col = a[:n, n]
-            col /= pivot
-            a[low:n, :n] += col[low:, None] * a[n, :n]
-            if low:
-                a[:low, low:n] += col[:low, None] * a[n, low:n]
-        if low:
-            a[:low, :low] += a[:low, low:top] @ a[low:top, :low]
-        top = low
+    if hi - lo == 1:
+        pivot = a[lo, :lo].sum()
+        if pivot == 0.0:
+            return lo
+        a[:lo, lo] /= pivot
+    elif hi - lo > 1:
+        mid = (lo + hi) // 2
+        first = _reduce(a, mid, hi)
+        if first is not None:
+            return first
+        a[lo:mid, :mid] += a[lo:mid, mid:hi] @ a[mid:hi, :mid]
+        a[:lo, lo:mid] += a[:lo, mid:hi] @ a[mid:hi, lo:mid]
+        return _reduce(a, lo, mid)
     return None
 
 
@@ -157,7 +156,9 @@ def _populations(rates):
     """Stationary populations of a real rate matrix L (columns summing to
     zero), normalized to sum 1, by GTH state reduction.
 
-    With p_0 = 1, back substitution gives p_n = sum_(k<n) p_k a[k, n].
+    `_reduce(a, 1, d)` eliminates the states d - 1, ..., 1; the updates
+    it leaves to its caller fall on a[0, 0], which nothing reads.  With
+    p_0 = 1, back substitution gives p_n = sum_(k<n) p_k a[k, n].
     A zero pivot at state n means that n cannot reach the states before
     it, so it lies in a closed class: the reduction restarts once with n
     first, the state kept to the end.  A unique closed class then holds
@@ -171,11 +172,11 @@ def _populations(rates):
     """
     order = np.arange(rates.shape[0])
     a = np.array(rates.T)
-    n = _reduce(a)
+    n = _reduce(a, 1, order.size)
     if n is not None:
         order = np.concatenate([[n], np.delete(order, n)])
         a = rates.T[np.ix_(order, order)]
-        second = _reduce(a)
+        second = _reduce(a, 1, order.size)
         if second is not None:
             raise NonUniqueSteadyStateError(
                 "non-unique steady state: states %d and %d of the rate "
@@ -207,10 +208,10 @@ class Analysis:
 
     `rho_ss` is the stationary density matrix, a (d, d) Hermitian
     operator of trace 1, the lift of L's populations, and `populations`
-    is its diagonal.  `l_matrix` is L, held once and real: its imaginary
-    part is dropped by the IMAG_TOL rule of :mod:`~curlflux.flux`.  The
-    flux record, the CLI's balance verdicts and checks, and the fdr
-    check read it.
+    is its diagonal.  `l_matrix` is L, held once as its own real array:
+    its imaginary part is dropped by the IMAG_TOL rule of
+    :mod:`~curlflux.flux`.  The flux record, the CLI's balance verdicts
+    and checks, and the fdr check read it.
     `k_fed` holds K's rows on the population sector's coherences, the
     only rows that can be non-zero; `lift` reads them.  `flux`, the one
     record of the curl flux and its split operators, is computed on
@@ -256,7 +257,8 @@ def analyze(generator):
         If L has imaginary parts above the IMAG_TOL rule.
     """
     k_fed, l_matrix = _eliminate(generator)
-    l_matrix = _real_rate_matrix(l_matrix)
+    # a copy, not a view, so the complex L, twice its size, is freed
+    l_matrix = np.ascontiguousarray(_real_rate_matrix(l_matrix))
     rho = _lift(generator, k_fed, _populations(l_matrix))
     # K p is Hermitian up to rounding
     rho = 0.5 * (rho + rho.conj().T)

@@ -320,6 +320,19 @@ def rate_steady_state(l_matrix):
     return SteadyState(vector=p, residual=float(np.linalg.norm(l_matrix @ p)))
 
 
+def gth_reduce(a):
+    """GTH state reduction one state at a time: eliminate the states
+    d - 1, ..., 1 of a (d, d) rate array in place, a[m, n] the rate from
+    m to n, and return the first state whose pivot is 0, or None."""
+    for n in range(a.shape[0] - 1, 0, -1):
+        pivot = a[n, :n].sum()
+        if pivot == 0.0:
+            return n
+        a[:n, n] /= pivot
+        a[:n, :n] += a[:n, n, None] * a[n, :n]
+    return None
+
+
 def kron_liouvillian(hamiltonian, channels):
     """The generator as two Kronecker products plus one (d**2, n) @
     (n, d**2) jump product, permuted to the package order."""

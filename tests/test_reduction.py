@@ -23,11 +23,13 @@ from helpers import (
     effective_rate_matrix,
     generator_blocks,
     generator_of,
+    gth_reduce,
     memory_kernel,
     propagate,
     random_ladder,
     random_ladder_model,
     random_lindblad_model,
+    random_rate_matrix,
     rate_steady_state,
     steady_state,
     to_dense,
@@ -430,18 +432,51 @@ def test_steady_state_is_relatively_stationary_on_every_run_file(tmp_path):
             assert relative_residual(_analyze(model)) <= 1e-14, path
 
 
-@pytest.mark.parametrize("dim, panel", [(8, 3), (80, 32)])
-def test_state_reduction_in_panels_matches_one_panel(monkeypatch, dim, panel):
-    # the states below a panel take its updates in one matrix product: the
-    # same terms summed in another order, so the populations agree entry
-    # by entry with a reduction that updates every state state by state
+def _state_by_state(monkeypatch):
+    # _populations with the state-by-state reduction in place of the
+    # recursive one: the same restart and back substitution
+    monkeypatch.setattr(reduction, "_reduce", lambda a, lo, hi: gth_reduce(a))
+
+
+@pytest.mark.parametrize("dim", [8, 41, 80])
+def test_recursive_state_reduction_matches_state_by_state(monkeypatch, dim):
+    # the recursion adds each half's updates in matrix products: the same
+    # terms summed in another order, so the populations agree entry by
+    # entry with a reduction that updates every state state by state
     h, channels, _ = random_ladder(np.random.default_rng(60 + dim), dim)
     rates = analyze(build_generator(h, channels)).l_matrix
-    monkeypatch.setattr(reduction, "_PANEL", panel)
-    blocked = reduction._populations(rates)
-    monkeypatch.setattr(reduction, "_PANEL", dim)
-    whole = reduction._populations(rates)
-    assert np.abs(blocked / whole - 1.0).max() <= 1e-13
-    assert np.abs((rates @ blocked) / (np.diagonal(rates) * blocked)).max() <= 1e-14
+    recursive = reduction._populations(rates)
+    _state_by_state(monkeypatch)
+    oracle = reduction._populations(rates)
+    assert np.abs(recursive / oracle - 1.0).max() <= 1e-13
+    assert (np.abs((rates @ recursive) / (np.diagonal(rates) * recursive))
+            .max() <= 1e-14)
     ref = rate_steady_state(rates).vector
-    assert np.abs(blocked - ref).max() <= 1e-12 * ref.max()
+    assert np.abs(recursive - ref).max() <= 1e-12 * ref.max()
+
+
+@pytest.mark.parametrize("closed", [(6, 8), (2, 7)],
+                         ids=["upper-half", "lower-half"])
+def test_recursive_state_reduction_restarts_where_state_by_state_does(
+        monkeypatch, closed):
+    # random rates on 9 states with no rate out of the class `closed`:
+    # its lowest state meets the first zero pivot, in the upper half 5..8
+    # or the lower half 1..4 of the states 1..8 that the reduction halves
+    rates = random_rate_matrix(np.random.default_rng(9), 9)
+    rates[np.ix_(np.setdiff1d(np.arange(9), closed), closed)] = 0.0
+    np.fill_diagonal(rates, 0.0)
+    np.fill_diagonal(rates, -rates.sum(axis=0))
+    first = reduction._reduce(np.array(rates.T), 1, 9)
+    assert first == gth_reduce(np.array(rates.T)) == closed[0]
+    recursive = reduction._populations(rates)
+    _state_by_state(monkeypatch)
+    oracle = reduction._populations(rates)
+    # the states outside the class hold exactly nothing
+    live = np.isin(np.arange(9), closed)
+    assert np.array_equal(recursive > 0, live)
+    assert np.array_equal(oracle > 0, live)
+    assert np.abs(recursive[live] / oracle[live] - 1.0).max() <= 1e-13
+    assert (np.abs((rates @ recursive)[live]
+                   / (np.diagonal(rates) * recursive)[live]).max() <= 1e-14)
+    ref = rate_steady_state(rates).vector
+    assert np.abs(recursive - ref).max() <= 1e-12 * ref.max()

@@ -10,12 +10,14 @@ deterministic iterative cycle cancellation, a walk over one ascending
 successor list per node of the flux support, in O(nnz) memory.
 
 The same record holds the diagonal operators of the split, the
-decomposition read state by state,
+decomposition read state by state: each part's inflow into n over n's
+outflow L[n,n] p[n],
 
-    s_d[n] = sum_k min(L[n,k] p[k] / p[n], L[k,n]) / L[n,n]
+    s_d[n] = sum_k sym[k, n] / (L[n,n] p[n])
     v_ss[n] = sum_k c[k, n] / (L[n,n] p[n])
 
-which satisfy s_d + v_ss = -1 entrywise and enter the equilibrium /
+(the Schnakenberg split, Rev. Mod. Phys. 48, 571 (1976)).  They satisfy
+s_d + v_ss = -1 entrywise at stationarity and enter the equilibrium /
 nonequilibrium split of the linear response.  v_ss vanishes exactly when
 detailed balance holds.
 
@@ -109,8 +111,9 @@ def curl_flux(l_matrix, populations):
     Returns
     -------
     FluxDecomposition
-        With the normalization L[n,n] p[n] = -(sum_k c[k,n] + sym-in),
-        its s_d + v_ss = -1 exactly at stationarity.
+        Its s_d and v_ss are the column sums of sym and c over
+        L[n,n] p[n]; stationarity, L[n,n] p[n] = -sum_k (sym + c)[k, n],
+        makes s_d + v_ss = -1.
 
     Raises
     ------
@@ -137,16 +140,11 @@ def curl_flux(l_matrix, populations):
     t = _currents(l_matrix, p)
     sym = np.minimum(t, t.T)
     c = t - sym
-    # the [n, k] terms of s_d, with L's diagonal kept out
-    balanced = np.where(~np.eye(d, dtype=bool),
-                        np.minimum(l_matrix * p / p[:, None], l_matrix.T), 0.0)
-    # a left-to-right sum over k: accumulate adds one k at a time, where
-    # numpy's pairwise sum would round differently
-    s_sum = np.add.accumulate(balanced, axis=1)[:, -1]
-    v_sum = np.add.accumulate(c.T, axis=1)[:, -1]
+    # sym and c are C-ordered, so a column sum adds the rows in order
     return FluxDecomposition(t_rate=t, c=c, sym=sym,
                              loops=tuple(loop_decomposition(c)),
-                             s_d=s_sum / diag, v_ss=v_sum / (diag * p))
+                             s_d=sym.sum(axis=0) / (diag * p),
+                             v_ss=c.sum(axis=0) / (diag * p))
 
 
 def loop_decomposition(c):

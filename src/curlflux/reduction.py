@@ -171,7 +171,7 @@ def _populations(rates):
         If L has two closed classes.
     """
     order = np.arange(rates.shape[0])
-    a = np.array(rates.T)
+    a = np.array(rates.T, order="C")
     n = _reduce(a, 1, order.size)
     if n is not None:
         order = np.concatenate([[n], np.delete(order, n)])

@@ -280,15 +280,24 @@ def test_split_operators_junction_completeness():
     assert np.abs(model.flux.s_d + model.flux.v_ss + 1.0).max() < 1e-12
 
 
-def per_state_split_operators(l, p, c):
-    """s_d and v_ss as one Python sum per state."""
+def per_state_split_operators(l, p, sym, c):
+    """s_d and v_ss as one in-order Python sum per state n: the inflow
+    sym[k, n] or c[k, n] over the outflow L[n, n] p[n]."""
     d = p.size
     s_d, v_ss = np.empty(d), np.empty(d)
     for n in range(d):
         ks = [k for k in range(d) if k != n]
-        s_d[n] = sum(min(l[n, k] * p[k] / p[n], l[k, n]) for k in ks) / l[n, n]
+        s_d[n] = sum(sym[k, n] for k in ks) / (l[n, n] * p[n])
         v_ss[n] = sum(c[k, n] for k in ks) / (l[n, n] * p[n])
     return s_d, v_ss
+
+
+def rate_ratio_s_d(l, p):
+    """s_d read off the rates: sum_k min(L[n,k] p[k] / p[n], L[k,n]) / L[n,n]."""
+    d = p.size
+    return np.array([sum(min(l[n, k] * p[k] / p[n], l[k, n])
+                         for k in range(d) if k != n) / l[n, n]
+                     for n in range(d)])
 
 
 def test_split_operators_equal_per_state_sums_bit_for_bit():
@@ -302,8 +311,11 @@ def test_split_operators_equal_per_state_sums_bit_for_bit():
         pairs.append((l, rate_steady_state(l).vector))
     for l, p in pairs:
         got = curl_flux(l, p)
-        s_d, v_ss = per_state_split_operators(l, p, got.c)
+        s_d, v_ss = per_state_split_operators(l, p, got.sym, got.c)
         assert np.array_equal(got.s_d, s_d) and np.array_equal(got.v_ss, v_ss)
+        # the same part from the rates, summed in another order
+        scale = np.abs(got.s_d).max()
+        assert np.abs(got.s_d - rate_ratio_s_d(l, p)).max() <= 1e-15 * scale
 
 
 def test_split_operators_reject_singular_diagonal():
@@ -420,6 +432,27 @@ def test_flux_report_lists_every_nonzero_coherence_in_row_major_order():
          "im": rho[n, m].imag}
         for n in range(4) for m in range(n + 1, 4)
     ]
+
+
+def test_curl_flux_holds_little_more_than_its_three_matrices(tmp_path):
+    # the record keeps t, sym and c, 3 d^2 doubles; the bound fails two
+    # more d x d arrays held at the peak
+    d = 256
+    model, _ = _bench_workloads().ladder_model(random.Random(3), d)
+    doc = {"model": dict(type="generic", **model),
+           "sweep": {"omega": {"values": [1.0]}}}
+    path = tmp_path / "ladder256.yaml"
+    path.write_text(yaml.safe_dump(doc, sort_keys=False))
+    analysis = _analyze(load_config(str(path)).model)
+    l, p = analysis.l_matrix, analysis.populations
+    curl_flux(l, p)
+    tracemalloc.start()
+    try:
+        curl_flux(l, p)
+        peak = tracemalloc.get_traced_memory()[1] / (8.0 * d * d)
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5, "peak %.2f d^2 doubles" % peak
 
 
 def test_flux_report_renders_its_matrices_a_row_at_a_time(tmp_path):

@@ -44,6 +44,7 @@ from helpers import (
     trace_vector,
 )
 from junction_oracles import build_junction
+from test_tools import _tool
 
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
@@ -436,19 +437,13 @@ def _bench_workloads():
 
 
 def run_file_paths(tmp_path):
-    """The bundled run files, their bench/reference copies and every run
-    file the bench generates for seeds 1 to 3, written under tmp_path."""
+    """The bundled run files, their bench/reference copies and the run
+    files of tools/corpus.py, written under tmp_path."""
     bench = Path(__file__).resolve().parents[1] / "bench"
     paths = [str(p) for p in (resources.files("curlflux") / "configs").iterdir()
              if p.name.endswith(".yaml")]
     paths += [str(p) for p in (bench / "reference").glob("*.yaml")]
-    workloads = _bench_workloads()
-    for name in ("junction_sweep", "ladder_flux", "ladder_spectrum"):
-        for seed in (1, 2, 3):
-            work = str(tmp_path / ("%s%d" % (name, seed)))
-            spec = workloads.generate(name, seed, work)
-            paths += [op["argv"][2] for op in [spec["warmup"]] + spec["batch"]]
-    return sorted(set(paths))
+    return sorted(paths + _tool("corpus").write(str(tmp_path)))
 
 
 def test_generator_equals_the_dense_oracle_on_every_run_file(tmp_path):

@@ -52,6 +52,20 @@ def test_outputs_gives_the_same_line_for_every_command_twice(capsys):
         [command, "0"] for command in outputs.COMMANDS]
 
 
+def test_corpus_writes_57_run_files_with_the_same_bytes_each_run(tmp_path):
+    first = _tool("corpus").write(str(tmp_path / "first"))
+    out = subprocess.run([sys.executable, str(TOOLS / "corpus.py"),
+                          str(tmp_path / "second")],
+                         capture_output=True, text=True, check=True).stdout
+    second = out.splitlines()
+    assert len(set(first)) == len(first) == 57
+    assert [Path(p).relative_to(tmp_path / "first") for p in first] == [
+        Path(p).relative_to(tmp_path / "second") for p in second]
+    for path, again in zip(first, second):
+        config.load_config(path)
+        assert Path(path).read_bytes() == Path(again).read_bytes()
+
+
 def test_reach_lists_singular_and_no_core_branch_of_the_walk():
     configs = resources.files("curlflux") / "configs"
     paths = sorted(str(p) for p in configs.iterdir() if p.name.endswith(".yaml"))

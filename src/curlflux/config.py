@@ -10,9 +10,23 @@ junction's dipole or 1 for a generic model.  Its `coupling`, the probe
 ``scale * (A + A^dag)`` with A the sum of the channels' upward jumps
 |upper><lower|, is formed when a command reads it, so a record that no
 command probes holds no d x d probe.
-The kind, read from `model.type`, is kept as `RunConfig.kind`; of the
-commands, only `spectrum` reads it, to split the junction's spectra
-alone.
+The kind, read from `model.type`, is kept as `RunConfig.kind`;
+`spectrum` reads it to split the junction's spectra alone, and
+`validate` names it in its summary line.
+
+`load_config` reads the sections every run file shares and picks, once,
+the reader of `model.type`.  A reader takes its `model.<type>` section
+and the `sweep` mapping and gives the model, its spectrum points and
+its temperature:
+
+- `_junction` reads `JunctionParams` and refuses per-electrode rates
+  and a missing mu_1 or mu_2.  It owns `sweep.bias`: each bias pair is
+  a point tagged 'dmu%.4g' or 'mu%.4g_%.4g', two points may not share a
+  tag, and with no pair the one point is 'run', at the file's own
+  (mu_1, mu_2).  The temperature is the electrodes' when they share one.
+- `_generic` reads the levels, the channels (at least one) and the
+  optional positive `temperature`; its one point is 'spectrum', and it
+  refuses any `sweep.bias`.
 
 A run file has three sections::
 
@@ -354,6 +368,91 @@ def _omega_grid(section):
     return grid
 
 
+def _junction(section, sweep):
+    """model.junction and sweep.bias: the junction's Model, its spectrum
+    points, one per bias pair or else the one point 'run' at its own
+    (mu_1, mu_2), and the electrodes' temperature if they share one."""
+    allowed = {f.name for f in fields(JunctionParams)}
+    _check_keys(section, allowed | {"gamma_1", "gamma_2"}, "model.junction")
+    if "gamma_1" in section or "gamma_2" in section:
+        raise ConfigError(
+            "per-electrode exchange rates are not supported; the model "
+            "assumes a common 'gamma' for both electrodes"
+        )
+    kwargs = {k: _float(v, "model.junction.%s", k) for k, v in section.items()}
+    if "mu_1" not in kwargs or "mu_2" not in kwargs:
+        raise ConfigError("model.junction requires mu_1 and mu_2")
+    try:
+        params = JunctionParams(**kwargs)
+    except ValueError as exc:
+        raise ConfigError("model.junction: %s" % exc)
+
+    pairs = []      # (tag, mu_1, mu_2) of each bias point
+    bias = sweep.get("bias", {})
+    _check_keys(bias, {"mode", "center", "dmu", "extra_pairs"}, "sweep.bias")
+    mode = bias.get("mode", "symmetric")
+    if mode not in ("symmetric", "fixed"):
+        raise ConfigError("sweep.bias.mode must be 'symmetric' or 'fixed'")
+    if mode == "fixed" and {"center", "dmu"} & set(bias):
+        raise ConfigError("sweep.bias.mode 'fixed' takes no center or dmu")
+    if mode == "symmetric":
+        center = _float(bias.get("center", 1.0), "sweep.bias.center")
+        for dmu in _list(bias, "dmu", "sweep.bias"):
+            dmu = _float(dmu, "sweep.bias.dmu")
+            pairs.append(("dmu%.4g" % dmu, center + dmu, center - dmu))
+    for pair in _list(bias, "extra_pairs", "sweep.bias"):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+            raise ConfigError("sweep.bias.extra_pairs entries must be pairs")
+        mu1 = _float(pair[0], "sweep.bias.extra_pairs")
+        mu2 = _float(pair[1], "sweep.bias.extra_pairs")
+        pairs.append(("mu%.4g_%.4g" % (mu1, mu2), mu1, mu2))
+    # points whose tags collide would overwrite each other's output file
+    seen = set()
+    for tag, _, _ in pairs:
+        if tag in seen:
+            raise ConfigError("sweep.bias: two points share the output tag '%s'"
+                              % tag)
+        seen.add(tag)
+
+    model = _junction_model(params)
+    points = [(tag, _junction_model(replace(params, mu_1=mu1, mu_2=mu2)))
+              for tag, mu1, mu2 in pairs] or [("run", model)]
+    return model, points, params.t_1 if params.t_1 == params.t_2 else None
+
+
+def _generic(section, sweep):
+    """model.generic: its Model, probed at scale 1, as the one spectrum
+    point 'spectrum', and its temperature if it gives one."""
+    _check_keys(section, {"levels", "channels", "temperature"}, "model.generic")
+    levels = _require(section, "levels", "model.generic")
+    if not isinstance(levels, dict) or not levels:
+        raise ConfigError("model.generic.levels must be a non-empty mapping")
+    labels = tuple(levels.keys())
+    for label in labels:
+        # a channel end names a level by equality, where true == 1 == 1.0
+        if type(label) is not str:
+            raise ConfigError("model.generic.levels: level key %r is not "
+                              "a string" % (label,))
+    energies = [_float(levels[k], "model.generic.levels.%s", k) for k in labels]
+    ham = np.diag(np.asarray(energies, dtype=complex))
+    index = {label: n for n, label in enumerate(labels)}
+    channels = [_channel(ch, i, index) for i, ch in
+                enumerate(_list(section, "channels", "model.generic"))]
+    if not channels:
+        # the probe couples the channels' level pairs
+        raise ConfigError("model.generic.channels must list at least one "
+                          "channel")
+    temperature = None
+    if "temperature" in section:
+        temperature = _float(section["temperature"], "model.generic.temperature")
+        if temperature <= 0:
+            raise ConfigError("model.generic.temperature must be positive")
+    if "bias" in sweep:
+        raise ConfigError("sweep.bias applies only to junction models")
+    model = Model(labels, ham, tuple(channels), 1.0)
+    return model, [("spectrum", model)], temperature
+
+
 def load_config(path):
     """Parse and validate a YAML run file."""
     try:
@@ -370,99 +469,20 @@ def load_config(path):
         raise ConfigError("top level of the config must be a mapping")
     _check_keys(raw, {"model", "sweep", "output"}, "<top>")
 
-    model = _require(raw, "model", "<top>")
-    _check_keys(model, {"type", "junction", "generic"}, "model")
-    mtype = _require(model, "type", "model")
-    if "junction" in model and "generic" in model:
+    sections = _require(raw, "model", "<top>")
+    _check_keys(sections, {"type", "junction", "generic"}, "model")
+    kind = _require(sections, "type", "model")
+    if "junction" in sections and "generic" in sections:
         raise ConfigError("config must contain exactly one model section")
-    temperature = None
-    if mtype == "junction":
-        sect = _require(model, "junction", "model")
-        allowed = {f.name for f in fields(JunctionParams)}
-        _check_keys(sect, allowed | {"gamma_1", "gamma_2"}, "model.junction")
-        if "gamma_1" in sect or "gamma_2" in sect:
-            raise ConfigError(
-                "per-electrode exchange rates are not supported; the model "
-                "assumes a common 'gamma' for both electrodes"
-            )
-        kwargs = {k: _float(v, "model.junction.%s", k) for k, v in sect.items()}
-        if "mu_1" not in kwargs or "mu_2" not in kwargs:
-            raise ConfigError("model.junction requires mu_1 and mu_2")
-        try:
-            params = JunctionParams(**kwargs)
-        except ValueError as exc:
-            raise ConfigError("model.junction: %s" % exc)
-        if params.t_1 == params.t_2:
-            temperature = params.t_1
-    elif mtype == "generic":
-        sect = _require(model, "generic", "model")
-        _check_keys(sect, {"levels", "channels", "temperature"}, "model.generic")
-        levels = _require(sect, "levels", "model.generic")
-        if not isinstance(levels, dict) or not levels:
-            raise ConfigError("model.generic.levels must be a non-empty mapping")
-        labels = tuple(levels.keys())
-        for label in labels:
-            # a channel end names a level by equality, where true == 1 == 1.0
-            if type(label) is not str:
-                raise ConfigError("model.generic.levels: level key %r is not "
-                                  "a string" % (label,))
-        energies = [_float(levels[k], "model.generic.levels.%s", k) for k in labels]
-        ham = np.diag(np.asarray(energies, dtype=complex))
-        index = {label: n for n, label in enumerate(labels)}
-        channels = [_channel(ch, i, index) for i, ch in
-                    enumerate(_list(sect, "channels", "model.generic"))]
-        if not channels:
-            # the probe couples the channels' level pairs
-            raise ConfigError("model.generic.channels must list at least one "
-                              "channel")
-        if "temperature" in sect:
-            temperature = _float(sect["temperature"], "model.generic.temperature")
-            if temperature <= 0:
-                raise ConfigError("model.generic.temperature must be positive")
-        params = Model(labels, ham, tuple(channels), 1.0)
-    else:
-        raise ConfigError("model.type must be 'junction' or 'generic'")
-
+    try:
+        reader = {"junction": _junction, "generic": _generic}[kind]
+    except (KeyError, TypeError):   # TypeError: a list or a mapping
+        raise ConfigError("model.type must be 'junction' or 'generic'") from None
+    section = _require(sections, kind, "model")
     sweep = _require(raw, "sweep", "<top>")
     _check_keys(sweep, {"omega", "bias"}, "sweep")
+    model, points, temperature = reader(section, sweep)
     omega_grid = _omega_grid(_require(sweep, "omega", "sweep"))
-
-    points = []
-    if "bias" in sweep:
-        if mtype != "junction":
-            raise ConfigError("sweep.bias applies only to junction models")
-        bias = sweep["bias"]
-        _check_keys(bias, {"mode", "center", "dmu", "extra_pairs"}, "sweep.bias")
-        mode = bias.get("mode", "symmetric")
-        if mode not in ("symmetric", "fixed"):
-            raise ConfigError("sweep.bias.mode must be 'symmetric' or 'fixed'")
-        if mode == "fixed" and {"center", "dmu"} & set(bias):
-            raise ConfigError("sweep.bias.mode 'fixed' takes no center or dmu")
-        if mode == "symmetric":
-            center = _float(bias.get("center", 1.0), "sweep.bias.center")
-            for dmu in _list(bias, "dmu", "sweep.bias"):
-                dmu = _float(dmu, "sweep.bias.dmu")
-                points.append(("dmu%.4g" % dmu, replace(
-                    params, mu_1=center + dmu, mu_2=center - dmu)))
-        for pair in _list(bias, "extra_pairs", "sweep.bias"):
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise ConfigError("sweep.bias.extra_pairs entries must be pairs")
-            mu1 = _float(pair[0], "sweep.bias.extra_pairs")
-            mu2 = _float(pair[1], "sweep.bias.extra_pairs")
-            points.append(("mu%.4g_%.4g" % (mu1, mu2),
-                           replace(params, mu_1=mu1, mu_2=mu2)))
-    if mtype == "junction":
-        points = [(tag, _junction_model(p)) for tag, p in points]
-        params = _junction_model(params)
-    if not points:
-        points.append(("run" if mtype == "junction" else "spectrum", params))
-    # points whose tags collide would overwrite each other's output file
-    seen = set()
-    for tag, _ in points:
-        if tag in seen:
-            raise ConfigError("sweep.bias: two points share the output tag '%s'"
-                              % tag)
-        seen.add(tag)
 
     output = raw.get("output", {})
     _check_keys(output, {"directory", "prefix"}, "output")
@@ -470,12 +490,11 @@ def load_config(path):
     prefix = _string(output, "prefix", "output", "curlflux")
 
     return RunConfig(
-        kind=mtype,
-        model=params,
+        kind=kind,
+        model=model,
         points=tuple(points),
         omega_grid=omega_grid,
         out_dir=out_dir,
         prefix=prefix,
         temperature=temperature,
     )
-

@@ -90,8 +90,9 @@ def _real_rate_matrix(l_matrix):
 
 
 def _currents(l_matrix, p):
-    """t[m, n] = L[n, m] p[m], the one-way currents, with a zero diagonal."""
-    t = l_matrix.T * p[:, None]
+    """t[m, n] = L[n, m] p[m], the one-way currents, with a zero diagonal,
+    C-ordered as sym and c are."""
+    t = np.multiply(l_matrix.T, p[:, None], order="C")
     np.fill_diagonal(t, 0.0)
     return t
 

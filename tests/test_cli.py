@@ -128,6 +128,21 @@ REFUSALS = {
                           "must be 'symmetric' or 'fixed'"),
     "unpaired-extra-pair": (JUNCTION + OMEGA + "  bias:\n    extra_pairs: [1.0]\n",
                             "entries must be pairs"),
+    # 0.12341 and 0.12344 both give the tag dmu0.1234, and [1.00001, 0.5]
+    # gives the tag of [1.0, 0.5]; the first repeat is reported
+    "colliding-tags": (JUNCTION + OMEGA + "  bias:\n    dmu: [0.12341, 0.12344]\n"
+                       "    extra_pairs: [[1.0, 0.5], [1.00001, 0.5]]\n",
+                       "sweep.bias: two points share the output tag "
+                       "'dmu0.1234'"),
+    "fixed-bias-with-dmu": (JUNCTION + OMEGA
+                            + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
+                            "mode 'fixed' takes no center or dmu"),
+    "no-channels": (GENERIC.split("    channels:")[0] + OMEGA,
+                    "model.generic.channels must list at least one channel"),
+    "zero-temperature": (GENERIC + "    temperature: 0\n" + OMEGA,
+                         "model.generic.temperature must be positive"),
+    "negative-temperature": (GENERIC + "    temperature: -0.3\n" + OMEGA,
+                             "model.generic.temperature must be positive"),
     "empty-int-tag": (GENERIC.replace("b: 1.0", "b: !!int ''") + OMEGA,
                       "cannot read '' as !!int (line 4)"),
     "empty-float-tag": (GENERIC.replace("b: 1.0", "b: !!float ''") + OMEGA,
@@ -241,13 +256,7 @@ REFUSALS = {
     GENERIC + "sweep:\n  omega: {values: 0.5}\n",
     GENERIC.replace("rate_up: 0.01", "rate_up: true") + OMEGA,
     GENERIC + "    temperature: 0.3\n" + OMEGA + "numerics: {db_tol: -1.0}\n",
-    JUNCTION + OMEGA + "  bias:\n    dmu: [0.12341, 0.12344]\n"
-    "    extra_pairs: [[1.0, 0.5], [1.00001, 0.5]]\n",
     GENERIC + "sweep:\n  omega: {values: [0.9, 1.0], points: 3}\n",
-    JUNCTION + OMEGA + "  bias:\n    mode: fixed\n    dmu: [0.1]\n",
-    GENERIC.split("    channels:")[0] + OMEGA,
-    GENERIC + "    temperature: 0\n" + OMEGA,
-    GENERIC + "    temperature: -0.3\n" + OMEGA,
     GENERIC + OMEGA + "output: {prefix: null}\n",
     GENERIC + OMEGA + "output: {prefix: [a, b]}\n",
     GENERIC + OMEGA + "output: {prefix: 3}\n",
@@ -265,9 +274,8 @@ REFUSALS = {
 ]] + list(REFUSALS.values()), ids=[
         "unknown-level", "negative-rate", "model-not-mapping", "empty-output",
         "empty-numerics", "boolean-points", "channels-not-list", "values-not-list",
-        "boolean-rate", "negative-db-tol", "colliding-tags", "values-and-points",
-        "fixed-bias-with-dmu", "no-channels", "zero-temperature",
-        "negative-temperature", "null-prefix", "list-prefix", "number-prefix",
+        "boolean-rate", "negative-db-tol", "values-and-points",
+        "null-prefix", "list-prefix", "number-prefix",
         "mapping-directory", "huge-integer-level", "huge-integer-omega-value",
         "huge-points", "int64-max-points", "bad-int-tag", "bad-float-tag",
         "bad-bool-tag", "bad-timestamp-tag", "integer-past-digit-limit",
@@ -709,7 +717,7 @@ def test_spectrum_split_columns_sum_to_full(tmp_path):
     assert np.abs(im_full - (im_eq + im_ne)).max() <= 1e-9 * np.abs(im_full).max()
 
 
-def test_bias_sweep_rejected_for_generic_model(tmp_path):
+def test_bias_sweep_rejected_for_generic_model(tmp_path, capsys):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text(
         "model:\n  type: generic\n  generic:\n    levels: {a: 0.0, b: 1.0}\n"
@@ -718,6 +726,28 @@ def test_bias_sweep_rejected_for_generic_model(tmp_path):
         "  bias: {mode: symmetric, dmu: [0.1]}\n"
     )
     assert main(["spectrum", "--config", str(cfg)]) == 2
+    assert "sweep.bias applies only to junction models" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, name", [
+    (JUNCTION + OMEGA, "p_run.csv"),
+    (JUNCTION + OMEGA + "  bias: {dmu: []}\n", "p_run.csv"),
+    (GENERIC + OMEGA, "p_spectrum.csv"),
+], ids=["junction-without-bias", "junction-bias-without-pairs", "generic"])
+def test_default_point_tags(tmp_path, text, name):
+    # a run file with no bias pair writes one spectrum, tagged by its kind
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text(text + "output: {prefix: p}\n")
+    out = tmp_path / "out"
+    assert main(["spectrum", "--config", str(cfg), "--out", str(out)]) == 0
+    assert [p.name for p in out.iterdir()] == [name]
+    if name == "p_run.csv":
+        # the junction's point is its own (mu_1, mu_2) = (1.0, 0.5)
+        cfg.write_text(JUNCTION + OMEGA + "  bias: {extra_pairs: [[1.0, 0.5]]}\n"
+                       "output: {prefix: p}\n")
+        pair = tmp_path / "pair"
+        assert main(["spectrum", "--config", str(cfg), "--out", str(pair)]) == 0
+        assert read(out / name) == read(pair / "p_mu1_0.5.csv")
 
 
 def test_flux_verdict_is_the_same_on_stdout_and_in_the_report(tmp_path, capsys):

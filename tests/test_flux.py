@@ -311,6 +311,10 @@ def test_split_operators_equal_per_state_sums_bit_for_bit():
         pairs.append((l, rate_steady_state(l).vector))
     for l, p in pairs:
         got = curl_flux(l, p)
+        # one layout for the record's three matrices, whose rows the flux
+        # report formats one at a time
+        for field in ("t_rate", "sym", "c"):
+            assert getattr(got, field).flags.c_contiguous, field
         s_d, v_ss = per_state_split_operators(l, p, got.sym, got.c)
         assert np.array_equal(got.s_d, s_d) and np.array_equal(got.v_ss, v_ss)
         # the same part from the rates, summed in another order
